@@ -34,11 +34,11 @@
 //! in `tests/artifact_roundtrip.rs` at the workspace root).
 
 use rqp_common::{Cost, GridIdx, MultiGrid};
-use rqp_ess::anorexic::{reduce_all, ReducedContour};
+use rqp_ess::anorexic::{reduce_all_with, ReducedContour};
 use rqp_ess::{ContourSet, EssSurface, LazySurface};
 use rqp_faults::{crash, FaultPlan, FaultSite};
 use rqp_obs::{TraceEvent, Tracer};
-use rqp_optimizer::cost_matrix::{decode_cells_hex, encode_cells_hex};
+use rqp_optimizer::cost_matrix::{decode_cells_hex, encode_cells_hex, PackedJson};
 use rqp_optimizer::{CostMatrix, Optimizer, PlanId, PlanPool, QuerySpec, SparseCostMatrix};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use std::path::{Path, PathBuf};
@@ -166,20 +166,32 @@ struct Header {
     payload_len: usize,
 }
 
-/// Wraps a payload in the on-disk envelope: header line + raw payload.
-fn seal_envelope(version: u32, payload: String) -> Vec<u8> {
-    let header = Header {
-        magic: MAGIC.into(),
-        version,
-        checksum: format!("{:016x}", checksum64(payload.as_bytes())),
-        payload_len: payload.len(),
+/// Wraps a payload in the on-disk envelope, header line + raw payload, in
+/// one buffer of the final size: the payload is rendered behind the room
+/// the header needs, checksummed in place, and the header written last.
+fn seal(version: u32, payload: &PackedJson<'_>) -> Vec<u8> {
+    let payload_len = payload.rendered_len();
+    let header_line = |checksum: u64| {
+        let header = Header {
+            magic: MAGIC.into(),
+            version,
+            checksum: format!("{checksum:016x}"),
+            payload_len,
+        };
+        serde_json::to_string(&header).expect("header serializes") + "\n"
     };
-    let mut out = serde_json::to_string(&header)
-        .expect("header serializes")
-        .into_bytes();
-    out.push(b'\n');
-    out.extend_from_slice(payload.as_bytes());
+    let start = header_line(0).len();
+    let mut out = vec![0u8; start + payload_len];
+    payload.write_into(&mut out[start..]);
+    let header = header_line(checksum64(&out[start..]));
+    out[..start].copy_from_slice(header.as_bytes());
     out
+}
+
+/// Appends the member `"name":<compact JSON of value>`.
+fn member<T: Serialize>(json: &mut PackedJson<'_>, name: &str, value: &T) {
+    json.key(name);
+    json.raw(&serde_json::to_string(value).expect("artifact field serializes"));
 }
 
 /// Validates the envelope — header shape, magic, payload length, checksum
@@ -304,9 +316,9 @@ pub struct CompiledArtifact {
 
 impl CompiledArtifact {
     /// Runs the full offline compilation pipeline: POSP sweep, contour
-    /// schedule, anorexic reduction, and the recost matrix, each with
-    /// `threads` workers where parallel builds exist. All stages are
-    /// deterministic and thread-count-independent.
+    /// schedule, the recost matrix, and the anorexic reduction off its
+    /// cells, each with `threads` workers where parallel builds exist. All
+    /// stages are deterministic and thread-count-independent.
     pub fn compile(
         opt: &Optimizer<'_>,
         grid: MultiGrid,
@@ -316,8 +328,9 @@ impl CompiledArtifact {
     ) -> Self {
         let surface = EssSurface::build_parallel(opt, grid, threads);
         let contours = ContourSet::build(&surface, ratio);
-        let (bouquet, rho_red) = reduce_all(&surface, opt, &contours, lambda);
         let matrix = CostMatrix::build_parallel(opt, surface.pool(), surface.grid(), threads);
+        let (bouquet, rho_red) =
+            reduce_all_with(&surface, &contours, lambda, |pid, q| matrix.cost(pid, q));
         Self {
             query: opt.query().clone(),
             ratio,
@@ -338,12 +351,23 @@ impl CompiledArtifact {
         self
     }
 
-    /// Serializes to the on-disk byte format (header line + payload).
+    /// Serializes to the on-disk byte format (header line + payload): the
+    /// derived `Serialize`'s members, the matrix cells written in place.
     pub fn to_bytes(&self) -> Vec<u8> {
-        seal_envelope(
-            FORMAT_VERSION,
-            serde_json::to_string(self).expect("artifact serializes"),
-        )
+        let mut json = PackedJson::default();
+        json.raw("{");
+        member(&mut json, "query", &self.query);
+        member(&mut json, "ratio", &self.ratio);
+        member(&mut json, "lambda", &self.lambda);
+        member(&mut json, "surface", &self.surface);
+        member(&mut json, "contours", &self.contours);
+        member(&mut json, "bouquet", &self.bouquet);
+        member(&mut json, "rho_red", &self.rho_red);
+        json.key("matrix");
+        self.matrix.write_packed(&mut json);
+        member(&mut json, "penalty", &self.penalty);
+        json.raw("}");
+        seal(FORMAT_VERSION, &json)
     }
 
     /// Parses and validates the on-disk byte format. Checks, in order:
@@ -609,12 +633,24 @@ impl SparseArtifact {
         }
     }
 
-    /// Serializes to the on-disk byte format (version-2 envelope).
+    /// Serializes to the on-disk byte format (version-2 envelope): the
+    /// derived `Serialize`'s members, both cost vectors written in place.
     pub fn to_bytes(&self) -> Vec<u8> {
-        seal_envelope(
-            SPARSE_FORMAT_VERSION,
-            serde_json::to_string(self).expect("sparse artifact serializes"),
-        )
+        let mut json = PackedJson::default();
+        json.raw("{");
+        member(&mut json, "query", &self.query);
+        member(&mut json, "ratio", &self.ratio);
+        member(&mut json, "grid", &self.grid);
+        member(&mut json, "cell_idx", &self.cell_idx);
+        json.key("cell_costs");
+        json.cells(&self.cell_costs.0);
+        member(&mut json, "cell_plan", &self.cell_plan);
+        member(&mut json, "pool", &self.pool);
+        member(&mut json, "contour_costs", &self.contour_costs);
+        json.key("matrix");
+        self.matrix.write_packed(&mut json);
+        json.raw("}");
+        seal(SPARSE_FORMAT_VERSION, &json)
     }
 
     /// Parses and validates a version-2 artifact. Same envelope checks as
@@ -1099,6 +1135,24 @@ mod tests {
         (cat, query)
     }
 
+    /// The envelope over a generically encoded payload, as `to_bytes`
+    /// built it before the in-place writer: the oracle `seal` must
+    /// reproduce byte for byte.
+    fn seal_envelope(version: u32, payload: String) -> Vec<u8> {
+        let header = Header {
+            magic: MAGIC.into(),
+            version,
+            checksum: format!("{:016x}", checksum64(payload.as_bytes())),
+            payload_len: payload.len(),
+        };
+        let mut out = serde_json::to_string(&header)
+            .expect("header serializes")
+            .into_bytes();
+        out.push(b'\n');
+        out.extend_from_slice(payload.as_bytes());
+        out
+    }
+
     fn tmp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
             "rqp-artifact-test-{}-{tag}.rqpa",
@@ -1131,6 +1185,45 @@ mod tests {
         assert_eq!(loaded.bouquet, art.bouquet);
         assert_eq!(loaded.rho_red, art.rho_red);
         assert_eq!(loaded.contours, art.contours);
+    }
+
+    /// The in-place writers against the generic encoder they replaced:
+    /// dense with and without a penalty summary, and sparse.
+    #[test]
+    fn to_bytes_equals_the_generic_encoding() {
+        let (cat, q, grid) = compile_fixture();
+        let opt =
+            Optimizer::new(&cat, &q, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
+        let dense = CompiledArtifact::compile(&opt, grid, 2.0, 0.2, 1);
+        assert_eq!(
+            dense.to_bytes(),
+            seal_envelope(FORMAT_VERSION, serde_json::to_string(&dense).unwrap())
+        );
+        let dense = dense.with_penalty(PenaltySummary {
+            prior_seed: 7,
+            prior_sigma: 0.75,
+            prior_jitter: 0.1,
+            alpha: 0.9,
+            prior_hash: "00ff\"\\\n".into(),
+            chosen_plan: Some(1),
+            chosen_fingerprint: format!("{:016x}", u64::MAX),
+            expected: 1.5,
+            cvar: 2.25,
+            native_expected: 1e300,
+        });
+        assert_eq!(
+            dense.to_bytes(),
+            seal_envelope(FORMAT_VERSION, serde_json::to_string(&dense).unwrap())
+        );
+        let (sparse, _) = sparse_fixture(&opt);
+        assert!(!sparse.cell_costs.0.is_empty() && !sparse.matrix.is_empty());
+        assert_eq!(
+            sparse.to_bytes(),
+            seal_envelope(
+                SPARSE_FORMAT_VERSION,
+                serde_json::to_string(&sparse).unwrap()
+            )
+        );
     }
 
     #[test]

@@ -25,16 +25,17 @@ use rqp_common::{cost_le, Cost, GridIdx, MultiGrid};
 use rqp_ess::EssSurface;
 use rqp_obs::{TraceEvent, Tracer};
 use rqp_optimizer::{CostMatrix, Optimizer, PlanId, PlanNode, Sels};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Everything an exhaustive evaluation sweep shares across `qa`
 /// locations: the surface, the optimizer, and the plan×location recost
-/// matrix (`|POSP| × |grid|` cells).
+/// matrix (`|POSP| × |grid|` cells), owned or borrowed from its holder.
 #[derive(Debug)]
 pub struct EvalContext<'a> {
     surface: &'a EssSurface,
     opt: &'a Optimizer<'a>,
-    matrix: CostMatrix,
+    matrix: Cow<'a, CostMatrix>,
 }
 
 impl<'a> EvalContext<'a> {
@@ -50,18 +51,18 @@ impl<'a> EvalContext<'a> {
         Self {
             surface,
             opt,
-            matrix,
+            matrix: Cow::Owned(matrix),
         }
     }
 
-    /// Builds the context from an already-computed matrix (e.g. one loaded
-    /// from a persisted artifact), skipping the `|POSP| × |grid|` recost
-    /// sweep entirely. Fails if the matrix shape does not match the
-    /// surface's pool and grid.
+    /// Builds the context from an already-computed matrix — handed over,
+    /// or read in place where a compiled artifact holds it — skipping the
+    /// `|POSP| × |grid|` recost sweep entirely. Fails if the matrix shape
+    /// does not match the surface's pool and grid.
     pub fn from_parts(
         surface: &'a EssSurface,
         opt: &'a Optimizer<'a>,
-        matrix: CostMatrix,
+        matrix: Cow<'a, CostMatrix>,
     ) -> rqp_common::Result<Self> {
         if !matrix.shape_matches(surface.posp_size(), surface.grid().len()) {
             return Err(rqp_common::RqpError::Config(format!(

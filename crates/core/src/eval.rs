@@ -334,7 +334,7 @@ pub fn evaluate_planbouquet_ctx(
     ratio: f64,
     lambda: f64,
 ) -> Result<SubOptStats> {
-    let pb = PlanBouquet::new(ctx.surface(), ctx.opt(), ratio, lambda);
+    let pb = PlanBouquet::from_ctx(ctx, ratio, lambda);
     evaluate(ctx.surface(), |qa| bouquet_subopt(ctx, &pb, lambda, qa))
 }
 
@@ -346,7 +346,7 @@ pub fn evaluate_planbouquet_parallel(
     lambda: f64,
     threads: usize,
 ) -> Result<SubOptStats> {
-    let pb = PlanBouquet::new(ctx.surface(), ctx.opt(), ratio, lambda);
+    let pb = PlanBouquet::from_ctx(ctx, ratio, lambda);
     let pb = &pb;
     evaluate_parallel(ctx.surface(), threads, move || {
         move |qa| bouquet_subopt(ctx, pb, lambda, qa)

@@ -8,11 +8,12 @@
 //! on the optimizer and platform and requires the full ESS preprocessing
 //! to even compute.
 
+use crate::cached::EvalContext;
 use crate::discovery::Shared;
 use crate::oracle::{ExecutionOracle, FullOutcome};
 use crate::report::{ExecMode, ExecutionRecord, Outcome, RunReport};
 use rqp_common::Result;
-use rqp_ess::anorexic::{reduce_all, ReducedContour};
+use rqp_ess::anorexic::{reduce_all, reduce_all_with, ReducedContour};
 use rqp_ess::{ContourSet, SurfaceAccess};
 use rqp_obs::{TraceEvent, Tracer};
 use rqp_optimizer::Optimizer;
@@ -38,6 +39,23 @@ impl<'a> PlanBouquet<'a> {
     ) -> Self {
         let shared = Shared::new(surface, opt, ratio);
         let (reduced, rho_red) = reduce_all(surface, opt, &shared.contours, lambda);
+        Self {
+            shared,
+            reduced,
+            rho_red,
+            lambda,
+            ratio,
+        }
+    }
+
+    /// [`new`](Self::new) over an [`EvalContext`]: the anorexic cover reads
+    /// the context's cost matrix instead of recosting; same bouquet.
+    pub fn from_ctx(ctx: &EvalContext<'a>, ratio: f64, lambda: f64) -> Self {
+        let shared = Shared::new(ctx.surface(), ctx.opt(), ratio);
+        let (reduced, rho_red) =
+            reduce_all_with(ctx.surface(), &shared.contours, lambda, |pid, q| {
+                ctx.matrix().cost(pid, q)
+            });
         Self {
             shared,
             reduced,

@@ -8,11 +8,20 @@
 //! a greedy set cover: choose the fewest plans such that every contour
 //! location has a chosen plan within `(1+λ)·CC_i`; bouquet budgets are
 //! inflated to `(1+λ)·CC_i` accordingly.
+//!
+//! There is one cover, over a cost source `cost(plan, location)`: a
+//! compile that holds the plan×location matrix passes lookups
+//! ([`reduce_all_with`]), [`reduce_all`] / [`reduce_contour`] recost. A
+//! cell *is* `cost_plan(plan, sels_at(grid.sels(q)))`, so both agree.
 
+use crate::contours::ContourSet;
 use crate::lazy::SurfaceAccess;
+use crate::surface::EssSurface;
+use crate::view::EssView;
 use rqp_common::{Cost, GridIdx};
-use rqp_optimizer::{Optimizer, PlanId, PlanNode};
+use rqp_optimizer::{Optimizer, PlanId, PlanNode, Sels};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// A contour after anorexic reduction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -25,21 +34,20 @@ pub struct ReducedContour {
 }
 
 /// Greedily covers `locations` with plans drawn from their own optimal
-/// plans, such that each location has a chosen plan costing at most
-/// `(1+lambda) * contour_cost` there.
+/// plans, such that each location has a chosen plan with
+/// `cost(plan, location)` at most `(1+lambda) * contour_cost`.
 ///
 /// Always succeeds: a location's own optimal plan costs `≤ CC_i` at that
 /// location, so the full plan set is a valid cover.
-pub fn reduce_contour(
+fn cover(
     surface: &dyn SurfaceAccess,
-    optimizer: &Optimizer<'_>,
     locations: &[GridIdx],
     contour_cost: Cost,
     lambda: f64,
+    cost: &mut dyn FnMut(PlanId, GridIdx) -> Cost,
 ) -> ReducedContour {
     assert!(lambda >= 0.0);
-    let budget = (1.0 + lambda) * contour_cost;
-    let grid = surface.grid();
+    let limit = (1.0 + lambda) * contour_cost * (1.0 + 1e-9);
 
     // Candidate plans: distinct optimal plans on the contour, ordered by
     // first appearance along the (ascending-flat-index) location list.
@@ -54,37 +62,35 @@ pub fn reduce_contour(
             cand.push(pid);
         }
     }
-    let cand_plans: Vec<PlanNode> = cand.iter().map(|&pid| surface.plan_clone(pid)).collect();
 
-    // coverage[c][l] = candidate c covers location l within the inflated
-    // budget. One selectivity assignment per location, shared by all
-    // candidates.
-    let mut coverage: Vec<Vec<bool>> = vec![vec![false; locations.len()]; cand.len()];
+    // One bitset row per candidate: bit `l` of row `c` = candidate c
+    // covers location l within the inflated budget (`limit`).
+    let words = locations.len().div_ceil(64);
+    let mut coverage = vec![0u64; cand.len() * words];
+    let mut uncovered = vec![0u64; words];
     for (l, &q) in locations.iter().enumerate() {
-        let assigned = optimizer.sels_at(&grid.sels(q));
-        for (c, plan) in cand_plans.iter().enumerate() {
-            coverage[c][l] = optimizer.cost_plan(plan, &assigned) <= budget * (1.0 + 1e-9);
+        uncovered[l / 64] |= 1 << (l % 64);
+        for (c, &pid) in cand.iter().enumerate() {
+            if cost(pid, q) <= limit {
+                coverage[c * words + l / 64] |= 1 << (l % 64);
+            }
         }
     }
 
-    let mut uncovered: Vec<bool> = vec![true; locations.len()];
-    let mut remaining = locations.len();
     let mut chosen = Vec::new();
-    while remaining > 0 {
+    while uncovered.iter().any(|&w| w != 0) {
         // Greedy: candidate covering the most uncovered locations; ties go
         // to the earlier-appearing candidate (deterministic and
         // path-independent).
-        let (best_c, best_gain) = cand
-            .iter()
-            .enumerate()
-            .map(|(c, _)| {
-                let gain = coverage[c]
-                    .iter()
+        let (best_c, best_gain) = coverage
+            .chunks_exact(words)
+            .map(|row| {
+                row.iter()
                     .zip(&uncovered)
-                    .filter(|&(&cov, &unc)| cov && unc)
-                    .count();
-                (c, gain)
+                    .map(|(&cov, &unc)| (cov & unc).count_ones())
+                    .sum::<u32>()
             })
+            .enumerate()
             .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
             .expect("candidates non-empty while locations uncovered");
         assert!(
@@ -92,11 +98,9 @@ pub fn reduce_contour(
             "anorexic cover stalled; optimal plan must cover its own location"
         );
         chosen.push(cand[best_c]);
-        for (l, unc) in uncovered.iter_mut().enumerate() {
-            if *unc && coverage[best_c][l] {
-                *unc = false;
-                remaining -= 1;
-            }
+        let row = &coverage[best_c * words..][..words];
+        for (unc, &cov) in uncovered.iter_mut().zip(row) {
+            *unc &= !cov;
         }
     }
 
@@ -106,23 +110,94 @@ pub fn reduce_contour(
     }
 }
 
-/// Reduces every contour of `contours` and returns them plus the reduced
-/// maximum density `ρ_red`.
-pub fn reduce_all(
+/// The recosting cost source, memoised per (plan, location): a location
+/// lies on several contours and is asked about the same plans on each.
+/// [`cover`] asks location by location, so the memo is a plan list per
+/// location, fetched when the location changes.
+fn recoster<'s>(
+    surface: &'s dyn SurfaceAccess,
+    optimizer: &'s Optimizer<'_>,
+) -> impl FnMut(PlanId, GridIdx) -> Cost + 's {
+    type Known = (Sels, Vec<(PlanId, Cost)>);
+    let mut plans: HashMap<PlanId, PlanNode> = HashMap::new();
+    let mut elsewhere: HashMap<GridIdx, Known> = HashMap::new();
+    let mut here: Option<(GridIdx, Known)> = None;
+    move |pid, q| {
+        if here.as_ref().map(|h| h.0) != Some(q) {
+            let known = elsewhere
+                .remove(&q)
+                .unwrap_or_else(|| (optimizer.sels_at(&surface.grid().sels(q)), Vec::new()));
+            if let Some((left, known)) = here.replace((q, known)) {
+                elsewhere.insert(left, known);
+            }
+        }
+        let (sels, costs) = &mut here.as_mut().expect("set above").1;
+        if let Some(&(_, c)) = costs.iter().find(|&&(p, _)| p == pid) {
+            return c;
+        }
+        let plan = plans.entry(pid).or_insert_with(|| surface.plan_clone(pid));
+        let c = optimizer.cost_plan(plan, sels);
+        costs.push((pid, c));
+        c
+    }
+}
+
+/// Reduces one contour, recosting every (candidate plan, location).
+pub fn reduce_contour(
     surface: &dyn SurfaceAccess,
     optimizer: &Optimizer<'_>,
-    contours: &crate::contours::ContourSet,
+    locations: &[GridIdx],
+    contour_cost: Cost,
     lambda: f64,
+) -> ReducedContour {
+    let cost = &mut recoster(surface, optimizer);
+    cover(surface, locations, contour_cost, lambda, cost)
+}
+
+/// Covers each contour's skyline, in schedule order.
+fn reduce_each(
+    surface: &dyn SurfaceAccess,
+    contours: &ContourSet,
+    lambda: f64,
+    skylines: impl Iterator<Item = Vec<GridIdx>>,
+    cost: &mut dyn FnMut(PlanId, GridIdx) -> Cost,
 ) -> (Vec<ReducedContour>, usize) {
-    let view = crate::view::EssView::full(surface.grid().ndims());
-    let reduced: Vec<ReducedContour> = (0..contours.len())
-        .map(|i| {
-            let locs = contours.locations(surface, &view, i);
-            reduce_contour(surface, optimizer, &locs, contours.cost(i), lambda)
-        })
+    let reduced: Vec<ReducedContour> = skylines
+        .enumerate()
+        .map(|(i, locs)| cover(surface, &locs, contours.cost(i), lambda, cost))
         .collect();
     let rho = reduced.iter().map(|r| r.plans.len()).max().unwrap_or(0);
     (reduced, rho)
+}
+
+/// Reduces every contour of `contours` and returns them plus the reduced
+/// maximum density `ρ_red`. Works on dense and lazy surfaces (contours are
+/// discovered one by one) and recosts through `optimizer`; a caller that
+/// holds the cost matrix uses [`reduce_all_with`].
+pub fn reduce_all(
+    surface: &dyn SurfaceAccess,
+    optimizer: &Optimizer<'_>,
+    contours: &ContourSet,
+    lambda: f64,
+) -> (Vec<ReducedContour>, usize) {
+    let view = EssView::full(surface.grid().ndims());
+    let skylines = (0..contours.len()).map(|i| contours.locations(surface, &view, i));
+    let cost = &mut recoster(surface, optimizer);
+    reduce_each(surface, contours, lambda, skylines, cost)
+}
+
+/// [`reduce_all`] of a dense surface over a caller-supplied cost source,
+/// e.g. `|pid, q| matrix.cost(pid, q)`: all skylines come from one grid
+/// pass ([`ContourSet::all_locations`]) and nothing is recosted here.
+/// `cost(pid, q)` must equal `cost_plan(pool[pid], sels_at(grid.sels(q)))`.
+pub fn reduce_all_with(
+    surface: &EssSurface,
+    contours: &ContourSet,
+    lambda: f64,
+    mut cost: impl FnMut(PlanId, GridIdx) -> Cost,
+) -> (Vec<ReducedContour>, usize) {
+    let skylines = contours.all_locations(surface).into_iter();
+    reduce_each(surface, contours, lambda, skylines, &mut cost)
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@
 
 use crate::lazy::SurfaceAccess;
 use crate::view::EssView;
-use rqp_common::{Cost, GridIdx};
+use rqp_common::{cost_le, Cost, GridIdx};
 use serde::{Deserialize, Serialize};
 
 /// The geometric schedule of contour costs for one surface.
@@ -99,6 +99,34 @@ impl ContourSet {
         surface.skyline(view, self.costs[i])
     }
 
+    /// The full-view [`locations`](Self::locations) of every contour from
+    /// one pass over the grid (which materializes a lazy surface).
+    /// [`cost_le`] against an ascending schedule is monotone, so cell `q`
+    /// is inside level set `i` exactly for `i ≥ first(q)`, and on skyline
+    /// `i` for `first(q) ≤ i <` the least `first` of its in-grid successors.
+    pub fn all_locations(&self, surface: &dyn SurfaceAccess) -> Vec<Vec<GridIdx>> {
+        let grid = surface.grid();
+        let first: Vec<usize> = grid
+            .iter()
+            .map(|q| {
+                let c = surface.opt_cost(q);
+                self.costs.partition_point(|&cc| !cost_le(c, cc))
+            })
+            .collect();
+        let mut out = vec![Vec::new(); self.len()];
+        for q in grid.iter() {
+            let end = (0..grid.ndims())
+                .filter_map(|j| grid.succ_along(q, j))
+                .map(|s| first[s])
+                .min()
+                .unwrap_or(self.len());
+            for locs in out.iter_mut().take(end).skip(first[q]) {
+                locs.push(q);
+            }
+        }
+        out
+    }
+
     /// Distinct optimal plans on contour `i` within `view` (`PL_i`),
     /// ascending by plan id.
     pub fn plans(&self, surface: &dyn SurfaceAccess, view: &EssView, i: usize) -> Vec<usize> {
@@ -128,7 +156,7 @@ mod tests {
     use super::*;
     use crate::surface::test_fixtures::star2;
     use crate::surface::EssSurface;
-    use rqp_common::{cost_le, MultiGrid};
+    use rqp_common::MultiGrid;
     use rqp_optimizer::{CostParams, EnumerationMode, Optimizer};
 
     fn surface() -> EssSurface {

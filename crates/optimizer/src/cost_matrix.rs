@@ -34,15 +34,73 @@ pub struct CostMatrix {
 /// patterns. Public so other crates persisting cost vectors (the sparse
 /// artifact payload) reuse the exact codec the matrices use.
 pub fn encode_cells_hex(cells: &[Cost]) -> String {
+    let mut hex = vec![0u8; cells.len() * 16];
+    write_cells_hex(cells, &mut hex);
+    String::from_utf8(hex).expect("hex digits are ascii")
+}
+
+/// The codec itself: fills `out`, exactly 16 bytes per cost.
+fn write_cells_hex(cells: &[Cost], out: &mut [u8]) {
     const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut hex = Vec::with_capacity(cells.len() * 16);
-    for &c in cells {
-        let bits = c.to_bits();
-        for shift in (0..16u32).rev() {
-            hex.push(DIGITS[((bits >> (shift * 4)) & 0xf) as usize]);
+    assert_eq!(out.len(), cells.len() * 16);
+    for (chunk, &c) in out.chunks_exact_mut(16).zip(cells) {
+        for (pair, b) in chunk.chunks_exact_mut(2).zip(c.to_bits().to_be_bytes()) {
+            pair[0] = DIGITS[usize::from(b >> 4)];
+            pair[1] = DIGITS[usize::from(b & 0xf)];
         }
     }
-    String::from_utf8(hex).expect("hex digits are ascii")
+}
+
+/// JSON text with holes for packed cost vectors: the text around them is
+/// buffered, each vector's hex digits are rendered once, straight into
+/// the caller's output buffer ([`write_into`](Self::write_into)).
+#[derive(Debug, Default)]
+pub struct PackedJson<'a> {
+    text: Vec<u8>,
+    /// `(offset, cells)`: the hex of `cells` precedes `text[offset]`.
+    holes: Vec<(usize, &'a [Cost])>,
+}
+
+impl<'a> PackedJson<'a> {
+    /// Appends `s` verbatim.
+    pub fn raw(&mut self, s: &str) {
+        self.text.extend_from_slice(s.as_bytes());
+    }
+
+    /// Starts an object member, `"name":`, with the comma any previous
+    /// member needs. `name` must need no escaping.
+    pub fn key(&mut self, name: &str) {
+        if self.text.last() != Some(&b'{') {
+            self.raw(",");
+        }
+        self.raw(&format!("\"{name}\":"));
+    }
+
+    /// Appends `cells` as one packed hex string value.
+    pub fn cells(&mut self, cells: &'a [Cost]) {
+        self.raw("\"");
+        self.holes.push((self.text.len(), cells));
+        self.raw("\"");
+    }
+
+    /// Length in bytes of the rendered JSON.
+    pub fn rendered_len(&self) -> usize {
+        let cells: usize = self.holes.iter().map(|(_, c)| c.len()).sum();
+        self.text.len() + 16 * cells
+    }
+
+    /// Renders into `out`: [`rendered_len`](Self::rendered_len) bytes.
+    pub fn write_into(&self, mut out: &mut [u8]) {
+        let mut done = 0;
+        for &(at, cells) in &self.holes {
+            let (text, rest) = out.split_at_mut(at - done);
+            text.copy_from_slice(&self.text[done..at]);
+            let (hex, rest) = rest.split_at_mut(16 * cells.len());
+            write_cells_hex(cells, hex);
+            (out, done) = (rest, at);
+        }
+        out.copy_from_slice(&self.text[done..]);
+    }
 }
 
 /// Inverse of [`encode_cells_hex`]; rejects non-hex digits and lengths
@@ -102,6 +160,16 @@ impl Serialize for CostMatrix {
                 Value::String(encode_cells_hex(&self.cells)),
             ),
         ])
+    }
+}
+
+impl CostMatrix {
+    /// Appends exactly what [`Serialize`] renders, cells as a hole.
+    pub fn write_packed<'a>(&'a self, json: &mut PackedJson<'a>) {
+        let (n, g) = (self.nplans, self.grid_len);
+        json.raw(&format!("{{\"nplans\":{n},\"grid_len\":{g},\"cells_hex\":"));
+        json.cells(&self.cells);
+        json.raw("}");
     }
 }
 
@@ -288,6 +356,20 @@ impl Serialize for SparseCostMatrix {
                 Value::String(encode_cells_hex(&self.cells)),
             ),
         ])
+    }
+}
+
+impl SparseCostMatrix {
+    /// Appends exactly what [`Serialize`] renders, cells as a hole.
+    pub fn write_packed<'a>(&'a self, json: &mut PackedJson<'a>) {
+        let idx: Vec<String> = self.cell_idx.iter().map(|q| q.to_string()).collect();
+        json.raw(&format!(
+            "{{\"nplans\":{},\"cell_idx\":[{}],\"cells_hex\":",
+            self.nplans,
+            idx.join(",")
+        ));
+        json.cells(&self.cells);
+        json.raw("}");
     }
 }
 
@@ -493,6 +575,40 @@ mod tests {
         let back = SparseCostMatrix::from_value(&v).unwrap();
         assert_eq!(back, sparse);
         assert!(back.shape_matches(pool.len(), grid.len()));
+    }
+
+    /// The table-driven writer against the digit-by-digit definition of
+    /// the codec, and a buffer with two holes against plain concatenation.
+    #[test]
+    fn packed_json_renders_text_and_hex_in_order() {
+        let cells = [0.0, -0.0, 1.5, f64::MAX, f64::MIN_POSITIVE, 1e-300];
+        let naive: String = cells
+            .iter()
+            .map(|c| format!("{:016x}", c.to_bits()))
+            .collect();
+        assert_eq!(encode_cells_hex(&cells), naive);
+        assert_eq!(decode_cells_hex(naive.as_bytes()).unwrap(), cells);
+
+        let mut json = PackedJson::default();
+        json.raw("{");
+        json.key("a");
+        json.cells(&cells[..2]);
+        json.key("b");
+        json.raw("[1,2]");
+        json.key("c");
+        json.cells(&cells[2..]);
+        json.key("d");
+        json.cells(&[]);
+        json.raw("}");
+        let expect = format!(
+            "{{\"a\":\"{}\",\"b\":[1,2],\"c\":\"{}\",\"d\":\"\"}}",
+            &naive[..32],
+            &naive[32..]
+        );
+        assert_eq!(json.rendered_len(), expect.len());
+        let mut out = vec![0u8; json.rendered_len()];
+        json.write_into(&mut out);
+        assert_eq!(String::from_utf8(out).unwrap(), expect);
     }
 
     #[test]

@@ -33,6 +33,7 @@ use rqp_ess::{EssSurface, SurfaceAccess};
 use rqp_faults::{Attempt, BreakerConfig, CircuitBreaker, FaultPlan, RetryPolicy};
 use rqp_optimizer::{CostParams, EnumerationMode, Optimizer, QuerySpec};
 use serde::Value;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -163,7 +164,7 @@ impl ServedQuery {
         // SAFETY: as above.
         let opt_ref: &'static Optimizer<'static> =
             unsafe { &*(opt.as_ref() as *const Optimizer<'static>) };
-        let ctx = EvalContext::from_parts(surface_ref, opt_ref, matrix)
+        let ctx = EvalContext::from_parts(surface_ref, opt_ref, Cow::Owned(matrix))
             .map_err(|e| format!("artifact `{name}`: {e}"))?;
         let bouquet =
             PlanBouquet::from_parts(surface_ref, opt_ref, ratio, lambda, bouquet, rho_red)

@@ -20,6 +20,7 @@ use rqp_ess::EssSurface;
 use rqp_optimizer::{CostParams, EnumerationMode, Optimizer};
 use rqp_workloads::BenchQuery;
 use serde::Serialize;
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -141,11 +142,11 @@ pub fn compare_with_threads(
 ) -> ComparisonRow {
     let opt = exp.optimizer();
     let d = exp.bench.query.ndims();
-    let pb = PlanBouquet::new(&exp.surface, &opt, ratio, lambda);
+    let ctx = EvalContext::with_threads(&exp.surface, &opt, threads);
+    let pb = PlanBouquet::from_ctx(&ctx, ratio, lambda);
     let rho_red = pb.rho_red();
     let msog_pb = pb.mso_guarantee();
     drop(pb);
-    let ctx = EvalContext::with_threads(&exp.surface, &opt, threads);
     let pb_stats = evaluate_planbouquet_parallel(&ctx, ratio, lambda, threads)
         .unwrap_or_else(|e| panic!("{}: PB evaluation: {e}", exp.bench.query.name));
     let sb_stats = evaluate_spillbound_parallel(&ctx, ratio, threads)
@@ -205,7 +206,7 @@ pub fn penalty_summary(
     let choice = NativeChoice::compute(&artifact.surface, opt);
     let prior =
         SelectivityPrior::lognormal(artifact.surface.grid(), &choice.qe_sels, prior_config)?;
-    let ctx = EvalContext::from_parts(&artifact.surface, opt, artifact.matrix.clone())?;
+    let ctx = EvalContext::from_parts(&artifact.surface, opt, Cow::Borrowed(&artifact.matrix))?;
     let sel = penalty::select_ctx(&ctx, &prior, cfg)?;
     let summary = PenaltySummary {
         prior_seed: prior_config.seed,

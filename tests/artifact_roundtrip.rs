@@ -17,6 +17,7 @@ use rqp::core::{EvalContext, SubOptStats};
 use rqp::faults::{FaultPlan, FaultSite};
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer, QuerySpec};
 use rqp_common::MultiGrid;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -98,9 +99,15 @@ proptest! {
             EnumerationMode::LeftDeep,
         )
         .unwrap();
-        let mem = EvalContext::from_parts(&artifact.surface, &opt, artifact.matrix.clone()).unwrap();
-        let warm =
-            EvalContext::from_parts(&loaded.surface, &loaded_opt, loaded.matrix.clone()).unwrap();
+        let mem =
+            EvalContext::from_parts(&artifact.surface, &opt, Cow::Borrowed(&artifact.matrix))
+                .unwrap();
+        let warm = EvalContext::from_parts(
+            &loaded.surface,
+            &loaded_opt,
+            Cow::Borrowed(&loaded.matrix),
+        )
+        .unwrap();
 
         let sb_m = evaluate_spillbound_parallel(&mem, ratio, threads).unwrap();
         let sb_w = evaluate_spillbound_parallel(&warm, ratio, threads).unwrap();

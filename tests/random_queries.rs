@@ -6,8 +6,11 @@
 use proptest::prelude::*;
 use rqp::catalog::{Catalog, Column, ColumnStats, DataType, Table};
 use rqp::core::{spillbound_guarantee, CostOracle, SpillBound};
-use rqp::ess::{ContourSet, EssSurface, EssView};
-use rqp::optimizer::{CostParams, EnumerationMode, Optimizer, Predicate, PredicateKind, QuerySpec};
+use rqp::ess::anorexic::{reduce_all, reduce_all_with};
+use rqp::ess::{ContourSet, EssSurface, EssView, LazySurface};
+use rqp::optimizer::{
+    CostMatrix, CostParams, EnumerationMode, Optimizer, Predicate, PredicateKind, QuerySpec,
+};
 use rqp_common::MultiGrid;
 
 /// A randomly-shaped acyclic query over a randomly-sized catalog.
@@ -119,6 +122,38 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The anorexic cover over matrix lookups equals the recosting one,
+    /// and the one-pass skylines equal the per-contour ones, dense and
+    /// lazy, on random join graphs at a few swallowing thresholds.
+    #[test]
+    fn matrix_backed_reduction_matches_recosting_on_random_queries(
+        rq in random_query_strategy(),
+        lambda_tenths in 0u32..6,
+    ) {
+        let opt = Optimizer::new(&rq.catalog, &rq.query, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
+        let surface = EssSurface::build(&opt, MultiGrid::uniform(2, 1e-6, 7));
+        let contours = ContourSet::build(&surface, 2.0);
+        let matrix = CostMatrix::build(&opt, surface.pool(), surface.grid());
+        let lambda = lambda_tenths as f64 / 10.0;
+        let recosted = reduce_all(&surface, &opt, &contours, lambda);
+        let looked_up = reduce_all_with(&surface, &contours, lambda, |pid, q| matrix.cost(pid, q));
+        prop_assert_eq!(recosted, looked_up);
+
+        let lazy = LazySurface::new(&opt, MultiGrid::uniform(2, 1e-6, 7));
+        let view = EssView::full(2);
+        let one_pass = contours.all_locations(&surface);
+        for (i, locs) in one_pass.iter().enumerate() {
+            prop_assert_eq!(locs, &contours.locations(&surface, &view, i));
+            prop_assert_eq!(locs, &contours.locations(&lazy, &view, i));
+        }
+        // Last, because the pass materializes the lazy surface.
+        prop_assert_eq!(&one_pass, &contours.all_locations(&lazy));
     }
 }
 
