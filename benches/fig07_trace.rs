@@ -29,7 +29,7 @@ fn main() {
     let exp = rqp::experiments::Experiment::build(catalog, bench, EnumerationMode::LeftDeep);
     let opt = exp.optimizer();
     let grid = exp.surface.grid();
-    let mut sb = SpillBound::new(&exp.surface, &opt, 2.0);
+    let sb = SpillBound::new(&exp.surface, &opt, 2.0);
 
     // The paper's qa = (0.04, 0.1); snap to the grid.
     let qa_coords = vec![grid.dim(0).nearest_idx(0.04), grid.dim(1).nearest_idx(0.1)];

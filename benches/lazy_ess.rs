@@ -72,7 +72,7 @@ fn main() {
         let t1 = std::time::Instant::now();
         let lazy = LazySurface::new(&opt, bench.grid());
         let _contours = ContourSet::build(&lazy, 2.0);
-        let mut sb = SpillBound::with_mode(&lazy, &opt, 2.0, SelectionMode::AxisProbe);
+        let sb = SpillBound::with_mode(&lazy, &opt, 2.0, SelectionMode::AxisProbe);
         for coords in warmup_coords(d, n) {
             let qa = lazy.grid().flat(&coords);
             let mut oracle = CostOracle::at_grid(&opt, lazy.grid(), qa);

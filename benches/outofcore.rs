@@ -188,7 +188,7 @@ fn main() {
     // SpillBound / AlignedBound: discovery through the pool, spill-mode
     // output written through it too.
     let store = fresh();
-    let mut sb = SpillBound::new(&surface, &opt, 2.0);
+    let sb = SpillBound::new(&surface, &opt, 2.0);
     let mut oracle = ExecOracle::new(
         Executor::new(&catalog, query, &store, CostParams::default()),
         &opt,
@@ -206,7 +206,7 @@ fn main() {
     drop(store);
 
     let store = fresh();
-    let mut ab = AlignedBound::new(&surface, &opt, 2.0);
+    let ab = AlignedBound::new(&surface, &opt, 2.0);
     let mut oracle = ExecOracle::new(
         Executor::new(&catalog, query, &store, CostParams::default()),
         &opt,
@@ -231,7 +231,7 @@ fn main() {
     let timed_sb = |cfg: StorageConfig| {
         let t = Instant::now();
         let store = PagedStore::materialize(&catalog, &data, cfg).expect("materialize");
-        let mut sb = SpillBound::new(&surface, &opt, 2.0);
+        let sb = SpillBound::new(&surface, &opt, 2.0);
         let mut oracle = ExecOracle::new(
             Executor::new(&catalog, query, &store, CostParams::default()),
             &opt,

@@ -132,13 +132,13 @@ fn main() {
     let t_native = t.elapsed().as_secs_f64();
     let native_completed = nat.completed;
 
-    let mut sb = SpillBound::new(&surface, &opt, 2.0);
+    let sb = SpillBound::new(&surface, &opt, 2.0);
     let mut oracle = ExecOracle::new(exec(), &opt, surface.grid());
     let report = sb.run(&mut oracle).expect("SB completes");
     let sb_rows = drill(&report, &oracle.timings, 4);
     let t_sb = oracle.total_time().as_secs_f64();
 
-    let mut ab = AlignedBound::new(&surface, &opt, 2.0);
+    let ab = AlignedBound::new(&surface, &opt, 2.0);
     let mut oracle = ExecOracle::new(exec(), &opt, surface.grid());
     let report = ab.run(&mut oracle).expect("AB completes");
     let ab_rows = drill(&report, &oracle.timings, 4);

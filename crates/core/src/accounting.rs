@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn every_spillbound_run_satisfies_the_accounting() {
         let fx = star2_surface(12);
-        let mut sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+        let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
         for qa in fx.surface.grid().iter() {
             let mut oracle = CostOracle::at_grid(&fx.opt, fx.surface.grid(), qa);
             let report = sb.run(&mut oracle).unwrap();
@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn accounting_3d() {
         let fx = star_surface(3, 6);
-        let mut sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+        let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
         for qa in fx.surface.grid().iter() {
             let mut oracle = CostOracle::at_grid(&fx.opt, fx.surface.grid(), qa);
             let report = sb.run(&mut oracle).unwrap();

@@ -12,52 +12,57 @@
 //! total penalty `π*`; the singleton partition (= SpillBound's behavior,
 //! penalty ≤ D) is always feasible, so `MSO ∈ [2D+2, D²+3D]`.
 
-use crate::discovery::Shared;
-use crate::oracle::{ExecutionOracle, SpillOutcome};
-use crate::report::{ExecMode, ExecutionRecord, Outcome, RunReport};
+use crate::discovery::{ContourMemo, MemoStats, Shared, SpillExec, MEMO_CAP};
+use crate::oracle::ExecutionOracle;
+use crate::report::RunReport;
 use rqp_common::{Cost, GridIdx, Result};
-use rqp_ess::alignment::SpillDimCache;
+use rqp_ess::alignment::{PlanChoice, SpillDimCache};
 use rqp_ess::{ContourSet, EssView, SurfaceAccess};
-use rqp_obs::{TraceEvent, Tracer};
+use rqp_obs::Tracer;
 use rqp_optimizer::{constrained, Optimizer, PlanId, PlanNode};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The plan chosen for one part's leader execution.
-#[derive(Debug, Clone)]
-enum ExecPlan {
-    /// A POSP pool plan.
-    Pool(PlanId),
-    /// A plan synthesized by the constrained optimizer.
-    Custom(Box<PlanNode>),
-}
-
-/// One part of the chosen partition: the leader dimension, the plan that
+/// One part of a candidate partition: the leader dimension, the plan that
 /// spills on it, and the spill budget `Cost(P, q)`.
 #[derive(Debug, Clone)]
 struct PartExec {
     leader: usize,
-    plan: ExecPlan,
+    plan: PlanChoice,
     budget: Cost,
     penalty: f64,
 }
 
-/// The memoized per-(contour, pins) decision.
-#[derive(Debug, Clone, Default)]
+/// The memoized per-(contour, pins) decision: the leader executions of
+/// the chosen partition, in leader order.
+#[derive(Debug)]
 struct ContourDecision {
-    parts: Vec<PartExec>,
-    /// Total penalty `π*` of the chosen partition (Table 4 reports the
-    /// maximum *part* penalty encountered).
+    execs: Vec<SpillExec>,
+    /// Maximum part penalty of the chosen partition (what Table 4
+    /// reports the maximum of).
     max_part_penalty: f64,
 }
 
-/// A compiled AlignedBound instance.
+impl AsRef<[SpillExec]> for ContourDecision {
+    fn as_ref(&self) -> &[SpillExec] {
+        &self.execs
+    }
+}
+
+/// A compiled AlignedBound instance: immutable, plus a memo of partition
+/// decisions, which are pure functions of (contour, pins). Runs take
+/// `&self` and keep their state on the stack, so one instance is shared
+/// by every run on every thread.
 #[derive(Debug)]
 pub struct AlignedBound<'a> {
     shared: Shared<'a>,
     spill_cache: SpillDimCache,
-    decisions: HashMap<(usize, Vec<Option<usize>>), ContourDecision>,
-    /// Maximum part penalty seen across all runs (Table 4).
-    observed_max_penalty: f64,
+    decisions: ContourMemo<ContourDecision>,
+    /// Bits of the maximum part penalty seen across all runs (Table 4).
+    /// Penalties are at least 1, and the bit patterns of positive floats
+    /// order as the floats do, so `fetch_max` on the bits is the float
+    /// maximum.
+    observed_max_penalty: AtomicU64,
 }
 
 impl<'a> AlignedBound<'a> {
@@ -66,9 +71,29 @@ impl<'a> AlignedBound<'a> {
         Self {
             shared: Shared::new(surface, opt, ratio),
             spill_cache: SpillDimCache::new(),
-            decisions: HashMap::new(),
-            observed_max_penalty: 1.0,
+            decisions: ContourMemo::with_cap(MEMO_CAP),
+            observed_max_penalty: AtomicU64::new(1.0f64.to_bits()),
         }
+    }
+
+    /// Forces the memo's entry cap.
+    #[cfg(test)]
+    pub(crate) fn with_memo_cap(mut self, cap: usize) -> Self {
+        self.decisions = ContourMemo::with_cap(cap);
+        self
+    }
+
+    /// Hits, misses and resident entries of the decision memo.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.decisions.stats()
+    }
+
+    /// Most bytes the decision memo and the spill-dimension cache can come
+    /// to hold: per dimension one part with a synthesized plan, charged
+    /// the flat 256 bytes the artifact accounting charges a pool plan.
+    pub fn memo_bytes_bound(&self) -> usize {
+        let per_exec = std::mem::size_of::<SpillExec>() + 256;
+        self.decisions.bytes_bound(&self.shared, per_exec)
     }
 
     /// Upper end of the guarantee range (`D² + 3D`, retained by §5.3).
@@ -96,7 +121,7 @@ impl<'a> AlignedBound<'a> {
     /// Maximum per-part penalty encountered over all runs so far (the
     /// quantity the paper reports in Table 4).
     pub fn observed_max_penalty(&self) -> f64 {
-        self.observed_max_penalty
+        f64::from_bits(self.observed_max_penalty.load(Ordering::Relaxed))
     }
 
     /// Enumerates all set partitions of `items`.
@@ -124,16 +149,14 @@ impl<'a> AlignedBound<'a> {
 
     /// Enforces PSA for part `t` with leader dimension `j` on the given
     /// contour: returns the cheapest `(plan, budget, penalty)` witness.
-    #[allow(clippy::too_many_arguments)]
     fn psa_enforce(
-        &mut self,
+        &self,
         locs: &[GridIdx],
         locs_by_dim: &HashMap<usize, Vec<GridIdx>>,
         contour_plans: &[PlanId],
         t: &[usize],
         j: usize,
         unlearnt: u32,
-        pins: &[Option<usize>],
     ) -> Option<PartExec> {
         let surface = self.shared.surface;
         let opt = self.shared.opt;
@@ -156,7 +179,7 @@ impl<'a> AlignedBound<'a> {
             if self.spill_cache.of_location(surface, opt, q, unlearnt) == Some(j) {
                 return Some(PartExec {
                     leader: j,
-                    plan: ExecPlan::Pool(surface.plan_id(q)),
+                    plan: PlanChoice::Pool(surface.plan_id(q)),
                     budget: surface.opt_cost(q),
                     penalty: 1.0,
                 });
@@ -174,7 +197,7 @@ impl<'a> AlignedBound<'a> {
             .map(|pid| (pid, surface.plan_clone(pid)))
             .collect();
         let mut best: Option<PartExec> = None;
-        let consider = |plan: ExecPlan, cost: Cost, q: GridIdx, best: &mut Option<PartExec>| {
+        let consider = |plan: PlanChoice, cost: Cost, q: GridIdx, best: &mut Option<PartExec>| {
             let penalty = cost / surface.opt_cost(q);
             if best.as_ref().is_none_or(|b| penalty < b.penalty) {
                 *best = Some(PartExec {
@@ -194,7 +217,7 @@ impl<'a> AlignedBound<'a> {
             let sels = opt.sels_at(&grid.sels(q));
             for (pid, plan) in &spillers {
                 let c = opt.cost_plan(plan, &sels);
-                consider(ExecPlan::Pool(*pid), c, q, &mut best);
+                consider(PlanChoice::Pool(*pid), c, q, &mut best);
             }
         }
         // The constrained optimizer is the expensive fallback: consult it
@@ -204,21 +227,16 @@ impl<'a> AlignedBound<'a> {
                 let sels = opt.sels_at(&grid.sels(q));
                 if let Some((plan, c)) = constrained::best_plan_spilling_on(opt, &sels, j, unlearnt)
                 {
-                    consider(ExecPlan::Custom(Box::new(plan)), c, q, &mut best);
+                    consider(PlanChoice::Custom(Box::new(plan)), c, q, &mut best);
                 }
             }
         }
-        let _ = pins;
         best
     }
 
     /// Computes (memoized) the partition decision for contour `i` under
     /// `pins` — step S0–S2 of Algorithm 2.
-    fn contour_decision(&mut self, i: usize, pins: &[Option<usize>]) -> ContourDecision {
-        let key = (i, pins.to_vec());
-        if let Some(d) = self.decisions.get(&key) {
-            return d.clone();
-        }
+    fn compute_decision(&self, i: usize, pins: &[Option<usize>]) -> ContourDecision {
         let surface = self.shared.surface;
         let opt = self.shared.opt;
         let view = EssView::from_pins(pins.to_vec());
@@ -249,7 +267,7 @@ impl<'a> AlignedBound<'a> {
         // The same (part, leader) pair recurs across many partitions:
         // memoize PSA enforcement per (part-mask, leader).
         let mut psa_memo: HashMap<(u32, usize), Option<PartExec>> = HashMap::new();
-        let mut best: Option<(f64, ContourDecision)> = None;
+        let mut best: Option<(f64, Vec<PartExec>)> = None;
         for partition in Self::set_partitions(&active) {
             let mut total = 0.0;
             let mut parts = Vec::with_capacity(partition.len());
@@ -261,15 +279,7 @@ impl<'a> AlignedBound<'a> {
                     let entry = psa_memo
                         .entry((pmask, j))
                         .or_insert_with(|| {
-                            self.psa_enforce(
-                                &locs,
-                                &locs_by_dim,
-                                &contour_plans,
-                                part,
-                                j,
-                                unlearnt,
-                                pins,
-                            )
+                            self.psa_enforce(&locs, &locs_by_dim, &contour_plans, part, j, unlearnt)
                         })
                         .clone();
                     if let Some(pe) = entry {
@@ -295,131 +305,33 @@ impl<'a> AlignedBound<'a> {
             // Deterministic tie-breaking: fewer parts, then leader order.
             let better = match &best {
                 None => true,
-                Some((bt, bd)) => {
-                    total < bt - 1e-12
-                        || ((total - bt).abs() <= 1e-12 && parts.len() < bd.parts.len())
+                Some((bt, bp)) => {
+                    total < bt - 1e-12 || ((total - bt).abs() <= 1e-12 && parts.len() < bp.len())
                 }
             };
             if better {
-                parts.sort_by_key(|p| p.leader);
-                let max_part_penalty = parts.iter().map(|p| p.penalty).fold(1.0, f64::max);
-                best = Some((
-                    total,
-                    ContourDecision {
-                        parts,
-                        max_part_penalty,
-                    },
-                ));
+                best = Some((total, parts));
             }
         }
-        let decision = best.map(|(_, d)| d).unwrap_or_default();
-        self.decisions.insert(key, decision.clone());
-        decision
+        let mut parts = best.map(|(_, parts)| parts).unwrap_or_default();
+        parts.sort_by_key(|p| p.leader);
+        ContourDecision {
+            max_part_penalty: parts.iter().map(|p| p.penalty).fold(1.0, f64::max),
+            execs: (parts.into_iter())
+                .map(|p| SpillExec::new(surface, p.leader, p.plan, p.budget))
+                .collect(),
+        }
     }
 
     /// Runs selectivity discovery against `oracle`.
-    pub fn run(&mut self, oracle: &mut dyn ExecutionOracle) -> Result<RunReport> {
-        let d = self.shared.ndims();
-        let m = self.shared.contours.len();
-        let grid = self.shared.surface.grid();
-        let mut pins: Vec<Option<usize>> = vec![None; d];
-        let mut report = RunReport {
-            learnt: vec![None; d],
-            ..RunReport::default()
-        };
-        self.shared.trace_run_started("alignedbound");
-        if d <= 1 {
-            self.shared
-                .run_terminal_phase(&pins, 0, oracle, &mut report)?;
-            self.shared.trace_run_finished(&report);
-            return Ok(report);
-        }
-        let mut i = 0usize;
-        let mut entered: Option<usize> = None;
-        let mut executed: HashSet<(u64, usize)> = HashSet::new();
-        loop {
-            let free: Vec<usize> = (0..d).filter(|&j| pins[j].is_none()).collect();
-            if free.len() == 1 {
-                self.shared
-                    .run_terminal_phase(&pins, i, oracle, &mut report)?;
-                self.shared.trace_run_finished(&report);
-                return Ok(report);
-            }
-            if i >= m {
-                // Unreachable with an exact cost model (the last contour
-                // always yields progress); under bounded cost-model error
-                // the overflow phase finishes the query within the
-                // inflated guarantee (§7).
-                self.shared.run_overflow_phase(&pins, oracle, &mut report)?;
-                self.shared.trace_run_finished(&report);
-                return Ok(report);
-            }
-            let decision = self.contour_decision(i, &pins);
-            self.observed_max_penalty = self.observed_max_penalty.max(decision.max_part_penalty);
-            if entered != Some(i) {
-                entered = Some(i);
-                let budget = self.shared.contours.cost(i);
-                self.shared
-                    .tracer
-                    .emit(|| TraceEvent::ContourEntered { contour: i, budget });
-            }
-            let mut learnt_dim: Option<usize> = None;
-            for part in &decision.parts {
-                let j = part.leader;
-                if pins[j].is_some() {
-                    continue; // leader got learnt in a previous pass
-                }
-                let (plan, plan_id): (PlanNode, Option<PlanId>) = match &part.plan {
-                    ExecPlan::Pool(pid) => (self.shared.surface.plan_clone(*pid), Some(*pid)),
-                    ExecPlan::Custom(p) => ((**p).clone(), None),
-                };
-                let plan = &plan;
-                if !executed.insert((plan.fingerprint(), j)) {
-                    continue; // identical repeat: outcome already settled
-                }
-                match oracle.try_spill_execute_id(plan_id, plan, j, part.budget)? {
-                    SpillOutcome::Completed { sel, spent } => {
-                        report.total_cost += spent;
-                        report.records.push(ExecutionRecord {
-                            contour: i,
-                            plan_fingerprint: plan.fingerprint(),
-                            plan_id,
-                            mode: ExecMode::Spill { dim: j },
-                            budget: part.budget,
-                            spent,
-                            outcome: Outcome::Completed { sel: Some(sel) },
-                        });
-                        self.shared
-                            .trace_execution(report.records.last().unwrap(), report.total_cost);
-                        self.shared
-                            .tracer
-                            .emit(|| TraceEvent::SelectivityLearnt { dim: j, sel });
-                        report.learnt[j] = Some(sel);
-                        pins[j] = Some(grid.dim(j).ceil_idx(sel));
-                        learnt_dim = Some(j);
-                        break;
-                    }
-                    SpillOutcome::TimedOut { lower_bound, spent } => {
-                        report.total_cost += spent;
-                        report.records.push(ExecutionRecord {
-                            contour: i,
-                            plan_fingerprint: plan.fingerprint(),
-                            plan_id,
-                            mode: ExecMode::Spill { dim: j },
-                            budget: part.budget,
-                            spent,
-                            outcome: Outcome::TimedOut { lower_bound },
-                        });
-                        self.shared
-                            .trace_execution(report.records.last().unwrap(), report.total_cost);
-                    }
-                }
-            }
-            if learnt_dim.is_none() {
-                i += 1;
-                executed.clear();
-            }
-        }
+    pub fn run(&self, oracle: &mut dyn ExecutionOracle) -> Result<RunReport> {
+        self.shared.run_spilling("alignedbound", oracle, |i, pins| {
+            let decision =
+                (self.decisions).get_or_compute(i, pins, || self.compute_decision(i, pins));
+            self.observed_max_penalty
+                .fetch_max(decision.max_part_penalty.to_bits(), Ordering::Relaxed);
+            decision
+        })
     }
 }
 
@@ -452,7 +364,7 @@ mod tests {
     #[test]
     fn completes_everywhere_within_guarantee_2d() {
         let fx = star2_surface(12);
-        let mut ab = AlignedBound::new(&fx.surface, &fx.opt, 2.0);
+        let ab = AlignedBound::new(&fx.surface, &fx.opt, 2.0);
         let guarantee = ab.mso_guarantee();
         for qa in fx.surface.grid().iter() {
             let mut oracle = CostOracle::at_grid(&fx.opt, fx.surface.grid(), qa);
@@ -470,7 +382,7 @@ mod tests {
     #[test]
     fn completes_everywhere_within_guarantee_3d() {
         let fx = star_surface(3, 6);
-        let mut ab = AlignedBound::new(&fx.surface, &fx.opt, 2.0);
+        let ab = AlignedBound::new(&fx.surface, &fx.opt, 2.0);
         let guarantee = ab.mso_guarantee();
         for qa in fx.surface.grid().iter() {
             let mut oracle = CostOracle::at_grid(&fx.opt, fx.surface.grid(), qa);
@@ -487,7 +399,7 @@ mod tests {
     #[test]
     fn observed_penalty_at_least_one() {
         let fx = star2_surface(10);
-        let mut ab = AlignedBound::new(&fx.surface, &fx.opt, 2.0);
+        let ab = AlignedBound::new(&fx.surface, &fx.opt, 2.0);
         let qa = fx.surface.grid().flat(&[6, 6]);
         let mut oracle = CostOracle::at_grid(&fx.opt, fx.surface.grid(), qa);
         ab.run(&mut oracle).unwrap();
@@ -497,7 +409,7 @@ mod tests {
     #[test]
     fn learnt_values_match_truth() {
         let fx = star2_surface(12);
-        let mut ab = AlignedBound::new(&fx.surface, &fx.opt, 2.0);
+        let ab = AlignedBound::new(&fx.surface, &fx.opt, 2.0);
         let qa = fx.surface.grid().flat(&[8, 4]);
         let mut oracle = CostOracle::at_grid(&fx.opt, fx.surface.grid(), qa);
         let report = ab.run(&mut oracle).unwrap();

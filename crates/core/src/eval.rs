@@ -157,7 +157,7 @@ pub fn evaluate_spillbound(
     opt: &Optimizer<'_>,
     ratio: f64,
 ) -> Result<SubOptStats> {
-    let mut sb = SpillBound::new(surface, opt, ratio);
+    let sb = SpillBound::new(surface, opt, ratio);
     evaluate(surface, |qa| {
         let mut oracle = CostOracle::at_grid(opt, surface.grid(), qa);
         let report = sb.run(&mut oracle)?;
@@ -168,24 +168,19 @@ pub fn evaluate_spillbound(
 /// Exhaustive SpillBound evaluation through the shared cost matrix
 /// (bit-equal to [`evaluate_spillbound`], asserted by tests).
 pub fn evaluate_spillbound_ctx(ctx: &EvalContext<'_>, ratio: f64) -> Result<SubOptStats> {
-    let mut sb = SpillBound::new(ctx.surface(), ctx.opt(), ratio);
-    let mut memo = SpillMemo::new();
-    evaluate(ctx.surface(), |qa| {
-        let mut oracle = CachedOracle::at_grid(ctx, qa, &mut memo);
-        let report = sb.run(&mut oracle)?;
-        Ok(report.sub_optimality(ctx.surface().opt_cost(qa)))
-    })
+    evaluate_spillbound_parallel(ctx, ratio, 1)
 }
 
-/// Parallel [`evaluate_spillbound_ctx`]: each worker owns a SpillBound
-/// instance and spill memo, so per-location results stay bit-equal.
+/// Parallel [`evaluate_spillbound_ctx`]: the workers share one compiled
+/// SpillBound, whose selections do not depend on `qa`, and each owns a
+/// spill memo, so per-location results stay bit-equal.
 pub fn evaluate_spillbound_parallel(
     ctx: &EvalContext<'_>,
     ratio: f64,
     threads: usize,
 ) -> Result<SubOptStats> {
+    let sb = &SpillBound::new(ctx.surface(), ctx.opt(), ratio);
     evaluate_parallel(ctx.surface(), threads, || {
-        let mut sb = SpillBound::new(ctx.surface(), ctx.opt(), ratio);
         let mut memo = SpillMemo::new();
         move |qa| {
             let mut oracle = CachedOracle::at_grid(ctx, qa, &mut memo);
@@ -202,7 +197,7 @@ pub fn evaluate_alignedbound(
     opt: &Optimizer<'_>,
     ratio: f64,
 ) -> Result<(SubOptStats, f64)> {
-    let mut ab = AlignedBound::new(surface, opt, ratio);
+    let ab = AlignedBound::new(surface, opt, ratio);
     let stats = evaluate(surface, |qa| {
         let mut oracle = CostOracle::at_grid(opt, surface.grid(), qa);
         let report = ab.run(&mut oracle)?;
@@ -214,58 +209,27 @@ pub fn evaluate_alignedbound(
 /// Exhaustive AlignedBound evaluation through the shared cost matrix
 /// (bit-equal to [`evaluate_alignedbound`], asserted by tests).
 pub fn evaluate_alignedbound_ctx(ctx: &EvalContext<'_>, ratio: f64) -> Result<(SubOptStats, f64)> {
-    let mut ab = AlignedBound::new(ctx.surface(), ctx.opt(), ratio);
-    let mut memo = SpillMemo::new();
-    let stats = evaluate(ctx.surface(), |qa| {
-        let mut oracle = CachedOracle::at_grid(ctx, qa, &mut memo);
-        let report = ab.run(&mut oracle)?;
-        Ok(report.sub_optimality(ctx.surface().opt_cost(qa)))
-    })?;
-    Ok((stats, ab.observed_max_penalty()))
+    evaluate_alignedbound_parallel(ctx, ratio, 1)
 }
 
-/// Parallel [`evaluate_alignedbound_ctx`]. Each worker owns an
-/// AlignedBound instance; the observed maximum penalties combine by
-/// `max`, which equals the sequential sweep's running maximum.
+/// Parallel [`evaluate_alignedbound_ctx`]. The workers share one compiled
+/// AlignedBound; its observed maximum penalty is the maximum over all
+/// runs, whichever thread made them, which is the sequential sweep's.
 pub fn evaluate_alignedbound_parallel(
     ctx: &EvalContext<'_>,
     ratio: f64,
     threads: usize,
 ) -> Result<(SubOptStats, f64)> {
-    let bounds = chunk_bounds(ctx.surface().len(), threads);
-    if bounds.len() <= 1 {
-        return evaluate_alignedbound_ctx(ctx, ratio);
-    }
-    let chunks = std::thread::scope(|s| {
-        let handles: Vec<_> = bounds
-            .iter()
-            .map(|&(lo, hi)| {
-                s.spawn(move || -> Result<(Vec<f64>, f64)> {
-                    let mut ab = AlignedBound::new(ctx.surface(), ctx.opt(), ratio);
-                    let mut memo = SpillMemo::new();
-                    let mut subopts = Vec::with_capacity(hi - lo);
-                    for qa in lo..hi {
-                        let mut oracle = CachedOracle::at_grid(ctx, qa, &mut memo);
-                        let report = ab.run(&mut oracle)?;
-                        subopts.push(report.sub_optimality(ctx.surface().opt_cost(qa)));
-                    }
-                    Ok((subopts, ab.observed_max_penalty()))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("evaluation worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    let mut subopts = Vec::with_capacity(ctx.surface().len());
-    let mut max_penalty = 1.0f64;
-    for chunk in chunks {
-        let (s, p) = chunk?;
-        subopts.extend(s);
-        max_penalty = max_penalty.max(p);
-    }
-    Ok((SubOptStats::from_subopts(subopts), max_penalty))
+    let ab = &AlignedBound::new(ctx.surface(), ctx.opt(), ratio);
+    let stats = evaluate_parallel(ctx.surface(), threads, || {
+        let mut memo = SpillMemo::new();
+        move |qa| {
+            let mut oracle = CachedOracle::at_grid(ctx, qa, &mut memo);
+            let report = ab.run(&mut oracle)?;
+            Ok(report.sub_optimality(ctx.surface().opt_cost(qa)))
+        }
+    })?;
+    Ok((stats, ab.observed_max_penalty()))
 }
 
 /// Exhaustive MSOe/ASO evaluation of PlanBouquet, by running the full

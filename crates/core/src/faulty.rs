@@ -230,7 +230,7 @@ mod tests {
         let fx = star2_surface(10);
         let qa = fx.surface.grid().flat(&[6, 4]);
         let sels = fx.surface.grid().sels(qa);
-        let mut sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+        let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
 
         let mut plain = CostOracle::new(&fx.opt, fx.surface.grid(), &sels);
         let baseline = sb.run(&mut plain).unwrap();
@@ -259,7 +259,7 @@ mod tests {
             let plan = FaultPlan::new(seed).with_site(FaultSite::OracleSpill, 0.3);
             let inner = CostOracle::new(&fx.opt, fx.surface.grid(), &sels);
             let mut oracle = FaultyOracle::new(inner, &plan);
-            let mut sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+            let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
             let report = sb.run(&mut oracle).unwrap();
             (report.total_cost, oracle.stats().clone())
         };
@@ -276,7 +276,7 @@ mod tests {
             .with_site(FaultSite::OracleFull, 1.0);
         let inner = CostOracle::new(&fx.opt, fx.surface.grid(), &sels);
         let mut oracle = FaultyOracle::new(inner, &plan);
-        let mut sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+        let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
         let err = sb.run(&mut oracle).unwrap_err();
         assert!(matches!(err, RqpError::Fault(_)), "got {err:?}");
         assert_eq!(err.kind(), "execution_fault");
@@ -290,7 +290,7 @@ mod tests {
         let plan = FaultPlan::new(13).with_site(FaultSite::OracleSpill, 0.5);
         let inner = CostOracle::new(&fx.opt, fx.surface.grid(), &sels);
         let mut oracle = FaultyOracle::new(inner, &plan).with_fault_budget(1);
-        let mut sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+        let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
         let err = sb.run(&mut oracle).unwrap_err();
         assert!(matches!(err, RqpError::Fault(_)));
         assert!(err.to_string().contains("fault budget"));
@@ -305,7 +305,7 @@ mod tests {
         let delta = 0.3;
         let inflated = crate::spillbound_guarantee(2) * (1.0 + delta) * (1.0 + delta);
         let plan = FaultPlan::new(21).with_perturb(delta);
-        let mut sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+        let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
         for qa in fx.surface.grid().iter() {
             let sels = fx.surface.grid().sels(qa);
             let inner = CostOracle::new(&fx.opt, fx.surface.grid(), &sels);

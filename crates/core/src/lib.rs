@@ -80,6 +80,7 @@ pub mod spillbound;
 
 pub use alignedbound::AlignedBound;
 pub use cached::{CachedOracle, EvalContext, SpillMemo};
+pub use discovery::MemoStats;
 pub use eval::{evaluate, evaluate_parallel, SubOptStats};
 pub use faulty::{FaultStats, FaultyOracle};
 pub use native::NativeChoice;

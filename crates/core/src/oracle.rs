@@ -448,7 +448,7 @@ mod noisy_tests {
         let fx = star2_surface(10);
         let delta = 0.3;
         let inflated = crate::spillbound_guarantee(2) * (1.0 + delta) * (1.0 + delta);
-        let mut sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+        let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
         for seed in [1u64, 7, 99] {
             for qa in fx.surface.grid().iter() {
                 let sels = fx.surface.grid().sels(qa);
@@ -473,7 +473,7 @@ mod noisy_tests {
         let sels = fx.surface.grid().sels(qa_idx);
         let inner = CostOracle::new(&fx.opt, fx.surface.grid(), &sels);
         let mut oracle = NoisyCostOracle::new(inner, 0.5, 11);
-        let mut sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+        let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
         let report = sb.run(&mut oracle).unwrap();
         for (j, learnt) in report.learnt.iter().enumerate() {
             if let Some(s) = learnt {
@@ -498,7 +498,7 @@ mod noisy_ab_pb_tests {
         let fx = star2_surface(10);
         let delta = 0.3;
         let inflated = crate::spillbound_guarantee(2) * (1.0 + delta) * (1.0 + delta);
-        let mut ab = AlignedBound::new(&fx.surface, &fx.opt, 2.0);
+        let ab = AlignedBound::new(&fx.surface, &fx.opt, 2.0);
         for qa in fx.surface.grid().iter() {
             let sels = fx.surface.grid().sels(qa);
             let inner = CostOracle::new(&fx.opt, fx.surface.grid(), &sels);
@@ -538,7 +538,7 @@ mod noisy_ab_pb_tests {
         let fx = star2_surface(10);
         let qa = fx.surface.grid().flat(&[6, 3]);
         let sels = fx.surface.grid().sels(qa);
-        let mut sb1 = crate::spillbound::SpillBound::new(&fx.surface, &fx.opt, 2.0);
+        let sb1 = crate::spillbound::SpillBound::new(&fx.surface, &fx.opt, 2.0);
         let mut plain = CostOracle::new(&fx.opt, fx.surface.grid(), &sels);
         let a = sb1.run(&mut plain).unwrap();
         let inner = CostOracle::new(&fx.opt, fx.surface.grid(), &sels);

@@ -10,8 +10,8 @@
 
 use crate::cached::EvalContext;
 use crate::discovery::Shared;
-use crate::oracle::{ExecutionOracle, FullOutcome};
-use crate::report::{ExecMode, ExecutionRecord, Outcome, RunReport};
+use crate::oracle::ExecutionOracle;
+use crate::report::RunReport;
 use rqp_common::Result;
 use rqp_ess::anorexic::{reduce_all, reduce_all_with, ReducedContour};
 use rqp_ess::{ContourSet, SurfaceAccess};
@@ -149,39 +149,9 @@ impl<'a> PlanBouquet<'a> {
                 .tracer
                 .emit(|| TraceEvent::ContourEntered { contour: i, budget });
             for &pid in &rc.plans {
-                let plan = self.shared.surface.plan_clone(pid);
-                match oracle.try_full_execute_id(Some(pid), &plan, budget)? {
-                    FullOutcome::Completed { spent } => {
-                        report.total_cost += spent;
-                        report.records.push(ExecutionRecord {
-                            contour: i,
-                            plan_fingerprint: plan.fingerprint(),
-                            plan_id: Some(pid),
-                            mode: ExecMode::Full,
-                            budget,
-                            spent,
-                            outcome: Outcome::Completed { sel: None },
-                        });
-                        self.shared
-                            .trace_execution(report.records.last().unwrap(), report.total_cost);
-                        report.completed = true;
-                        self.shared.trace_run_finished(&report);
-                        return Ok(report);
-                    }
-                    FullOutcome::TimedOut { spent } => {
-                        report.total_cost += spent;
-                        report.records.push(ExecutionRecord {
-                            contour: i,
-                            plan_fingerprint: plan.fingerprint(),
-                            plan_id: Some(pid),
-                            mode: ExecMode::Full,
-                            budget,
-                            spent,
-                            outcome: Outcome::TimedOut { lower_bound: 0.0 },
-                        });
-                        self.shared
-                            .trace_execution(report.records.last().unwrap(), report.total_cost);
-                    }
+                if self.shared.full_step(oracle, &mut report, i, pid, budget)? {
+                    self.shared.trace_run_finished(&report);
+                    return Ok(report);
                 }
             }
         }

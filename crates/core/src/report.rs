@@ -34,7 +34,7 @@ pub enum Outcome {
 }
 
 /// One budgeted execution in a discovery sequence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionRecord {
     /// Contour index (0-based) this execution belongs to.
     pub contour: usize,
@@ -53,7 +53,7 @@ pub struct ExecutionRecord {
 }
 
 /// The full trace of one discovery run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Executions in order.
     pub records: Vec<ExecutionRecord>,

@@ -21,22 +21,19 @@
 //! The resulting guarantee is **structural**: `MSO ≤ D² + 3D` (Theorem
 //! 4.5), a function of nothing but the number of error-prone predicates.
 
-use crate::discovery::Shared;
-use crate::oracle::{ExecutionOracle, SpillOutcome};
-use crate::report::{ExecMode, ExecutionRecord, Outcome, RunReport};
+use crate::discovery::{ContourMemo, MemoStats, Shared, SpillExec, MEMO_CAP};
+use crate::oracle::ExecutionOracle;
+use crate::report::RunReport;
 use rqp_common::{GridIdx, Result};
-use rqp_ess::alignment::SpillDimCache;
+use rqp_ess::alignment::{PlanChoice, SpillDimCache};
 use rqp_ess::{ContourSet, EssView, SurfaceAccess};
-use rqp_obs::{TraceEvent, Tracer};
+use rqp_obs::Tracer;
 use rqp_optimizer::{Optimizer, PlanId};
-use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Per-contour plan selections: for each dimension, the chosen
 /// `(q^j_max, P^j_max)` pair, or `None` if no contour plan spills on it.
 type Selections = Vec<Option<(GridIdx, PlanId)>>;
-
-/// Memo key: (contour index, learnt-dimension pins).
-type SelKey = (usize, Vec<Option<usize>>);
 
 /// How per-contour `(q^j_max, P^j_max)` selections are computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,16 +56,16 @@ pub enum SelectionMode {
     AxisProbe,
 }
 
-/// A compiled SpillBound instance.
-///
-/// Holds memoized per-contour selections so that sweeping many `qa`
-/// locations (the MSOe experiments) re-uses the expensive contour
-/// analysis.
+/// A compiled SpillBound instance: immutable, plus a memo of per-contour
+/// selections, which are pure functions of (contour, pins). Runs take
+/// `&self` and keep their state on the stack, so one instance serves
+/// every `qa` of a sweep and every request of a daemon, from any number
+/// of threads, and the contour analysis is done once per state.
 #[derive(Debug)]
 pub struct SpillBound<'a> {
     shared: Shared<'a>,
     spill_cache: SpillDimCache,
-    selections: HashMap<SelKey, Selections>,
+    execs: ContourMemo<Vec<SpillExec>>,
     mode: SelectionMode,
 }
 
@@ -89,9 +86,28 @@ impl<'a> SpillBound<'a> {
         Self {
             shared: Shared::new(surface, opt, ratio),
             spill_cache: SpillDimCache::new(),
-            selections: HashMap::new(),
+            execs: ContourMemo::with_cap(MEMO_CAP),
             mode,
         }
+    }
+
+    /// Forces the memo's entry cap.
+    #[cfg(test)]
+    pub(crate) fn with_memo_cap(mut self, cap: usize) -> Self {
+        self.execs = ContourMemo::with_cap(cap);
+        self
+    }
+
+    /// Hits, misses and resident entries of the selection memo.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.execs.stats()
+    }
+
+    /// Most bytes the selection memo and the spill-dimension cache can
+    /// come to hold.
+    pub fn memo_bytes_bound(&self) -> usize {
+        let per_exec = std::mem::size_of::<SpillExec>();
+        self.execs.bytes_bound(&self.shared, per_exec)
     }
 
     /// The active selection mode.
@@ -116,24 +132,29 @@ impl<'a> SpillBound<'a> {
         self.shared.tracer = tracer;
     }
 
-    /// Computes (memoized) the per-dimension `(q^j_max, P^j_max)` choices
-    /// for contour `i` under the given pins.
-    fn contour_selections(&mut self, i: usize, pins: &[Option<usize>]) -> Selections {
-        let key = (i, pins.to_vec());
-        if let Some(s) = self.selections.get(&key) {
-            return s.clone();
-        }
-        let out = match self.mode {
-            SelectionMode::Exact => self.exact_selections(i, pins),
-            SelectionMode::AxisProbe => self.axis_probe_selections(i, pins),
-        };
-        self.selections.insert(key, out.clone());
-        out
+    /// Computes (memoized) the executions of contour `i` under the given
+    /// pins: per unlearnt dimension with a `(q^j_max, P^j_max)` choice, in
+    /// dimension order, `P^j_max` spilling on `e_j` with budget `CC_i`. A
+    /// dimension no contour plan spills on is skipped (§4.2).
+    fn contour_execs(&self, i: usize, pins: &[Option<usize>]) -> Arc<Vec<SpillExec>> {
+        self.execs.get_or_compute(i, pins, || {
+            let selections = match self.mode {
+                SelectionMode::Exact => self.exact_selections(i, pins),
+                SelectionMode::AxisProbe => self.axis_probe_selections(i, pins),
+            };
+            let budget = self.shared.contours.cost(i);
+            (selections.into_iter().enumerate())
+                .filter_map(|(j, s)| {
+                    let plan = PlanChoice::Pool(s?.1);
+                    Some(SpillExec::new(self.shared.surface, j, plan, budget))
+                })
+                .collect()
+        })
     }
 
     /// The paper's selections: group the contour skyline by each
     /// location's spill dimension and keep the `j`-maximal location.
-    fn exact_selections(&mut self, i: usize, pins: &[Option<usize>]) -> Selections {
+    fn exact_selections(&self, i: usize, pins: &[Option<usize>]) -> Selections {
         let surface = self.shared.surface;
         let opt = self.shared.opt;
         let grid = surface.grid();
@@ -166,7 +187,7 @@ impl<'a> SpillBound<'a> {
     /// on `e_j`. All probed locations satisfy `OptCost(q) ≤ CC_i`, so a
     /// budget-`CC_i` spill execution of the chosen plan is within budget
     /// at its own location, exactly as in `Exact` mode.
-    fn axis_probe_selections(&mut self, i: usize, pins: &[Option<usize>]) -> Selections {
+    fn axis_probe_selections(&self, i: usize, pins: &[Option<usize>]) -> Selections {
         let surface = self.shared.surface;
         let opt = self.shared.opt;
         let grid = surface.grid();
@@ -196,112 +217,9 @@ impl<'a> SpillBound<'a> {
     }
 
     /// Runs selectivity discovery against `oracle`.
-    pub fn run(&mut self, oracle: &mut dyn ExecutionOracle) -> Result<RunReport> {
-        let d = self.shared.ndims();
-        let m = self.shared.contours.len();
-        let grid = self.shared.surface.grid();
-        let mut pins: Vec<Option<usize>> = vec![None; d];
-        let mut report = RunReport {
-            learnt: vec![None; d],
-            ..RunReport::default()
-        };
-
-        self.shared.trace_run_started("spillbound");
-        if d <= 1 {
-            // Degenerate: straight to the (≤1)-dimensional bouquet phase.
-            self.shared
-                .run_terminal_phase(&pins, 0, oracle, &mut report)?;
-            self.shared.trace_run_finished(&report);
-            return Ok(report);
-        }
-
-        let mut i = 0usize;
-        let mut entered: Option<usize> = None;
-        // Executions already performed on the current contour; identical
-        // (plan, dim) re-selections are provably identical timeouts, so we
-        // neither re-run nor re-charge them.
-        let mut executed: HashSet<(PlanId, usize)> = HashSet::new();
-        loop {
-            let free: Vec<usize> = (0..d).filter(|&j| pins[j].is_none()).collect();
-            if free.len() == 1 {
-                self.shared
-                    .run_terminal_phase(&pins, i, oracle, &mut report)?;
-                self.shared.trace_run_finished(&report);
-                return Ok(report);
-            }
-            if i >= m {
-                // Unreachable with an exact cost model (the last contour
-                // always yields progress); under bounded cost-model error
-                // the overflow phase finishes the query within the
-                // inflated guarantee (§7).
-                self.shared.run_overflow_phase(&pins, oracle, &mut report)?;
-                self.shared.trace_run_finished(&report);
-                return Ok(report);
-            }
-            let selections = self.contour_selections(i, &pins);
-            let budget = self.shared.contours.cost(i);
-            if entered != Some(i) {
-                entered = Some(i);
-                self.shared
-                    .tracer
-                    .emit(|| TraceEvent::ContourEntered { contour: i, budget });
-            }
-            let mut learnt_dim: Option<usize> = None;
-            for &j in &free {
-                let Some((_, pid)) = selections[j] else {
-                    continue; // no contour plan spills on e_j: skip (§4.2)
-                };
-                if !executed.insert((pid, j)) {
-                    continue; // identical repeat: outcome already known
-                }
-                let plan = self.shared.surface.plan_clone(pid);
-                match oracle.try_spill_execute_id(Some(pid), &plan, j, budget)? {
-                    SpillOutcome::Completed { sel, spent } => {
-                        report.total_cost += spent;
-                        report.records.push(ExecutionRecord {
-                            contour: i,
-                            plan_fingerprint: plan.fingerprint(),
-                            plan_id: Some(pid),
-                            mode: ExecMode::Spill { dim: j },
-                            budget,
-                            spent,
-                            outcome: Outcome::Completed { sel: Some(sel) },
-                        });
-                        self.shared
-                            .trace_execution(report.records.last().unwrap(), report.total_cost);
-                        self.shared
-                            .tracer
-                            .emit(|| TraceEvent::SelectivityLearnt { dim: j, sel });
-                        report.learnt[j] = Some(sel);
-                        pins[j] = Some(grid.dim(j).ceil_idx(sel));
-                        learnt_dim = Some(j);
-                        break;
-                    }
-                    SpillOutcome::TimedOut { lower_bound, spent } => {
-                        report.total_cost += spent;
-                        report.records.push(ExecutionRecord {
-                            contour: i,
-                            plan_fingerprint: plan.fingerprint(),
-                            plan_id: Some(pid),
-                            mode: ExecMode::Spill { dim: j },
-                            budget,
-                            spent,
-                            outcome: Outcome::TimedOut { lower_bound },
-                        });
-                        self.shared
-                            .trace_execution(report.records.last().unwrap(), report.total_cost);
-                    }
-                }
-            }
-            if learnt_dim.is_none() {
-                // Lemma 4.3: the true location lies beyond this contour.
-                i += 1;
-                executed.clear();
-            }
-            // On learning, re-process the same contour with the reduced
-            // epp set (repeat executions, §4.2); `executed` keeps already
-            // settled (plan, dim) outcomes.
-        }
+    pub fn run(&self, oracle: &mut dyn ExecutionOracle) -> Result<RunReport> {
+        self.shared
+            .run_spilling("spillbound", oracle, |i, pins| self.contour_execs(i, pins))
     }
 }
 
@@ -309,12 +227,13 @@ impl<'a> SpillBound<'a> {
 mod tests {
     use super::*;
     use crate::oracle::CostOracle;
+    use crate::report::{ExecMode, Outcome};
     use crate::test_fixtures::{star2_surface, star_surface};
 
     #[test]
     fn completes_everywhere_within_guarantee_2d() {
         let fx = star2_surface(12);
-        let mut sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+        let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
         let guarantee = sb.mso_guarantee();
         assert_eq!(guarantee, 10.0);
         for qa in fx.surface.grid().iter() {
@@ -333,7 +252,7 @@ mod tests {
     #[test]
     fn completes_everywhere_within_guarantee_3d() {
         let fx = star_surface(3, 7);
-        let mut sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+        let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
         let guarantee = sb.mso_guarantee(); // 18
         for qa in fx.surface.grid().iter() {
             let mut oracle = CostOracle::at_grid(&fx.opt, fx.surface.grid(), qa);
@@ -350,7 +269,7 @@ mod tests {
     #[test]
     fn learnt_selectivities_match_truth() {
         let fx = star2_surface(12);
-        let mut sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+        let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
         // An interior location forces real discovery.
         let qa = fx.surface.grid().flat(&[7, 5]);
         let mut oracle = CostOracle::at_grid(&fx.opt, fx.surface.grid(), qa);
@@ -372,7 +291,7 @@ mod tests {
     #[test]
     fn spill_records_precede_terminal_full_execution() {
         let fx = star2_surface(12);
-        let mut sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+        let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
         let qa = fx.surface.grid().flat(&[9, 9]);
         let mut oracle = CostOracle::at_grid(&fx.opt, fx.surface.grid(), qa);
         let report = sb.run(&mut oracle).unwrap();
@@ -388,7 +307,7 @@ mod tests {
     #[test]
     fn origin_location_is_cheap() {
         let fx = star2_surface(12);
-        let mut sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+        let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
         let origin = fx.surface.grid().origin();
         let mut oracle = CostOracle::at_grid(&fx.opt, fx.surface.grid(), origin);
         let report = sb.run(&mut oracle).unwrap();
@@ -402,7 +321,7 @@ mod tests {
     #[test]
     fn timed_out_lower_bounds_never_exceed_truth() {
         let fx = star2_surface(12);
-        let mut sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+        let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
         for qa in [
             fx.surface.grid().flat(&[3, 8]),
             fx.surface.grid().flat(&[10, 2]),

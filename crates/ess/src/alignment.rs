@@ -19,11 +19,17 @@ use rqp_common::{GridIdx, MultiGrid};
 use rqp_optimizer::pipeline::{spill_dim, DimMask};
 use rqp_optimizer::{constrained, Optimizer, PlanId};
 use std::collections::HashMap;
+use std::sync::RwLock;
 
 /// Memoized spill-dimension lookup per `(plan, unlearnt-mask)` pair.
+///
+/// Shared by reference: the map sits behind a lock that is never held
+/// while a spill dimension is computed. The value is a pure function of
+/// the key, so two threads that race on a miss insert the same thing.
+/// At most `pool_len · 2^D` entries.
 #[derive(Debug, Default)]
 pub struct SpillDimCache {
-    map: HashMap<(PlanId, DimMask), Option<usize>>,
+    map: RwLock<HashMap<(PlanId, DimMask), Option<usize>>>,
 }
 
 impl SpillDimCache {
@@ -34,7 +40,7 @@ impl SpillDimCache {
 
     /// The dimension the optimal plan at `q` spills on, given `unlearnt`.
     pub fn of_location(
-        &mut self,
+        &self,
         surface: &dyn SurfaceAccess,
         opt: &Optimizer<'_>,
         q: GridIdx,
@@ -46,16 +52,22 @@ impl SpillDimCache {
     /// The dimension pool plan `pid` spills on, given `unlearnt`. The plan
     /// is cloned out of the surface only on a cache miss.
     pub fn of_plan(
-        &mut self,
+        &self,
         surface: &dyn SurfaceAccess,
         opt: &Optimizer<'_>,
         pid: PlanId,
         unlearnt: DimMask,
     ) -> Option<usize> {
-        *self
-            .map
-            .entry((pid, unlearnt))
-            .or_insert_with(|| spill_dim(&surface.plan_clone(pid), opt.query(), unlearnt))
+        const POISONED: &str = "a thread panicked holding the spill-dimension cache";
+        if let Some(&dim) = self.map.read().expect(POISONED).get(&(pid, unlearnt)) {
+            return dim;
+        }
+        let dim = spill_dim(&surface.plan_clone(pid), opt.query(), unlearnt);
+        self.map
+            .write()
+            .expect(POISONED)
+            .insert((pid, unlearnt), dim);
+        dim
     }
 }
 
@@ -79,7 +91,7 @@ pub fn extreme_locations(grid: &MultiGrid, locs: &[GridIdx], dim: usize) -> Vec<
 pub fn align_penalty(
     surface: &dyn SurfaceAccess,
     opt: &Optimizer<'_>,
-    cache: &mut SpillDimCache,
+    cache: &SpillDimCache,
     locs: &[GridIdx],
     dim: usize,
     unlearnt: DimMask,
@@ -214,13 +226,13 @@ pub fn analyze(
     let d = surface.grid().ndims();
     let view = EssView::full(d);
     let unlearnt: DimMask = (1 << d) - 1;
-    let mut cache = SpillDimCache::new();
+    let cache = SpillDimCache::new();
     let mut out = Vec::with_capacity(contours.len());
     for i in 0..contours.len() {
         let locs = contours.locations(surface, &view, i);
         let min_penalty = (0..d)
             .filter_map(|j| {
-                align_penalty(surface, opt, &mut cache, &locs, j, unlearnt).map(|c| c.penalty)
+                align_penalty(surface, opt, &cache, &locs, j, unlearnt).map(|c| c.penalty)
             })
             .fold(None, |acc: Option<f64>, p| {
                 Some(acc.map_or(p, |a| a.min(p)))
@@ -293,12 +305,12 @@ mod tests {
             Optimizer::new(&cat, &q, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
         let contours = ContourSet::build(&surface, 2.0);
         let view = EssView::full(2);
-        let mut cache = SpillDimCache::new();
+        let cache = SpillDimCache::new();
         let mut found_native = false;
         for i in 0..contours.len() {
             let locs = contours.locations(&surface, &view, i);
             for j in 0..2 {
-                if let Some(choice) = align_penalty(&surface, &opt, &mut cache, &locs, j, 0b11) {
+                if let Some(choice) = align_penalty(&surface, &opt, &cache, &locs, j, 0b11) {
                     assert!(choice.penalty >= 1.0 - 1e-9);
                     if (choice.penalty - 1.0).abs() < 1e-9 {
                         found_native = true;

@@ -992,6 +992,7 @@ fn execute(
             let mut value = metrics.to_value(config.workers, config.queue_capacity);
             if let Value::Object(fields) = &mut value {
                 fields.push(("shards".into(), Value::Num(config.shards.max(1) as f64)));
+                fields.push(("discovery".into(), registry.discovery_stats()));
                 if let Some(cache) = registry.cache() {
                     fields.push(("cache".into(), cache.stats_value()));
                 }

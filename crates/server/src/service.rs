@@ -3,9 +3,13 @@
 //!
 //! A served query is constructed from a [`CompiledArtifact`] without
 //! re-running any offline work: the surface, contour schedule, reduced
-//! bouquet and recost matrix all come straight off disk, and only the
-//! cheap pieces (optimizer instantiation, contour re-derivation, the
-//! native choice) are rebuilt. A served query *owns* its artifact state
+//! bouquet and recost matrix all come straight off disk. Construction
+//! rebuilds the optimizer, the native choice and the penalty-aware
+//! selection, and compiles the three discovery strategies, which for
+//! SpillBound and AlignedBound is a contour schedule and an empty memo.
+//! Requests construct nothing: each strategy's per-(contour, pins)
+//! analysis is done by the first request that reaches that state and
+//! kept for all later ones. A served query *owns* its artifact state
 //! (boxed, with internally self-referential borrows — see the safety
 //! notes on [`ServedQuery::from_artifact`]), so dropping one — e.g. on
 //! LRU eviction from the [`crate::cache::ArtifactCache`] — actually
@@ -25,9 +29,9 @@ use rqp_artifacts::CompiledArtifact;
 use rqp_catalog::Catalog;
 use rqp_common::{GridIdx, RqpError};
 use rqp_core::{
-    penalty, AlignedBound, CachedOracle, EvalContext, ExecutionOracle, FaultyOracle, NativeChoice,
-    PenaltyConfig, PenaltySelection, PlanBouquet, PriorConfig, RunReport, SelectivityPrior,
-    SpillBound, SpillMemo,
+    penalty, AlignedBound, CachedOracle, EvalContext, ExecutionOracle, FaultyOracle, MemoStats,
+    NativeChoice, PenaltyConfig, PenaltySelection, PlanBouquet, PriorConfig, RunReport,
+    SelectivityPrior, SpillBound, SpillMemo,
 };
 use rqp_ess::{EssSurface, SurfaceAccess};
 use rqp_faults::{Attempt, BreakerConfig, CircuitBreaker, FaultPlan, RetryPolicy};
@@ -80,17 +84,21 @@ impl Body {
 }
 
 /// One query template, warm-started from its artifact and ready to serve
-/// concurrent requests (all request-handling state is per-call).
+/// concurrent requests. A request's state (oracle, spill memo, pins,
+/// report) is per-call; the compiled strategies are shared, and the only
+/// thing a request can leave behind in them is a memo entry that any
+/// other request would have computed identically.
 ///
 /// Field order is load-bearing: Rust drops fields in declaration order,
-/// and `ctx`/`bouquet` borrow from the boxed `opt`/`surface`/`query`
-/// owners declared after them, so the borrowers are destroyed before
-/// their referents.
+/// and `ctx` and the strategies borrow from the boxed
+/// `opt`/`surface`/`query` owners declared after them, so the borrowers
+/// are destroyed before their referents.
 pub struct ServedQuery {
     name: String,
-    ratio: f64,
     ctx: EvalContext<'static>,
     bouquet: PlanBouquet<'static>,
+    sb: SpillBound<'static>,
+    ab: AlignedBound<'static>,
     native: NativeChoice,
     /// Offline penalty-aware selection, recomputed at load time from the
     /// artifact's matrix (and verified against the persisted summary).
@@ -117,7 +125,7 @@ impl ServedQuery {
     ///
     /// # Safety notes
     ///
-    /// The `'static` lifetimes on `ctx`/`bouquet` are a lie told to the
+    /// The `'static` lifetimes on `ctx` and the strategies are a lie told to the
     /// borrow checker: they actually borrow the `Box<QuerySpec>` /
     /// `Box<EssSurface>` / `Box<Optimizer>` fields of the same struct.
     /// This is sound because (a) the boxes heap-allocate, so the
@@ -169,6 +177,10 @@ impl ServedQuery {
         let bouquet =
             PlanBouquet::from_parts(surface_ref, opt_ref, ratio, lambda, bouquet, rho_red)
                 .map_err(|e| format!("artifact `{name}`: {e}"))?;
+        let sb = SpillBound::new(surface_ref, opt_ref, ratio);
+        let ab = AlignedBound::new(surface_ref, opt_ref, ratio);
+        // The memos may fill up to their cap while the query is resident.
+        let approx_bytes = approx_bytes + sb.memo_bytes_bound() + ab.memo_bytes_bound();
         let native = NativeChoice::compute(surface_ref, opt_ref);
         // Rebuild the penalty-aware selection from the prior the artifact
         // records (defaults when the artifact predates the field): cheap
@@ -218,9 +230,10 @@ impl ServedQuery {
             Arc::from(serde_json::to_string(&explain_value).expect("explain serializes"));
         Ok(Self {
             name,
-            ratio,
             ctx,
             bouquet,
+            sb,
+            ab,
             native,
             penalty,
             explain_raw,
@@ -253,9 +266,15 @@ impl ServedQuery {
         &self.name
     }
 
-    /// Resident-footprint estimate used for LRU cache byte accounting.
+    /// Resident-footprint estimate used for LRU cache byte accounting:
+    /// the artifact's state plus the most the discovery memos can grow to.
     pub fn approx_bytes(&self) -> usize {
         self.approx_bytes
+    }
+
+    /// Memo counters of the compiled SpillBound and AlignedBound, in order.
+    pub fn discovery_stats(&self) -> [MemoStats; 2] {
+        [self.sb.memo_stats(), self.ab.memo_stats()]
     }
 
     /// The cached, pre-serialized `explain` response body.
@@ -413,8 +432,8 @@ impl ServedQuery {
         &self.penalty
     }
 
-    /// Runs the discovery algorithm behind `method` against a fresh
-    /// per-call oracle, wrapped in the fault plan when one is attached.
+    /// Runs the compiled strategy behind `method` against a fresh per-call
+    /// oracle, wrapped in the fault plan when one is attached.
     fn run_discovery(
         &self,
         method: &str,
@@ -424,20 +443,17 @@ impl ServedQuery {
         let mut memo = SpillMemo::new();
         let mut cached = CachedOracle::at_grid(&self.ctx, qa_idx, &mut memo);
         let go = |oracle: &mut dyn ExecutionOracle| match method {
-            "run_spillbound" => {
-                let mut sb = SpillBound::new(&*self.surface, &self.opt, self.ratio);
-                let report = sb.run(oracle)?;
-                Ok((report, sb.mso_guarantee(), "spillbound"))
-            }
-            "run_alignedbound" => {
-                let mut ab = AlignedBound::new(&*self.surface, &self.opt, self.ratio);
-                let report = ab.run(oracle)?;
-                Ok((report, ab.mso_guarantee(), "alignedbound"))
-            }
-            "run_planbouquet" => {
-                let report = self.bouquet.run(oracle)?;
-                Ok((report, self.bouquet.mso_guarantee(), "planbouquet"))
-            }
+            "run_spillbound" => Ok((self.sb.run(oracle)?, self.sb.mso_guarantee(), "spillbound")),
+            "run_alignedbound" => Ok((
+                self.ab.run(oracle)?,
+                self.ab.mso_guarantee(),
+                "alignedbound",
+            )),
+            "run_planbouquet" => Ok((
+                self.bouquet.run(oracle)?,
+                self.bouquet.mso_guarantee(),
+                "planbouquet",
+            )),
             other => Err(RqpError::InvalidQuery(format!(
                 "`{other}` is not a discovery method"
             ))),
@@ -717,22 +733,45 @@ impl Registry {
         ))
     }
 
-    /// Per-query health snapshots, keyed by query name: every pinned
-    /// query plus the cache's currently-resident ones.
+    /// Every resident query by name: the pinned ones plus whatever the
+    /// cache holds right now.
+    fn resident(&self) -> BTreeMap<String, Arc<ServedQuery>> {
+        let mut resident = self.pinned.clone();
+        for q in self.cache.iter().flat_map(ArtifactCache::resident) {
+            resident.entry(q.name().to_string()).or_insert(q);
+        }
+        resident
+    }
+
+    /// Per-query health snapshots, keyed by query name.
     pub fn health(&self) -> Value {
-        let mut entries: BTreeMap<String, Value> = self
-            .pinned
-            .iter()
-            .map(|(name, q)| (name.clone(), q.health()))
-            .collect();
-        if let Some(cache) = &self.cache {
-            for q in cache.resident() {
-                entries
-                    .entry(q.name().to_string())
-                    .or_insert_with(|| q.health());
+        let entries = self.resident().into_iter();
+        Value::Object(entries.map(|(name, q)| (name, q.health())).collect())
+    }
+
+    /// The `discovery` object of `stats`: per strategy, the memo counters
+    /// of its compiled instances summed over the resident queries. An
+    /// evicted query takes its counters with it.
+    pub fn discovery_stats(&self) -> Value {
+        let mut sums = [MemoStats::default(); 2];
+        for q in self.resident().values() {
+            for (sum, stats) in sums.iter_mut().zip(q.discovery_stats()) {
+                sum.hits += stats.hits;
+                sum.misses += stats.misses;
+                sum.entries += stats.entries;
             }
         }
-        Value::Object(entries.into_iter().collect())
+        let counters = |s: MemoStats| {
+            obj(vec![
+                ("memo_hits", num(s.hits as f64)),
+                ("memo_misses", num(s.misses as f64)),
+                ("memo_entries", num(s.entries as f64)),
+            ])
+        };
+        obj(vec![
+            ("spillbound", counters(sums[0])),
+            ("alignedbound", counters(sums[1])),
+        ])
     }
 
     /// Dispatches a query-addressed request to the right [`ServedQuery`],

@@ -553,3 +553,65 @@ fn tenant_quota_sheds_only_the_noisy_tenant() {
 
     handle.stop();
 }
+
+/// A served query keeps its compiled AlignedBound and SpillBound between
+/// requests. That may never show in an answer: the same line gets the
+/// same bytes from a query nobody has asked anything, from a warm one,
+/// and from one that has since answered a thousand other requests; and
+/// `stats` shows that the later requests did share the earlier ones'
+/// contour analysis.
+#[test]
+fn warm_discovery_answers_byte_equal_and_counts_memo_hits() {
+    let config = || ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let handle = serve(registry(), "127.0.0.1:0", config()).unwrap();
+    let mut c = Client::connect(handle.addr).unwrap();
+    let line = rqp_server::request_line(7.0, "run_alignedbound", Some("star2"), &[0.02, 0.4], None);
+
+    let fresh = c.call_raw(&line).unwrap();
+    assert!(fresh.contains("\"ok\":true"), "{fresh}");
+    assert!(fresh.contains("\"algorithm\":\"alignedbound\""), "{fresh}");
+    let warm = c.call_raw(&line).unwrap();
+    assert_eq!(warm, fresh);
+
+    let methods = ["run_alignedbound", "run_spillbound", "run_planbouquet"];
+    for k in 0..1000usize {
+        // Selectivities spread over both axes of the grid, log-uniformly.
+        let qa = [
+            10f64.powf(-5.0 * ((k * 37) % 101) as f64 / 100.0),
+            10f64.powf(-5.0 * ((k * 53) % 97) as f64 / 96.0),
+        ];
+        let other = rqp_server::request_line(k as f64, methods[k % 3], Some("star2"), &qa, None);
+        let reply = c.call_raw(&other).unwrap();
+        assert!(reply.contains("\"completed\":true"), "{other} -> {reply}");
+    }
+    assert_eq!(c.call_raw(&line).unwrap(), fresh);
+
+    let stats = c.call(0.0, "stats", None, &[], None).unwrap();
+    let discovery = stats.get("result").unwrap().get("discovery").unwrap();
+    for strategy in ["spillbound", "alignedbound"] {
+        let counter = |name: &str| {
+            let v = discovery.get(strategy).and_then(|s| s.get(name));
+            v.and_then(|v| v.as_f64()).unwrap_or(-1.0)
+        };
+        let (hits, misses, entries) = (
+            counter("memo_hits"),
+            counter("memo_misses"),
+            counter("memo_entries"),
+        );
+        assert!(hits > misses, "{strategy}: {discovery:?}");
+        assert!(
+            entries >= 1.0 && entries <= misses,
+            "{strategy}: {discovery:?}"
+        );
+    }
+    handle.stop();
+
+    // A query hydrated after all that, asked the line as its first.
+    let handle = serve(registry(), "127.0.0.1:0", config()).unwrap();
+    let mut c = Client::connect(handle.addr).unwrap();
+    assert_eq!(c.call_raw(&line).unwrap(), fresh);
+    handle.stop();
+}

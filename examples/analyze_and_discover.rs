@@ -59,7 +59,7 @@ fn main() {
 
     // 4. SpillBound does not care: bounded discovery regardless.
     let surface = EssSurface::build(&opt, MultiGrid::uniform(2, 1e-7, 16));
-    let mut sb = SpillBound::new(&surface, &opt, 2.0);
+    let sb = SpillBound::new(&surface, &opt, 2.0);
     let grid = surface.grid();
     let coords: Vec<usize> = qa
         .iter()

@@ -43,7 +43,7 @@ fn main() {
     );
 
     let pb = PlanBouquet::new(&surface, &opt, 2.0, 0.2);
-    let mut sb = SpillBound::new(&surface, &opt, 2.0);
+    let sb = SpillBound::new(&surface, &opt, 2.0);
     println!(
         "bouquet: ρ_red = {} → PB guarantee {:.1}; SB guarantee D²+3D = {}",
         pb.rho_red(),

@@ -54,7 +54,7 @@ fn main() {
     );
 
     // 3. Compile SpillBound and pick a hidden true location qa.
-    let mut sb = SpillBound::new(&surface, &opt, 2.0);
+    let sb = SpillBound::new(&surface, &opt, 2.0);
     println!(
         "contours: {} (cost-doubling), MSO guarantee: {}",
         sb.contours().len(),

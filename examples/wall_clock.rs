@@ -131,7 +131,7 @@ fn main() {
     }
 
     // SpillBound with the executor-backed oracle.
-    let mut sb = SpillBound::new(&surface, &opt, 2.0);
+    let sb = SpillBound::new(&surface, &opt, 2.0);
     let mut oracle = ExecOracle::new(exec(), &opt, surface.grid());
     let t = Instant::now();
     let report = sb.run(&mut oracle).expect("SpillBound completes");
@@ -146,7 +146,7 @@ fn main() {
     print_drilldown(&report, &oracle.timings, query.ndims());
 
     // AlignedBound likewise.
-    let mut ab = AlignedBound::new(&surface, &opt, 2.0);
+    let ab = AlignedBound::new(&surface, &opt, 2.0);
     let mut oracle = ExecOracle::new(exec(), &opt, surface.grid());
     let t = Instant::now();
     let report = ab.run(&mut oracle).expect("AlignedBound completes");

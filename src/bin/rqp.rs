@@ -202,12 +202,12 @@ fn run_paged(name: &str, algo: &str, args: &[String]) -> ExitCode {
             return ExitCode::SUCCESS;
         }
         "sb" => {
-            let mut a = SpillBound::new(&surface, &opt, 2.0);
+            let a = SpillBound::new(&surface, &opt, 2.0);
             let mut o = ExecOracle::new(exec(), &opt, surface.grid());
             a.run(&mut o).expect("discovery completes")
         }
         "ab" => {
-            let mut a = AlignedBound::new(&surface, &opt, 2.0);
+            let a = AlignedBound::new(&surface, &opt, 2.0);
             let mut o = ExecOracle::new(exec(), &opt, surface.grid());
             a.run(&mut o).expect("discovery completes")
         }
@@ -370,7 +370,7 @@ fn compile_lazy(args: &[String], name: &str) -> ExitCode {
         sample.push(lo);
         sample.push(hi);
     }
-    let mut sb = SpillBound::with_mode(&lazy, &opt, 2.0, SelectionMode::AxisProbe);
+    let sb = SpillBound::with_mode(&lazy, &opt, 2.0, SelectionMode::AxisProbe);
     for coords in &sample {
         let qa = lazy.grid().flat(coords);
         let mut oracle = CostOracle::at_grid(&opt, lazy.grid(), qa);
@@ -1098,12 +1098,12 @@ fn main() -> ExitCode {
             let opt_cost = exp.surface.opt_cost(qa_idx);
             let report = match algo.as_str() {
                 "sb" => {
-                    let mut a = SpillBound::new(&exp.surface, &opt, 2.0);
+                    let a = SpillBound::new(&exp.surface, &opt, 2.0);
                     let mut o = CostOracle::at_grid(&opt, grid, qa_idx);
                     a.run(&mut o).expect("discovery completes")
                 }
                 "ab" => {
-                    let mut a = AlignedBound::new(&exp.surface, &opt, 2.0);
+                    let a = AlignedBound::new(&exp.surface, &opt, 2.0);
                     let mut o = CostOracle::at_grid(&opt, grid, qa_idx);
                     a.run(&mut o).expect("discovery completes")
                 }
@@ -1256,7 +1256,7 @@ fn main() -> ExitCode {
                 .map(|(j, &s)| grid.dim(j).nearest_idx(s))
                 .collect();
             let qa_idx = grid.flat(&coords);
-            let mut sb = SpillBound::new(&surface, &opt, 2.0);
+            let sb = SpillBound::new(&surface, &opt, 2.0);
             let mut o = CostOracle::at_grid(&opt, grid, qa_idx);
             let report = sb.run(&mut o).expect("discovery completes");
             println!(
@@ -1803,8 +1803,8 @@ fn main() -> ExitCode {
                     .with_site(FaultSite::OracleSpill, rate)
                     .with_site(FaultSite::OracleFull, rate)
             };
-            let mut sb = SpillBound::new(&exp.surface, &opt, 2.0);
-            let mut ab = AlignedBound::new(&exp.surface, &opt, 2.0);
+            let sb = SpillBound::new(&exp.surface, &opt, 2.0);
+            let ab = AlignedBound::new(&exp.surface, &opt, 2.0);
             let mut faults = 0u64;
             let mut retries = 0u64;
             let mut wasted = 0.0f64;
@@ -1855,7 +1855,7 @@ fn main() -> ExitCode {
             // Determinism: the same seed must replay to bit-identical
             // results, fault stream included.
             let qa0 = exp.surface.len() / 2;
-            let mut replay = || {
+            let replay = || {
                 let plan = point_plan(qa0, 1);
                 let inner = CostOracle::at_grid(&opt, grid, qa0);
                 let mut oracle = FaultyOracle::new(inner, &plan);
@@ -1971,7 +1971,7 @@ fn main() -> ExitCode {
                             .run_full(&opt_plan, f64::INFINITY)
                             .map(|o| o.spent)
                             .unwrap_or(f64::NAN);
-                        let mut sb = SpillBound::new(&psurface, &popt, 2.0);
+                        let sb = SpillBound::new(&psurface, &popt, 2.0);
                         let mut oracle = ExecOracle::new(exec(), &popt, psurface.grid());
                         let outcome = sb.run(&mut oracle).ok().map(|r| {
                             (

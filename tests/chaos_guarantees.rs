@@ -79,8 +79,8 @@ fn transient_faults_preserve_the_mso_bound_at_every_location() {
     with_watchdog(300, || {
         let f = fx();
         let bound = spillbound_guarantee(2);
-        let mut sb = SpillBound::new(&f.surface, &f.opt, 2.0);
-        let mut ab = AlignedBound::new(&f.surface, &f.opt, 2.0);
+        let sb = SpillBound::new(&f.surface, &f.opt, 2.0);
+        let ab = AlignedBound::new(&f.surface, &f.opt, 2.0);
         for rate in [0.05, 0.1] {
             let mut injected = 0u64;
             for qa in 0..f.surface.len() {
@@ -116,7 +116,7 @@ fn fault_streams_replay_bit_identically_from_the_seed() {
     with_watchdog(300, || {
         let f = fx();
         let sweep = || {
-            let mut sb = SpillBound::new(&f.surface, &f.opt, 2.0);
+            let sb = SpillBound::new(&f.surface, &f.opt, 2.0);
             let mut out = Vec::new();
             for qa in 0..f.surface.len() {
                 let plan = point_plan(4242, qa, 1, 0.1);
@@ -135,7 +135,7 @@ fn fault_streams_replay_bit_identically_from_the_seed() {
         assert_eq!(first, second, "same seed must replay bit-identically");
         // And transients leave the discovery cost untouched: the
         // retried run costs exactly what a fault-free run costs.
-        let mut sb = SpillBound::new(&f.surface, &f.opt, 2.0);
+        let sb = SpillBound::new(&f.surface, &f.opt, 2.0);
         for (qa, faulty) in first.iter().enumerate() {
             let mut clean = CostOracle::at_grid(&f.opt, f.surface.grid(), qa);
             let report = sb.run(&mut clean).unwrap();
@@ -152,8 +152,8 @@ fn fault_streams_replay_bit_identically_from_the_seed() {
 fn persistent_faults_become_typed_errors_not_hangs() {
     with_watchdog(60, || {
         let f = fx();
-        let mut sb = SpillBound::new(&f.surface, &f.opt, 2.0);
-        let mut ab = AlignedBound::new(&f.surface, &f.opt, 2.0);
+        let sb = SpillBound::new(&f.surface, &f.opt, 2.0);
+        let ab = AlignedBound::new(&f.surface, &f.opt, 2.0);
         for salt in [1u64, 2] {
             let plan = FaultPlan::new(7 ^ salt)
                 .with_site(FaultSite::OracleSpill, 1.0)
@@ -353,7 +353,7 @@ fn paged_sb_run(
         .expect("clean optimal run")
         .spent;
     store.set_faults(plan);
-    let mut sb = SpillBound::new(&f.surface, &f.opt, 2.0);
+    let sb = SpillBound::new(&f.surface, &f.opt, 2.0);
     let mut oracle = ExecOracle::new(
         Executor::new(f.catalog, f.query, &store, CostParams::default()),
         &f.opt,

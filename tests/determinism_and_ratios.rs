@@ -56,7 +56,7 @@ fn planbouquet_guarantee_holds_at_non_doubling_ratios() {
 fn spillbound_guarantee_holds_at_non_doubling_ratios() {
     let fx = eq_fixture(10);
     for ratio in [1.5, 1.8, 2.5] {
-        let mut sb = SpillBound::new(&fx.surface, &fx.opt, ratio);
+        let sb = SpillBound::new(&fx.surface, &fx.opt, ratio);
         let bound = spillbound_guarantee_ratio(2, ratio);
         for qa in fx.surface.grid().iter() {
             let mut oracle = CostOracle::at_grid(&fx.opt, fx.surface.grid(), qa);
@@ -104,7 +104,7 @@ fn discovery_runs_are_deterministic() {
 #[test]
 fn accounting_verifies_on_the_example_query() {
     let fx = eq_fixture(12);
-    let mut sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+    let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
     for qa in fx.surface.grid().iter() {
         let mut oracle = CostOracle::at_grid(&fx.opt, fx.surface.grid(), qa);
         let report = sb.run(&mut oracle).unwrap();
@@ -118,13 +118,13 @@ fn memoized_and_fresh_instances_agree() {
     // An instance that has already swept many locations (warm caches) must
     // behave identically to a cold one.
     let fx = eq_fixture(10);
-    let mut warm = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+    let warm = SpillBound::new(&fx.surface, &fx.opt, 2.0);
     for qa in fx.surface.grid().iter() {
         let mut o = CostOracle::at_grid(&fx.opt, fx.surface.grid(), qa);
         warm.run(&mut o).unwrap();
     }
     for qa in fx.surface.grid().iter().step_by(11) {
-        let mut cold = SpillBound::new(&fx.surface, &fx.opt, 2.0);
+        let cold = SpillBound::new(&fx.surface, &fx.opt, 2.0);
         let mut o1 = CostOracle::at_grid(&fx.opt, fx.surface.grid(), qa);
         let mut o2 = CostOracle::at_grid(&fx.opt, fx.surface.grid(), qa);
         let a = warm.run(&mut o1).unwrap();
@@ -153,7 +153,7 @@ fn filter_epps_are_discoverable_too() {
     .expect("filter-epp EQ valid");
     let surface = EssSurface::build(&opt, MultiGrid::uniform(2, 1e-5, 9));
     surface.check_monotone().unwrap();
-    let mut sb = SpillBound::new(&surface, &opt, 2.0);
+    let sb = SpillBound::new(&surface, &opt, 2.0);
     for qa in surface.grid().iter() {
         let mut oracle = CostOracle::at_grid(&opt, surface.grid(), qa);
         let report = sb.run(&mut oracle).expect("SB completes with a filter epp");

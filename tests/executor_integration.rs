@@ -49,7 +49,7 @@ fn spillbound_completes_with_real_executor() {
     )
     .unwrap();
     let surface = EssSurface::build(&opt, MultiGrid::uniform(2, 1e-7, 12));
-    let mut sb = SpillBound::new(&surface, &opt, 2.0);
+    let sb = SpillBound::new(&surface, &opt, 2.0);
     let exec = Executor::new(fx.catalog, fx.query, &fx.store, CostParams::default());
     let mut oracle = ExecOracle::new(exec, &opt, surface.grid());
     let report = sb.run(&mut oracle).expect("SB completes on real engine");
@@ -69,7 +69,7 @@ fn alignedbound_completes_with_real_executor() {
     )
     .unwrap();
     let surface = EssSurface::build(&opt, MultiGrid::uniform(2, 1e-7, 12));
-    let mut ab = AlignedBound::new(&surface, &opt, 2.0);
+    let ab = AlignedBound::new(&surface, &opt, 2.0);
     let exec = Executor::new(fx.catalog, fx.query, &fx.store, CostParams::default());
     let mut oracle = ExecOracle::new(exec, &opt, surface.grid());
     let report = ab.run(&mut oracle).expect("AB completes on real engine");
@@ -88,7 +88,7 @@ fn real_runs_learn_true_selectivities() {
     .unwrap();
     let surface = EssSurface::build(&opt, MultiGrid::uniform(2, 1e-7, 12));
     let qa = measure_qa(&fx.store, fx.query);
-    let mut sb = SpillBound::new(&surface, &opt, 2.0);
+    let sb = SpillBound::new(&surface, &opt, 2.0);
     let exec = Executor::new(fx.catalog, fx.query, &fx.store, CostParams::default());
     let mut oracle = ExecOracle::new(exec, &opt, surface.grid());
     let report = sb.run(&mut oracle).expect("completes");
@@ -167,7 +167,7 @@ fn cost_oracle_and_exec_oracle_agree_on_plan_choices() {
     let surface = EssSurface::build(&opt, MultiGrid::uniform(2, 1e-7, 10));
     let qa = measure_qa(&fx.store, fx.query);
 
-    let mut sb = SpillBound::new(&surface, &opt, 2.0);
+    let sb = SpillBound::new(&surface, &opt, 2.0);
     let exec = Executor::new(fx.catalog, fx.query, &fx.store, CostParams::default());
     let mut real = ExecOracle::new(exec, &opt, surface.grid());
     let real_report = sb.run(&mut real).expect("real completes");

@@ -37,7 +37,7 @@ fn spillbound_guarantee_holds_exhaustively_on_q15() {
     let catalog = tpcds::catalog_sf100();
     let query = q::q15(&catalog);
     let (opt, surface) = build(&catalog, &query, 7);
-    let mut sb = SpillBound::new(&surface, &opt, 2.0);
+    let sb = SpillBound::new(&surface, &opt, 2.0);
     let bound = spillbound_guarantee(3);
     for qa in surface.grid().iter() {
         let mut oracle = CostOracle::at_grid(&opt, surface.grid(), qa);
@@ -57,7 +57,7 @@ fn alignedbound_guarantee_holds_exhaustively_on_q96() {
     let catalog = tpcds::catalog_sf100();
     let query = q::q96(&catalog);
     let (opt, surface) = build(&catalog, &query, 7);
-    let mut ab = AlignedBound::new(&surface, &opt, 2.0);
+    let ab = AlignedBound::new(&surface, &opt, 2.0);
     let bound = spillbound_guarantee(3);
     let mut best_seen = f64::MAX;
     for qa in surface.grid().iter() {
@@ -123,7 +123,7 @@ fn learnt_selectivities_are_exact_on_q26() {
     let catalog = tpcds::catalog_sf100();
     let query = q::q26(&catalog);
     let (opt, surface) = build(&catalog, &query, 5);
-    let mut sb = SpillBound::new(&surface, &opt, 2.0);
+    let sb = SpillBound::new(&surface, &opt, 2.0);
     // A handful of interior locations.
     for coords in [[2, 3, 1, 4], [4, 4, 4, 4], [0, 2, 3, 1]] {
         let qa = surface.grid().flat(&coords);

@@ -182,7 +182,7 @@ fn lazy_discovery_call_budget_on_low_dims() {
         let n = bench.grid_points;
         let lazy = LazySurface::new(&opt, bench.grid());
         let _contours = ContourSet::build(&lazy, 2.0);
-        let mut sb = SpillBound::with_mode(&lazy, &opt, 2.0, SelectionMode::AxisProbe);
+        let sb = SpillBound::with_mode(&lazy, &opt, 2.0, SelectionMode::AxisProbe);
         for coords in warmup_coords(d, n) {
             let qa = lazy.grid().flat(&coords);
             let mut oracle = CostOracle::at_grid(&opt, lazy.grid(), qa);
@@ -233,7 +233,7 @@ fn lazy_axis_probe_call_budget_on_high_dims() {
         let n = bench.grid_points;
         let lazy = LazySurface::new(&opt, bench.grid());
         let _contours = ContourSet::build(&lazy, 2.0);
-        let mut sb = SpillBound::with_mode(&lazy, &opt, 2.0, SelectionMode::AxisProbe);
+        let sb = SpillBound::with_mode(&lazy, &opt, 2.0, SelectionMode::AxisProbe);
         for coords in warmup_coords(d, n) {
             let qa = lazy.grid().flat(&coords);
             let mut oracle = CostOracle::at_grid(&opt, lazy.grid(), qa);

@@ -161,7 +161,7 @@ fn measure_lazy_6d(grid_points: usize) -> Conformance {
         [1, 2, 0, 1, 0, 2],
     ];
     let bound = spillbound_guarantee(d);
-    let mut sb = SpillBound::new(&lazy, &opt, RATIO);
+    let sb = SpillBound::new(&lazy, &opt, RATIO);
     let mut msoe_sb_sample = 0.0f64;
     for coords in &sample {
         let qa = lazy.grid().flat(coords);

@@ -139,7 +139,7 @@ proptest! {
         let f = fx();
         let opt = Optimizer::new(&f.catalog, &f.query, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
         let surface = EssSurface::build(&opt, MultiGrid::uniform(2, 1e-7, n));
-        let mut sb = SpillBound::new(&surface, &opt, 2.0);
+        let sb = SpillBound::new(&surface, &opt, 2.0);
         let qa = surface.grid().flat(&[c0 % n, c1 % n]);
         let mut oracle = CostOracle::at_grid(&opt, surface.grid(), qa);
         let report = sb.run(&mut oracle).unwrap();

@@ -164,7 +164,7 @@ proptest! {
     fn spillbound_guarantee_on_random_queries(rq in random_query_strategy(), cx in 0usize..7, cy in 0usize..7) {
         let opt = Optimizer::new(&rq.catalog, &rq.query, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
         let surface = EssSurface::build(&opt, MultiGrid::uniform(2, 1e-6, 7));
-        let mut sb = SpillBound::new(&surface, &opt, 2.0);
+        let sb = SpillBound::new(&surface, &opt, 2.0);
         let qa = surface.grid().flat(&[cx, cy]);
         let mut oracle = CostOracle::at_grid(&opt, surface.grid(), qa);
         let report = sb.run(&mut oracle).unwrap();
