@@ -7,9 +7,8 @@
 //! guarantee, and the measured MSOe.
 
 use rqp::catalog::tpcds;
-use rqp::core::eval::evaluate_planbouquet_fast;
-use rqp::core::PlanBouquet;
-use rqp::experiments::{fmt, print_table, write_json, Experiment};
+use rqp::core::{CostSource, EvalContext, Params, Strategy};
+use rqp::experiments::{fmt, print_table, sweep, write_json, Experiment};
 use rqp::optimizer::EnumerationMode;
 use rqp::workloads::paper_suite;
 use serde::Serialize;
@@ -34,14 +33,17 @@ fn main() {
             .expect("suite query");
         let exp = Experiment::build(catalog, bench, EnumerationMode::LeftDeep);
         let opt = exp.optimizer();
+        let ctx = EvalContext::new(&exp.surface, &opt);
         for lambda in LAMBDAS {
-            let pb = PlanBouquet::new(&exp.surface, &opt, 2.0, lambda);
-            let stats =
-                evaluate_planbouquet_fast(&exp.surface, &opt, 2.0, lambda).expect("PB eval");
+            let params = Params {
+                lambda,
+                ..Params::default()
+            };
+            let (stats, pb) = sweep(Strategy::PlanBouquet, CostSource::Matrix(&ctx), &params, 1);
             rows.push(Row {
                 query: name.into(),
                 lambda,
-                rho_red: pb.rho_red(),
+                rho_red: pb.bouquet().expect("a bouquet").rho_red(),
                 guarantee: pb.mso_guarantee(),
                 msoe: stats.mso,
             });

@@ -6,8 +6,10 @@
 //! `D·r²/(r−1) + D(D−1)·r/2` and the measured MSOe on 2D and 3D queries.
 
 use rqp::catalog::tpcds;
-use rqp::core::eval::evaluate_spillbound;
-use rqp::experiments::{fmt, print_table, spillbound_guarantee_ratio, write_json, Experiment};
+use rqp::core::{CostSource, Params, Strategy};
+use rqp::experiments::{
+    fmt, print_table, spillbound_guarantee_ratio, sweep, write_json, Experiment,
+};
 use rqp::optimizer::EnumerationMode;
 use rqp::workloads::{paper_suite, q91_with_dims};
 use serde::Serialize;
@@ -46,7 +48,14 @@ fn main() {
         let opt = exp.optimizer();
         let d = exp.bench.query.ndims();
         for ratio in RATIOS {
-            let stats = evaluate_spillbound(&exp.surface, &opt, ratio).expect("SB eval");
+            let (params, source) = (
+                Params {
+                    ratio,
+                    ..Params::default()
+                },
+                CostSource::Recost(&exp.surface, &opt),
+            );
+            let (stats, _) = sweep(Strategy::SpillBound, source, &params, 1);
             rows.push(Row {
                 query: exp.bench.query.name.clone(),
                 ratio,

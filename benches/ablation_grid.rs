@@ -9,10 +9,9 @@
 //! diagram).
 
 use rqp::catalog::tpcds;
-use rqp::core::eval::{evaluate_planbouquet_fast, evaluate_spillbound};
-use rqp::core::PlanBouquet;
+use rqp::core::{CostSource, EvalContext, Params, Strategy};
 use rqp::ess::EssSurface;
-use rqp::experiments::{fmt, print_table, write_json};
+use rqp::experiments::{fmt, print_table, sweep, write_json};
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer};
 use rqp::workloads::paper_suite;
 use rqp_common::MultiGrid;
@@ -49,14 +48,20 @@ fn main() {
         let t = Instant::now();
         let surface = EssSurface::build(&opt, MultiGrid::uniform(3, 1e-7, n));
         let build_secs = t.elapsed().as_secs_f64();
-        let pb = PlanBouquet::new(&surface, &opt, 2.0, 0.2);
-        let sb = evaluate_spillbound(&surface, &opt, 2.0).expect("SB eval");
-        let pbe = evaluate_planbouquet_fast(&surface, &opt, 2.0, 0.2).expect("PB eval");
+        let ctx = EvalContext::new(&surface, &opt);
+        let params = Params::default();
+        let (sb, _) = sweep(
+            Strategy::SpillBound,
+            CostSource::Recost(&surface, &opt),
+            &params,
+            1,
+        );
+        let (pbe, pb) = sweep(Strategy::PlanBouquet, CostSource::Matrix(&ctx), &params, 1);
         rows.push(Row {
             points_per_dim: n,
             locations: surface.len(),
             posp: surface.posp_size(),
-            rho_red: pb.rho_red(),
+            rho_red: pb.bouquet().expect("a bouquet").rho_red(),
             sb_msoe: sb.mso,
             pb_msoe: pbe.mso,
             build_secs,

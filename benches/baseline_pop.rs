@@ -7,9 +7,8 @@
 //! over a 2D/3D/4D sample of the suite and two validity-range widths.
 
 use rqp::catalog::tpcds;
-use rqp::core::eval::evaluate_spillbound;
-use rqp::core::PopReoptimizer;
-use rqp::experiments::{fmt, print_table, write_json, Experiment};
+use rqp::core::{CostSource, Params, PopReoptimizer, Strategy};
+use rqp::experiments::{fmt, print_table, sweep, write_json, Experiment};
 use rqp::optimizer::EnumerationMode;
 use rqp::workloads::{paper_suite, q91_with_dims};
 use serde::Serialize;
@@ -44,7 +43,8 @@ fn main() {
         let d = bench.query.ndims();
         let exp = Experiment::build(tpcds::catalog_sf100(), bench, EnumerationMode::LeftDeep);
         let opt = exp.optimizer();
-        let sb = evaluate_spillbound(&exp.surface, &opt, 2.0).expect("SB eval");
+        let source = CostSource::Recost(&exp.surface, &opt);
+        let (sb, _) = sweep(Strategy::SpillBound, source, &Params::default(), 1);
         for alpha in [2.0, 5.0] {
             let pop = PopReoptimizer::new(&opt, alpha);
             let stats = pop.evaluate(&exp.surface);

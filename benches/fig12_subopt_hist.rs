@@ -6,9 +6,8 @@
 //! PB).
 
 use rqp::catalog::tpcds;
-use rqp::core::eval::{evaluate_planbouquet_parallel, evaluate_spillbound_parallel};
-use rqp::core::EvalContext;
-use rqp::experiments::{fmt, harness_threads, print_table, write_json, Experiment};
+use rqp::core::{CostSource, EvalContext, Params, Strategy};
+use rqp::experiments::{fmt, harness_threads, print_table, sweep, write_json, Experiment};
 use rqp::optimizer::EnumerationMode;
 use rqp::workloads::q91_with_dims;
 use serde::Serialize;
@@ -30,14 +29,15 @@ fn main() {
         "[evaluating 4D_Q91 with {threads} thread(s); set RQP_THREADS or pass --threads N to change]"
     );
     let ctx = EvalContext::with_threads(&exp.surface, &opt, threads);
+    let sweep = |s, threads| sweep(s, CostSource::Matrix(&ctx), &Params::default(), threads).0;
     let t_par = std::time::Instant::now();
-    let pb = evaluate_planbouquet_parallel(&ctx, 2.0, 0.2, threads).expect("PB eval");
-    let sb = evaluate_spillbound_parallel(&ctx, 2.0, threads).expect("SB eval");
+    let pb = sweep(Strategy::PlanBouquet, threads);
+    let sb = sweep(Strategy::SpillBound, threads);
     let par_secs = t_par.elapsed().as_secs_f64();
     // Sequential reference over the same context: bit-equal, just slower.
     let t_seq = std::time::Instant::now();
-    let pb_seq = evaluate_planbouquet_parallel(&ctx, 2.0, 0.2, 1).expect("PB eval (seq)");
-    let sb_seq = evaluate_spillbound_parallel(&ctx, 2.0, 1).expect("SB eval (seq)");
+    let pb_seq = sweep(Strategy::PlanBouquet, 1);
+    let sb_seq = sweep(Strategy::SpillBound, 1);
     let seq_secs = t_seq.elapsed().as_secs_f64();
     assert_eq!(pb.mso.to_bits(), pb_seq.mso.to_bits());
     assert_eq!(sb.mso.to_bits(), sb_seq.mso.to_bits());

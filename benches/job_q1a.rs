@@ -6,10 +6,10 @@
 //! around 12 and AB below 9.
 
 use rqp::catalog::imdb;
-use rqp::core::eval::{evaluate_alignedbound, evaluate_native, evaluate_spillbound};
 use rqp::core::native::native_mso_worst_case;
+use rqp::core::{CostSource, Params, Strategy};
 use rqp::ess::EssSurface;
-use rqp::experiments::{fmt, print_table, write_json};
+use rqp::experiments::{fmt, print_table, sweep, write_json};
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer};
 use rqp::workloads::job;
 use rqp_common::MultiGrid;
@@ -45,10 +45,11 @@ fn main() {
         surface.posp_size()
     );
 
-    let native = evaluate_native(&surface, &opt).expect("native eval");
+    let sweep = |s| sweep(s, CostSource::Recost(&surface, &opt), &Params::default(), 1).0;
+    let native = sweep(Strategy::Native);
     let native_worst = native_mso_worst_case(&surface, &opt);
-    let sb = evaluate_spillbound(&surface, &opt, 2.0).expect("SB eval");
-    let (ab, _) = evaluate_alignedbound(&surface, &opt, 2.0).expect("AB eval");
+    let sb = sweep(Strategy::SpillBound);
+    let ab = sweep(Strategy::AlignedBound);
 
     print_table(
         "JOB Q1a: MSO (paper: native > 6000, SB ≈ 12, AB < 9)",

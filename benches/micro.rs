@@ -93,8 +93,8 @@ fn bench_ess(c: &mut Criterion) {
 }
 
 fn bench_parallel_eval(c: &mut Criterion) {
-    use rqp::core::eval::evaluate_spillbound_parallel;
-    use rqp::core::EvalContext;
+    use rqp::core::{CostSource, EvalContext, Params, Strategy};
+    use rqp::experiments::sweep;
     use rqp::optimizer::CostMatrix;
 
     let catalog = tpcds::catalog_sf100();
@@ -122,11 +122,12 @@ fn bench_parallel_eval(c: &mut Criterion) {
         })
     });
     let ctx = EvalContext::with_threads(&surface, &opt, threads);
+    let (sb, params) = (Strategy::SpillBound, Params::default());
     c.bench_function("evaluate_sb_2d_seq", |b| {
-        b.iter(|| black_box(evaluate_spillbound_parallel(&ctx, 2.0, 1).unwrap()))
+        b.iter(|| black_box(sweep(sb, CostSource::Matrix(&ctx), &params, 1).0))
     });
     c.bench_function(&format!("evaluate_sb_2d_{threads}_threads"), |b| {
-        b.iter(|| black_box(evaluate_spillbound_parallel(&ctx, 2.0, threads).unwrap()))
+        b.iter(|| black_box(sweep(sb, CostSource::Matrix(&ctx), &params, threads).0))
     });
 }
 

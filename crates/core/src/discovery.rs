@@ -126,6 +126,47 @@ impl SpillExec {
     }
 }
 
+/// Emit the run-level finish event and flush file-backed sinks.
+pub(crate) fn trace_run_finished(tracer: &Tracer, report: &RunReport) {
+    tracer.emit(|| TraceEvent::RunFinished {
+        total_cost: report.total_cost,
+        executions: report.records.len(),
+        completed: report.completed,
+    });
+    tracer.flush();
+}
+
+/// Emit the pair of events every run shares for the report's latest
+/// execution: the execution itself plus the running budget account.
+pub(crate) fn trace_execution(tracer: &Tracer, report: &RunReport) {
+    let rec = report.records.last().expect("an execution to trace");
+    tracer.emit(|| {
+        let (mode, dim) = match rec.mode {
+            ExecMode::Spill { dim } => ("spill", Some(dim)),
+            ExecMode::Full => ("full", None),
+        };
+        let outcome = match rec.outcome {
+            Outcome::Completed { .. } => "completed",
+            Outcome::TimedOut { .. } => "timed_out",
+        };
+        TraceEvent::PlanExecuted {
+            contour: rec.contour,
+            plan_fingerprint: rec.plan_fingerprint,
+            plan_id: rec.plan_id,
+            mode,
+            dim,
+            budget: rec.budget,
+            spent: rec.spent,
+            outcome,
+        }
+    });
+    tracer.emit(|| TraceEvent::BudgetCharged {
+        contour: rec.contour,
+        spent: rec.spent,
+        total: report.total_cost,
+    });
+}
+
 /// Immutable context shared by every discovery algorithm: the POSP
 /// surface (dense or lazy, behind [`SurfaceAccess`]), the optimizer that
 /// produced it, and the contour schedule.
@@ -161,46 +202,6 @@ impl<'a> Shared<'a> {
             algo,
             dims,
             contours,
-        });
-    }
-
-    /// Emit the run-level finish event and flush file-backed sinks.
-    pub fn trace_run_finished(&self, report: &RunReport) {
-        self.tracer.emit(|| TraceEvent::RunFinished {
-            total_cost: report.total_cost,
-            executions: report.records.len(),
-            completed: report.completed,
-        });
-        self.tracer.flush();
-    }
-
-    /// Emit the per-execution pair of events every discovery loop shares:
-    /// the execution itself plus the running budget account.
-    pub fn trace_execution(&self, rec: &ExecutionRecord, total: f64) {
-        self.tracer.emit(|| {
-            let (mode, dim) = match rec.mode {
-                ExecMode::Spill { dim } => ("spill", Some(dim)),
-                ExecMode::Full => ("full", None),
-            };
-            let outcome = match rec.outcome {
-                Outcome::Completed { .. } => "completed",
-                Outcome::TimedOut { .. } => "timed_out",
-            };
-            TraceEvent::PlanExecuted {
-                contour: rec.contour,
-                plan_fingerprint: rec.plan_fingerprint,
-                plan_id: rec.plan_id,
-                mode,
-                dim,
-                budget: rec.budget,
-                spent: rec.spent,
-                outcome,
-            }
-        });
-        self.tracer.emit(|| TraceEvent::BudgetCharged {
-            contour: rec.contour,
-            spent: rec.spent,
-            total,
         });
     }
 
@@ -290,7 +291,7 @@ impl<'a> Shared<'a> {
                     spent,
                     outcome,
                 });
-                self.trace_execution(report.records.last().unwrap(), report.total_cost);
+                trace_execution(&self.tracer, &report);
                 if let Some(sel) = sel {
                     self.tracer
                         .emit(|| TraceEvent::SelectivityLearnt { dim: j, sel });
@@ -305,7 +306,7 @@ impl<'a> Shared<'a> {
                 executed.clear();
             }
         }
-        self.trace_run_finished(&report);
+        trace_run_finished(&self.tracer, &report);
         Ok(report)
     }
 
@@ -334,7 +335,7 @@ impl<'a> Shared<'a> {
             spent,
             outcome,
         });
-        self.trace_execution(report.records.last().unwrap(), report.total_cost);
+        trace_execution(&self.tracer, report);
         report.completed = matches!(outcome, Outcome::Completed { .. });
         Ok(report.completed)
     }

@@ -3,17 +3,14 @@
 //! The paper evaluates MSOe "by explicitly and exhaustively considering
 //! each and every location in the ESS to be `qa`" and taking the maximum
 //! (and, for ASO, the mean) of the resulting sub-optimalities. This module
-//! provides that harness plus the sub-optimality histogram of Fig. 12.
+//! provides that harness — one sweep for every [`crate::Strategy`] —
+//! plus the sub-optimality histogram of Fig. 12.
 
-use crate::alignedbound::AlignedBound;
-use crate::cached::{CachedOracle, EvalContext, SpillMemo};
+use crate::cached::{CachedOracle, SpillMemo};
 use crate::oracle::CostOracle;
-use crate::penalty::{self, PenaltyConfig, PenaltySelection, SelectivityPrior};
-use crate::planbouquet::PlanBouquet;
-use crate::spillbound::SpillBound;
+use crate::strategy::{Compiled, CostSource};
 use rqp_common::{chunk_bounds, GridIdx, Result};
-use rqp_ess::{EssSurface, SurfaceAccess};
-use rqp_optimizer::Optimizer;
+use rqp_ess::SurfaceAccess;
 use serde::{Deserialize, Serialize};
 
 /// Aggregate sub-optimality statistics over an exhaustive ESS sweep.
@@ -151,269 +148,43 @@ where
     Ok(SubOptStats::from_subopts(subopts))
 }
 
-/// Exhaustive MSOe/ASO evaluation of SpillBound.
-pub fn evaluate_spillbound(
-    surface: &dyn SurfaceAccess,
-    opt: &Optimizer<'_>,
-    ratio: f64,
-) -> Result<SubOptStats> {
-    let sb = SpillBound::new(surface, opt, ratio);
-    evaluate(surface, |qa| {
-        let mut oracle = CostOracle::at_grid(opt, surface.grid(), qa);
-        let report = sb.run(&mut oracle)?;
-        Ok(report.sub_optimality(surface.opt_cost(qa)))
-    })
-}
-
-/// Exhaustive SpillBound evaluation through the shared cost matrix
-/// (bit-equal to [`evaluate_spillbound`], asserted by tests).
-pub fn evaluate_spillbound_ctx(ctx: &EvalContext<'_>, ratio: f64) -> Result<SubOptStats> {
-    evaluate_spillbound_parallel(ctx, ratio, 1)
-}
-
-/// Parallel [`evaluate_spillbound_ctx`]: the workers share one compiled
-/// SpillBound, whose selections do not depend on `qa`, and each owns a
-/// spill memo, so per-location results stay bit-equal.
-pub fn evaluate_spillbound_parallel(
-    ctx: &EvalContext<'_>,
-    ratio: f64,
-    threads: usize,
-) -> Result<SubOptStats> {
-    let sb = &SpillBound::new(ctx.surface(), ctx.opt(), ratio);
-    evaluate_parallel(ctx.surface(), threads, || {
-        let mut memo = SpillMemo::new();
-        move |qa| {
-            let mut oracle = CachedOracle::at_grid(ctx, qa, &mut memo);
-            let report = sb.run(&mut oracle)?;
-            Ok(report.sub_optimality(ctx.surface().opt_cost(qa)))
-        }
-    })
-}
-
-/// Exhaustive MSOe/ASO evaluation of AlignedBound. Also returns the
-/// maximum part penalty observed (Table 4).
-pub fn evaluate_alignedbound(
-    surface: &dyn SurfaceAccess,
-    opt: &Optimizer<'_>,
-    ratio: f64,
-) -> Result<(SubOptStats, f64)> {
-    let ab = AlignedBound::new(surface, opt, ratio);
-    let stats = evaluate(surface, |qa| {
-        let mut oracle = CostOracle::at_grid(opt, surface.grid(), qa);
-        let report = ab.run(&mut oracle)?;
-        Ok(report.sub_optimality(surface.opt_cost(qa)))
-    })?;
-    Ok((stats, ab.observed_max_penalty()))
-}
-
-/// Exhaustive AlignedBound evaluation through the shared cost matrix
-/// (bit-equal to [`evaluate_alignedbound`], asserted by tests).
-pub fn evaluate_alignedbound_ctx(ctx: &EvalContext<'_>, ratio: f64) -> Result<(SubOptStats, f64)> {
-    evaluate_alignedbound_parallel(ctx, ratio, 1)
-}
-
-/// Parallel [`evaluate_alignedbound_ctx`]. The workers share one compiled
-/// AlignedBound; its observed maximum penalty is the maximum over all
-/// runs, whichever thread made them, which is the sequential sweep's.
-pub fn evaluate_alignedbound_parallel(
-    ctx: &EvalContext<'_>,
-    ratio: f64,
-    threads: usize,
-) -> Result<(SubOptStats, f64)> {
-    let ab = &AlignedBound::new(ctx.surface(), ctx.opt(), ratio);
-    let stats = evaluate_parallel(ctx.surface(), threads, || {
-        let mut memo = SpillMemo::new();
-        move |qa| {
-            let mut oracle = CachedOracle::at_grid(ctx, qa, &mut memo);
-            let report = ab.run(&mut oracle)?;
-            Ok(report.sub_optimality(ctx.surface().opt_cost(qa)))
-        }
-    })?;
-    Ok((stats, ab.observed_max_penalty()))
-}
-
-/// Exhaustive MSOe/ASO evaluation of PlanBouquet, by running the full
-/// discovery sequence through the cost oracle at every location.
-pub fn evaluate_planbouquet(
-    surface: &dyn SurfaceAccess,
-    opt: &Optimizer<'_>,
-    ratio: f64,
-    lambda: f64,
-) -> Result<SubOptStats> {
-    let pb = PlanBouquet::new(surface, opt, ratio, lambda);
-    evaluate(surface, |qa| {
-        let mut oracle = CostOracle::at_grid(opt, surface.grid(), qa);
-        let report = pb.run(&mut oracle)?;
-        Ok(report.sub_optimality(surface.opt_cost(qa)))
-    })
-}
-
-/// Exhaustive PlanBouquet evaluation via a precomputed plan-cost matrix.
-///
-/// Semantically identical to [`evaluate_planbouquet`] (asserted by test)
-/// but `O(|POSP|·|grid|)` recosting instead of re-walking plan trees
-/// inside every discovery run — the bouquet executes the same plan list
-/// at every location, so the cost matrix is shared. Builds a throwaway
-/// [`EvalContext`]; callers that also evaluate SB/AB/native should build
-/// the context once and use [`evaluate_planbouquet_ctx`].
-pub fn evaluate_planbouquet_fast(
-    surface: &EssSurface,
-    opt: &Optimizer<'_>,
-    ratio: f64,
-    lambda: f64,
-) -> Result<SubOptStats> {
-    let ctx = EvalContext::new(surface, opt);
-    evaluate_planbouquet_ctx(&ctx, ratio, lambda)
-}
-
-/// PlanBouquet's discovery sequence replayed at `qa` as plain budget
-/// arithmetic over the cost matrix: charge the budget for every plan
-/// that times out, the true cost for the first that completes.
-fn bouquet_subopt(
-    ctx: &EvalContext<'_>,
-    pb: &PlanBouquet<'_>,
-    lambda: f64,
-    qa: GridIdx,
-) -> Result<f64> {
-    let mut total = 0.0;
-    for i in 0..pb.contours().len() {
-        let budget = (1.0 + lambda) * pb.contours().cost(i);
-        for &pid in pb.contour_plans(i) {
-            let c = ctx.matrix().cost(pid, qa);
-            if rqp_common::cost_le(c, budget) {
-                total += c;
-                return Ok(total / ctx.surface().opt_cost(qa));
-            }
-            total += budget;
-        }
-    }
-    Err(rqp_common::RqpError::Discovery(
-        "bouquet fast path exhausted contours".into(),
-    ))
-}
-
-/// Exhaustive PlanBouquet evaluation through a shared [`EvalContext`].
-pub fn evaluate_planbouquet_ctx(
-    ctx: &EvalContext<'_>,
-    ratio: f64,
-    lambda: f64,
-) -> Result<SubOptStats> {
-    let pb = PlanBouquet::from_ctx(ctx, ratio, lambda);
-    evaluate(ctx.surface(), |qa| bouquet_subopt(ctx, &pb, lambda, qa))
-}
-
-/// Parallel [`evaluate_planbouquet_ctx`]: the compiled bouquet is
-/// immutable during replay, so one instance is shared by all workers.
-pub fn evaluate_planbouquet_parallel(
-    ctx: &EvalContext<'_>,
-    ratio: f64,
-    lambda: f64,
-    threads: usize,
-) -> Result<SubOptStats> {
-    let pb = PlanBouquet::from_ctx(ctx, ratio, lambda);
-    let pb = &pb;
-    evaluate_parallel(ctx.surface(), threads, move || {
-        move |qa| bouquet_subopt(ctx, pb, lambda, qa)
-    })
-}
-
-/// Exhaustive sub-optimality evaluation of the native optimizer with its
-/// fixed statistics-derived estimate.
-pub fn evaluate_native(surface: &EssSurface, opt: &Optimizer<'_>) -> Result<SubOptStats> {
-    let choice = crate::native::NativeChoice::compute(surface, opt);
-    evaluate(surface, |qa| Ok(choice.sub_optimality(surface, opt, qa)))
-}
-
-/// Exhaustive native-optimizer evaluation through a shared
-/// [`EvalContext`]: when the native plan is in the POSP pool its matrix
-/// row already holds every recost; otherwise costs are computed directly
-/// (same arithmetic either way).
-pub fn evaluate_native_ctx(ctx: &EvalContext<'_>) -> Result<SubOptStats> {
-    let choice = crate::native::NativeChoice::compute(ctx.surface(), ctx.opt());
-    match ctx.surface().pool().find(&choice.plan) {
-        Some(pid) => evaluate(ctx.surface(), |qa| {
-            Ok(ctx.matrix().cost(pid, qa) / ctx.surface().opt_cost(qa))
-        }),
-        None => evaluate(ctx.surface(), |qa| {
-            Ok(choice.sub_optimality(ctx.surface(), ctx.opt(), qa))
-        }),
-    }
-}
-
-/// Exhaustive sub-optimality sweep of `selection`'s chosen plan: like
-/// the native evaluator, a single fixed plan is charged its full recost
-/// at every location.
-fn penalty_subopt_sweep(
-    ctx: &EvalContext<'_>,
-    selection: &PenaltySelection,
-    threads: usize,
-) -> Result<SubOptStats> {
-    match selection.chosen.plan_id {
-        Some(pid) => evaluate_parallel(ctx.surface(), threads, || {
-            move |qa| Ok(ctx.matrix().cost(pid, qa) / ctx.surface().opt_cost(qa))
-        }),
-        None => {
-            let plan = &selection.chosen_plan;
-            evaluate_parallel(ctx.surface(), threads, move || {
+/// Exhaustive MSOe/ASO evaluation of a compiled strategy over `threads`
+/// workers, bit-equal at any thread count. The oracle follows the cost
+/// source: a [`CachedOracle`] (one [`SpillMemo`] per worker) over a
+/// [`CostSource::Matrix`], a [`CostOracle`] over a [`CostSource::Recost`],
+/// with the same bits; a matrix-backed PlanBouquet replays its plan list
+/// as budget arithmetic instead. Side results (AlignedBound's maximum part
+/// penalty, PenaltyAware's selection) are read off `compiled` after.
+pub fn evaluate_strategy(compiled: &Compiled<'_>, threads: usize) -> Result<SubOptStats> {
+    match compiled.source() {
+        CostSource::Matrix(ctx) => match compiled.bouquet() {
+            Some(pb) => evaluate_parallel(ctx.surface(), threads, || {
+                move |qa| pb.replay_subopt(ctx, qa)
+            }),
+            None => evaluate_parallel(ctx.surface(), threads, || {
+                let mut memo = SpillMemo::new();
                 move |qa| {
-                    let sels = ctx.opt().sels_at(&ctx.grid().sels(qa));
-                    Ok(ctx.opt().cost_plan(plan, &sels) / ctx.surface().opt_cost(qa))
+                    let mut oracle = CachedOracle::at_grid(ctx, qa, &mut memo);
+                    let report = compiled.run(&mut oracle)?;
+                    Ok(report.sub_optimality(ctx.surface().opt_cost(qa)))
                 }
-            })
-        }
+            }),
+        },
+        CostSource::Recost(surface, opt) => evaluate_parallel(surface, threads, || {
+            move |qa| {
+                let mut oracle = CostOracle::at_grid(opt, surface.grid(), qa);
+                let report = compiled.run(&mut oracle)?;
+                Ok(report.sub_optimality(surface.opt_cost(qa)))
+            }
+        }),
     }
-}
-
-/// Exhaustive MSOe/ASO evaluation of the penalty-aware strategy: select
-/// the risk-minimizing plan under `prior`, then sweep its
-/// sub-optimality over the grid. Returns the stats and the selection
-/// (whose `chosen.expected` is the prior-weighted ASO).
-pub fn evaluate_penaltyaware_ctx(
-    ctx: &EvalContext<'_>,
-    prior: &SelectivityPrior,
-    cfg: &PenaltyConfig,
-) -> Result<(SubOptStats, PenaltySelection)> {
-    let selection = penalty::select_ctx(ctx, prior, cfg)?;
-    let stats = penalty_subopt_sweep(ctx, &selection, 1)?;
-    Ok((stats, selection))
-}
-
-/// Parallel [`evaluate_penaltyaware_ctx`]: both the per-candidate risk
-/// integration and the chosen plan's sub-optimality sweep fan out over
-/// `threads` workers, bit-equal to the sequential path.
-pub fn evaluate_penaltyaware_parallel(
-    ctx: &EvalContext<'_>,
-    prior: &SelectivityPrior,
-    cfg: &PenaltyConfig,
-    threads: usize,
-) -> Result<(SubOptStats, PenaltySelection)> {
-    let selection = penalty::select_parallel(ctx, prior, cfg, threads)?;
-    let stats = penalty_subopt_sweep(ctx, &selection, threads)?;
-    Ok((stats, selection))
-}
-
-/// [`evaluate_penaltyaware_ctx`] without a prebuilt context: selection
-/// and sweep recost directly through the optimizer (bit-equal to the
-/// matrix-backed path, asserted by tests).
-pub fn evaluate_penaltyaware(
-    surface: &EssSurface,
-    opt: &Optimizer<'_>,
-    prior: &SelectivityPrior,
-    cfg: &PenaltyConfig,
-) -> Result<(SubOptStats, PenaltySelection)> {
-    let selection = penalty::select_on(surface, opt, prior, cfg)?;
-    let plan = &selection.chosen_plan;
-    let stats = evaluate(surface, |qa| {
-        let sels = opt.sels_at(&surface.grid().sels(qa));
-        Ok(opt.cost_plan(plan, &sels) / surface.opt_cost(qa))
-    })?;
-    Ok((stats, selection))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_fixtures::star2_surface;
+    use crate::{EvalContext, Params, Strategy};
 
     #[test]
     fn stats_aggregation() {
@@ -432,20 +203,6 @@ mod tests {
         assert_eq!(s.percentile(75.0), 3.0);
     }
 
-    #[test]
-    fn planbouquet_fast_path_matches_oracle_path() {
-        let fx = star2_surface(10);
-        let slow = evaluate_planbouquet(&fx.surface, &fx.opt, 2.0, 0.2).unwrap();
-        let fast = evaluate_planbouquet_fast(&fx.surface, &fx.opt, 2.0, 0.2).unwrap();
-        assert_eq!(slow.subopts.len(), fast.subopts.len());
-        for (qa, (a, b)) in slow.subopts.iter().zip(&fast.subopts).enumerate() {
-            assert!(
-                (a - b).abs() <= 1e-9 * a.max(1.0),
-                "qa {qa}: oracle {a} vs fast {b}"
-            );
-        }
-    }
-
     fn assert_bit_equal(label: &str, a: &SubOptStats, b: &SubOptStats) {
         assert_eq!(a.subopts.len(), b.subopts.len(), "{label}: length");
         for (qa, (x, y)) in a.subopts.iter().zip(&b.subopts).enumerate() {
@@ -455,44 +212,45 @@ mod tests {
         assert_eq!(a.worst_qa, b.worst_qa, "{label}: worst_qa");
     }
 
+    /// Compiles `s` over `source` and sweeps it at `threads`.
+    fn sweep<'a>(
+        s: Strategy,
+        source: CostSource<'a>,
+        threads: usize,
+    ) -> (SubOptStats, Compiled<'a>) {
+        let compiled = s.compile(source, &Params::default()).unwrap();
+        (evaluate_strategy(&compiled, threads).unwrap(), compiled)
+    }
+
     #[test]
-    fn cached_evaluators_bit_equal_to_oracle_path() {
+    fn matrix_backed_sweeps_bit_equal_to_recosting() {
         let fx = star2_surface(10);
         let ctx = EvalContext::new(&fx.surface, &fx.opt);
-
-        let sb = evaluate_spillbound(&fx.surface, &fx.opt, 2.0).unwrap();
-        let sb_ctx = evaluate_spillbound_ctx(&ctx, 2.0).unwrap();
-        assert_bit_equal("spillbound", &sb, &sb_ctx);
-
-        let (ab, ab_pen) = evaluate_alignedbound(&fx.surface, &fx.opt, 2.0).unwrap();
-        let (ab_ctx, ab_ctx_pen) = evaluate_alignedbound_ctx(&ctx, 2.0).unwrap();
-        assert_bit_equal("alignedbound", &ab, &ab_ctx);
-        assert_eq!(ab_pen.to_bits(), ab_ctx_pen.to_bits(), "penalty");
-
-        let native = evaluate_native(&fx.surface, &fx.opt).unwrap();
-        let native_ctx = evaluate_native_ctx(&ctx).unwrap();
-        assert_bit_equal("native", &native, &native_ctx);
+        for s in Strategy::ALL {
+            let (cached, c) = sweep(s, CostSource::Matrix(&ctx), 1);
+            let (direct, d) = sweep(s, CostSource::Recost(&fx.surface, &fx.opt), 1);
+            assert_bit_equal(s.name(), &direct, &cached);
+            let penalty = |c: &Compiled<'_>| c.observed_max_penalty().map(f64::to_bits);
+            assert_eq!(penalty(&c), penalty(&d), "{}: penalty", s.name());
+        }
     }
 
     #[test]
     fn parallel_evaluators_bit_equal_to_sequential() {
         let fx = star2_surface(10);
         let ctx = EvalContext::new(&fx.surface, &fx.opt);
-        let sb_seq = evaluate_spillbound_ctx(&ctx, 2.0).unwrap();
-        let (ab_seq, ab_seq_pen) = evaluate_alignedbound_ctx(&ctx, 2.0).unwrap();
-        let pb_seq = evaluate_planbouquet_ctx(&ctx, 2.0, 0.2).unwrap();
-        for threads in [1usize, 2, 3, 7] {
-            let sb = evaluate_spillbound_parallel(&ctx, 2.0, threads).unwrap();
-            assert_bit_equal(&format!("SB x{threads}"), &sb_seq, &sb);
-            let (ab, ab_pen) = evaluate_alignedbound_parallel(&ctx, 2.0, threads).unwrap();
-            assert_bit_equal(&format!("AB x{threads}"), &ab_seq, &ab);
-            assert_eq!(
-                ab_seq_pen.to_bits(),
-                ab_pen.to_bits(),
-                "AB penalty x{threads}"
-            );
-            let pb = evaluate_planbouquet_parallel(&ctx, 2.0, 0.2, threads).unwrap();
-            assert_bit_equal(&format!("PB x{threads}"), &pb_seq, &pb);
+        for s in Strategy::ALL {
+            let (seq, seq_c) = sweep(s, CostSource::Matrix(&ctx), 1);
+            for threads in [1usize, 2, 3, 7] {
+                let (par, par_c) = sweep(s, CostSource::Matrix(&ctx), threads);
+                assert_bit_equal(&format!("{} x{threads}", s.name()), &seq, &par);
+                assert_eq!(
+                    seq_c.observed_max_penalty().map(f64::to_bits),
+                    par_c.observed_max_penalty().map(f64::to_bits),
+                    "{} penalty x{threads}",
+                    s.name()
+                );
+            }
         }
     }
 
@@ -511,37 +269,33 @@ mod tests {
     fn penaltyaware_paths_bit_equal_and_beat_native_expectation() {
         let fx = star2_surface(10);
         let ctx = EvalContext::new(&fx.surface, &fx.opt);
-        let choice = crate::native::NativeChoice::compute(&fx.surface, &fx.opt);
-        let prior = SelectivityPrior::lognormal(
-            fx.surface.grid(),
-            &choice.qe_sels,
-            crate::penalty::PriorConfig::default(),
-        )
-        .unwrap();
-        let cfg = PenaltyConfig::default();
-        let (seq, sel_seq) = evaluate_penaltyaware_ctx(&ctx, &prior, &cfg).unwrap();
-        let (direct, sel_direct) =
-            evaluate_penaltyaware(&fx.surface, &fx.opt, &prior, &cfg).unwrap();
-        assert_bit_equal("penalty direct", &seq, &direct);
-        assert_eq!(sel_seq.chosen.fingerprint, sel_direct.chosen.fingerprint);
+        let (seq, c) = sweep(Strategy::PenaltyAware, CostSource::Matrix(&ctx), 1);
+        let direct = CostSource::Recost(&fx.surface, &fx.opt);
+        let (direct_stats, d) = sweep(Strategy::PenaltyAware, direct, 1);
+        assert_bit_equal("penalty direct", &seq, &direct_stats);
+        let (sel, sel_direct) = (
+            c.penalty_selection().unwrap(),
+            d.penalty_selection().unwrap(),
+        );
+        assert_eq!(sel.chosen.fingerprint, sel_direct.chosen.fingerprint);
+        assert_eq!(
+            sel.chosen.expected.to_bits(),
+            sel_direct.chosen.expected.to_bits()
+        );
         for threads in [2usize, 3, 7] {
-            let (par, sel_par) =
-                evaluate_penaltyaware_parallel(&ctx, &prior, &cfg, threads).unwrap();
+            let (par, _) = sweep(Strategy::PenaltyAware, CostSource::Matrix(&ctx), threads);
             assert_bit_equal(&format!("penalty x{threads}"), &seq, &par);
-            assert_eq!(
-                sel_seq.chosen.expected.to_bits(),
-                sel_par.chosen.expected.to_bits()
-            );
         }
         // the ≤-native guarantee, in its prior-weighted form
-        assert!(sel_seq.chosen.expected <= sel_seq.native.expected);
+        assert!(sel.chosen.expected <= sel.native.expected);
     }
 
     #[test]
     fn spillbound_beats_planbouquet_on_fixture() {
         let fx = star2_surface(10);
-        let sb = evaluate_spillbound(&fx.surface, &fx.opt, 2.0).unwrap();
-        let pb = evaluate_planbouquet(&fx.surface, &fx.opt, 2.0, 0.2).unwrap();
+        let direct = CostSource::Recost(&fx.surface, &fx.opt);
+        let (sb, _) = sweep(Strategy::SpillBound, direct, 1);
+        let (pb, _) = sweep(Strategy::PlanBouquet, direct, 1);
         // The paper's headline empirical finding: SB's MSOe beats PB's for
         // every query studied (Fig. 10); this fixture should agree.
         assert!(
@@ -556,16 +310,18 @@ mod tests {
     #[test]
     fn alignedbound_within_guarantees() {
         let fx = star2_surface(10);
-        let (ab, max_penalty) = evaluate_alignedbound(&fx.surface, &fx.opt, 2.0).unwrap();
+        let direct = CostSource::Recost(&fx.surface, &fx.opt);
+        let (ab, c) = sweep(Strategy::AlignedBound, direct, 1);
         assert!(ab.mso <= crate::spillbound_guarantee(2) * (1.0 + 1e-6));
-        assert!(max_penalty >= 1.0);
+        assert!(c.observed_max_penalty().unwrap() >= 1.0);
     }
 
     #[test]
     fn native_mso_dwarfs_robust_algorithms() {
         let fx = star2_surface(10);
-        let native = evaluate_native(&fx.surface, &fx.opt).unwrap();
-        let sb = evaluate_spillbound(&fx.surface, &fx.opt, 2.0).unwrap();
+        let direct = CostSource::Recost(&fx.surface, &fx.opt);
+        let (native, _) = sweep(Strategy::Native, direct, 1);
+        let (sb, _) = sweep(Strategy::SpillBound, direct, 1);
         assert!(
             native.mso > sb.mso,
             "native MSO {} should exceed SB MSOe {}",

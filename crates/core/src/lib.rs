@@ -24,6 +24,9 @@
 //!   simulation used for all MSO experiments (as in the paper, §6), with
 //!   an executor-backed implementation living in the workspace root for
 //!   wall-clock runs;
+//! * [`strategy`] — the table of strategies: a [`Strategy`] is parsed
+//!   from its name once and compiled into one [`Compiled`] form that
+//!   every entry point runs;
 //! * [`eval`] — exhaustive empirical evaluation over the ESS grid: MSOe,
 //!   ASO, sub-optimality histograms (Figs. 10–13);
 //! * [`lowerbound`] — the adversarial query family matching the `Ω(D)`
@@ -77,11 +80,12 @@ pub mod planbouquet;
 pub mod pop;
 pub mod report;
 pub mod spillbound;
+pub mod strategy;
 
 pub use alignedbound::AlignedBound;
 pub use cached::{CachedOracle, EvalContext, SpillMemo};
 pub use discovery::MemoStats;
-pub use eval::{evaluate, evaluate_parallel, SubOptStats};
+pub use eval::{evaluate, evaluate_parallel, evaluate_strategy, SubOptStats};
 pub use faulty::{FaultStats, FaultyOracle};
 pub use native::NativeChoice;
 pub use oracle::{CostOracle, ExecutionOracle, FullOutcome, NoisyCostOracle, SpillOutcome};
@@ -92,6 +96,7 @@ pub use planbouquet::PlanBouquet;
 pub use pop::PopReoptimizer;
 pub use report::{ExecutionRecord, Outcome, RunReport};
 pub use spillbound::{SelectionMode, SpillBound};
+pub use strategy::{Compiled, CostSource, Params, Strategy};
 
 /// The MSO guarantee of SpillBound: `D² + 3D` (Theorem 4.5). Platform
 /// independent — computable by query inspection alone.

@@ -75,7 +75,7 @@ pub fn adversarial_query(d: usize) -> (Catalog, QuerySpec) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate_spillbound;
+    use crate::{evaluate_strategy, CostSource, Params, Strategy};
     use rqp_common::MultiGrid;
     use rqp_ess::EssSurface;
     use rqp_optimizer::{CostParams, EnumerationMode, Optimizer};
@@ -99,7 +99,9 @@ mod tests {
             let opt =
                 Optimizer::new(&cat, &q, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
             let surface = EssSurface::build(&opt, MultiGrid::uniform(d, 1e-6, n));
-            let stats = evaluate_spillbound(&surface, &opt, 2.0).unwrap();
+            let sb = Strategy::SpillBound
+                .compile(CostSource::Recost(&surface, &opt), &Params::default());
+            let stats = evaluate_strategy(&sb.unwrap(), 1).unwrap();
             assert!(
                 stats.mso >= d as f64,
                 "{d}D adversarial: MSOe {} below the Ω(D) bound",

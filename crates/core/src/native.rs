@@ -7,8 +7,8 @@
 //! and beyond 6000 on JOB Q1a.
 
 use rqp_common::{Cost, GridIdx};
-use rqp_ess::EssSurface;
-use rqp_optimizer::{Optimizer, PlanNode};
+use rqp_ess::{EssSurface, SurfaceAccess};
+use rqp_optimizer::{Optimizer, PlanId, PlanNode};
 
 /// The native optimizer's choice for a query: the estimate location and
 /// the plan it commits to.
@@ -20,6 +20,8 @@ pub struct NativeChoice {
     pub qe_idx: GridIdx,
     /// The plan chosen at the estimate.
     pub plan: PlanNode,
+    /// The plan's id in the surface's pool, when it is interned there.
+    pub plan_id: Option<PlanId>,
     /// Cost of the plan at the estimate.
     pub est_cost: Cost,
 }
@@ -28,7 +30,7 @@ impl NativeChoice {
     /// Computes the native optimizer's choice: epp selectivities default to
     /// their statistics-derived base values (NDV formulas / uniformity), as
     /// a real engine would estimate them.
-    pub fn compute(surface: &EssSurface, opt: &Optimizer<'_>) -> Self {
+    pub fn compute(surface: &dyn SurfaceAccess, opt: &Optimizer<'_>) -> Self {
         let query = opt.query();
         let qe_sels: Vec<f64> = query.epps.iter().map(|&p| opt.base_sels().get(p)).collect();
         let grid = surface.grid();
@@ -39,20 +41,16 @@ impl NativeChoice {
             .collect();
         let qe_idx = grid.flat(&coords);
         let (plan, est_cost) = opt.optimize_at(&qe_sels);
+        let fp = plan.fingerprint();
+        let plan_id =
+            (0..surface.pool_len()).find(|&pid| surface.plan_clone(pid).fingerprint() == fp);
         Self {
             qe_sels,
             qe_idx,
             plan,
+            plan_id,
             est_cost,
         }
-    }
-
-    /// Sub-optimality of the native choice when the truth is grid location
-    /// `qa` (Eq. 1).
-    pub fn sub_optimality(&self, surface: &EssSurface, opt: &Optimizer<'_>, qa: GridIdx) -> f64 {
-        let sels = opt.sels_at(&surface.grid().sels(qa));
-        let cost = opt.cost_plan(&self.plan, &sels);
-        cost / surface.opt_cost(qa)
     }
 }
 
@@ -72,25 +70,16 @@ pub fn native_mso_worst_case(surface: &EssSurface, opt: &Optimizer<'_>) -> f64 {
     mso
 }
 
-/// [`native_mso_worst_case`] over a prebuilt evaluation context: the cost
-/// matrix already holds every `(plan, qa)` recost, so this is a pure
-/// scan. Bit-equal to the recomputing version (same costs, same
-/// iteration order).
-pub fn native_mso_worst_case_ctx(ctx: &crate::cached::EvalContext<'_>) -> f64 {
-    let surface = ctx.surface();
-    let mut mso: f64 = 1.0;
-    for pid in 0..ctx.matrix().nplans() {
-        for (qa, &cost) in ctx.matrix().row(pid).iter().enumerate() {
-            mso = mso.max(cost / surface.opt_cost(qa));
-        }
-    }
-    mso
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_fixtures::star2_surface;
+    use crate::test_fixtures::{star2_surface, Fixture};
+
+    /// Sub-optimality of the native plan when the truth is `qa` (Eq. 1).
+    fn sub_optimality(fx: &Fixture, choice: &NativeChoice, qa: GridIdx) -> f64 {
+        let sels = fx.opt.sels_at(&fx.surface.grid().sels(qa));
+        fx.opt.cost_plan(&choice.plan, &sels) / fx.surface.opt_cost(qa)
+    }
 
     #[test]
     fn native_choice_is_optimal_at_its_estimate() {
@@ -98,7 +87,7 @@ mod tests {
         let choice = NativeChoice::compute(&fx.surface, &fx.opt);
         // At the estimate itself, sub-optimality vs the grid-snapped point
         // is near 1.
-        let sub = choice.sub_optimality(&fx.surface, &fx.opt, choice.qe_idx);
+        let sub = sub_optimality(&fx, &choice, choice.qe_idx);
         assert!(sub >= 1.0 - 1e-9);
         assert!(sub < 1.6, "estimate location should be near-optimal: {sub}");
     }
@@ -111,7 +100,7 @@ mod tests {
             .surface
             .grid()
             .iter()
-            .map(|qa| choice.sub_optimality(&fx.surface, &fx.opt, qa))
+            .map(|qa| sub_optimality(&fx, &choice, qa))
             .fold(1.0f64, f64::max);
         assert!(
             worst > 1.5,
@@ -134,7 +123,7 @@ mod tests {
             .surface
             .grid()
             .iter()
-            .map(|qa| choice.sub_optimality(&fx.surface, &fx.opt, qa))
+            .map(|qa| sub_optimality(&fx, &choice, qa))
             .fold(1.0, f64::max);
         let worst = native_mso_worst_case(&fx.surface, &fx.opt);
         assert!(worst >= fixed_mso * (1.0 - 1e-9));

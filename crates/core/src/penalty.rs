@@ -15,11 +15,11 @@
 //!   (Neumaier) summation;
 //! * [`PenaltyConfig`] — the risk objective: expected sub-optimality,
 //!   or CVaR tail risk at a configurable `alpha`;
-//! * [`select_ctx`] / [`select_parallel`] / [`select_on`] — evaluate
-//!   every candidate POSP plan (plus the native choice) against the
-//!   prior and pick the risk minimizer. Per-plan risk is a pure
-//!   function of the plan, so the parallel and dense-vs-lazy paths are
-//!   bit-identical to the sequential matrix-backed one;
+//! * [`select`] / [`select_on`] — evaluate every candidate POSP plan
+//!   (plus the native choice) against the prior and pick the risk
+//!   minimizer, reading the cost matrix or recosting. Per-plan risk is a
+//!   pure function of the plan, so every thread count and both cost
+//!   sources are bit-identical;
 //! * [`select_ctx_faulted`] — the same selection under injected oracle
 //!   faults: transients are absorbed by retries (bit-identical
 //!   selection), persistent faults surface as a typed
@@ -32,10 +32,10 @@
 
 use crate::cached::EvalContext;
 use crate::faulty::FaultStats;
+use crate::native::NativeChoice;
 use rqp_common::{chunk_bounds, GridIdx, MultiGrid, Result, RqpError};
 use rqp_ess::SurfaceAccess;
 use rqp_faults::{FaultPlan, FaultSite, RetryPolicy};
-use rqp_obs::{TraceEvent, Tracer};
 use rqp_optimizer::{Optimizer, PlanId, PlanNode};
 
 /// Shape of the selectivity-error prior.
@@ -407,19 +407,6 @@ fn cvar_penalty(cells: &[(GridIdx, f64, f64)], alpha: f64) -> f64 {
     (acc + comp) / tail
 }
 
-/// The native optimizer's plan for `opt`'s query — the baseline
-/// candidate. (Same computation as `NativeChoice::compute`, without
-/// needing a dense surface.)
-fn native_plan(opt: &Optimizer<'_>) -> PlanNode {
-    let qe: Vec<f64> = opt
-        .query()
-        .epps
-        .iter()
-        .map(|&p| opt.base_sels().get(p))
-        .collect();
-    opt.optimize_at(&qe).0
-}
-
 /// The candidate set: every pool plan in id order, plus the native plan
 /// (id `None`) when it is not interned in the pool. Returns the
 /// candidates and the index of the native candidate within them.
@@ -427,19 +414,15 @@ fn candidates(
     surface: &dyn SurfaceAccess,
     opt: &Optimizer<'_>,
 ) -> (Vec<(Option<PlanId>, PlanNode)>, usize) {
-    let native = native_plan(opt);
-    let native_fp = native.fingerprint();
+    let native = NativeChoice::compute(surface, opt);
     let mut cands: Vec<(Option<PlanId>, PlanNode)> = (0..surface.pool_len())
         .map(|pid| (Some(pid), surface.plan_clone(pid)))
         .collect();
-    match cands.iter().position(|(_, p)| p.fingerprint() == native_fp) {
-        Some(i) => (cands, i),
-        None => {
-            cands.push((None, native));
-            let i = cands.len() - 1;
-            (cands, i)
-        }
+    let native_idx = native.plan_id.unwrap_or(cands.len());
+    if native.plan_id.is_none() {
+        cands.push((None, native.plan));
     }
+    (cands, native_idx)
 }
 
 /// Risk of one candidate: pure function of `(plan, prior, alpha)`.
@@ -519,8 +502,8 @@ fn validate_prior(prior: &SelectivityPrior, grid: &MultiGrid) -> Result<()> {
 
 /// Penalty-aware selection over any [`SurfaceAccess`] (dense or lazy),
 /// recosting candidates directly through the optimizer. Bit-identical
-/// to the matrix-backed [`select_ctx`] because matrix cells are
-/// computed by the same `cost_plan` calls.
+/// to the matrix-backed [`select`] because matrix cells are computed by
+/// the same `cost_plan` calls.
 pub fn select_on(
     surface: &dyn SurfaceAccess,
     opt: &Optimizer<'_>,
@@ -550,38 +533,39 @@ pub fn select_on(
 /// Matrix-backed penalty-aware selection: pool candidates read their
 /// recosts straight out of the [`EvalContext`] matrix; only a
 /// non-interned native plan recosts directly (the same arithmetic).
-pub fn select_ctx(
+/// Candidates are partitioned across `threads` scoped workers with
+/// [`chunk_bounds`] (none are spawned at one thread); per-candidate
+/// risks are pure, so the selection is bit-equal at any thread count.
+pub fn select(
     ctx: &EvalContext<'_>,
     prior: &SelectivityPrior,
     cfg: &PenaltyConfig,
-) -> Result<PenaltySelection> {
-    select_ctx_traced(ctx, prior, cfg, &Tracer::disabled())
-}
-
-/// [`select_ctx`] with a structured tracer: one `risk_evaluated` event
-/// per candidate, in candidate order (bit-comparable across runs).
-pub fn select_ctx_traced(
-    ctx: &EvalContext<'_>,
-    prior: &SelectivityPrior,
-    cfg: &PenaltyConfig,
-    tracer: &Tracer,
+    threads: usize,
 ) -> Result<PenaltySelection> {
     validate_config(cfg)?;
     validate_prior(prior, ctx.grid())?;
     let (cands, native_idx) = candidates(ctx.surface(), ctx.opt());
-    let risks: Vec<PlanRisk> = cands
-        .iter()
-        .map(|(pid, plan)| {
-            let risk = ctx_risk(ctx, prior, cfg.alpha, *pid, plan);
-            tracer.emit(|| TraceEvent::RiskEvaluated {
-                plan_fingerprint: risk.fingerprint,
-                plan_id: risk.plan_id,
-                expected: risk.expected,
-                cvar: risk.cvar,
-            });
-            risk
+    let risks_of = |cands: &[(Option<PlanId>, PlanNode)]| -> Vec<PlanRisk> {
+        (cands.iter())
+            .map(|(pid, plan)| ctx_risk(ctx, prior, cfg.alpha, *pid, plan))
+            .collect()
+    };
+    let bounds = chunk_bounds(cands.len(), threads);
+    let risks = if bounds.len() <= 1 {
+        risks_of(&cands)
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (bounds.iter())
+                .map(|&(lo, hi)| {
+                    let chunk = &cands[lo..hi];
+                    s.spawn(move || risks_of(chunk))
+                })
+                .collect();
+            (handles.into_iter())
+                .flat_map(|h| h.join().expect("risk worker panicked"))
+                .collect()
         })
-        .collect();
+    };
     Ok(assemble(cands, native_idx, risks, prior, cfg))
 }
 
@@ -607,53 +591,7 @@ fn ctx_risk(
     )
 }
 
-/// Parallel [`select_ctx`]: candidates are partitioned across scoped
-/// worker threads with [`chunk_bounds`]; per-candidate risks are pure,
-/// so the concatenated result — and hence the selection — is bit-equal
-/// to the sequential path at any thread count.
-pub fn select_parallel(
-    ctx: &EvalContext<'_>,
-    prior: &SelectivityPrior,
-    cfg: &PenaltyConfig,
-    threads: usize,
-) -> Result<PenaltySelection> {
-    validate_config(cfg)?;
-    validate_prior(prior, ctx.grid())?;
-    let (cands, native_idx) = candidates(ctx.surface(), ctx.opt());
-    let bounds = chunk_bounds(cands.len(), threads);
-    if bounds.len() <= 1 {
-        let risks: Vec<PlanRisk> = cands
-            .iter()
-            .map(|(pid, plan)| ctx_risk(ctx, prior, cfg.alpha, *pid, plan))
-            .collect();
-        return Ok(assemble(cands, native_idx, risks, prior, cfg));
-    }
-    let chunks = std::thread::scope(|s| {
-        let cands = &cands;
-        let handles: Vec<_> = bounds
-            .iter()
-            .map(|&(lo, hi)| {
-                s.spawn(move || -> Vec<PlanRisk> {
-                    cands[lo..hi]
-                        .iter()
-                        .map(|(pid, plan)| ctx_risk(ctx, prior, cfg.alpha, *pid, plan))
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("risk worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    let mut risks = Vec::with_capacity(cands.len());
-    for chunk in chunks {
-        risks.extend(chunk);
-    }
-    Ok(assemble(cands, native_idx, risks, prior, cfg))
-}
-
-/// [`select_ctx`] under injected oracle faults: each candidate's risk
+/// [`select`] under injected oracle faults: each candidate's risk
 /// integration is one fallible oracle call at
 /// [`FaultSite::OracleFull`], retried under `retry`. Absorbed
 /// transients recompute the identical pure risk, so the selection is
@@ -747,7 +685,7 @@ mod tests {
         let fx = star2_surface(10);
         let ctx = EvalContext::new(&fx.surface, &fx.opt);
         let prior = prior_for(&fx);
-        let sel = select_ctx(&ctx, &prior, &PenaltyConfig::default()).unwrap();
+        let sel = select(&ctx, &prior, &PenaltyConfig::default(), 1).unwrap();
         assert!(
             sel.chosen.expected <= sel.native.expected,
             "chosen {} vs native {}",
@@ -763,7 +701,7 @@ mod tests {
         let ctx = EvalContext::new(&fx.surface, &fx.opt);
         let qa = fx.surface.grid().flat(&[7, 2]);
         let prior = SelectivityPrior::delta(fx.surface.grid(), qa);
-        let sel = select_ctx(&ctx, &prior, &PenaltyConfig::default()).unwrap();
+        let sel = select(&ctx, &prior, &PenaltyConfig::default(), 1).unwrap();
         assert_eq!(sel.chosen.expected.to_bits(), 1.0f64.to_bits());
         assert_eq!(sel.chosen.cvar.to_bits(), sel.chosen.expected.to_bits());
     }
@@ -774,9 +712,9 @@ mod tests {
         let ctx = EvalContext::new(&fx.surface, &fx.opt);
         let prior = prior_for(&fx);
         let cfg = PenaltyConfig::default();
-        let seq = select_ctx(&ctx, &prior, &cfg).unwrap();
+        let seq = select(&ctx, &prior, &cfg, 1).unwrap();
         for threads in [1usize, 2, 3, 7] {
-            let par = select_parallel(&ctx, &prior, &cfg, threads).unwrap();
+            let par = select(&ctx, &prior, &cfg, threads).unwrap();
             assert_eq!(par.chosen.fingerprint, seq.chosen.fingerprint);
             assert_eq!(par.chosen.expected.to_bits(), seq.chosen.expected.to_bits());
             assert_eq!(par.chosen.cvar.to_bits(), seq.chosen.cvar.to_bits());
@@ -795,7 +733,7 @@ mod tests {
         let prior = prior_for(&fx);
         let cfg = PenaltyConfig::default();
         let direct = select_on(&fx.surface, &fx.opt, &prior, &cfg).unwrap();
-        let cached = select_ctx(&ctx, &prior, &cfg).unwrap();
+        let cached = select(&ctx, &prior, &cfg, 1).unwrap();
         assert_eq!(direct.chosen.fingerprint, cached.chosen.fingerprint);
         assert_eq!(
             direct.chosen.expected.to_bits(),
@@ -815,7 +753,7 @@ mod tests {
                 alpha,
                 objective: Objective::Expected,
             };
-            let sel = select_ctx(&ctx, &prior, &cfg).unwrap();
+            let sel = select(&ctx, &prior, &cfg, 1).unwrap();
             let native_cvar = sel.native.cvar;
             assert!(
                 native_cvar >= last - 1e-9 * last.abs().max(1.0),
@@ -831,7 +769,7 @@ mod tests {
         let ctx = EvalContext::new(&fx.surface, &fx.opt);
         let prior = prior_for(&fx);
         let cfg = PenaltyConfig::default();
-        let clean = select_ctx(&ctx, &prior, &cfg).unwrap();
+        let clean = select(&ctx, &prior, &cfg, 1).unwrap();
         let plan = FaultPlan::new(42).with_site(FaultSite::OracleFull, 0.3);
         let (faulted, stats) =
             select_ctx_faulted(&ctx, &prior, &cfg, &plan, &RetryPolicy::no_sleep(6)).unwrap();

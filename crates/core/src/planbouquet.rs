@@ -9,10 +9,10 @@
 //! to even compute.
 
 use crate::cached::EvalContext;
-use crate::discovery::Shared;
+use crate::discovery::{trace_run_finished, Shared};
 use crate::oracle::ExecutionOracle;
 use crate::report::RunReport;
-use rqp_common::Result;
+use rqp_common::{GridIdx, Result};
 use rqp_ess::anorexic::{reduce_all, reduce_all_with, ReducedContour};
 use rqp_ess::{ContourSet, SurfaceAccess};
 use rqp_obs::{TraceEvent, Tracer};
@@ -125,15 +125,32 @@ impl<'a> PlanBouquet<'a> {
         &self.shared.contours
     }
 
-    /// The reduced plan set of contour `i`.
-    pub fn contour_plans(&self, i: usize) -> &[usize] {
-        &self.reduced[i].plans
-    }
-
     /// Attach a structured tracer; subsequent [`run`](Self::run) calls
     /// emit typed events for every contour entry and execution.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.shared.tracer = tracer;
+    }
+
+    /// The sub-optimality [`run`](Self::run) reaches at `qa` through a
+    /// [`crate::CachedOracle`] over `ctx`, bit for bit, as plain budget
+    /// arithmetic over the matrix: the budget for every plan that times
+    /// out, the true cost of the first that completes.
+    pub(crate) fn replay_subopt(&self, ctx: &EvalContext<'_>, qa: GridIdx) -> Result<f64> {
+        let mut total = 0.0;
+        for rc in &self.reduced {
+            let budget = (1.0 + self.lambda) * rc.cost;
+            for &pid in &rc.plans {
+                let c = ctx.matrix().cost(pid, qa);
+                if rqp_common::cost_le(c, budget) {
+                    total += c;
+                    return Ok(total / ctx.surface().opt_cost(qa));
+                }
+                total += budget;
+            }
+        }
+        Err(rqp_common::RqpError::Discovery(
+            "bouquet replay exhausted contours".into(),
+        ))
     }
 
     /// Runs the bouquet discovery sequence against `oracle`.
@@ -150,7 +167,7 @@ impl<'a> PlanBouquet<'a> {
                 .emit(|| TraceEvent::ContourEntered { contour: i, budget });
             for &pid in &rc.plans {
                 if self.shared.full_step(oracle, &mut report, i, pid, budget)? {
-                    self.shared.trace_run_finished(&report);
+                    trace_run_finished(&self.shared.tracer, &report);
                     return Ok(report);
                 }
             }
@@ -160,7 +177,7 @@ impl<'a> PlanBouquet<'a> {
         // (§7) keep doubling budgets on the terminus plan.
         self.shared
             .run_overflow_phase(&vec![None; self.shared.ndims()], oracle, &mut report)?;
-        self.shared.trace_run_finished(&report);
+        trace_run_finished(&self.shared.tracer, &report);
         Ok(report)
     }
 }

@@ -139,8 +139,8 @@ impl<'a> PopReoptimizer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate_spillbound;
     use crate::test_fixtures::star2_surface;
+    use crate::{evaluate_strategy, CostSource, Params, Strategy};
 
     #[test]
     fn pop_terminates_and_learns_truth() {
@@ -181,7 +181,9 @@ mod tests {
         let fx = star2_surface(12);
         let pop = PopReoptimizer::new(&fx.opt, 2.0);
         let pop_stats = pop.evaluate(&fx.surface);
-        let sb_stats = evaluate_spillbound(&fx.surface, &fx.opt, 2.0).unwrap();
+        let sb = Strategy::SpillBound
+            .compile(CostSource::Recost(&fx.surface, &fx.opt), &Params::default());
+        let sb_stats = evaluate_strategy(&sb.unwrap(), 1).unwrap();
         // SB honors its guarantee...
         assert!(sb_stats.mso <= crate::spillbound_guarantee(2) * (1.0 + 1e-6));
         // ...POP's worst case is worse than SB's on this fixture (the

@@ -20,25 +20,14 @@
 
 use serde::Value;
 
-/// Methods the service understands.
-pub const METHODS: &[&str] = &[
-    "explain",
-    "run_spillbound",
-    "run_alignedbound",
-    "run_planbouquet",
-    "run_native",
-    "list_queries",
-    "stats",
-    "health",
-    "shutdown",
-];
-
 /// A parsed request line.
 #[derive(Debug, Clone)]
 pub struct Request {
     /// Client-chosen correlation id, echoed verbatim in the response.
     pub id: Value,
-    /// One of [`METHODS`].
+    /// `explain`, `list_queries`, `stats`, `health`, `shutdown`, or the
+    /// `run_<name>` method of a strategy in the table
+    /// ([`rqp_core::Strategy::method`]).
     pub method: String,
     /// Target query template name (required by `explain` / `run_*`).
     pub query: Option<String>,

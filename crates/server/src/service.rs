@@ -4,9 +4,10 @@
 //! A served query is constructed from a [`CompiledArtifact`] without
 //! re-running any offline work: the surface, contour schedule, reduced
 //! bouquet and recost matrix all come straight off disk. Construction
-//! rebuilds the optimizer, the native choice and the penalty-aware
-//! selection, and compiles the three discovery strategies, which for
-//! SpillBound and AlignedBound is a contour schedule and an empty memo.
+//! rebuilds the optimizer and compiles every [`Strategy`] of the table:
+//! the native choice, the penalty-aware selection, the loaded bouquet,
+//! and for SpillBound and AlignedBound a contour schedule and an empty
+//! memo.
 //! Requests construct nothing: each strategy's per-(contour, pins)
 //! analysis is done by the first request that reaches that state and
 //! kept for all later ones. A served query *owns* its artifact state
@@ -29,9 +30,8 @@ use rqp_artifacts::CompiledArtifact;
 use rqp_catalog::Catalog;
 use rqp_common::{GridIdx, RqpError};
 use rqp_core::{
-    penalty, AlignedBound, CachedOracle, EvalContext, ExecutionOracle, FaultyOracle, MemoStats,
-    NativeChoice, PenaltyConfig, PenaltySelection, PlanBouquet, PriorConfig, RunReport,
-    SelectivityPrior, SpillBound, SpillMemo,
+    CachedOracle, Compiled, CostSource, EvalContext, FaultyOracle, MemoStats, Params, PlanBouquet,
+    PriorConfig, RunReport, SpillMemo, Strategy,
 };
 use rqp_ess::{EssSurface, SurfaceAccess};
 use rqp_faults::{Attempt, BreakerConfig, CircuitBreaker, FaultPlan, RetryPolicy};
@@ -40,6 +40,10 @@ use serde::Value;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// The strategies whose compiled form keeps a per-(contour, pins) memo,
+/// in the order `stats` reports them.
+const MEMOIZED: [Strategy; 2] = [Strategy::SpillBound, Strategy::AlignedBound];
 
 /// Per-call fault accounting, merged into the server-wide counters by
 /// the dispatch layer.
@@ -90,19 +94,16 @@ impl Body {
 /// other request would have computed identically.
 ///
 /// Field order is load-bearing: Rust drops fields in declaration order,
-/// and `ctx` and the strategies borrow from the boxed
-/// `opt`/`surface`/`query` owners declared after them, so the borrowers
-/// are destroyed before their referents.
+/// and the strategies borrow from the boxed `ctx`/`opt`/`surface`/`query`
+/// owners declared after them, so the borrowers are destroyed before
+/// their referents.
 pub struct ServedQuery {
     name: String,
-    ctx: EvalContext<'static>,
-    bouquet: PlanBouquet<'static>,
-    sb: SpillBound<'static>,
-    ab: AlignedBound<'static>,
-    native: NativeChoice,
-    /// Offline penalty-aware selection, recomputed at load time from the
-    /// artifact's matrix (and verified against the persisted summary).
-    penalty: PenaltySelection,
+    /// Every strategy of the table, compiled over `ctx`, in
+    /// [`Strategy::ALL`] order. PenaltyAware's selection is recomputed at
+    /// load time from the artifact's matrix (and verified against the
+    /// persisted summary).
+    strategies: Vec<Compiled<'static>>,
     /// `explain` response body, rendered once at construction.
     explain_raw: Arc<str>,
     /// Resident-footprint estimate, for the LRU cache's byte accounting.
@@ -110,8 +111,10 @@ pub struct ServedQuery {
     faults: Option<Arc<FaultPlan>>,
     retry: RetryPolicy,
     breaker: CircuitBreaker,
-    // Owners of the state `ctx`/`bouquet` borrow. The boxes give the
+    // Owners of the state the strategies borrow. The boxes give the
     // referents stable heap addresses across moves of `ServedQuery`.
+    ctx: Box<EvalContext<'static>>,
+    #[allow(dead_code)] // owned solely so the borrows of it stay valid
     opt: Box<Optimizer<'static>>,
     surface: Box<EssSurface>,
     #[allow(dead_code)] // owned solely so `opt`'s borrow stays valid
@@ -127,7 +130,8 @@ impl ServedQuery {
     ///
     /// The `'static` lifetimes on `ctx` and the strategies are a lie told to the
     /// borrow checker: they actually borrow the `Box<QuerySpec>` /
-    /// `Box<EssSurface>` / `Box<Optimizer>` fields of the same struct.
+    /// `Box<EssSurface>` / `Box<Optimizer>` / `Box<EvalContext>` fields of
+    /// the same struct.
     /// This is sound because (a) the boxes heap-allocate, so the
     /// referents never move even when the `ServedQuery` itself does,
     /// (b) the borrowing fields are declared before the owning boxes,
@@ -172,41 +176,48 @@ impl ServedQuery {
         // SAFETY: as above.
         let opt_ref: &'static Optimizer<'static> =
             unsafe { &*(opt.as_ref() as *const Optimizer<'static>) };
-        let ctx = EvalContext::from_parts(surface_ref, opt_ref, Cow::Owned(matrix))
-            .map_err(|e| format!("artifact `{name}`: {e}"))?;
-        let bouquet =
-            PlanBouquet::from_parts(surface_ref, opt_ref, ratio, lambda, bouquet, rho_red)
-                .map_err(|e| format!("artifact `{name}`: {e}"))?;
-        let sb = SpillBound::new(surface_ref, opt_ref, ratio);
-        let ab = AlignedBound::new(surface_ref, opt_ref, ratio);
-        // The memos may fill up to their cap while the query is resident.
-        let approx_bytes = approx_bytes + sb.memo_bytes_bound() + ab.memo_bytes_bound();
-        let native = NativeChoice::compute(surface_ref, opt_ref);
-        // Rebuild the penalty-aware selection from the prior the artifact
-        // records (defaults when the artifact predates the field): cheap
-        // — a pure scan of the already-loaded matrix — and verifiable
-        // against the persisted summary.
-        let prior_config = match &penalty_summary {
-            Some(s) => PriorConfig {
+        let ctx = Box::new(
+            EvalContext::from_parts(surface_ref, opt_ref, Cow::Owned(matrix))
+                .map_err(|e| format!("artifact `{name}`: {e}"))?,
+        );
+        // SAFETY: as above.
+        let ctx_ref: &'static EvalContext<'static> =
+            unsafe { &*(ctx.as_ref() as *const EvalContext<'static>) };
+        let source = CostSource::Matrix(ctx_ref);
+        // Select under the prior the artifact records (defaults when the
+        // artifact predates the field): cheap — a pure scan of the
+        // already-loaded matrix — and verifiable against the persisted
+        // summary.
+        let summary = penalty_summary.as_ref();
+        let mut params = Params {
+            ratio,
+            lambda,
+            ..Params::default()
+        };
+        if let Some(s) = summary {
+            params.prior = PriorConfig {
                 seed: s.prior_seed,
                 sigma: s.prior_sigma,
                 jitter: s.prior_jitter,
-            },
-            None => PriorConfig::default(),
-        };
-        let alpha = penalty_summary
-            .as_ref()
-            .map(|s| s.alpha)
-            .unwrap_or(PenaltyConfig::default().alpha);
-        let prior = SelectivityPrior::lognormal(surface_ref.grid(), &native.qe_sels, prior_config)
-            .map_err(|e| format!("artifact `{name}`: penalty prior: {e}"))?;
-        let penalty_cfg = PenaltyConfig {
-            alpha,
-            ..PenaltyConfig::default()
-        };
-        let penalty = penalty::select_ctx(&ctx, &prior, &penalty_cfg)
-            .map_err(|e| format!("artifact `{name}`: penalty selection: {e}"))?;
-        if let Some(s) = &penalty_summary {
+            };
+            params.penalty.alpha = s.alpha;
+        }
+        let loaded = PlanBouquet::from_parts(surface_ref, opt_ref, ratio, lambda, bouquet, rho_red)
+            .map_err(|e| format!("artifact `{name}`: {e}"))?;
+        let mut loaded = Some(Compiled::planbouquet(source, loaded));
+        let strategies = (Strategy::ALL.into_iter())
+            .map(|s| match s {
+                // The bouquet's reduction comes off disk, not recomputed.
+                Strategy::PlanBouquet => Ok(loaded.take().expect("one bouquet")),
+                _ => (s.compile(source, &params))
+                    .map_err(|e| format!("artifact `{name}`: {}: {e}", s.name())),
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        // The memos may fill up to their cap while the query is resident.
+        let memo_bytes: usize = strategies.iter().map(Compiled::memo_bytes_bound).sum();
+        let penalty =
+            (strategies[Strategy::PenaltyAware as usize].penalty_selection()).expect("PA");
+        if let Some(s) = summary {
             let fp = format!("{:016x}", penalty.chosen.fingerprint);
             let hash = format!("{:016x}", penalty.prior_hash);
             if s.chosen_fingerprint != fp || s.prior_hash != hash {
@@ -217,30 +228,18 @@ impl ServedQuery {
                 ));
             }
         }
-        let explain_value = explain_value(
-            &name,
-            ratio,
-            lambda,
-            surface_ref,
-            &bouquet,
-            &native,
-            &penalty,
-        );
+        let explain_value = explain_value(&name, ratio, lambda, surface_ref, &strategies);
         let explain_raw: Arc<str> =
             Arc::from(serde_json::to_string(&explain_value).expect("explain serializes"));
         Ok(Self {
             name,
-            ctx,
-            bouquet,
-            sb,
-            ab,
-            native,
-            penalty,
+            strategies,
             explain_raw,
-            approx_bytes,
+            approx_bytes: approx_bytes + memo_bytes,
             faults: None,
             retry: RetryPolicy::no_sleep(6),
             breaker: CircuitBreaker::new(BreakerConfig::default()),
+            ctx,
             opt,
             surface,
             query,
@@ -272,9 +271,8 @@ impl ServedQuery {
         self.approx_bytes
     }
 
-    /// Memo counters of the compiled SpillBound and AlignedBound, in order.
-    pub fn discovery_stats(&self) -> [MemoStats; 2] {
-        [self.sb.memo_stats(), self.ab.memo_stats()]
+    fn compiled(&self, s: Strategy) -> &Compiled<'static> {
+        &self.strategies[s as usize]
     }
 
     /// The cached, pre-serialized `explain` response body.
@@ -328,194 +326,138 @@ impl ServedQuery {
         report: &RunReport,
         qa_idx: GridIdx,
         guarantee: f64,
-    ) -> Vec<(String, Value)> {
-        let learnt = Value::Array(
-            report
-                .learnt
-                .iter()
-                .map(|l| match l {
-                    Some(s) => Value::Num(*s),
-                    None => Value::Null,
-                })
-                .collect(),
-        );
-        vec![
-            ("total_cost".into(), num(report.total_cost)),
-            (
-                "sub_optimality".into(),
-                num(report.sub_optimality(self.surface.opt_cost(qa_idx))),
-            ),
-            ("mso_guarantee".into(), num(guarantee)),
-            ("executions".into(), num(report.executions() as f64)),
-            ("completed".into(), Value::Bool(report.completed)),
-            (
-                "last_contour".into(),
-                match report.last_contour() {
-                    Some(i) => num(i as f64),
-                    None => Value::Null,
-                },
-            ),
-            ("learnt".into(), learnt),
+    ) -> [(&'static str, Value); 7] {
+        let sub = report.sub_optimality(self.surface.opt_cost(qa_idx));
+        let learnt = report
+            .learnt
+            .iter()
+            .map(|l| l.map_or(Value::Null, Value::Num));
+        let last_contour = report.last_contour().map_or(Value::Null, |i| num(i as f64));
+        [
+            ("total_cost", num(report.total_cost)),
+            ("sub_optimality", num(sub)),
+            ("mso_guarantee", num(guarantee)),
+            ("executions", num(report.executions() as f64)),
+            ("completed", Value::Bool(report.completed)),
+            ("last_contour", last_contour),
+            ("learnt", Value::Array(learnt.collect())),
         ]
     }
 
-    /// The native-baseline response body. With a `degraded_reason`, the
-    /// body is explicitly labelled as a fallback (`degraded: true`,
-    /// plus the algorithm the client actually asked for).
-    fn native_response(
+    /// The response of fixed-plan strategy `s` at `qa`: the fields that
+    /// justify its plan, then what its one execution spends. Given a
+    /// `(reason, requested)` pair, the body is the native fallback for
+    /// strategy `requested`, labelled `degraded: true`.
+    fn fixed_response(
         &self,
-        requested: &str,
+        s: Strategy,
         qa_idx: GridIdx,
         coords: &[usize],
-        degraded_reason: Option<&str>,
+        degraded: Option<(&str, &str)>,
     ) -> Value {
-        let mut fields = self.run_common("native", qa_idx, coords);
-        let sub = self.native.sub_optimality(&self.surface, &self.opt, qa_idx);
+        let mut fields = self.run_common(s.name(), qa_idx, coords);
+        let compiled = self.compiled(s);
+        let report = self.run(s, qa_idx, &mut CallStats::default());
+        let cost = report.expect("an unbudgeted run completes").total_cost;
         let opt_cost = self.surface.opt_cost(qa_idx);
-        fields.push(("est_sels", num_arr(self.native.qe_sels.iter().copied())));
-        fields.push(("est_cost", num(self.native.est_cost)));
-        fields.push(("total_cost", num(sub * opt_cost)));
+        // Native has always reported its total through its sub-optimality.
+        let (total, sub) = if let Some(choice) = compiled.native_choice() {
+            fields.push(("est_sels", num_arr(choice.qe_sels.iter().copied())));
+            fields.push(("est_cost", num(choice.est_cost)));
+            (cost / opt_cost * opt_cost, cost / opt_cost)
+        } else {
+            let sel = compiled.penalty_selection().expect("a fixed-plan strategy");
+            let chosen = sel
+                .chosen
+                .plan_id
+                .map_or(Value::Null, |pid| num(pid as f64));
+            let fingerprint = format!("{:016x}", sel.chosen.fingerprint);
+            fields.push(("chosen_plan", chosen));
+            fields.push(("chosen_fingerprint", string(fingerprint)));
+            fields.push(("prior_hash", string(format!("{:016x}", sel.prior_hash))));
+            fields.push(("alpha", num(sel.alpha)));
+            fields.push(("expected_penalty", num(sel.chosen.expected)));
+            fields.push(("cvar", num(sel.chosen.cvar)));
+            fields.push(("native_expected", num(sel.native.expected)));
+            (cost, cost / opt_cost)
+        };
+        fields.push(("total_cost", num(total)));
         fields.push(("sub_optimality", num(sub)));
         fields.push(("completed", Value::Bool(true)));
-        match degraded_reason {
-            Some(reason) => {
-                fields.push(("degraded", Value::Bool(true)));
-                fields.push(("degraded_reason", string(reason)));
-                fields.push(("requested_algorithm", string(requested)));
-            }
-            None => fields.push(("degraded", Value::Bool(false))),
+        fields.push(("degraded", Value::Bool(degraded.is_some())));
+        if let Some((reason, requested)) = degraded {
+            fields.push(("degraded_reason", string(reason)));
+            fields.push(("requested_algorithm", string(requested)));
         }
         obj(fields)
     }
 
-    /// The penalty-aware response: the offline-chosen plan is charged
-    /// its full recost at `qa`, like the native baseline, plus the risk
-    /// numbers and prior identity that justified the choice.
-    fn penaltyaware_response(&self, qa_idx: GridIdx, coords: &[usize]) -> Value {
-        let mut fields = self.run_common("penaltyaware", qa_idx, coords);
-        let opt_cost = self.surface.opt_cost(qa_idx);
-        let cost = match self.penalty.chosen.plan_id {
-            Some(pid) => self.ctx.matrix().cost(pid, qa_idx),
-            None => {
-                let sels = self.opt.sels_at(&self.surface.grid().sels(qa_idx));
-                self.opt.cost_plan(&self.penalty.chosen_plan, &sels)
-            }
-        };
-        fields.push((
-            "chosen_plan",
-            match self.penalty.chosen.plan_id {
-                Some(pid) => num(pid as f64),
-                None => Value::Null,
-            },
-        ));
-        fields.push((
-            "chosen_fingerprint",
-            string(format!("{:016x}", self.penalty.chosen.fingerprint)),
-        ));
-        fields.push((
-            "prior_hash",
-            string(format!("{:016x}", self.penalty.prior_hash)),
-        ));
-        fields.push(("alpha", num(self.penalty.alpha)));
-        fields.push(("expected_penalty", num(self.penalty.chosen.expected)));
-        fields.push(("cvar", num(self.penalty.chosen.cvar)));
-        fields.push(("native_expected", num(self.penalty.native.expected)));
-        fields.push(("total_cost", num(cost)));
-        fields.push(("sub_optimality", num(cost / opt_cost)));
-        fields.push(("completed", Value::Bool(true)));
-        fields.push(("degraded", Value::Bool(false)));
-        obj(fields)
-    }
-
-    /// The penalty-aware selection this query serves (tests and stats).
-    pub fn penalty_selection(&self) -> &PenaltySelection {
-        &self.penalty
-    }
-
-    /// Runs the compiled strategy behind `method` against a fresh per-call
-    /// oracle, wrapped in the fault plan when one is attached.
-    fn run_discovery(
+    /// Runs strategy `s` at `qa_idx` against a fresh per-call oracle. A
+    /// discovery run's oracle is wrapped in the fault plan when one is
+    /// attached; a fixed plan was chosen offline and runs outside it.
+    fn run(
         &self,
-        method: &str,
+        s: Strategy,
         qa_idx: GridIdx,
         stats: &mut CallStats,
-    ) -> rqp_common::Result<(RunReport, f64, &'static str)> {
+    ) -> rqp_common::Result<RunReport> {
+        let compiled = self.compiled(s);
         let mut memo = SpillMemo::new();
         let mut cached = CachedOracle::at_grid(&self.ctx, qa_idx, &mut memo);
-        let go = |oracle: &mut dyn ExecutionOracle| match method {
-            "run_spillbound" => Ok((self.sb.run(oracle)?, self.sb.mso_guarantee(), "spillbound")),
-            "run_alignedbound" => Ok((
-                self.ab.run(oracle)?,
-                self.ab.mso_guarantee(),
-                "alignedbound",
-            )),
-            "run_planbouquet" => Ok((
-                self.bouquet.run(oracle)?,
-                self.bouquet.mso_guarantee(),
-                "planbouquet",
-            )),
-            other => Err(RqpError::InvalidQuery(format!(
-                "`{other}` is not a discovery method"
-            ))),
+        let fixed = compiled.fixed_plan().is_some();
+        let Some(plan) = self.faults.as_ref().filter(|_| !fixed) else {
+            return compiled.run(&mut cached);
         };
-        match &self.faults {
-            Some(plan) => {
-                let mut faulty =
-                    FaultyOracle::new(cached, plan.as_ref()).with_retry(self.retry.clone());
-                let result = go(&mut faulty);
-                let fs = faulty.stats();
-                stats.faults_injected += fs.faults_injected;
-                stats.retries += fs.retries;
-                stats.wasted_cost += fs.wasted_cost;
-                result
-            }
-            None => go(&mut cached),
-        }
+        let mut faulty = FaultyOracle::new(cached, plan.as_ref()).with_retry(self.retry.clone());
+        let result = compiled.run(&mut faulty);
+        let fs = faulty.stats();
+        stats.faults_injected += fs.faults_injected;
+        stats.retries += fs.retries;
+        stats.wasted_cost += fs.wasted_cost;
+        result
     }
 
-    /// Runs `method` under the per-query circuit breaker: an open
-    /// breaker (or a failure that opens it) is answered by the native
-    /// baseline with `degraded: true` instead of an error — every
+    /// Runs discovery strategy `s` under the per-query circuit breaker:
+    /// an open breaker (or a failure that opens it) is answered by the
+    /// native baseline with `degraded: true` instead of an error — every
     /// request gets a well-formed response while the breaker recovers
     /// via its half-open probe.
     fn run_guarded(
         &self,
-        method: &str,
+        s: Strategy,
         qa_idx: GridIdx,
         coords: &[usize],
         stats: &mut CallStats,
     ) -> Result<Value, (String, String)> {
-        let requested = method.strip_prefix("run_").unwrap_or(method);
         if matches!(self.breaker.allow_attempt(), Attempt::Degrade) {
             stats.degraded = true;
-            return Ok(self.native_response(
-                requested,
+            let reason = "circuit breaker open; serving native fallback";
+            return Ok(self.fixed_response(
+                Strategy::Native,
                 qa_idx,
                 coords,
-                Some("circuit breaker open; serving native fallback"),
+                Some((reason, s.name())),
             ));
         }
-        match self.run_discovery(method, qa_idx, stats) {
-            Ok((report, guarantee, algorithm)) => {
+        match self.run(s, qa_idx, stats) {
+            Ok(report) => {
                 self.breaker.record_success();
-                let mut fields: Vec<(String, Value)> = self
-                    .run_common(algorithm, qa_idx, coords)
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect();
+                let mut fields = self.run_common(s.name(), qa_idx, coords);
+                let guarantee = self.compiled(s).mso_guarantee();
                 fields.extend(self.report_fields(&report, qa_idx, guarantee));
-                fields.push(("degraded".into(), Value::Bool(false)));
-                Ok(Value::Object(fields))
+                fields.push(("degraded", Value::Bool(false)));
+                Ok(obj(fields))
             }
             Err(e @ RqpError::Fault(_)) => {
                 stats.breaker_opened = self.breaker.record_failure();
                 if self.breaker.is_open() {
                     stats.degraded = true;
-                    Ok(self.native_response(
-                        requested,
+                    let reason = "execution faults tripped the circuit breaker";
+                    Ok(self.fixed_response(
+                        Strategy::Native,
                         qa_idx,
                         coords,
-                        Some("execution faults tripped the circuit breaker"),
+                        Some((reason, s.name())),
                     ))
                 } else {
                     Err((e.kind().into(), e.to_string()))
@@ -525,33 +467,27 @@ impl ServedQuery {
         }
     }
 
-    /// Dispatches one `explain` / `run_*` method. Returns
-    /// `Err((kind, message))` for protocol-level failures, plus the
-    /// call's fault accounting. `explain` is answered from the cached
-    /// pre-serialized body without touching the surface.
+    /// Dispatches `explain` or a `run_<name>` method of the strategy
+    /// table. Returns `Err((kind, message))` for protocol-level failures,
+    /// plus the call's fault accounting. `explain` is answered from the
+    /// cached pre-serialized body without touching the surface.
     pub fn handle(&self, method: &str, qa: &[f64]) -> (Result<Body, (String, String)>, CallStats) {
         let mut stats = CallStats::default();
-        let bad = |m: String| ("bad_request".to_string(), m);
-        let result = match method {
-            "explain" => Ok(self.explain_body()),
-            "run_native" => self.snap(qa).map_err(bad).map(|(qa_idx, coords)| {
-                Body::Value(self.native_response("native", qa_idx, &coords, None))
-            }),
-            "run_penaltyaware" => self
-                .snap(qa)
-                .map_err(bad)
-                .map(|(qa_idx, coords)| Body::Value(self.penaltyaware_response(qa_idx, &coords))),
-            "run_spillbound" | "run_alignedbound" | "run_planbouquet" => {
-                match self.snap(qa).map_err(bad) {
-                    Ok((qa_idx, coords)) => self
-                        .run_guarded(method, qa_idx, &coords, &mut stats)
-                        .map(Body::Value),
-                    Err(e) => Err(e),
-                }
-            }
-            other => Err(("unknown_method".into(), format!("unknown method `{other}`"))),
+        if method == "explain" {
+            return (Ok(self.explain_body()), stats);
+        }
+        let Some(s) = Strategy::from_method(method) else {
+            let message = format!("unknown method `{method}`");
+            return (Err(("unknown_method".into(), message)), stats);
         };
-        (result, stats)
+        let result = match self.snap(qa) {
+            Err(m) => Err(("bad_request".to_string(), m)),
+            Ok((qa_idx, coords)) => match self.compiled(s).fixed_plan() {
+                Some(_) => Ok(self.fixed_response(s, qa_idx, &coords, None)),
+                None => self.run_guarded(s, qa_idx, &coords, &mut stats),
+            },
+        };
+        (result.map(Body::Value), stats)
     }
 }
 
@@ -563,10 +499,12 @@ fn explain_value(
     ratio: f64,
     lambda: f64,
     surface: &EssSurface,
-    bouquet: &PlanBouquet<'_>,
-    native: &NativeChoice,
-    penalty: &PenaltySelection,
+    strategies: &[Compiled<'_>],
 ) -> Value {
+    let get = |s: Strategy| &strategies[s as usize];
+    let bouquet = get(Strategy::PlanBouquet).bouquet().expect("the bouquet");
+    let native = get(Strategy::Native).native_choice().expect("native");
+    let penalty = get(Strategy::PenaltyAware).penalty_selection().expect("PA");
     let grid = surface.grid();
     let d = grid.ndims();
     let contours = bouquet.contours();
@@ -749,13 +687,14 @@ impl Registry {
         Value::Object(entries.map(|(name, q)| (name, q.health())).collect())
     }
 
-    /// The `discovery` object of `stats`: per strategy, the memo counters
-    /// of its compiled instances summed over the resident queries. An
-    /// evicted query takes its counters with it.
+    /// The `discovery` object of `stats`: per [`MEMOIZED`] strategy, the
+    /// memo counters of its compiled instances summed over the resident
+    /// queries. An evicted query takes its counters with it.
     pub fn discovery_stats(&self) -> Value {
         let mut sums = [MemoStats::default(); 2];
         for q in self.resident().values() {
-            for (sum, stats) in sums.iter_mut().zip(q.discovery_stats()) {
+            for (sum, s) in sums.iter_mut().zip(MEMOIZED) {
+                let stats = q.compiled(s).memo_stats().unwrap_or_default();
                 sum.hits += stats.hits;
                 sum.misses += stats.misses;
                 sum.entries += stats.entries;
@@ -768,10 +707,9 @@ impl Registry {
                 ("memo_entries", num(s.entries as f64)),
             ])
         };
-        obj(vec![
-            ("spillbound", counters(sums[0])),
-            ("alignedbound", counters(sums[1])),
-        ])
+        obj((MEMOIZED.iter().zip(sums))
+            .map(|(s, sum)| (s.name(), counters(sum)))
+            .collect())
     }
 
     /// Dispatches a query-addressed request to the right [`ServedQuery`],
@@ -803,5 +741,55 @@ impl Registry {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rqp_catalog::{Column, ColumnStats, DataType, Table};
+    use rqp_common::MultiGrid;
+    use rqp_optimizer::{Predicate, PredicateKind};
+
+    #[test]
+    fn every_strategy_method_of_the_table_is_answered() {
+        let mut cat = Catalog::new();
+        for (name, rows) in [("f", 100_000u64), ("d", 1_000)] {
+            let k = Column::new("k", DataType::Int, ColumnStats::uniform(rows)).with_index();
+            cat.add_table(Table::new(name, rows, vec![k])).unwrap();
+        }
+        let cat: &'static Catalog = Box::leak(Box::new(cat));
+        let join = PredicateKind::Join {
+            left: 0,
+            left_col: 0,
+            right: 1,
+            right_col: 0,
+        };
+        let query = QuerySpec {
+            name: "q".into(),
+            relations: vec![0, 1],
+            predicates: vec![Predicate {
+                label: "f-d".into(),
+                kind: join,
+            }],
+            epps: vec![0],
+        };
+        let opt = Optimizer::new(
+            cat,
+            &query,
+            CostParams::default(),
+            EnumerationMode::LeftDeep,
+        );
+        let grid = MultiGrid::uniform(1, 1e-5, 8);
+        let artifact = CompiledArtifact::compile(&opt.unwrap(), grid, 2.0, 0.2, 1);
+        let served = ServedQuery::from_artifact(artifact, cat).unwrap();
+        for s in Strategy::ALL {
+            let (result, _) = served.handle(s.method(), &[0.01]);
+            let body = result.unwrap_or_else(|e| panic!("{}: {e:?}", s.method()));
+            let algorithm = format!("\"algorithm\":\"{}\"", s.name());
+            assert!(body.render().contains(&algorithm), "{}", body.render());
+        }
+        let (result, _) = served.handle("run_sb", &[0.01]);
+        assert_eq!(result.err().map(|e| e.0).as_deref(), Some("unknown_method"));
     }
 }

@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example analyze_and_discover`
 
 use rqp::catalog::{analyze, tpcds, DataSet};
-use rqp::core::{CostOracle, SpillBound};
+use rqp::core::{CostOracle, CostSource, Params, SpillBound, Strategy};
 use rqp::ess::EssSurface;
 use rqp::executor::DataStore;
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer, PredicateKind};
@@ -78,9 +78,13 @@ fn main() {
     assert!(subopt <= sb.mso_guarantee());
 
     // 5. The native optimizer's exposure at the same location:
-    let choice = rqp::core::NativeChoice::compute(&surface, &opt);
+    let source = CostSource::Recost(&surface, &opt);
+    let native = (Strategy::Native.compile(source, &Params::default())).expect("native compiles");
+    let report = native.run(&mut CostOracle::at_grid(&opt, grid, qa_idx));
     println!(
         "native optimizer at the same truth: sub-optimality {:.2} (no guarantee)",
-        choice.sub_optimality(&surface, &opt, qa_idx)
+        report
+            .expect("one execution")
+            .sub_optimality(surface.opt_cost(qa_idx))
     );
 }

@@ -1,10 +1,10 @@
-//! Dev utility: times each algorithm's exhaustive ESS sweep separately.
+//! Dev utility: times each strategy's exhaustive ESS sweep separately.
 //!
 //! Run with: `cargo run --release --example profile_eval [query]`
 
 use rqp::catalog::tpcds;
-use rqp::core::eval;
-use rqp::experiments::Experiment;
+use rqp::core::{CostSource, EvalContext, Params, Strategy};
+use rqp::experiments::{sweep, Experiment};
 use rqp::optimizer::EnumerationMode;
 use rqp::workloads::paper_suite;
 use std::time::Instant;
@@ -25,39 +25,19 @@ fn main() {
         exp.surface.posp_size()
     );
     let opt = exp.optimizer();
-
     let t = Instant::now();
-    let pbc = rqp::core::PlanBouquet::new(&exp.surface, &opt, 2.0, 0.2);
-    println!(
-        "PB compile (anorexic): {:.2}s (rho_red {})",
-        t.elapsed().as_secs_f64(),
-        pbc.rho_red()
-    );
-    drop(pbc);
-    let t = Instant::now();
-    let pb = eval::evaluate_planbouquet_fast(&exp.surface, &opt, 2.0, 0.2).unwrap();
-    println!("PB : {:.2}s (mso {:.1})", t.elapsed().as_secs_f64(), pb.mso);
-
-    let t = Instant::now();
-    let sb = eval::evaluate_spillbound(&exp.surface, &opt, 2.0).unwrap();
-    println!("SB : {:.2}s (mso {:.1})", t.elapsed().as_secs_f64(), sb.mso);
-
-    let t = Instant::now();
-    let (ab, pen) = eval::evaluate_alignedbound(&exp.surface, &opt, 2.0).unwrap();
-    println!(
-        "AB : {:.2}s (mso {:.1}, max penalty {pen:.2})",
-        t.elapsed().as_secs_f64(),
-        ab.mso
-    );
-
-    let t = Instant::now();
-    let nat = eval::evaluate_native(&exp.surface, &opt).unwrap();
-    println!(
-        "NAT: {:.2}s (mso {:.1})",
-        t.elapsed().as_secs_f64(),
-        nat.mso
-    );
+    let ctx = EvalContext::new(&exp.surface, &opt);
+    println!("matrix: {:.2}s", t.elapsed().as_secs_f64());
+    for s in Strategy::ALL {
+        let t = Instant::now();
+        let (stats, c) = sweep(s, CostSource::Matrix(&ctx), &Params::default(), 1);
+        let penalty =
+            (c.observed_max_penalty()).map_or(String::new(), |p| format!(", max penalty {p:.2}"));
+        println!(
+            "{:<12}: {:.2}s (mso {:.1}{penalty})",
+            s.name(),
+            t.elapsed().as_secs_f64(),
+            stats.mso
+        );
+    }
 }
-
-#[allow(dead_code)]
-fn unused() {}

@@ -10,11 +10,8 @@
 //! (2-epp configurations only; default `2D_Q91`).
 
 use rqp::catalog::tpcds;
-use rqp::core::eval::{
-    evaluate_alignedbound, evaluate_native, evaluate_planbouquet_fast, evaluate_spillbound,
-    SubOptStats,
-};
-use rqp::experiments::Experiment;
+use rqp::core::{CostSource, EvalContext, Params, Strategy, SubOptStats};
+use rqp::experiments::{sweep, Experiment};
 use rqp::optimizer::EnumerationMode;
 use rqp::workloads::q91_with_dims;
 
@@ -55,21 +52,18 @@ fn main() {
     println!("sub-optimality heat maps over the 2D_Q91 ESS ({nx}×{ny}, x = dim 0 →, y = dim 1 ↑)");
     println!("legend: · <1.5   : <3   + <5   x <10   X <30   % <100   # ≥100");
 
-    let native = evaluate_native(&exp.surface, &opt).expect("native");
-    heatmap("native optimizer (fixed estimate)", &native, nx, ny);
-
-    let pb = evaluate_planbouquet_fast(&exp.surface, &opt, 2.0, 0.2).expect("PB");
-    heatmap("PlanBouquet", &pb, nx, ny);
-
-    let sb = evaluate_spillbound(&exp.surface, &opt, 2.0).expect("SB");
-    heatmap("SpillBound", &sb, nx, ny);
-
-    let (ab, _) = evaluate_alignedbound(&exp.surface, &opt, 2.0).expect("AB");
-    heatmap("AlignedBound", &ab, nx, ny);
-
+    let ctx = EvalContext::new(&exp.surface, &opt);
+    let stats: Vec<SubOptStats> = (Strategy::ALL.into_iter())
+        .map(|s| {
+            let (stats, _) = sweep(s, CostSource::Matrix(&ctx), &Params::default(), 1);
+            heatmap(s.name(), &stats, nx, ny);
+            stats
+        })
+        .collect();
+    let worst = |s: Strategy| grid.coords(stats[s as usize].worst_qa);
     println!(
         "\nworst locations — native: {:?}, SB: {:?} (grid coords)",
-        grid.coords(native.worst_qa),
-        grid.coords(sb.worst_qa)
+        worst(Strategy::Native),
+        worst(Strategy::SpillBound)
     );
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! rqp list                          list the benchmark queries
 //! rqp explore <query>               POSP / contour anatomy of a query
-//! rqp run <query> <algo> [qa...]    run discovery at a true location
+//! rqp run <query> <algo> [qa...]    run a strategy at a true location
 //! rqp compare <query>               MSOg/MSOe/ASO across all algorithms
 //! rqp compile <query>               compile + persist the query's artifact
 //!                                   (--lazy: contour-only sparse artifact)
@@ -17,9 +17,10 @@
 //! rqp trace --check <file>          validate a JSONL trace against the event schema
 //! ```
 //!
-//! `<algo>` is one of `sb` (SpillBound), `ab` (AlignedBound),
-//! `pb` (PlanBouquet), `pop` (re-optimization baseline), `native`, or
-//! `pa` (penalty-aware single-plan selection over a selectivity prior).
+//! `<algo>` is a strategy of the table ([`Strategy`]) by short or wire
+//! name — `native`, `pb` (PlanBouquet), `sb` (SpillBound), `ab`
+//! (AlignedBound), `pa` (penalty-aware single-plan selection over a
+//! selectivity prior) — or, for `run`, `pop` (re-optimization baseline).
 //! `qa` is one selectivity per error-prone predicate (defaults to the
 //! middle of the space).
 
@@ -28,8 +29,8 @@ use rqp::catalog::tpcds;
 use rqp::common::RqpError;
 use rqp::core::report::ExecMode;
 use rqp::core::{
-    AlignedBound, CostOracle, FaultyOracle, Outcome, PlanBouquet, PopReoptimizer, SelectionMode,
-    SpillBound,
+    CostOracle, CostSource, FaultyOracle, Outcome, Params, PenaltySelection, PopReoptimizer,
+    RunReport, SelectionMode, SpillBound, Strategy,
 };
 use rqp::ess::{ContourSet, LazySurface, SurfaceAccess};
 use rqp::experiments::{compare, fmt, harness_threads, print_table, Experiment};
@@ -45,8 +46,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 fn usage() -> ExitCode {
+    let algos = Strategy::ALL.map(Strategy::short).join("|");
     eprintln!(
-        "usage:\n  rqp list\n  rqp explore <query>\n  rqp run <query> <sb|ab|pb|pop|native|pa> [qa...]\n  rqp run <query> <sb|ab|pb|native> --paged [--pool-frames N]\n           (executor-backed out-of-core run over the slotted-page store;\n            env: RQP_PAGE_SIZE / RQP_POOL_FRAMES)\n  rqp run-sql <sql> [qa...]    (mark epps with `-- epp` comments)\n  rqp compare <query>\n  rqp compile <query> [--dir DIR] [--threads N] [--force] [--lazy [--points N]]\n  rqp serve [--addr HOST:PORT] [--dir DIR] [--queries q1,q2] [--workers N] [--queue N] [--threads N]\n           [--shards N] [--max-conns N] [--cache-mb MB] [--tenant-quota N] [--pool-frames N] [--recover]\n           (every artifact in --dir is servable via the LRU cache; --queries are pinned)\n           (--recover: replay the intent journal, quarantine corrupt artifacts,\n            and pre-warm the LRU cache from the persisted hot-set manifest)\n           (env: RQP_FAULT_RATE=R RQP_FAULT_SEED=N enable fault injection)\n  rqp bench-serve [--queries q1,q2] [--clients N] [--secs S] [--pipeline D] [--dir DIR]\n           [--workers N] [--shards N] [--queue N] [--threads N] [--min-rps R]\n           (closed-loop throughput/latency bench over precompiled explains)\n  rqp client <addr> <method> [query] [qa...] [--deadline-ms N]\n  rqp chaos [query] [--seed N] [--rate R]   (defaults: 2D_Q91, seed 42, rate 0.1;\n           also sweeps the page-level fault sites over the paged backend and the\n           penalty-aware risk evaluation)\n  rqp chaos --crash [--seed N]   crash-recovery matrix: abort the victim process at\n           every named crashpoint (RQP_CRASH_POINT) plus 5 seeded random-delay\n           SIGKILL rounds, recover, and assert bit-identical reports\n  rqp trace <query> [sb|ab|pb|pa] [qa...] [--jsonl FILE] [--flame FILE]\n           (env: RQP_TRACE=jsonl:FILE mirrors the event stream to FILE)\n  rqp trace --check <file>   validate a JSONL trace file"
+        "usage:\n  rqp list\n  rqp explore <query>\n  rqp run <query> <{algos}|pop> [qa...]\n  rqp run <query> <{algos}> --paged [--pool-frames N]\n           (executor-backed out-of-core run over the slotted-page store;\n            env: RQP_PAGE_SIZE / RQP_POOL_FRAMES)\n  rqp run-sql <sql> [qa...]    (mark epps with `-- epp` comments)\n  rqp compare <query>\n  rqp compile <query> [--dir DIR] [--threads N] [--force] [--lazy [--points N]]\n  rqp serve [--addr HOST:PORT] [--dir DIR] [--queries q1,q2] [--workers N] [--queue N] [--threads N]\n           [--shards N] [--max-conns N] [--cache-mb MB] [--tenant-quota N] [--pool-frames N] [--recover]\n           (every artifact in --dir is servable via the LRU cache; --queries are pinned)\n           (--recover: replay the intent journal, quarantine corrupt artifacts,\n            and pre-warm the LRU cache from the persisted hot-set manifest)\n           (env: RQP_FAULT_RATE=R RQP_FAULT_SEED=N enable fault injection)\n  rqp bench-serve [--queries q1,q2] [--clients N] [--secs S] [--pipeline D] [--dir DIR]\n           [--workers N] [--shards N] [--queue N] [--threads N] [--min-rps R]\n           (closed-loop throughput/latency bench over precompiled explains)\n  rqp client <addr> <method> [query] [qa...] [--deadline-ms N]\n  rqp chaos [query] [--seed N] [--rate R]   (defaults: 2D_Q91, seed 42, rate 0.1;\n           also sweeps the page-level fault sites over the paged backend and the\n           penalty-aware risk evaluation)\n  rqp chaos --crash [--seed N]   crash-recovery matrix: abort the victim process at\n           every named crashpoint (RQP_CRASH_POINT) plus 5 seeded random-delay\n           SIGKILL rounds, recover, and assert bit-identical reports\n  rqp trace <query> [{algos}] [qa...] [--jsonl FILE] [--flame FILE]\n           (env: RQP_TRACE=jsonl:FILE mirrors the event stream to FILE)\n  rqp trace --check <file>   validate a JSONL trace file"
     );
     ExitCode::FAILURE
 }
@@ -63,6 +65,84 @@ fn find_query(name: &str) -> Option<rqp::workloads::BenchQuery> {
         }
     }
     None
+}
+
+/// The true location given on the command line: one selectivity in
+/// (0, 1] per error-prone predicate, or the middle of the space when none
+/// is given. `None` after saying what was wrong.
+fn parse_qa<S: AsRef<str>>(args: &[S], d: usize) -> Option<Vec<f64>> {
+    if args.is_empty() {
+        return Some(vec![1e-3; d]);
+    }
+    let qa: Option<Vec<f64>> = args.iter().map(|s| s.as_ref().parse().ok()).collect();
+    let qa = qa.filter(|v| v.len() == d && v.iter().all(|s| *s > 0.0 && *s <= 1.0));
+    if qa.is_none() {
+        eprintln!("expected {d} selectivities in (0,1]");
+    }
+    qa
+}
+
+/// The grid location nearest to `qa`, so the oracle's optimum is
+/// well-defined.
+fn snap(grid: &rqp::common::MultiGrid, qa: &[f64]) -> usize {
+    let coords: Vec<usize> = (qa.iter().enumerate())
+        .map(|(j, &s)| grid.dim(j).nearest_idx(s))
+        .collect();
+    grid.flat(&coords)
+}
+
+/// `plan#<pool id>`, or `plan@<fingerprint>` for a plan outside the pool.
+fn plan_label(plan_id: Option<usize>, fingerprint: u64) -> String {
+    plan_id.map_or_else(
+        || format!("plan@{fingerprint:08x}"),
+        |p| format!("plan#{p}"),
+    )
+}
+
+/// One line per budgeted execution of a run.
+fn print_records(report: &RunReport) {
+    for r in &report.records {
+        let mode = match r.mode {
+            ExecMode::Spill { dim } => format!("spill(e{dim})"),
+            ExecMode::Full => "full".into(),
+        };
+        let out = match r.outcome {
+            Outcome::Completed { sel: Some(s) } => format!("learnt {s:.3e}"),
+            Outcome::Completed { sel: None } => "query done".into(),
+            Outcome::TimedOut { lower_bound } => format!("timeout, qa > {lower_bound:.2e}"),
+        };
+        println!(
+            "IC{:<3} {mode:<10} budget {:>12.0}  {out}",
+            r.contour + 1,
+            r.budget
+        );
+    }
+}
+
+/// The closing line of a run: what it spent against the optimum, and the
+/// strategy's bound.
+fn print_total(total: f64, optimal: f64, guarantee: f64) {
+    let bound = if guarantee.is_finite() {
+        format!("MSO bound {guarantee:.1}")
+    } else {
+        "no MSO guarantee".into()
+    };
+    let sub = total / optimal;
+    println!("total {total:.0} vs optimal {optimal:.0} → sub-optimality {sub:.2} ({bound})");
+}
+
+/// The penalty-aware selection behind a PenaltyAware run.
+fn print_selection(sel: &PenaltySelection) {
+    println!(
+        "penalty-aware: chose {} (prior {:016x}, alpha {})",
+        plan_label(sel.chosen.plan_id, sel.chosen.fingerprint),
+        sel.prior_hash,
+        sel.alpha
+    );
+    println!(
+        "expected sub-optimality {:.4} (native plan {:.4}), CVaR {:.4}",
+        sel.chosen.expected, sel.native.expected, sel.chosen.cvar
+    );
 }
 
 /// Value of `--flag V` in `args`, if present.
@@ -112,7 +192,7 @@ fn print_pool_counters(registry: &MetricsRegistry) {
 /// out-of-core run — the query's tables are materialized into the
 /// slotted-page heap store and every scan goes through the pinning buffer
 /// pool, so a pool smaller than the working set really thrashes.
-fn run_paged(name: &str, algo: &str, args: &[String]) -> ExitCode {
+fn run_paged(name: &str, strategy: Strategy, args: &[String]) -> ExitCode {
     use rqp::ess::EssSurface;
     use rqp::executor::{Engine, PlanEngine as _};
     use rqp::runner::{measure_qa, ExecOracle};
@@ -180,72 +260,25 @@ fn run_paged(name: &str, algo: &str, args: &[String]) -> ExitCode {
         .run_full(&opt_plan, f64::INFINITY)
         .expect("optimal plan runs");
 
-    let report = match algo {
-        "native" => {
-            // The native optimizer trusts its estimates; cap the run at
-            // 200x the optimal metered cost so the CLI terminates.
-            let est: Vec<f64> = query.epps.iter().map(|&p| opt.base_sels().get(p)).collect();
-            let (native_plan, _) = opt.optimize_at(&est);
-            let nat = exec()
-                .run_full(&native_plan, 200.0 * opt_out.spent)
-                .expect("native runs");
-            let note = if nat.completed {
-                String::new()
-            } else {
-                " (ABORTED at 200x optimal cost)".into()
-            };
-            println!(
-                "native: sub-optimality {:.2}{note} (no guarantee)",
-                nat.spent / opt_out.spent
-            );
-            print_pool_counters(store.registry());
-            return ExitCode::SUCCESS;
+    let source = CostSource::Recost(&surface, &opt);
+    let compiled = (strategy.compile(source, &Params::default())).expect("strategy compiles");
+    match compiled.fixed_plan() {
+        // A fixed plan is trusted whatever it costs; cap the run at 200x
+        // the optimal metered cost so the CLI terminates.
+        Some((_, plan)) => {
+            let out = (exec().run_full(plan, 200.0 * opt_out.spent)).expect("the plan runs");
+            if !out.completed {
+                println!("{}: ABORTED at 200x optimal cost", strategy.name());
+            }
+            print_total(out.spent, opt_out.spent, compiled.mso_guarantee());
         }
-        "sb" => {
-            let a = SpillBound::new(&surface, &opt, 2.0);
-            let mut o = ExecOracle::new(exec(), &opt, surface.grid());
-            a.run(&mut o).expect("discovery completes")
+        None => {
+            let mut oracle = ExecOracle::new(exec(), &opt, surface.grid());
+            let report = compiled.run(&mut oracle).expect("discovery completes");
+            print_records(&report);
+            print_total(report.total_cost, opt_out.spent, compiled.mso_guarantee());
         }
-        "ab" => {
-            let a = AlignedBound::new(&surface, &opt, 2.0);
-            let mut o = ExecOracle::new(exec(), &opt, surface.grid());
-            a.run(&mut o).expect("discovery completes")
-        }
-        "pb" => {
-            let a = PlanBouquet::new(&surface, &opt, 2.0, 0.2);
-            let mut o = ExecOracle::new(exec(), &opt, surface.grid());
-            a.run(&mut o).expect("discovery completes")
-        }
-        other => {
-            eprintln!("unknown algorithm {other} (--paged supports sb|ab|pb|native)");
-            return usage();
-        }
-    };
-    for r in &report.records {
-        let mode = match r.mode {
-            ExecMode::Spill { dim } => format!("spill(e{dim})"),
-            ExecMode::Full => "full".into(),
-        };
-        let out = match r.outcome {
-            Outcome::Completed { sel: Some(s) } => format!("learnt {s:.3e}"),
-            Outcome::Completed { sel: None } => "query done".into(),
-            Outcome::TimedOut { lower_bound } => format!("timeout, qa > {lower_bound:.2e}"),
-        };
-        println!(
-            "IC{:<3} {:<10} budget {:>12.0}  {}",
-            r.contour + 1,
-            mode,
-            r.budget,
-            out
-        );
     }
-    println!(
-        "total {:.0} vs optimal {:.0} -> sub-optimality {:.2} (MSO bound {})",
-        report.total_cost,
-        opt_out.spent,
-        report.sub_optimality(opt_out.spent),
-        rqp::core::spillbound_guarantee(d)
-    );
     print_pool_counters(store.registry());
     ExitCode::SUCCESS
 }
@@ -582,15 +615,15 @@ fn crash_victim(args: &[String]) -> ExitCode {
     let surface = EssSurface::build(&opt, bench.grid());
     let qa_idx = surface.len() / 2;
     let opt_cost = surface.opt_cost(qa_idx);
-    let bound = rqp::core::spillbound_guarantee(2);
     let mut mso_ok = true;
-    for label in ["sb", "ab"] {
+    for strategy in [Strategy::SpillBound, Strategy::AlignedBound] {
+        let source = CostSource::Recost(&surface, &opt);
+        let compiled = (strategy.compile(source, &Params::default())).expect("victim compiles");
         let mut oracle = CostOracle::at_grid(&opt, surface.grid(), qa_idx);
-        let report = match label {
-            "sb" => SpillBound::new(&surface, &opt, 2.0).run(&mut oracle),
-            _ => AlignedBound::new(&surface, &opt, 2.0).run(&mut oracle),
-        }
-        .expect("victim discovery completes");
+        let report = compiled
+            .run(&mut oracle)
+            .expect("victim discovery completes");
+        let (label, bound) = (strategy.short(), compiled.mso_guarantee());
         let sub = report.sub_optimality(opt_cost);
         println!(
             "report {label} total_bits={:016x} sub_bits={:016x}",
@@ -886,10 +919,7 @@ fn render_timeline(records: &[TraceRecord]) {
                 outcome,
                 ..
             } => {
-                let plan = match plan_id {
-                    Some(p) => format!("plan#{p}"),
-                    None => format!("plan@{plan_fingerprint:08x}"),
-                };
+                let plan = plan_label(*plan_id, *plan_fingerprint);
                 let mode = match (mode, dim) {
                     (&"spill", Some(j)) => format!("spill(e{j})"),
                     _ => (*mode).to_string(),
@@ -933,16 +963,11 @@ fn render_timeline(records: &[TraceRecord]) {
                 plan_id,
                 expected,
                 cvar,
-            } => {
-                let plan = match plan_id {
-                    Some(p) => format!("plan#{p}"),
-                    None => format!("plan@{plan_fingerprint:08x}"),
-                };
-                println!(
-                    "[{:>4}]   risk {:<10} expected {expected:>10.4}  cvar {cvar:>10.4}",
-                    rec.step, plan
-                );
-            }
+            } => println!(
+                "[{:>4}]   risk {:<10} expected {expected:>10.4}  cvar {cvar:>10.4}",
+                rec.step,
+                plan_label(*plan_id, *plan_fingerprint)
+            ),
         }
     }
     if let Some(line) = pending {
@@ -1060,143 +1085,48 @@ fn main() -> ExitCode {
             let (Some(name), Some(algo)) = (args.get(1), args.get(2)) else {
                 return usage();
             };
+            // POP is a CLI special case until it joins the strategy table.
+            let pop = algo == "pop";
+            let strategy = Strategy::parse(algo);
+            if strategy.is_none() && !pop {
+                eprintln!("unknown algorithm {algo}");
+                return usage();
+            }
             if args.iter().any(|a| a == "--paged" || a == "--pool-frames") {
-                return run_paged(name, algo, &args);
+                return strategy.map_or_else(usage, |s| run_paged(name, s, &args));
             }
             let Some(bench) = find_query(name) else {
                 eprintln!("unknown query {name}; try `rqp list`");
                 return ExitCode::FAILURE;
             };
-            let d = bench.query.ndims();
-            let qa: Vec<f64> = if args.len() > 3 {
-                let parsed: Option<Vec<f64>> = args[3..].iter().map(|s| s.parse().ok()).collect();
-                match parsed {
-                    Some(v)
-                        if v.len() == d
-                            && v.iter().all(|s| (0.0..=1.0).contains(s) && *s > 0.0) =>
-                    {
-                        v
-                    }
-                    _ => {
-                        eprintln!("expected {d} selectivities in (0,1]");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else {
-                vec![1e-3; d]
+            let Some(qa) = parse_qa(&args[3..], bench.query.ndims()) else {
+                return ExitCode::FAILURE;
             };
             let exp = Experiment::build(tpcds::catalog_sf100(), bench, EnumerationMode::LeftDeep);
             let opt = exp.optimizer();
             let grid = exp.surface.grid();
-            // Snap qa to the grid so the oracle's optimum is well-defined.
-            let coords: Vec<usize> = qa
-                .iter()
-                .enumerate()
-                .map(|(j, &s)| grid.dim(j).nearest_idx(s))
-                .collect();
-            let qa_idx = grid.flat(&coords);
+            let qa_idx = snap(grid, &qa);
             let opt_cost = exp.surface.opt_cost(qa_idx);
-            let report = match algo.as_str() {
-                "sb" => {
-                    let a = SpillBound::new(&exp.surface, &opt, 2.0);
-                    let mut o = CostOracle::at_grid(&opt, grid, qa_idx);
-                    a.run(&mut o).expect("discovery completes")
-                }
-                "ab" => {
-                    let a = AlignedBound::new(&exp.surface, &opt, 2.0);
-                    let mut o = CostOracle::at_grid(&opt, grid, qa_idx);
-                    a.run(&mut o).expect("discovery completes")
-                }
-                "pb" => {
-                    let a = PlanBouquet::new(&exp.surface, &opt, 2.0, 0.2);
-                    let mut o = CostOracle::at_grid(&opt, grid, qa_idx);
-                    a.run(&mut o).expect("discovery completes")
-                }
-                "pop" => {
-                    let pop = PopReoptimizer::new(&opt, 2.0);
-                    let run = pop.run(&grid.sels(qa_idx));
-                    println!(
-                        "POP: {} restarts, total cost {:.0}, sub-optimality {:.2} (no guarantee)",
-                        run.restarts,
-                        run.total_cost,
-                        run.total_cost / opt_cost
-                    );
-                    return ExitCode::SUCCESS;
-                }
-                "native" => {
-                    let choice = rqp::core::NativeChoice::compute(&exp.surface, &opt);
-                    println!(
-                        "native: sub-optimality {:.2} at this qa (no guarantee)",
-                        choice.sub_optimality(&exp.surface, &opt, qa_idx)
-                    );
-                    return ExitCode::SUCCESS;
-                }
-                "pa" => {
-                    use rqp::core::{penalty, EvalContext, PenaltyConfig, PriorConfig};
-                    let choice = rqp::core::NativeChoice::compute(&exp.surface, &opt);
-                    let prior = rqp::core::SelectivityPrior::lognormal(
-                        grid,
-                        &choice.qe_sels,
-                        PriorConfig::default(),
-                    )
-                    .expect("prior over the ESS grid");
-                    let ctx = EvalContext::new(&exp.surface, &opt);
-                    let sel = penalty::select_ctx(&ctx, &prior, &PenaltyConfig::default())
-                        .expect("penalty-aware selection");
-                    let chosen = match sel.chosen.plan_id {
-                        Some(p) => format!("plan#{p}"),
-                        None => format!("plan@{:08x}", sel.chosen.fingerprint),
-                    };
-                    println!(
-                        "penalty-aware: chose {chosen} (prior {:016x}, alpha {})",
-                        sel.prior_hash, sel.alpha
-                    );
-                    println!(
-                        "expected sub-optimality {:.4} (native plan {:.4}), CVaR {:.4}",
-                        sel.chosen.expected, sel.native.expected, sel.chosen.cvar
-                    );
-                    let cost = match sel.chosen.plan_id {
-                        Some(pid) => ctx.matrix().cost(pid, qa_idx),
-                        None => opt.cost_plan(&sel.chosen_plan, &opt.sels_at(&grid.sels(qa_idx))),
-                    };
-                    println!(
-                        "at this qa: cost {:.0} vs optimal {:.0} → sub-optimality {:.2} \
-                         (no worst-case guarantee; expected-case only)",
-                        cost,
-                        opt_cost,
-                        cost / opt_cost
-                    );
-                    return ExitCode::SUCCESS;
-                }
-                other => {
-                    eprintln!("unknown algorithm {other}");
-                    return usage();
-                }
-            };
-            for r in &report.records {
-                let mode = match r.mode {
-                    ExecMode::Spill { dim } => format!("spill(e{dim})"),
-                    ExecMode::Full => "full".into(),
-                };
-                let out = match r.outcome {
-                    Outcome::Completed { sel: Some(s) } => format!("learnt {s:.3e}"),
-                    Outcome::Completed { sel: None } => "query done".into(),
-                    Outcome::TimedOut { lower_bound } => format!("timeout, qa > {lower_bound:.2e}"),
-                };
+            let Some(strategy) = strategy else {
+                let run = PopReoptimizer::new(&opt, 2.0).run(&grid.sels(qa_idx));
                 println!(
-                    "IC{:<3} {:<10} budget {:>12.0}  {}",
-                    r.contour + 1,
-                    mode,
-                    r.budget,
-                    out
+                    "POP: {} restarts, total cost {:.0}, sub-optimality {:.2} (no guarantee)",
+                    run.restarts,
+                    run.total_cost,
+                    run.total_cost / opt_cost
                 );
+                return ExitCode::SUCCESS;
+            };
+            let source = CostSource::Recost(&exp.surface, &opt);
+            let compiled =
+                (strategy.compile(source, &Params::default())).expect("strategy compiles");
+            if let Some(sel) = compiled.penalty_selection() {
+                print_selection(sel);
             }
-            println!(
-                "total {:.0} vs optimal {:.0} → sub-optimality {:.2}",
-                report.total_cost,
-                opt_cost,
-                report.sub_optimality(opt_cost)
-            );
+            let mut oracle = CostOracle::at_grid(&opt, grid, qa_idx);
+            let report = compiled.run(&mut oracle).expect("the run completes");
+            print_records(&report);
+            print_total(report.total_cost, opt_cost, compiled.mso_guarantee());
             ExitCode::SUCCESS
         }
         Some("run-sql") => {
@@ -1217,25 +1147,8 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             println!("parsed {d}-epp query:\n{}\n", query.to_sql(&catalog));
-            let qa: Vec<f64> = if args.len() > 2 {
-                match args[2..]
-                    .iter()
-                    .map(|s| s.parse().ok())
-                    .collect::<Option<Vec<f64>>>()
-                {
-                    Some(v)
-                        if v.len() == d
-                            && v.iter().all(|s| (0.0..=1.0).contains(s) && *s > 0.0) =>
-                    {
-                        v
-                    }
-                    _ => {
-                        eprintln!("expected {d} selectivities in (0,1]");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else {
-                vec![1e-3; d]
+            let Some(qa) = parse_qa(&args[2..], d) else {
+                return ExitCode::FAILURE;
             };
             use rqp::common::MultiGrid;
             use rqp::ess::EssSurface;
@@ -1250,12 +1163,7 @@ fn main() -> ExitCode {
             let points = rqp::workloads::suite::default_grid_points(d);
             let surface = EssSurface::build(&opt, MultiGrid::uniform(d, 1e-7, points));
             let grid = surface.grid();
-            let coords: Vec<usize> = qa
-                .iter()
-                .enumerate()
-                .map(|(j, &s)| grid.dim(j).nearest_idx(s))
-                .collect();
-            let qa_idx = grid.flat(&coords);
+            let qa_idx = snap(grid, &qa);
             let sb = SpillBound::new(&surface, &opt, 2.0);
             let mut o = CostOracle::at_grid(&opt, grid, qa_idx);
             let report = sb.run(&mut o).expect("discovery completes");
@@ -1280,42 +1188,14 @@ fn main() -> ExitCode {
             };
             let exp = Experiment::build(tpcds::catalog_sf100(), bench, EnumerationMode::LeftDeep);
             let row = compare(&exp, 2.0, 0.2);
-            print_table(
-                &format!("{name}: comparison"),
-                &["strategy", "MSOg", "MSOe", "ASO"],
-                &[
-                    vec![
-                        "native".into(),
-                        "∞".into(),
-                        fmt(row.msoe_native, 1),
-                        fmt(row.aso_native, 2),
-                    ],
-                    vec![
-                        "PlanBouquet".into(),
-                        fmt(row.msog_pb, 1),
-                        fmt(row.msoe_pb, 1),
-                        fmt(row.aso_pb, 2),
-                    ],
-                    vec![
-                        "SpillBound".into(),
-                        fmt(row.msog_sb, 1),
-                        fmt(row.msoe_sb, 1),
-                        fmt(row.aso_sb, 2),
-                    ],
-                    vec![
-                        "AlignedBound".into(),
-                        fmt(row.msog_sb, 1),
-                        fmt(row.msoe_ab, 1),
-                        fmt(row.aso_ab, 2),
-                    ],
-                    vec![
-                        "PenaltyAware".into(),
-                        "∞".into(),
-                        fmt(row.msoe_pa, 1),
-                        fmt(row.aso_pa, 2),
-                    ],
-                ],
-            );
+            let rows: Vec<Vec<String>> = (Strategy::ALL.into_iter())
+                .map(|s| {
+                    let (msog, msoe, aso) = row.stats(s);
+                    vec![s.name().into(), fmt(msog, 1), fmt(msoe, 1), fmt(aso, 2)]
+                })
+                .collect();
+            let title = format!("{name}: comparison");
+            print_table(&title, &["strategy", "MSOg", "MSOe", "ASO"], &rows);
             println!(
                 "penalty-aware prior-expected sub-optimality: {:.4} (native plan {:.4}), \
                  CVaR {:.4} — expected-case guarantee: PA ≤ native under the prior",
@@ -1787,40 +1667,38 @@ fn main() -> ExitCode {
             let exp = Experiment::build(tpcds::catalog_sf100(), bench, EnumerationMode::LeftDeep);
             let opt = exp.optimizer();
             let grid = exp.surface.grid();
-            let d = exp.bench.query.ndims();
-            let bound = rqp::core::spillbound_guarantee(d);
             println!(
                 "chaos sweep on {name}: seed {seed}, transient fault rate {rate}, \
-                 {} locations, MSO bound {bound}",
-                exp.surface.len()
+                 {} locations x {} strategies",
+                exp.surface.len(),
+                Strategy::ALL.len()
             );
 
             // Per-location plan: the seed is salted with the location and
-            // the algorithm so every (point, algo) pair sees an
+            // the strategy so every (point, strategy) pair sees an
             // independent but fully reproducible fault stream.
-            let point_plan = |qa: usize, salt: u64| {
+            let point_plan = |qa: usize, s: Strategy| {
+                let salt = s as u64 + 1;
                 FaultPlan::new(seed ^ (qa as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt)
                     .with_site(FaultSite::OracleSpill, rate)
                     .with_site(FaultSite::OracleFull, rate)
             };
-            let sb = SpillBound::new(&exp.surface, &opt, 2.0);
-            let ab = AlignedBound::new(&exp.surface, &opt, 2.0);
+            let source = CostSource::Recost(&exp.surface, &opt);
+            let params = Params::default();
+            let compiled = Strategy::ALL.map(|s| s.compile(source, &params).expect("compiles"));
             let mut faults = 0u64;
             let mut retries = 0u64;
             let mut wasted = 0.0f64;
-            let mut worst_sb = 0.0f64;
-            let mut worst_ab = 0.0f64;
+            let mut worst = [0.0f64; Strategy::ALL.len()];
             let mut violations = 0usize;
             for qa in 0..exp.surface.len() {
                 let opt_cost = exp.surface.opt_cost(qa);
-                for (label, salt) in [("SB", 1u64), ("AB", 2u64)] {
-                    let plan = point_plan(qa, salt);
+                for (c, worst) in compiled.iter().zip(&mut worst) {
+                    let (label, bound) = (c.strategy().short(), c.mso_guarantee());
+                    let plan = point_plan(qa, c.strategy());
                     let inner = CostOracle::at_grid(&opt, grid, qa);
                     let mut oracle = FaultyOracle::new(inner, &plan);
-                    let res = match label {
-                        "SB" => sb.run(&mut oracle),
-                        _ => ab.run(&mut oracle),
-                    };
+                    let res = c.run(&mut oracle);
                     let stats = oracle.stats();
                     faults += stats.faults_injected;
                     retries += stats.retries;
@@ -1828,14 +1706,7 @@ fn main() -> ExitCode {
                     match res {
                         Ok(report) => {
                             let sub = report.sub_optimality(opt_cost);
-                            let worst = if label == "SB" {
-                                &mut worst_sb
-                            } else {
-                                &mut worst_ab
-                            };
-                            if sub > *worst {
-                                *worst = sub;
-                            }
+                            *worst = worst.max(sub);
                             if sub > bound * (1.0 + 1e-9) {
                                 violations += 1;
                                 eprintln!(
@@ -1851,12 +1722,13 @@ fn main() -> ExitCode {
                     }
                 }
             }
+            let sb = &compiled[Strategy::SpillBound as usize];
 
             // Determinism: the same seed must replay to bit-identical
             // results, fault stream included.
             let qa0 = exp.surface.len() / 2;
             let replay = || {
-                let plan = point_plan(qa0, 1);
+                let plan = point_plan(qa0, Strategy::SpillBound);
                 let inner = CostOracle::at_grid(&opt, grid, qa0);
                 let mut oracle = FaultyOracle::new(inner, &plan);
                 let outcome = sb.run(&mut oracle).map(|r| r.total_cost.to_bits()).ok();
@@ -2059,7 +1931,7 @@ fn main() -> ExitCode {
                 let ctx = EvalContext::new(&exp.surface, &opt);
                 let cfg = PenaltyConfig::default();
                 let clean =
-                    penalty::select_ctx(&ctx, &prior, &cfg).expect("clean penalty-aware selection");
+                    penalty::select(&ctx, &prior, &cfg, 1).expect("clean penalty-aware selection");
                 let mut pa_faults = 0u64;
                 let mut pa_retries = 0u64;
                 let mut pa_identical = true;
@@ -2137,14 +2009,17 @@ fn main() -> ExitCode {
             }
 
             println!(
-                "sweep: {} locations x 2 algorithms, {faults} faults injected, \
+                "sweep: {} locations x {} strategies, {faults} faults injected, \
                  {retries} retries, wasted cost {wasted:.0}",
-                exp.surface.len()
+                exp.surface.len(),
+                compiled.len()
             );
-            println!(
-                "worst sub-optimality under faults: SB {worst_sb:.2}, AB {worst_ab:.2} \
-                 (bound {bound})"
-            );
+            print!("worst sub-optimality under faults:");
+            for (c, w) in compiled.iter().zip(&worst) {
+                let (label, bound) = (c.strategy().short(), c.mso_guarantee());
+                print!(" {label} {w:.2} (bound {bound:.1})");
+            }
+            println!();
             if violations == 0 {
                 println!("chaos sweep passed: guarantees hold under rate-{rate} transient faults");
                 ExitCode::SUCCESS
@@ -2167,7 +2042,6 @@ fn main() -> ExitCode {
                 eprintln!("unknown query {name}; try `rqp list`");
                 return ExitCode::FAILURE;
             };
-            let d = bench.query.ndims();
             // Positionals after the query: optional algo, then optional qa.
             let positionals: Vec<&String> = args[2..]
                 .iter()
@@ -2175,28 +2049,14 @@ fn main() -> ExitCode {
                 .collect();
             let (algo, qa_args) = match positionals.first() {
                 Some(first) if first.parse::<f64>().is_err() => (first.as_str(), &positionals[1..]),
-                _ => ("sb", &positionals[..]),
+                _ => (Strategy::SpillBound.short(), &positionals[..]),
             };
-            if !matches!(algo, "sb" | "ab" | "pb" | "pa") {
-                eprintln!("unknown algorithm {algo} (trace supports sb|ab|pb|pa)");
+            let Some(strategy) = Strategy::parse(algo) else {
+                eprintln!("unknown algorithm {algo}");
                 return usage();
-            }
-            let qa: Vec<f64> = if qa_args.is_empty() {
-                vec![1e-3; d]
-            } else {
-                let parsed: Option<Vec<f64>> = qa_args.iter().map(|s| s.parse().ok()).collect();
-                match parsed {
-                    Some(v)
-                        if v.len() == d
-                            && v.iter().all(|s| (0.0..=1.0).contains(s) && *s > 0.0) =>
-                    {
-                        v
-                    }
-                    _ => {
-                        eprintln!("expected {d} selectivities in (0,1]");
-                        return ExitCode::FAILURE;
-                    }
-                }
+            };
+            let Some(qa) = parse_qa(qa_args, bench.query.ndims()) else {
+                return ExitCode::FAILURE;
             };
 
             // Sinks: always keep a ring for rendering; mirror to JSONL when
@@ -2232,77 +2092,26 @@ fn main() -> ExitCode {
             };
             let opt = exp.optimizer();
             let grid = exp.surface.grid();
-            let coords: Vec<usize> = qa
-                .iter()
-                .enumerate()
-                .map(|(j, &s)| grid.dim(j).nearest_idx(s))
-                .collect();
-            let qa_idx = grid.flat(&coords);
+            let qa_idx = snap(grid, &qa);
             let opt_cost = exp.surface.opt_cost(qa_idx);
-            if algo == "pa" {
-                use rqp::core::{penalty, EvalContext, PenaltyConfig, PriorConfig};
-                let sel = {
-                    rqp::obs::span!("cli.trace.run");
-                    let choice = rqp::core::NativeChoice::compute(&exp.surface, &opt);
-                    let prior = rqp::core::SelectivityPrior::lognormal(
-                        grid,
-                        &choice.qe_sels,
-                        PriorConfig::default(),
-                    )
-                    .expect("prior over the ESS grid");
-                    let ctx = EvalContext::new(&exp.surface, &opt);
-                    penalty::select_ctx_traced(&ctx, &prior, &PenaltyConfig::default(), &tracer)
-                        .expect("penalty-aware selection")
-                };
-                tracer.flush();
-                println!(
-                    "trace of {name} [pa] risk integration (prior {:016x}):",
-                    sel.prior_hash
-                );
-                render_timeline(&ring.snapshot());
-                let chosen = match sel.chosen.plan_id {
-                    Some(p) => format!("plan#{p}"),
-                    None => format!("plan@{:08x}", sel.chosen.fingerprint),
-                };
-                println!(
-                    "chose {chosen}: expected {:.4} (native {:.4}), CVaR {:.4} at alpha {}",
-                    sel.chosen.expected, sel.native.expected, sel.chosen.cvar, sel.alpha
-                );
-            } else {
-                let report = {
-                    rqp::obs::span!("cli.trace.run");
-                    match algo {
-                        "sb" => {
-                            let mut a = SpillBound::new(&exp.surface, &opt, 2.0);
-                            a.set_tracer(tracer.clone());
-                            let mut o = CostOracle::at_grid(&opt, grid, qa_idx);
-                            a.run(&mut o).expect("discovery completes")
-                        }
-                        "ab" => {
-                            let mut a = AlignedBound::new(&exp.surface, &opt, 2.0);
-                            a.set_tracer(tracer.clone());
-                            let mut o = CostOracle::at_grid(&opt, grid, qa_idx);
-                            a.run(&mut o).expect("discovery completes")
-                        }
-                        _ => {
-                            let mut a = PlanBouquet::new(&exp.surface, &opt, 2.0, 0.2);
-                            a.set_tracer(tracer.clone());
-                            let mut o = CostOracle::at_grid(&opt, grid, qa_idx);
-                            a.run(&mut o).expect("discovery completes")
-                        }
-                    }
-                };
-                tracer.flush();
+            let (compiled, report) = {
+                rqp::obs::span!("cli.trace.run");
+                let source = CostSource::Recost(&exp.surface, &opt);
+                let mut compiled =
+                    (strategy.compile(source, &Params::default())).expect("strategy compiles");
+                compiled.set_tracer(tracer.clone());
+                let mut oracle = CostOracle::at_grid(&opt, grid, qa_idx);
+                let report = compiled.run(&mut oracle).expect("the run completes");
+                (compiled, report)
+            };
+            tracer.flush();
 
-                println!("trace of {name} [{algo}] at qa {qa:?} (grid location {qa_idx}):");
-                render_timeline(&ring.snapshot());
-                println!(
-                    "sub-optimality {:.2} vs optimal {:.0} (MSO bound {})",
-                    report.sub_optimality(opt_cost),
-                    opt_cost,
-                    rqp::core::spillbound_guarantee(d)
-                );
+            println!("trace of {name} [{algo}] at qa {qa:?} (grid location {qa_idx}):");
+            render_timeline(&ring.snapshot());
+            if let Some(sel) = compiled.penalty_selection() {
+                print_selection(sel);
             }
+            print_total(report.total_cost, opt_cost, compiled.mso_guarantee());
             if let Some(path) = &jsonl_path {
                 println!("event stream mirrored to {path}");
             }

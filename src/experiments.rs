@@ -8,13 +8,9 @@
 
 use rqp_artifacts::{CompiledArtifact, PenaltySummary};
 use rqp_catalog::Catalog;
-use rqp_core::eval::{
-    evaluate_alignedbound_parallel, evaluate_native_ctx, evaluate_penaltyaware_parallel,
-    evaluate_planbouquet_parallel, evaluate_spillbound_parallel,
-};
 use rqp_core::{
-    penalty, EvalContext, NativeChoice, PenaltyConfig, PenaltySelection, PlanBouquet, PriorConfig,
-    SelectivityPrior,
+    evaluate_strategy, Compiled, CostSource, EvalContext, Params, PenaltyConfig, PenaltySelection,
+    PriorConfig, Strategy, SubOptStats,
 };
 use rqp_ess::EssSurface;
 use rqp_optimizer::{CostParams, EnumerationMode, Optimizer};
@@ -75,7 +71,7 @@ impl Experiment {
 
 /// Full comparison of one query across algorithms — the data behind
 /// Figs. 8, 10, 11, 13 and Table 4.
-#[derive(Debug, Clone, Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, serde::Deserialize)]
 pub struct ComparisonRow {
     /// Query name (`xD_Qz`).
     pub name: String,
@@ -124,13 +120,43 @@ pub struct ComparisonRow {
     pub build_secs: f64,
 }
 
-/// Runs the complete per-query comparison (all four algorithms,
+impl ComparisonRow {
+    /// `(MSOg, MSOe, ASO)` of strategy `s`. MSOg is infinite for the
+    /// fixed-plan strategies, which have no MSO guarantee.
+    pub fn stats(&self, s: Strategy) -> (f64, f64, f64) {
+        match s {
+            Strategy::Native => (f64::INFINITY, self.msoe_native, self.aso_native),
+            Strategy::PlanBouquet => (self.msog_pb, self.msoe_pb, self.aso_pb),
+            Strategy::SpillBound => (self.msog_sb, self.msoe_sb, self.aso_sb),
+            Strategy::AlignedBound => (self.msog_sb, self.msoe_ab, self.aso_ab),
+            Strategy::PenaltyAware => (f64::INFINITY, self.msoe_pa, self.aso_pa),
+        }
+    }
+}
+
+/// Runs the complete per-query comparison (every strategy of the table,
 /// exhaustive over the grid) with `RQP_THREADS` worker threads.
 pub fn compare(exp: &Experiment, ratio: f64, lambda: f64) -> ComparisonRow {
     compare_with_threads(exp, ratio, lambda, env_threads())
 }
 
-/// [`compare`] with an explicit thread count. All four algorithms share a
+/// Compiles `s` over `source` and sweeps it with `threads` workers,
+/// panicking on failure (harness use). The compiled value carries the
+/// sweep's side results: AlignedBound's penalty, PenaltyAware's selection.
+pub fn sweep<'a>(
+    s: Strategy,
+    source: CostSource<'a>,
+    params: &Params,
+    threads: usize,
+) -> (SubOptStats, Compiled<'a>) {
+    let compiled =
+        (s.compile(source, params)).unwrap_or_else(|e| panic!("{} compile: {e}", s.name()));
+    let stats = evaluate_strategy(&compiled, threads)
+        .unwrap_or_else(|e| panic!("{} evaluation: {e}", s.name()));
+    (stats, compiled)
+}
+
+/// [`compare`] with an explicit thread count. Every strategy shares a
 /// single plan×location cost matrix ([`EvalContext`]); the matrix build
 /// and the per-location sweeps both fan out across `threads` workers, and
 /// the results are bit-equal to a sequential run.
@@ -143,71 +169,61 @@ pub fn compare_with_threads(
     let opt = exp.optimizer();
     let d = exp.bench.query.ndims();
     let ctx = EvalContext::with_threads(&exp.surface, &opt, threads);
-    let pb = PlanBouquet::from_ctx(&ctx, ratio, lambda);
-    let rho_red = pb.rho_red();
-    let msog_pb = pb.mso_guarantee();
-    drop(pb);
-    let pb_stats = evaluate_planbouquet_parallel(&ctx, ratio, lambda, threads)
-        .unwrap_or_else(|e| panic!("{}: PB evaluation: {e}", exp.bench.query.name));
-    let sb_stats = evaluate_spillbound_parallel(&ctx, ratio, threads)
-        .unwrap_or_else(|e| panic!("{}: SB evaluation: {e}", exp.bench.query.name));
-    let (ab_stats, ab_max_penalty) = evaluate_alignedbound_parallel(&ctx, ratio, threads)
-        .unwrap_or_else(|e| panic!("{}: AB evaluation: {e}", exp.bench.query.name));
-    let native = evaluate_native_ctx(&ctx)
-        .unwrap_or_else(|e| panic!("{}: native evaluation: {e}", exp.bench.query.name));
-    let (pa_stats, pa_sel) = {
-        let choice = NativeChoice::compute(&exp.surface, &opt);
-        let prior = SelectivityPrior::lognormal(
-            exp.surface.grid(),
-            &choice.qe_sels,
-            PriorConfig::default(),
-        )
-        .unwrap_or_else(|e| panic!("{}: penalty prior: {e}", exp.bench.query.name));
-        evaluate_penaltyaware_parallel(&ctx, &prior, &PenaltyConfig::default(), threads)
-            .unwrap_or_else(|e| panic!("{}: PA evaluation: {e}", exp.bench.query.name))
+    let params = Params {
+        ratio,
+        lambda,
+        ..Params::default()
     };
+    let [(native, _), (pb, pb_c), (sb, _), (ab, ab_c), (pa, pa_c)] =
+        Strategy::ALL.map(|s| sweep(s, CostSource::Matrix(&ctx), &params, threads));
+    let pa_sel = pa_c.penalty_selection().expect("a penalty-aware selection");
     ComparisonRow {
         name: exp.bench.query.name.clone(),
         d,
-        rho_red,
-        msog_pb,
+        rho_red: pb_c.bouquet().expect("a bouquet").rho_red(),
+        msog_pb: pb_c.mso_guarantee(),
         msog_sb: rqp_core::spillbound_guarantee(d),
         msog_ab_lower: rqp_core::aligned_guarantee_lower(d),
-        msoe_pb: pb_stats.mso,
-        msoe_sb: sb_stats.mso,
-        msoe_ab: ab_stats.mso,
-        aso_pb: pb_stats.aso,
-        aso_sb: sb_stats.aso,
-        aso_ab: ab_stats.aso,
+        msoe_pb: pb.mso,
+        msoe_sb: sb.mso,
+        msoe_ab: ab.mso,
+        aso_pb: pb.aso,
+        aso_sb: sb.aso,
+        aso_ab: ab.aso,
         msoe_native: native.mso,
         aso_native: native.aso,
-        msoe_pa: pa_stats.mso,
-        aso_pa: pa_stats.aso,
+        msoe_pa: pa.mso,
+        aso_pa: pa.aso,
         aso_prior_pa: pa_sel.chosen.expected,
         aso_prior_native: pa_sel.native.expected,
         pa_cvar: pa_sel.chosen.cvar,
-        ab_max_penalty,
+        ab_max_penalty: ab_c.observed_max_penalty().expect("AlignedBound's penalty"),
         build_secs: exp.build_secs,
     }
 }
 
 /// Runs the offline penalty-aware selection for a compiled artifact and
-/// packages it as the persistable [`PenaltySummary`]. The prior is
-/// centered on the native optimizer's estimated location
-/// ([`NativeChoice::qe_sels`]) — the same construction the server uses
-/// when it re-verifies a loaded artifact, so the compile-time and
-/// serve-time selections are bit-comparable.
+/// packages it as the persistable [`PenaltySummary`]. The selection is
+/// the table's PenaltyAware compile over the artifact's matrix — the same
+/// construction the server uses when it re-verifies a loaded artifact, so
+/// the compile-time and serve-time selections are bit-comparable.
 pub fn penalty_summary(
     artifact: &CompiledArtifact,
     opt: &Optimizer<'_>,
     prior_config: PriorConfig,
     cfg: &PenaltyConfig,
 ) -> rqp_common::Result<(PenaltySummary, PenaltySelection)> {
-    let choice = NativeChoice::compute(&artifact.surface, opt);
-    let prior =
-        SelectivityPrior::lognormal(artifact.surface.grid(), &choice.qe_sels, prior_config)?;
     let ctx = EvalContext::from_parts(&artifact.surface, opt, Cow::Borrowed(&artifact.matrix))?;
-    let sel = penalty::select_ctx(&ctx, &prior, cfg)?;
+    let params = Params {
+        prior: prior_config,
+        penalty: *cfg,
+        ..Params::default()
+    };
+    let pa = Strategy::PenaltyAware.compile(CostSource::Matrix(&ctx), &params)?;
+    let sel = pa
+        .penalty_selection()
+        .expect("a penalty-aware selection")
+        .clone();
     let summary = PenaltySummary {
         prior_seed: prior_config.seed,
         prior_sigma: prior_config.sigma,
@@ -224,7 +240,7 @@ pub fn penalty_summary(
 }
 
 /// Sequential-vs-parallel wall-clock comparison for one query's
-/// exhaustive evaluation (matrix build + PB/SB/AB/native sweeps).
+/// exhaustive evaluation (matrix build + every strategy's sweep).
 #[derive(Debug, Clone, Serialize, serde::Deserialize)]
 pub struct SpeedupRow {
     /// Query name.
@@ -244,83 +260,46 @@ pub struct SpeedupRow {
     pub speedup_vs_seed: f64,
 }
 
-/// Times the full four-algorithm evaluation of `exp` sequentially and
+/// Times the full every-strategy evaluation of `exp` sequentially and
 /// with `threads` workers, panicking if the two disagree bit-for-bit on
 /// any reported statistic. The returned row is what the fig10–fig13 and
 /// micro harnesses print as their "parallel evaluation" section.
 pub fn measure_speedup(exp: &Experiment, ratio: f64, lambda: f64, threads: usize) -> SpeedupRow {
     // The seed's evaluation path: one full recost (or spill binary search
-    // with per-probe recosting) per algorithm per grid location.
+    // with per-probe recosting) per strategy per grid location.
     let opt = exp.optimizer();
-    let ts = Instant::now();
-    let seed_pb = rqp_core::eval::evaluate_planbouquet(&exp.surface, &opt, ratio, lambda)
-        .unwrap_or_else(|e| panic!("{}: seed PB evaluation: {e}", exp.bench.query.name));
-    let seed_sb = rqp_core::eval::evaluate_spillbound(&exp.surface, &opt, ratio)
-        .unwrap_or_else(|e| panic!("{}: seed SB evaluation: {e}", exp.bench.query.name));
-    let (seed_ab, _) = rqp_core::eval::evaluate_alignedbound(&exp.surface, &opt, ratio)
-        .unwrap_or_else(|e| panic!("{}: seed AB evaluation: {e}", exp.bench.query.name));
-    let _ = rqp_core::eval::evaluate_native(&exp.surface, &opt)
-        .unwrap_or_else(|e| panic!("{}: seed native evaluation: {e}", exp.bench.query.name));
-    let (seed_pa, _) = {
-        let choice = NativeChoice::compute(&exp.surface, &opt);
-        let prior = SelectivityPrior::lognormal(
-            exp.surface.grid(),
-            &choice.qe_sels,
-            PriorConfig::default(),
-        )
-        .unwrap_or_else(|e| panic!("{}: seed penalty prior: {e}", exp.bench.query.name));
-        rqp_core::eval::evaluate_penaltyaware(&exp.surface, &opt, &prior, &PenaltyConfig::default())
-            .unwrap_or_else(|e| panic!("{}: seed PA evaluation: {e}", exp.bench.query.name))
+    let params = Params {
+        ratio,
+        lambda,
+        ..Params::default()
     };
+    let ts = Instant::now();
+    let seed =
+        Strategy::ALL.map(|s| sweep(s, CostSource::Recost(&exp.surface, &opt), &params, 1).0);
     let seed_secs = ts.elapsed().as_secs_f64();
-    drop(opt);
 
     let t0 = Instant::now();
     let seq = compare_with_threads(exp, ratio, lambda, 1);
     let seq_secs = t0.elapsed().as_secs_f64();
-    for (label, a, b) in [
-        ("SB MSOe", seed_sb.mso, seq.msoe_sb),
-        ("AB MSOe", seed_ab.mso, seq.msoe_ab),
-        ("PB MSOe", seed_pb.mso, seq.msoe_pb),
-        ("PA MSOe", seed_pa.mso, seq.msoe_pa),
-    ] {
+    for (s, seed) in Strategy::ALL.into_iter().zip(seed) {
+        let (seed, cached) = (seed.mso, seq.stats(s).1);
         assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{}: {label} diverged between the seed path ({a}) and the cached path ({b})",
-            exp.bench.query.name
+            seed.to_bits(),
+            cached.to_bits(),
+            "{}: {} MSOe diverged between the seed path ({seed}) and the cached path ({cached})",
+            exp.bench.query.name,
+            s.name()
         );
     }
     let t1 = Instant::now();
     let par = compare_with_threads(exp, ratio, lambda, threads);
     let par_secs = t1.elapsed().as_secs_f64();
-    for (label, s, p) in [
-        ("PB MSOe", seq.msoe_pb, par.msoe_pb),
-        ("SB MSOe", seq.msoe_sb, par.msoe_sb),
-        ("AB MSOe", seq.msoe_ab, par.msoe_ab),
-        ("PB ASO", seq.aso_pb, par.aso_pb),
-        ("SB ASO", seq.aso_sb, par.aso_sb),
-        ("AB ASO", seq.aso_ab, par.aso_ab),
-        ("native MSOe", seq.msoe_native, par.msoe_native),
-        ("native ASO", seq.aso_native, par.aso_native),
-        ("PA MSOe", seq.msoe_pa, par.msoe_pa),
-        ("PA ASO", seq.aso_pa, par.aso_pa),
-        ("PA prior-ASO", seq.aso_prior_pa, par.aso_prior_pa),
-        (
-            "native prior-ASO",
-            seq.aso_prior_native,
-            par.aso_prior_native,
-        ),
-        ("PA CVaR", seq.pa_cvar, par.pa_cvar),
-        ("AB max ε", seq.ab_max_penalty, par.ab_max_penalty),
-    ] {
-        assert_eq!(
-            s.to_bits(),
-            p.to_bits(),
-            "{}: {label} diverged between sequential ({s}) and {threads}-thread ({p}) runs",
-            exp.bench.query.name
-        );
-    }
+    // Every statistic is finite and at least 1, so `==` is bit equality.
+    assert_eq!(
+        seq, par,
+        "{}: the sequential and {threads}-thread comparisons diverged",
+        exp.bench.query.name
+    );
     SpeedupRow {
         name: exp.bench.query.name.clone(),
         threads,
@@ -372,7 +351,7 @@ pub fn harness_threads(default: usize) -> usize {
 
 /// The standard "parallel evaluation" trailer shared by the figure
 /// harnesses: measures the sequential-vs-parallel speedup of the full
-/// four-algorithm sweep on `dD_Q91`, prints it, and persists it as
+/// every-strategy sweep on `dD_Q91`, prints it, and persists it as
 /// `target/experiments/<json_name>.json`. The worker count comes from
 /// [`harness_threads`] (`--threads N`, then `RQP_THREADS`, then 4).
 pub fn speedup_section(d: usize, json_name: &str) -> SpeedupRow {

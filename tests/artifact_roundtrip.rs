@@ -1,6 +1,6 @@
 //! Property-based round-trip tests for the artifact store (rqp-artifacts):
 //! compile → save → load must evaluate bit-equal to the in-memory build
-//! for every algorithm (PB / SB / AB / native) across random grids, and
+//! for every strategy of the table across random grids, and
 //! arbitrary single-byte corruption must surface as a typed error, never
 //! a panic.
 
@@ -9,11 +9,7 @@ use rqp::artifacts::{
     compile_or_load_with, ArtifactError, ColdReason, CompiledArtifact, Provenance,
 };
 use rqp::catalog::{tpcds, Catalog};
-use rqp::core::eval::{
-    evaluate_alignedbound_parallel, evaluate_native_ctx, evaluate_planbouquet_parallel,
-    evaluate_spillbound_parallel,
-};
-use rqp::core::{EvalContext, SubOptStats};
+use rqp::core::{evaluate_strategy, CostSource, EvalContext, Params, Strategy, SubOptStats};
 use rqp::faults::{FaultPlan, FaultSite};
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer, QuerySpec};
 use rqp_common::MultiGrid;
@@ -109,22 +105,17 @@ proptest! {
         )
         .unwrap();
 
-        let sb_m = evaluate_spillbound_parallel(&mem, ratio, threads).unwrap();
-        let sb_w = evaluate_spillbound_parallel(&warm, ratio, threads).unwrap();
-        prop_assert!(bit_equal(&sb_m, &sb_w), "SB diverged after round-trip");
-
-        let (ab_m, pen_m) = evaluate_alignedbound_parallel(&mem, ratio, threads).unwrap();
-        let (ab_w, pen_w) = evaluate_alignedbound_parallel(&warm, ratio, threads).unwrap();
-        prop_assert!(bit_equal(&ab_m, &ab_w), "AB diverged after round-trip");
-        prop_assert_eq!(pen_m.to_bits(), pen_w.to_bits());
-
-        let pb_m = evaluate_planbouquet_parallel(&mem, ratio, 0.2, threads).unwrap();
-        let pb_w = evaluate_planbouquet_parallel(&warm, ratio, 0.2, threads).unwrap();
-        prop_assert!(bit_equal(&pb_m, &pb_w), "PB diverged after round-trip");
-
-        let nat_m = evaluate_native_ctx(&mem).unwrap();
-        let nat_w = evaluate_native_ctx(&warm).unwrap();
-        prop_assert!(bit_equal(&nat_m, &nat_w), "native diverged after round-trip");
+        let params = Params { ratio, ..Params::default() };
+        let sweep = |s: Strategy, ctx| {
+            let compiled = s.compile(CostSource::Matrix(ctx), &params).unwrap();
+            let stats = evaluate_strategy(&compiled, threads).unwrap();
+            (stats, compiled.observed_max_penalty().map(f64::to_bits))
+        };
+        for s in Strategy::ALL {
+            let ((m, pen_m), (w, pen_w)) = (sweep(s, &mem), sweep(s, &warm));
+            prop_assert!(bit_equal(&m, &w), "{} diverged after round-trip", s.name());
+            prop_assert_eq!(pen_m, pen_w);
+        }
     }
 }
 

@@ -205,7 +205,7 @@ fn transient_faults_leave_penalty_selection_bit_identical() {
     with_watchdog(300, || {
         let f = fx();
         let (ctx, prior, cfg) = pa_parts(f);
-        let clean = penalty::select_ctx(&ctx, &prior, &cfg).expect("clean selection");
+        let clean = penalty::select(&ctx, &prior, &cfg, 1).expect("clean selection");
         let clean_risks: Vec<(u64, u64, u64)> = clean
             .risks
             .iter()

@@ -3,8 +3,8 @@
 
 use rqp::catalog::tpcds;
 use rqp::core::{
-    aligned_guarantee_lower, spillbound_guarantee, AlignedBound, CostOracle, PlanBouquet,
-    SpillBound,
+    aligned_guarantee_lower, evaluate_strategy, spillbound_guarantee, AlignedBound, CostOracle,
+    CostSource, EvalContext, Params, PlanBouquet, SpillBound, Strategy,
 };
 use rqp::ess::{ContourSet, EssSurface, EssView};
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer};
@@ -146,8 +146,13 @@ fn spillbound_beats_planbouquet_empirically_on_q91_4d() {
     let catalog = tpcds::catalog_sf100();
     let query = q::q91(&catalog, 4);
     let (opt, surface) = build(&catalog, &query, 5);
-    let sb = rqp::core::eval::evaluate_spillbound(&surface, &opt, 2.0).unwrap();
-    let pb = rqp::core::eval::evaluate_planbouquet_fast(&surface, &opt, 2.0, 0.2).unwrap();
+    let ctx = EvalContext::new(&surface, &opt);
+    let sweep = |s: Strategy, source| {
+        let compiled = s.compile(source, &Params::default()).unwrap();
+        evaluate_strategy(&compiled, 1).unwrap()
+    };
+    let sb = sweep(Strategy::SpillBound, CostSource::Recost(&surface, &opt));
+    let pb = sweep(Strategy::PlanBouquet, CostSource::Matrix(&ctx));
     // Fig. 10's shape: SB's empirical MSO does not lose to PB's.
     assert!(
         sb.mso <= pb.mso * 1.1,

@@ -8,8 +8,10 @@
 
 use proptest::prelude::*;
 use rqp::catalog::tpcds;
-use rqp::core::eval::{evaluate_alignedbound, evaluate_planbouquet, evaluate_spillbound};
-use rqp::core::{CostOracle, SelectionMode, SpillBound, SubOptStats};
+use rqp::core::{
+    evaluate_strategy, CostOracle, CostSource, Params, SelectionMode, SpillBound, Strategy,
+    SubOptStats,
+};
 use rqp::ess::anorexic::reduce_all;
 use rqp::ess::{ContourSet, EssSurface, EssView, LazySurface, SurfaceAccess};
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer};
@@ -37,6 +39,20 @@ fn optimizer_for<'a>(catalog: &'a rqp::catalog::Catalog, bench: &'a BenchQuery) 
         EnumerationMode::LeftDeep,
     )
     .expect("suite query valid")
+}
+
+/// Compiles `s` by recosting over `surface` and sweeps it: the stats
+/// and AlignedBound's maximum part penalty.
+fn sweep(
+    s: Strategy,
+    surface: &dyn SurfaceAccess,
+    opt: &Optimizer<'_>,
+) -> (SubOptStats, Option<u64>) {
+    let compiled = s
+        .compile(CostSource::Recost(surface, opt), &Params::default())
+        .unwrap();
+    let stats = evaluate_strategy(&compiled, 1).unwrap();
+    (stats, compiled.observed_max_penalty().map(f64::to_bits))
 }
 
 fn bit_equal(a: &SubOptStats, b: &SubOptStats) -> bool {
@@ -127,9 +143,9 @@ fn lazy_anorexic_bouquets_match_dense() {
     }
 }
 
-/// The exhaustive MSOe sweeps — SpillBound, AlignedBound, PlanBouquet —
-/// are bit-equal between the dense surface and a lazy surface (which
-/// materializes cells on demand as the sweep touches them).
+/// The exhaustive MSOe sweep of every strategy is bit-equal between the
+/// dense surface and a lazy surface (which materializes cells on demand
+/// as the sweep touches them).
 #[test]
 fn lazy_msoe_reports_bit_equal_to_dense() {
     let catalog = tpcds::catalog_sf100();
@@ -138,30 +154,20 @@ fn lazy_msoe_reports_bit_equal_to_dense() {
         let dense = EssSurface::build(&opt, bench.grid());
         let lazy = LazySurface::new(&opt, bench.grid());
 
-        let d_sb = evaluate_spillbound(&dense, &opt, 2.0).unwrap();
-        let l_sb = evaluate_spillbound(&lazy, &opt, 2.0).unwrap();
-        assert!(
-            bit_equal(&d_sb, &l_sb),
-            "{}: SB MSOe diverged",
-            bench.name()
-        );
-
-        let (d_ab, d_pen) = evaluate_alignedbound(&dense, &opt, 2.0).unwrap();
-        let (l_ab, l_pen) = evaluate_alignedbound(&lazy, &opt, 2.0).unwrap();
-        assert!(
-            bit_equal(&d_ab, &l_ab),
-            "{}: AB MSOe diverged",
-            bench.name()
-        );
-        assert_eq!(d_pen.to_bits(), l_pen.to_bits());
-
-        let d_pb = evaluate_planbouquet(&dense, &opt, 2.0, 0.2).unwrap();
-        let l_pb = evaluate_planbouquet(&lazy, &opt, 2.0, 0.2).unwrap();
-        assert!(
-            bit_equal(&d_pb, &l_pb),
-            "{}: PB MSOe diverged",
-            bench.name()
-        );
+        // In table order, so PenaltyAware compiles last: its candidates
+        // are the plans a surface has interned, and by then the earlier
+        // sweeps have materialized every lazy cell.
+        for s in Strategy::ALL {
+            let (d, d_pen) = sweep(s, &dense, &opt);
+            let (l, l_pen) = sweep(s, &lazy, &opt);
+            assert!(
+                bit_equal(&d, &l),
+                "{}: {} MSOe diverged",
+                bench.name(),
+                s.name()
+            );
+            assert_eq!(d_pen, l_pen, "{}: {} penalty", bench.name(), s.name());
+        }
     }
 }
 
@@ -292,8 +298,8 @@ proptest! {
             ll.sort_unstable();
             prop_assert_eq!(dl, ll, "contour {} location sets differ", i);
         }
-        let d_sb = evaluate_spillbound(&dense, &opt, 2.0).unwrap();
-        let l_sb = evaluate_spillbound(&lazy, &opt, 2.0).unwrap();
+        let (d_sb, _) = sweep(Strategy::SpillBound, &dense, &opt);
+        let (l_sb, _) = sweep(Strategy::SpillBound, &lazy, &opt);
         prop_assert!(bit_equal(&d_sb, &l_sb), "SB MSOe diverged on a random grid");
     }
 }

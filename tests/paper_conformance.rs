@@ -20,8 +20,8 @@
 
 use rqp::catalog::tpcds;
 use rqp::core::{
-    eval::{evaluate_alignedbound_ctx, evaluate_planbouquet_ctx, evaluate_spillbound_ctx},
-    spillbound_guarantee, AlignedBound, CostOracle, EvalContext, PlanBouquet, SpillBound,
+    evaluate_strategy, spillbound_guarantee, AlignedBound, CostOracle, CostSource, EvalContext,
+    Params, PlanBouquet, SpillBound, Strategy, SubOptStats,
 };
 use rqp::ess::anorexic::reduce_contour;
 use rqp::ess::{ContourSet, EssSurface, EssView, LazySurface, SurfaceAccess};
@@ -73,7 +73,18 @@ fn measure(d: usize, grid_points: usize, with_ab: bool) -> Conformance {
     let ctx = EvalContext::with_threads(&surface, &opt, 1);
     let pb = PlanBouquet::new(&surface, &opt, RATIO, LAMBDA);
 
-    let sb_stats = evaluate_spillbound_ctx(&ctx, RATIO).expect("SB sweep");
+    let sweep = |s: Strategy| -> SubOptStats {
+        let params = Params {
+            ratio: RATIO,
+            lambda: LAMBDA,
+            ..Params::default()
+        };
+        let compiled = s
+            .compile(CostSource::Matrix(&ctx), &params)
+            .expect("compiles");
+        evaluate_strategy(&compiled, 1).unwrap_or_else(|e| panic!("{} sweep: {e}", s.name()))
+    };
+    let sb_stats = sweep(Strategy::SpillBound);
     // Satellite guarantee check: D²+3D per location, not just globally.
     let bound = spillbound_guarantee(d);
     for (qa, sub) in sb_stats.subopts.iter().enumerate() {
@@ -83,7 +94,7 @@ fn measure(d: usize, grid_points: usize, with_ab: bool) -> Conformance {
         );
     }
     let msoe_ab = with_ab.then(|| {
-        let (ab_stats, _) = evaluate_alignedbound_ctx(&ctx, RATIO).expect("AB sweep");
+        let ab_stats = sweep(Strategy::AlignedBound);
         for (qa, sub) in ab_stats.subopts.iter().enumerate() {
             assert!(
                 *sub <= bound * (1.0 + 1e-6),
@@ -92,7 +103,7 @@ fn measure(d: usize, grid_points: usize, with_ab: bool) -> Conformance {
         }
         ab_stats.mso
     });
-    let pb_stats = evaluate_planbouquet_ctx(&ctx, RATIO, LAMBDA).expect("PB sweep");
+    let pb_stats = sweep(Strategy::PlanBouquet);
 
     Conformance {
         name,
@@ -341,7 +352,7 @@ fn batch_engine_discovery_matches_golden() {
 /// (the name filter leaves the other goldens untouched).
 #[test]
 fn penalty_selection_matches_golden() {
-    use rqp::core::{NativeChoice, Objective, PenaltyConfig, PriorConfig, SelectivityPrior};
+    use rqp::core::{Objective, PenaltyConfig, PriorConfig};
 
     const PRIOR_SEED: u64 = 20260809;
     let catalog = tpcds::catalog_sf100();
@@ -359,24 +370,23 @@ fn penalty_selection_matches_golden() {
         )
         .expect("valid query");
         let surface = EssSurface::build(&opt, bench.grid());
-        let choice = NativeChoice::compute(&surface, &opt);
-        let prior = SelectivityPrior::lognormal(
-            surface.grid(),
-            &choice.qe_sels,
-            PriorConfig {
+        let ctx = EvalContext::with_threads(&surface, &opt, 1);
+        let params = Params {
+            prior: PriorConfig {
                 seed: PRIOR_SEED,
                 sigma: 1.0,
                 jitter: 0.1,
             },
-        )
-        .expect("prior over the ESS grid");
-        let ctx = EvalContext::with_threads(&surface, &opt, 1);
-        let cfg = PenaltyConfig {
-            alpha: 0.9,
-            objective: Objective::Expected,
+            penalty: PenaltyConfig {
+                alpha: 0.9,
+                objective: Objective::Expected,
+            },
+            ..Params::default()
         };
-        let (stats, sel) =
-            rqp::core::eval::evaluate_penaltyaware_ctx(&ctx, &prior, &cfg).expect("PA sweep");
+        let pa = (Strategy::PenaltyAware.compile(CostSource::Matrix(&ctx), &params))
+            .expect("prior over the ESS grid");
+        let stats = evaluate_strategy(&pa, 1).expect("PA sweep");
+        let sel = pa.penalty_selection().expect("a selection");
         assert!(
             sel.chosen.expected <= sel.native.expected,
             "{name}: chosen expected {} exceeds native {}",

@@ -103,7 +103,7 @@ proptest! {
         ).unwrap();
         let ctx = EvalContext::new(&surface, &opt);
         let cfg = PenaltyConfig { alpha: 0.9, objective: Objective::Expected };
-        let sel = penalty::select_ctx(&ctx, &prior, &cfg).unwrap();
+        let sel = penalty::select(&ctx, &prior, &cfg, 1).unwrap();
         prop_assert!(
             sel.chosen.expected <= sel.native.expected,
             "chosen expected {} > native {}",
@@ -138,7 +138,7 @@ proptest! {
         let mut prev: Option<f64> = None;
         for alpha in [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
             let cfg = PenaltyConfig { alpha, objective: Objective::Cvar };
-            let sel = penalty::select_ctx(&ctx, &prior, &cfg).unwrap();
+            let sel = penalty::select(&ctx, &prior, &cfg, 1).unwrap();
             prop_assert!(
                 sel.chosen.cvar >= sel.chosen.expected * (1.0 - 1e-12),
                 "CVaR {} below expectation {} at alpha {alpha}",
@@ -180,8 +180,8 @@ proptest! {
         let cfg = PenaltyConfig { alpha: alpha_pct as f64 / 100.0, objective: Objective::Expected };
         let ctx = EvalContext::new(&surface, &opt);
 
-        let seq = penalty::select_ctx(&ctx, &prior, &cfg).unwrap();
-        let par = penalty::select_parallel(&ctx, &prior, &cfg, threads).unwrap();
+        let seq = penalty::select(&ctx, &prior, &cfg, 1).unwrap();
+        let par = penalty::select(&ctx, &prior, &cfg, threads).unwrap();
         assert_selections_equivalent(&format!("seq vs {threads} threads"), &seq, &par);
         // Same pool order on the same context: the full risk vectors,
         // not just the multiset, are bit-equal.

@@ -13,11 +13,9 @@
 
 use proptest::prelude::*;
 use rqp::catalog::{tpcds, Catalog};
-use rqp::core::eval::{
-    evaluate_alignedbound_parallel, evaluate_planbouquet_parallel, evaluate_spillbound_parallel,
-};
 use rqp::core::{
-    spillbound_guarantee, CachedOracle, CostOracle, EvalContext, SpillBound, SpillMemo,
+    evaluate_strategy, spillbound_guarantee, CachedOracle, CostOracle, CostSource, EvalContext,
+    Params, SpillBound, SpillMemo,
 };
 use rqp::ess::{ContourSet, EssSurface, EssView, LazySurface, SurfaceAccess};
 use rqp::obs::{JsonlSink, RingSink, Tracer};
@@ -176,18 +174,18 @@ proptest! {
                 && s.subopts.iter().zip(&p.subopts).all(|(a, b)| a.to_bits() == b.to_bits())
         };
 
-        let sb_seq = evaluate_spillbound_parallel(&ctx, ratio, 1).unwrap();
-        let sb_par = evaluate_spillbound_parallel(&ctx, ratio, threads).unwrap();
-        prop_assert!(bit_equal(&sb_seq, &sb_par), "SB diverged at {threads} threads");
-
-        let (ab_seq, pen_seq) = evaluate_alignedbound_parallel(&ctx, ratio, 1).unwrap();
-        let (ab_par, pen_par) = evaluate_alignedbound_parallel(&ctx, ratio, threads).unwrap();
-        prop_assert!(bit_equal(&ab_seq, &ab_par), "AB diverged at {threads} threads");
-        prop_assert_eq!(pen_seq.to_bits(), pen_par.to_bits());
-
-        let pb_seq = evaluate_planbouquet_parallel(&ctx, ratio, 0.2, 1).unwrap();
-        let pb_par = evaluate_planbouquet_parallel(&ctx, ratio, 0.2, threads).unwrap();
-        prop_assert!(bit_equal(&pb_seq, &pb_par), "PB diverged at {threads} threads");
+        let params = Params { ratio, ..Params::default() };
+        // Fully qualified: proptest's prelude has a `Strategy` trait.
+        for s in rqp::core::Strategy::ALL {
+            let sweep = |threads| {
+                let compiled = s.compile(CostSource::Matrix(&ctx), &params).unwrap();
+                let stats = evaluate_strategy(&compiled, threads).unwrap();
+                (stats, compiled.observed_max_penalty().map(f64::to_bits))
+            };
+            let ((seq, pen_seq), (par, pen_par)) = (sweep(1), sweep(threads));
+            prop_assert!(bit_equal(&seq, &par), "{} diverged at {threads} threads", s.name());
+            prop_assert_eq!(pen_seq, pen_par);
+        }
     }
 
     /// Trace replay is deterministic: the same discovery run re-executed
@@ -333,7 +331,7 @@ proptest! {
         let prior = SelectivityPrior::delta(surface.grid(), qa);
         let cfg = PenaltyConfig { alpha: alpha_pct as f64 / 100.0, objective: Objective::Expected };
         let ctx = EvalContext::new(&surface, &opt);
-        let sel = penalty::select_ctx(&ctx, &prior, &cfg).unwrap();
+        let sel = penalty::select(&ctx, &prior, &cfg, 1).unwrap();
         prop_assert_eq!(
             sel.chosen.expected.to_bits(),
             1.0f64.to_bits(),
@@ -403,7 +401,7 @@ proptest! {
         let mut prev: Option<Vec<f64>> = None;
         for alpha in [0.0, 0.5, 0.9, 0.99, 1.0] {
             let cfg = PenaltyConfig { alpha, objective: Objective::Cvar };
-            let sel = penalty::select_ctx(&ctx, &prior, &cfg).unwrap();
+            let sel = penalty::select(&ctx, &prior, &cfg, 1).unwrap();
             let cvars: Vec<f64> = sel.risks.iter().map(|r| r.cvar).collect();
             for (r, c) in sel.risks.iter().zip(&cvars) {
                 prop_assert!(
