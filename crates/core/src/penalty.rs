@@ -29,11 +29,25 @@
 //! chosen plan's expected sub-optimality under the prior is ≤ the
 //! native plan's *by construction* — the guarantee the fig14 bench
 //! gate and the differential suite pin.
+//!
+//! Every path scores candidates with one kernel, `risk`, over a row of
+//! costs by flat grid index: a matrix row read in place, or one scratch
+//! row recosted at the prior's support. Its ordering contract:
+//!
+//! * the expected penalty is the Neumaier sum of `w·p` in grid order;
+//! * CVaR consumes cells in ascending `(!p.to_bits(), pos)`, `pos` being
+//!   the cell's rank in grid order. For non-negative, non-NaN penalties
+//!   that is descending penalty with ties in grid order — the order of
+//!   the comparator sort it replaced — and unique, so sorting only the
+//!   prefix the tail needs (select a block, sort it, grow) runs the same
+//!   float operations on the same values in the same order;
+//! * a NaN or negative penalty panics.
 
 use crate::cached::EvalContext;
 use crate::faulty::FaultStats;
 use crate::native::NativeChoice;
-use rqp_common::{chunk_bounds, GridIdx, MultiGrid, Result, RqpError};
+use crate::strategy::CostSource;
+use rqp_common::{chunk_bounds, Cost, GridIdx, MultiGrid, Result, RqpError};
 use rqp_ess::SurfaceAccess;
 use rqp_faults::{FaultPlan, FaultSite, RetryPolicy};
 use rqp_optimizer::{Optimizer, PlanId, PlanNode};
@@ -87,22 +101,36 @@ fn unit(x: u64) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Compensated (Neumaier) summation: the error term tracks what plain
-/// summation drops, so the result is within ~1 ulp of the exact sum for
+/// Compensated (Neumaier) accumulator: the error term tracks what plain
+/// summation drops, so the total is within ~1 ulp of the exact sum for
 /// same-sign inputs.
-pub fn neumaier_sum(xs: impl IntoIterator<Item = f64>) -> f64 {
-    let mut sum = 0.0f64;
-    let mut comp = 0.0f64;
-    for x in xs {
-        let t = sum + x;
-        if sum.abs() >= x.abs() {
-            comp += (sum - t) + x;
+#[derive(Default)]
+struct Neumaier {
+    sum: f64,
+    comp: f64,
+}
+
+impl Neumaier {
+    fn add(&mut self, x: f64) {
+        let t = self.sum + x;
+        if self.sum.abs() >= x.abs() {
+            self.comp += (self.sum - t) + x;
         } else {
-            comp += (x - t) + sum;
+            self.comp += (x - t) + self.sum;
         }
-        sum = t;
+        self.sum = t;
     }
-    sum + comp
+
+    fn total(&self) -> f64 {
+        self.sum + self.comp
+    }
+}
+
+/// Compensated (Neumaier) summation of `xs` in order.
+pub fn neumaier_sum(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let mut acc = Neumaier::default();
+    xs.into_iter().for_each(|x| acc.add(x));
+    acc.total()
 }
 
 impl SelectivityPrior {
@@ -341,106 +369,144 @@ impl PenaltySelection {
     }
 }
 
-/// Per-cell penalties of one plan, restricted to cells with non-zero
-/// prior mass: `(flat index, weight, sub-optimality)` in grid order.
-fn penalty_cells(
-    prior: &SelectivityPrior,
-    mut cost_at: impl FnMut(GridIdx) -> f64,
-    opt_cost_at: impl Fn(GridIdx) -> f64,
-) -> Vec<(GridIdx, f64, f64)> {
-    prior
-        .weights()
-        .iter()
-        .enumerate()
-        .filter(|(_, &w)| w != 0.0)
-        .map(|(idx, &w)| (idx, w, cost_at(idx) / opt_cost_at(idx)))
-        .collect()
+/// The candidate plans with their pool ids (`None`: not interned).
+type Candidates = Vec<(Option<PlanId>, PlanNode)>;
+
+/// The prior's support: `(flat index, weight, optimal cost)` of every
+/// cell with non-zero mass, in grid order, gathered once per selection.
+type Support = Vec<(GridIdx, f64, Cost)>;
+
+/// Keys the CVaR walk sorts at first; each further block doubles.
+const FIRST_BLOCK: usize = 512;
+
+/// The risk kernel: the expected penalty and the CVaR at `alpha` of the
+/// candidate that costs `row[qa]` at flat index `qa`, over `support`.
+/// `keys` is scratch, reused across candidates.
+fn risk(
+    row: &[Cost],
+    support: &[(GridIdx, f64, Cost)],
+    alpha: f64,
+    keys: &mut Vec<(u64, usize)>,
+) -> (f64, f64) {
+    keys.clear();
+    let mut expected = Neumaier::default();
+    for (pos, &(qa, w, opt)) in support.iter().enumerate() {
+        let p = row[qa] / opt;
+        // Bit order is float order only for non-negative, non-NaN values.
+        assert!(
+            p.to_bits() <= f64::INFINITY.to_bits(),
+            "penalty {p} is negative or NaN"
+        );
+        expected.add(w * p);
+        keys.push((!p.to_bits(), pos));
+    }
+    (expected.total(), cvar(keys, support, alpha))
 }
 
-/// Expected penalty: compensated sum of `w·penalty` in grid order.
-fn expected_penalty(cells: &[(GridIdx, f64, f64)]) -> f64 {
-    neumaier_sum(cells.iter().map(|&(_, w, p)| w * p))
-}
-
-/// CVaR at `alpha`: mean penalty over the worst `(1 − alpha)` of prior
-/// mass. Ties sort by penalty bits then flat index, so the result is a
-/// pure function of the cell set (identical across pool orders and
-/// thread counts). When the whole tail fits inside one cell — in
-/// particular for a point-mass prior — the result is exactly that
+/// CVaR at `alpha`: the mean penalty over the worst `(1 − alpha)` of
+/// prior mass, consuming cells in ascending key order — descending
+/// penalty, ties in grid order (see the module doc). Only the prefix the
+/// tail needs is ordered: each block of the smallest unconsumed keys is
+/// selected, then sorted. When the whole tail fits inside the first cell
+/// — in particular for a point-mass prior — the result is exactly that
 /// cell's penalty.
-fn cvar_penalty(cells: &[(GridIdx, f64, f64)], alpha: f64) -> f64 {
-    let mut sorted: Vec<&(GridIdx, f64, f64)> = cells.iter().collect();
-    sorted.sort_by(|a, b| {
-        b.2.partial_cmp(&a.2)
-            .expect("finite penalties")
-            .then_with(|| a.0.cmp(&b.0))
-    });
+fn cvar(keys: &mut [(u64, usize)], support: &[(GridIdx, f64, Cost)], alpha: f64) -> f64 {
+    let penalty = |k: &(u64, usize)| f64::from_bits(!k.0);
     let tail = (1.0 - alpha).clamp(0.0, 1.0);
     if tail == 0.0 {
-        return sorted.first().map(|c| c.2).unwrap_or(1.0);
+        return keys.iter().min().map_or(1.0, penalty);
     }
     let mut remaining = tail;
-    let mut acc = 0.0f64;
-    let mut comp = 0.0f64;
+    let mut acc = Neumaier::default();
     let mut first = true;
-    for &&(_, w, p) in &sorted {
-        let take = w.min(remaining);
-        if first && take == remaining {
-            // The entire tail lies inside this one cell: CVaR is its
-            // penalty, exactly (no divide round-trip).
-            return p;
+    let (mut done, mut block) = (0, FIRST_BLOCK);
+    while done < keys.len() {
+        let rest = &mut keys[done..];
+        let m = block.min(rest.len());
+        if m < rest.len() {
+            rest.select_nth_unstable(m);
         }
-        first = false;
-        let x = take * p;
-        let t = acc + x;
-        if acc.abs() >= x.abs() {
-            comp += (acc - t) + x;
-        } else {
-            comp += (x - t) + acc;
+        rest[..m].sort_unstable();
+        for k in &rest[..m] {
+            let (w, p) = (support[k.1].1, penalty(k));
+            let take = w.min(remaining);
+            if first && take == remaining {
+                // The entire tail lies inside this one cell: CVaR is its
+                // penalty, exactly (no divide round-trip).
+                return p;
+            }
+            first = false;
+            acc.add(take * p);
+            remaining -= take;
+            if remaining <= 0.0 {
+                return acc.total() / tail;
+            }
         }
-        acc = t;
-        remaining -= take;
-        if remaining <= 0.0 {
-            break;
-        }
+        (done, block) = (done + m, 2 * block);
     }
-    (acc + comp) / tail
+    acc.total() / tail
 }
 
-/// The candidate set: every pool plan in id order, plus the native plan
-/// (id `None`) when it is not interned in the pool. Returns the
-/// candidates and the index of the native candidate within them.
+/// The candidate set — every pool plan in id order, plus the native plan
+/// (id `None`) when it is not interned in the pool — the index of the
+/// native candidate within it, and the prior's support.
 fn candidates(
-    surface: &dyn SurfaceAccess,
-    opt: &Optimizer<'_>,
-) -> (Vec<(Option<PlanId>, PlanNode)>, usize) {
-    let native = NativeChoice::compute(surface, opt);
-    let mut cands: Vec<(Option<PlanId>, PlanNode)> = (0..surface.pool_len())
+    source: CostSource<'_>,
+    native: NativeChoice,
+    prior: &SelectivityPrior,
+    cfg: &PenaltyConfig,
+) -> Result<(Candidates, usize, Support)> {
+    let surface = source.surface();
+    validate(prior, surface.grid(), cfg)?;
+    let mut cands: Candidates = (0..surface.pool_len())
         .map(|pid| (Some(pid), surface.plan_clone(pid)))
         .collect();
     let native_idx = native.plan_id.unwrap_or(cands.len());
     if native.plan_id.is_none() {
         cands.push((None, native.plan));
     }
-    (cands, native_idx)
+    let support = (prior.weights().iter().enumerate())
+        .filter(|(_, &w)| w != 0.0)
+        .map(|(qa, &w)| (qa, w, surface.opt_cost(qa)))
+        .collect();
+    Ok((cands, native_idx, support))
 }
 
-/// Risk of one candidate: pure function of `(plan, prior, alpha)`.
-fn risk_of(
-    prior: &SelectivityPrior,
+/// Every candidate's risk, in order: a pool candidate over a matrix reads
+/// its row in place, any other is recosted into one scratch row at the
+/// support's cells. `gate` runs before each candidate and may abort.
+fn risks(
+    source: CostSource<'_>,
+    support: &[(GridIdx, f64, Cost)],
     alpha: f64,
-    pid: Option<PlanId>,
-    plan: &PlanNode,
-    cost_at: impl FnMut(GridIdx) -> f64,
-    opt_cost_at: impl Fn(GridIdx) -> f64,
-) -> PlanRisk {
-    let cells = penalty_cells(prior, cost_at, opt_cost_at);
-    PlanRisk {
-        plan_id: pid,
-        fingerprint: plan.fingerprint(),
-        expected: expected_penalty(&cells),
-        cvar: cvar_penalty(&cells, alpha),
-    }
+    cands: &[(Option<PlanId>, PlanNode)],
+    mut gate: impl FnMut(Option<PlanId>) -> Result<()>,
+) -> Result<Vec<PlanRisk>> {
+    let (opt, grid) = (source.opt(), source.surface().grid());
+    let mut keys = Vec::with_capacity(support.len());
+    let mut scratch = Vec::new();
+    (cands.iter())
+        .map(|(pid, plan)| {
+            gate(*pid)?;
+            let row = match (source, *pid) {
+                (CostSource::Matrix(ctx), Some(pid)) => ctx.matrix().row(pid),
+                _ => {
+                    scratch.resize(grid.len(), 0.0);
+                    for &(qa, ..) in support {
+                        scratch[qa] = opt.cost_plan(plan, &opt.sels_at(&grid.sels(qa)));
+                    }
+                    &scratch[..]
+                }
+            };
+            let (expected, cvar) = risk(row, support, alpha, &mut keys);
+            Ok(PlanRisk {
+                plan_id: *pid,
+                fingerprint: plan.fingerprint(),
+                expected,
+                cvar,
+            })
+        })
+        .collect()
 }
 
 /// Picks the winner: minimal objective value, ties broken by smaller
@@ -461,7 +527,7 @@ fn pick(risks: &[PlanRisk], objective: Objective) -> usize {
 }
 
 fn assemble(
-    cands: Vec<(Option<PlanId>, PlanNode)>,
+    mut cands: Candidates,
     native_idx: usize,
     risks: Vec<PlanRisk>,
     prior: &SelectivityPrior,
@@ -470,7 +536,7 @@ fn assemble(
     let winner = pick(&risks, cfg.objective);
     PenaltySelection {
         chosen: risks[winner].clone(),
-        chosen_plan: cands[winner].1.clone(),
+        chosen_plan: cands.swap_remove(winner).1,
         native: risks[native_idx].clone(),
         risks,
         prior_hash: prior.hash(),
@@ -479,17 +545,13 @@ fn assemble(
     }
 }
 
-fn validate_config(cfg: &PenaltyConfig) -> Result<()> {
+fn validate(prior: &SelectivityPrior, grid: &MultiGrid, cfg: &PenaltyConfig) -> Result<()> {
     if !(0.0..=1.0).contains(&cfg.alpha) {
         return Err(RqpError::Config(format!(
             "CVaR alpha must be in [0, 1], got {}",
             cfg.alpha
         )));
     }
-    Ok(())
-}
-
-fn validate_prior(prior: &SelectivityPrior, grid: &MultiGrid) -> Result<()> {
     if prior.weights().len() != grid.len() {
         return Err(RqpError::Config(format!(
             "prior has {} cells, grid has {}",
@@ -510,85 +572,54 @@ pub fn select_on(
     prior: &SelectivityPrior,
     cfg: &PenaltyConfig,
 ) -> Result<PenaltySelection> {
-    validate_config(cfg)?;
-    validate_prior(prior, surface.grid())?;
-    let grid = surface.grid();
-    let (cands, native_idx) = candidates(surface, opt);
-    let risks: Vec<PlanRisk> = cands
-        .iter()
-        .map(|(pid, plan)| {
-            risk_of(
-                prior,
-                cfg.alpha,
-                *pid,
-                plan,
-                |qa| opt.cost_plan(plan, &opt.sels_at(&grid.sels(qa))),
-                |qa| surface.opt_cost(qa),
-            )
-        })
-        .collect();
-    Ok(assemble(cands, native_idx, risks, prior, cfg))
+    let native = NativeChoice::compute(surface, opt);
+    selection(CostSource::Recost(surface, opt), native, prior, cfg, 1)
 }
 
 /// Matrix-backed penalty-aware selection: pool candidates read their
 /// recosts straight out of the [`EvalContext`] matrix; only a
 /// non-interned native plan recosts directly (the same arithmetic).
-/// Candidates are partitioned across `threads` scoped workers with
-/// [`chunk_bounds`] (none are spawned at one thread); per-candidate
-/// risks are pure, so the selection is bit-equal at any thread count.
+/// Bit-equal at any number of `threads`.
 pub fn select(
     ctx: &EvalContext<'_>,
     prior: &SelectivityPrior,
     cfg: &PenaltyConfig,
     threads: usize,
 ) -> Result<PenaltySelection> {
-    validate_config(cfg)?;
-    validate_prior(prior, ctx.grid())?;
-    let (cands, native_idx) = candidates(ctx.surface(), ctx.opt());
-    let risks_of = |cands: &[(Option<PlanId>, PlanNode)]| -> Vec<PlanRisk> {
-        (cands.iter())
-            .map(|(pid, plan)| ctx_risk(ctx, prior, cfg.alpha, *pid, plan))
-            .collect()
-    };
+    let native = NativeChoice::compute(ctx.surface(), ctx.opt());
+    selection(CostSource::Matrix(ctx), native, prior, cfg, threads)
+}
+
+/// The selection [`select`], [`select_on`] and the strategy table run,
+/// given the native choice. Candidates are partitioned across `threads`
+/// scoped workers with [`chunk_bounds`] (none are spawned at one
+/// thread), each with its own scratch; per-candidate risks are pure, so
+/// the selection is bit-equal at any thread count.
+pub(crate) fn selection(
+    source: CostSource<'_>,
+    native: NativeChoice,
+    prior: &SelectivityPrior,
+    cfg: &PenaltyConfig,
+    threads: usize,
+) -> Result<PenaltySelection> {
+    let (cands, native_idx, support) = candidates(source, native, prior, cfg)?;
+    let chunk_risks =
+        |(lo, hi): (usize, usize)| risks(source, &support, cfg.alpha, &cands[lo..hi], |_| Ok(()));
     let bounds = chunk_bounds(cands.len(), threads);
     let risks = if bounds.len() <= 1 {
-        risks_of(&cands)
+        chunk_risks((0, cands.len()))?
     } else {
         std::thread::scope(|s| {
             let handles: Vec<_> = (bounds.iter())
-                .map(|&(lo, hi)| {
-                    let chunk = &cands[lo..hi];
-                    s.spawn(move || risks_of(chunk))
-                })
+                .map(|&b| s.spawn(move || chunk_risks(b)))
                 .collect();
             (handles.into_iter())
-                .flat_map(|h| h.join().expect("risk worker panicked"))
-                .collect()
-        })
+                .map(|h| h.join().expect("risk worker panicked"))
+                .collect::<Result<Vec<_>>>()
+        })?
+        .concat()
     };
     Ok(assemble(cands, native_idx, risks, prior, cfg))
-}
-
-fn ctx_risk(
-    ctx: &EvalContext<'_>,
-    prior: &SelectivityPrior,
-    alpha: f64,
-    pid: Option<PlanId>,
-    plan: &PlanNode,
-) -> PlanRisk {
-    let grid = ctx.grid();
-    let opt = ctx.opt();
-    risk_of(
-        prior,
-        alpha,
-        pid,
-        plan,
-        |qa| match pid {
-            Some(pid) => ctx.matrix().cost(pid, qa),
-            None => opt.cost_plan(plan, &opt.sels_at(&grid.sels(qa))),
-        },
-        |qa| ctx.surface().opt_cost(qa),
-    )
 }
 
 /// [`select`] under injected oracle faults: each candidate's risk
@@ -605,36 +636,30 @@ pub fn select_ctx_faulted(
     plan: &FaultPlan,
     retry: &RetryPolicy,
 ) -> Result<(PenaltySelection, FaultStats)> {
-    validate_config(cfg)?;
-    validate_prior(prior, ctx.grid())?;
-    let (cands, native_idx) = candidates(ctx.surface(), ctx.opt());
+    let source = CostSource::Matrix(ctx);
+    let native = NativeChoice::compute(ctx.surface(), ctx.opt());
+    let (cands, native_idx, support) = candidates(source, native, prior, cfg)?;
     let mut stats = FaultStats::default();
     let attempts = retry.max_attempts.max(1);
-    let mut risks = Vec::with_capacity(cands.len());
-    'cand: for (pid, cand) in &cands {
+    let shot = |pid: Option<PlanId>| {
         for attempt in 0..attempts {
-            match plan.shot(FaultSite::OracleFull) {
-                None => {
-                    risks.push(ctx_risk(ctx, prior, cfg.alpha, *pid, cand));
-                    continue 'cand;
-                }
-                Some(_) => {
-                    stats.faults_injected += 1;
-                    if attempt + 1 < attempts {
-                        stats.retries += 1;
-                        stats.backoff_total += retry.backoff(attempt);
-                        retry.pause(attempt);
-                    }
-                }
+            if plan.shot(FaultSite::OracleFull).is_none() {
+                return Ok(());
+            }
+            stats.faults_injected += 1;
+            if attempt + 1 < attempts {
+                stats.retries += 1;
+                stats.backoff_total += retry.backoff(attempt);
+                retry.pause(attempt);
             }
         }
-        return Err(RqpError::Fault(format!(
+        Err(RqpError::Fault(format!(
             "transient fault at {} persisted through {attempts} attempts \
-             during risk evaluation of candidate {:?}",
+             during risk evaluation of candidate {pid:?}",
             FaultSite::OracleFull.name(),
-            pid
-        )));
-    }
+        )))
+    };
+    let risks = risks(source, &support, cfg.alpha, &cands, shot)?;
     Ok((assemble(cands, native_idx, risks, prior, cfg), stats))
 }
 
@@ -643,6 +668,95 @@ mod tests {
     use super::*;
     use crate::cached::EvalContext;
     use crate::test_fixtures::star2_surface;
+    use proptest::prelude::*;
+
+    /// The comparator-sort CVaR the prefix kernel replaced, verbatim: the
+    /// oracle [`cvar`] must match bit for bit.
+    fn cvar_reference(cells: &[(GridIdx, f64, f64)], alpha: f64) -> f64 {
+        let mut sorted: Vec<&(GridIdx, f64, f64)> = cells.iter().collect();
+        sorted.sort_by(|a, b| {
+            b.2.partial_cmp(&a.2)
+                .expect("finite penalties")
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        let tail = (1.0 - alpha).clamp(0.0, 1.0);
+        if tail == 0.0 {
+            return sorted.first().map(|c| c.2).unwrap_or(1.0);
+        }
+        let mut remaining = tail;
+        let mut acc = 0.0f64;
+        let mut comp = 0.0f64;
+        let mut first = true;
+        for &&(_, w, p) in &sorted {
+            let take = w.min(remaining);
+            if first && take == remaining {
+                // The entire tail lies inside this one cell: CVaR is its
+                // penalty, exactly (no divide round-trip).
+                return p;
+            }
+            first = false;
+            let x = take * p;
+            let t = acc + x;
+            if acc.abs() >= x.abs() {
+                comp += (acc - t) + x;
+            } else {
+                comp += (x - t) + acc;
+            }
+            acc = t;
+            remaining -= take;
+            if remaining <= 0.0 {
+                break;
+            }
+        }
+        (acc + comp) / tail
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The kernel returns the oracle's bits. Penalties are drawn from
+        /// `levels` distinct values so ties are forced; weights include
+        /// zeros (cells outside the support) and, on `dominant`, one cell
+        /// carrying most of the mass.
+        #[test]
+        fn kernel_matches_comparator_sort_bit_for_bit(
+            cells in proptest::collection::vec((0u32..1000, 0u32..4, 0u32..1000), 1..=5000),
+            levels in 1u32..1000,
+            dominant in 0usize..5000,
+            heavy in any::<bool>(),
+        ) {
+            let n = cells.len();
+            let mut row = Vec::with_capacity(n);
+            let mut weights = Vec::with_capacity(n);
+            for (i, &(level, zero, w)) in cells.iter().enumerate() {
+                row.push(f64::from(level % levels) * 0.37 + 1.0);
+                let w = if zero == 0 { 0.0 } else { f64::from(w) + 0.5 };
+                weights.push(if heavy && i == dominant % n { 1e6 } else { w });
+            }
+            let total = neumaier_sum(weights.iter().copied());
+            let support: Support = (weights.iter().enumerate())
+                .filter(|(_, &w)| w != 0.0)
+                .map(|(qa, &w)| (qa, w / total, 1.0))
+                .collect();
+            let cells: Vec<(GridIdx, f64, f64)> =
+                support.iter().map(|&(qa, w, _)| (qa, w, row[qa])).collect();
+            let mut keys = Vec::new();
+            for alpha in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
+                let (expected, cvar) = risk(&row, &support, alpha, &mut keys);
+                let want = neumaier_sum(cells.iter().map(|&(_, w, p)| w * p));
+                prop_assert_eq!(expected.to_bits(), want.to_bits(), "expected, alpha {}", alpha);
+                let want = cvar_reference(&cells, alpha);
+                prop_assert_eq!(cvar.to_bits(), want.to_bits(), "CVaR, alpha {}", alpha);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "negative or NaN")]
+    fn nan_penalty_panics() {
+        let support = vec![(0, 0.5, 1.0), (1, 0.5, 1.0)];
+        risk(&[1.0, f64::NAN], &support, 0.9, &mut Vec::new());
+    }
 
     fn prior_for(fx: &crate::test_fixtures::Fixture) -> SelectivityPrior {
         let choice = crate::native::NativeChoice::compute(&fx.surface, &fx.opt);

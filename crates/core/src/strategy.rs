@@ -101,14 +101,11 @@ impl Strategy {
             Strategy::SpillBound => Form::SpillBound(SpillBound::new(surface, opt, ratio)),
             Strategy::AlignedBound => Form::AlignedBound(AlignedBound::new(surface, opt, ratio)),
             Strategy::PenaltyAware => {
-                let qe = NativeChoice::compute(surface, opt).qe_sels;
-                let prior = SelectivityPrior::lognormal(surface.grid(), &qe, params.prior)?;
-                Form::PenaltyAware(match source {
-                    CostSource::Matrix(ctx) => penalty::select(ctx, &prior, &params.penalty, 1)?,
-                    CostSource::Recost(..) => {
-                        penalty::select_on(surface, opt, &prior, &params.penalty)?
-                    }
-                })
+                let native = NativeChoice::compute(surface, opt);
+                let prior =
+                    SelectivityPrior::lognormal(surface.grid(), &native.qe_sels, params.prior)?;
+                let sel = penalty::selection(source, native, &prior, &params.penalty, 1)?;
+                Form::PenaltyAware(sel)
             }
         };
         Ok(Compiled {

@@ -9,14 +9,16 @@
 //!   dense matrix-backed, dense direct-recost, and lazy-surface paths
 //!   (compared by fingerprint — pool ids are an ordering artifact);
 //! * artifact save → load → re-select reproduces the persisted
-//!   [`PenaltySummary`] bit-for-bit.
+//!   [`PenaltySummary`] bit-for-bit;
+//! * every risk of the default selection on 3D_Q15 and 4D_Q91 matches
+//!   a digest pinned before the risk kernel was rewritten.
 
 use proptest::prelude::*;
 use rqp::artifacts::CompiledArtifact;
 use rqp::catalog::{tpcds, Catalog};
 use rqp::core::{
-    penalty, EvalContext, Objective, PenaltyConfig, PenaltySelection, PlanRisk, PriorConfig,
-    SelectivityPrior,
+    penalty, CostSource, EvalContext, Objective, Params, PenaltyConfig, PenaltySelection, PlanRisk,
+    PriorConfig, SelectivityPrior, Strategy,
 };
 use rqp::ess::{EssSurface, LazySurface, SurfaceAccess};
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer, QuerySpec};
@@ -272,6 +274,61 @@ fn artifact_roundtrip_reselects_bit_equal() {
         resel.native.expected.to_bits(),
         sel.native.expected.to_bits()
     );
+}
+
+/// FNV-1a over every field of a selection that a risk kernel produces:
+/// each candidate's `(plan id, fingerprint, expected bits, CVaR bits)`,
+/// then the chosen and native risks, then the prior hash.
+fn selection_digest(sel: &PenaltySelection) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for r in sel.risks.iter().chain([&sel.chosen, &sel.native]) {
+        eat(r.plan_id.map_or(u64::MAX, |p| p as u64));
+        let (fp, e, c) = risk_bits(r);
+        [fp, e, c].into_iter().for_each(&mut eat);
+    }
+    eat(sel.prior_hash);
+    h
+}
+
+/// The default selection on two suite queries at their suite grids,
+/// pinned bit for bit over both cost sources. The digests were computed
+/// at the parent of the allocation-light risk kernel, so any change to
+/// the kernel's float operations or their order moves them.
+#[test]
+fn default_selection_risks_are_pinned() {
+    let catalog = tpcds::catalog_sf100();
+    let suite = rqp::workloads::paper_suite(&catalog);
+    for (name, pinned) in [
+        ("3D_Q15", 0x9c3c_7602_fde1_2e3eu64),
+        ("4D_Q91", 0x54c3_0115_fbac_189a),
+    ] {
+        let bench = suite.iter().find(|b| b.name() == name).expect("suite");
+        let opt = Optimizer::new(
+            &catalog,
+            &bench.query,
+            CostParams::default(),
+            EnumerationMode::LeftDeep,
+        )
+        .unwrap();
+        let surface = EssSurface::build_parallel(&opt, bench.grid(), 2);
+        let ctx = EvalContext::with_threads(&surface, &opt, 2);
+        let sources = [
+            ("matrix", CostSource::Matrix(&ctx)),
+            ("recost", CostSource::Recost(&surface, &opt)),
+        ];
+        for (label, source) in sources {
+            let pa = Strategy::PenaltyAware
+                .compile(source, &Params::default())
+                .unwrap();
+            let digest = selection_digest(pa.penalty_selection().expect("PA"));
+            assert_eq!(digest, pinned, "{name} {label}: digest {digest:#018x}");
+        }
+    }
 }
 
 /// Artifacts written before the penalty field existed (v1 files with no
