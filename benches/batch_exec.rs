@@ -2,9 +2,10 @@
 //!
 //! The vectorized engine exists to make the wall-clock experiments run at
 //! 10-100x dataset scale; this bench measures what it buys and gates the
-//! claim. On the 4D_Q91 workload it times `run_full` on the row engine vs
-//! the batch engine — on the optimizer's plan at the true selectivities
-//! and on the all-hash-join variant of it — in two regimes:
+//! claim. On the 4D_Q91 workload it times `run_full` on the row-at-a-time
+//! reference engine vs the batch engine — on the optimizer's plan at the
+//! true selectivities and on the all-hash-join variant of it — in two
+//! regimes:
 //!
 //! - **uniform** (no planted estimation error, join fan-out ~1): the
 //!   probe/scan-bound shape where vectorization shines. Run at 1x and at
@@ -26,13 +27,14 @@
 //! Before any timing, outcomes are asserted bit-identical (`rows_out` and
 //! `spent.to_bits()`), and a small 2D discovery fixture asserts that full
 //! SpillBound / AlignedBound runs produce byte-identical serialized
-//! reports across {row engine, batch-first Engine} x {in-memory, paged}
+//! reports across {reference engine, batch Engine} x {in-memory, paged}
 //! — speed must not move a single reported bit.
 
 use rqp::catalog::tpcds;
 use rqp::core::{AlignedBound, SpillBound};
 use rqp::ess::EssSurface;
-use rqp::executor::{BatchExecutor, DataStore, Engine, Executor, PlanEngine};
+use rqp::executor::reference::Executor;
+use rqp::executor::{DataStore, Engine, PlanEngine};
 use rqp::optimizer::{
     CostParams, EnumerationMode, JoinMethod, Optimizer, PlanNode, QuerySpec, ScanMethod,
 };
@@ -120,7 +122,7 @@ fn compare_at_scale(
     let hash_plan = force_hash(&opt_plan);
 
     let row = Executor::new(catalog, query, &store, CostParams::default());
-    let batch = BatchExecutor::new(catalog, query, &store, CostParams::default());
+    let batch = Engine::new(catalog, query, &store, CostParams::default());
     let mut plans = vec![&hash_plan];
     if time_opt_plan {
         plans.push(&opt_plan);

@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rqp::catalog::tpcds;
 use rqp::ess::{ContourSet, EssSurface, EssView};
-use rqp::executor::{BatchExecutor, DataStore, Executor};
+use rqp::executor::reference::Executor;
+use rqp::executor::{DataStore, Engine, PlanEngine};
 use rqp::optimizer::pipeline::spill_dim;
 use rqp::optimizer::{constrained, CostParams, EnumerationMode, Optimizer};
 use rqp::workloads::{executable_genspec, q91_with_dims};
@@ -151,7 +152,7 @@ fn bench_executor(c: &mut Criterion) {
         b.iter(|| black_box(exec.run_full(black_box(&plan), f64::INFINITY).unwrap()))
     });
     // vectorized vs row-at-a-time on an all-hash-join plan
-    let vec_exec = BatchExecutor::new(&catalog, &query, &store, CostParams::default());
+    let vec_exec = Engine::new(&catalog, &query, &store, CostParams::default());
     let hash_plan = {
         use rqp::optimizer::{JoinMethod, PlanNode, ScanMethod};
         // force hash joins / seq scans so both engines accept the plan

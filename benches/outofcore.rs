@@ -17,7 +17,13 @@
 use rqp::catalog::tpcds;
 use rqp::core::{AlignedBound, SpillBound};
 use rqp::ess::EssSurface;
-use rqp::executor::{DataStore, Executor, TableStore};
+// The row-at-a-time reference engine, not `Engine`: the batch engine
+// gathers a whole probe batch's hash-join output before its emit ledger
+// trips the budget, and the native plan's fan-out here (200x cap, 8-frame
+// pool) then needs more than 6 GB. Bounding that gather is a memory and
+// performance trade of its own (ROADMAP item 8).
+use rqp::executor::reference::Executor;
+use rqp::executor::{DataStore, PlanEngine, TableStore};
 use rqp::experiments::write_json;
 use rqp::obs::MetricValue;
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer};

@@ -1,12 +1,13 @@
-//! A Volcano-style execution engine with the paper's engine extensions.
+//! A vectorized execution engine with the paper's engine extensions.
 //!
 //! The paper modified PostgreSQL with four features (§6.1): abstract-plan
 //! execution, time-limited execution, spilling, and selectivity
 //! monitoring. This crate provides all four natively over the synthetic
 //! datasets of `rqp-catalog`:
 //!
-//! * **abstract-plan execution** — any [`rqp_optimizer::PlanNode`] compiles
-//!   to an operator tree ([`exec::Executor`]);
+//! * **abstract-plan execution** — any [`rqp_optimizer::PlanNode`] is
+//!   validated and lowered once ([`validate`]) and runs as a tree of
+//!   batch-at-a-time operators ([`Engine`]);
 //! * **budget-limited execution** — every operator meters its work in the
 //!   same abstract cost units as the optimizer's cost model and aborts the
 //!   moment the assigned budget is exhausted ([`meter::Meter`]);
@@ -14,11 +15,14 @@
 //!   node runs alone, its output counted and discarded (§3.1.2);
 //! * **selectivity monitoring** — join/filter nodes report exact input and
 //!   output tuple counts, from which true predicate selectivities are
-//!   computed ([`exec::NodeObservation`]).
+//!   computed ([`NodeObservation`]).
+//!
+//! [`reference::Executor`] is a row-at-a-time engine over the same
+//! lowering, kept as the oracle the differential tests compare against.
 //!
 //! ```
 //! use rqp_catalog::{datagen::{ColumnGen, GenSpec, TableGenSpec}, Catalog, Column, ColumnStats, DataSet, DataType, Table};
-//! use rqp_executor::{DataStore, Executor};
+//! use rqp_executor::{DataStore, Engine, PlanEngine};
 //! use rqp_optimizer::{CostParams, EnumerationMode, Optimizer, Predicate, PredicateKind, QuerySpec};
 //!
 //! // fact(fk) ⋈ dim(k) over 1000 generated rows.
@@ -48,32 +52,32 @@
 //! let store = DataStore::new(&catalog, data);
 //! let opt = Optimizer::new(&catalog, &query, CostParams::default(),
 //!                          EnumerationMode::LeftDeep).unwrap();
-//! let exec = Executor::new(&catalog, &query, &store, CostParams::default());
+//! let engine = Engine::new(&catalog, &query, &store, CostParams::default());
 //!
 //! // Unbudgeted run: every fact row matches exactly one dim row.
 //! let (plan, _) = opt.optimize_at(&[0.02]);
-//! let out = exec.run_full(&plan, f64::INFINITY).unwrap();
+//! let out = engine.run_full(&plan, f64::INFINITY).unwrap();
 //! assert!(out.completed);
 //! assert_eq!(out.rows_out, 1_000);
 //!
 //! // Budget-limited run: a starved budget aborts and discards output.
-//! let starved = exec.run_full(&plan, out.spent * 0.1).unwrap();
+//! let starved = engine.run_full(&plan, out.spent * 0.1).unwrap();
 //! assert!(!starved.completed);
 //! assert_eq!(starved.rows_out, 0);
 //! ```
 
 pub mod batch;
-pub mod engine;
-pub mod exec;
 pub mod meter;
-pub mod ops;
+mod plan;
+pub mod reference;
+mod run;
 pub mod store;
 
-pub use batch::{Batch, BatchExecutor, BATCH_SIZE};
-pub use engine::{Engine, FallbackReason, PlanEngine};
-pub use exec::{ExecOutcome, Executor, NodeObservation, SpillRun};
+pub use batch::{Engine, BATCH_SIZE};
 pub use meter::{ExecError, Ledger, Meter, CHARGE_QUANTUM};
+pub use plan::validate;
+pub use run::{ExecOutcome, NodeObservation, PlanEngine, SpillRun};
 pub use store::DataStore;
-// Backend-neutral storage view: executors run against any `TableStore`
+// Backend-neutral storage view: the engines run against any `TableStore`
 // (in-memory `DataStore` or out-of-core `rqp_storage::PagedStore`).
 pub use rqp_storage::{TableRef, TableStore};

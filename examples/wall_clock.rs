@@ -2,7 +2,7 @@
 //! Table 3).
 //!
 //! Unlike the cost-based experiments, this one *actually executes* plans
-//! on the Volcano engine over materialized synthetic data: budgets are
+//! on the batch engine over materialized synthetic data: budgets are
 //! enforced by cost metering, spilled subtrees run alone with their output
 //! discarded, and selectivities are learnt from observed tuple counts.
 //! The output mirrors Table 3: per contour, the selectivities learnt so
@@ -16,7 +16,7 @@ use rqp::catalog::tpcds;
 use rqp::core::report::{ExecMode, RunReport};
 use rqp::core::{AlignedBound, Outcome, SpillBound};
 use rqp::ess::EssSurface;
-use rqp::executor::{DataStore, Executor};
+use rqp::executor::{DataStore, Engine, PlanEngine as _};
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer};
 use rqp::runner::{measure_qa, ExecOracle};
 use rqp::workloads::{executable_genspec_with_errors, q91_with_dims};
@@ -89,7 +89,7 @@ fn main() {
     )
     .expect("query valid");
     let surface = EssSurface::build(&opt, bench.grid());
-    let exec = || Executor::new(&catalog, query, &store, CostParams::default());
+    let exec = || Engine::new(&catalog, query, &store, CostParams::default());
 
     // Oracle-optimal: the plan an omniscient optimizer would pick.
     let (opt_plan, _) = opt.optimize_at(&qa);

@@ -250,11 +250,7 @@ fn run_paged(name: &str, strategy: Strategy, args: &[String]) -> ExitCode {
     )
     .expect("valid query");
     let surface = EssSurface::build(&opt, bench.grid());
-    // Batch-first dispatch: every suite plan runs vectorized; any
-    // fallback to the row engine shows up in the store's registry.
-    let exec = || {
-        Engine::new(&catalog, query, &store, CostParams::default()).with_metrics(store.registry())
-    };
+    let exec = || Engine::new(&catalog, query, &store, CostParams::default());
     let (opt_plan, _) = opt.optimize_at(&qa);
     let opt_out = exec()
         .run_full(&opt_plan, f64::INFINITY)
@@ -1834,10 +1830,7 @@ fn main() -> ExitCode {
                             PagedStore::materialize(&catalog, &data, config).expect("materialize");
                         let qa = measure_qa(&store, query);
                         store.set_faults(plan);
-                        let exec = || {
-                            Engine::new(&catalog, query, &store, CostParams::default())
-                                .with_metrics(store.registry())
-                        };
+                        let exec = || Engine::new(&catalog, query, &store, CostParams::default());
                         let (opt_plan, _) = popt.optimize_at(&qa);
                         let opt_spent = exec()
                             .run_full(&opt_plan, f64::INFINITY)

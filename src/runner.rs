@@ -1,7 +1,7 @@
 //! Executor-backed execution oracle for wall-clock experiments (§6.3).
 //!
 //! Where [`rqp_core::CostOracle`] decides budgeted executions analytically,
-//! [`ExecOracle`] actually runs them on the Volcano engine over
+//! [`ExecOracle`] actually runs them on the batch [`Engine`] over
 //! materialized synthetic data, with real cost metering, real spilled
 //! subtrees, and selectivities observed from tuple counts. Wall-clock
 //! durations are recorded per execution, which is how the paper's Table 3
@@ -9,18 +9,18 @@
 
 use rqp_common::{cost_le, Cost, MultiGrid, Result, RqpError, Selectivity, EPS};
 use rqp_core::{ExecutionOracle, FullOutcome, SpillOutcome};
-use rqp_executor::{Executor, NodeObservation, PlanEngine};
+use rqp_executor::{Engine, NodeObservation, PlanEngine};
 use rqp_faults::RetryPolicy;
 use rqp_optimizer::{Optimizer, PlanId, PlanNode, PredicateKind, Sels};
 use std::time::{Duration, Instant};
 
 /// An [`ExecutionOracle`] backed by real plan executions.
 ///
-/// Generic over the [`PlanEngine`] driving the runs (row engine, batch
-/// engine, or the batch-first [`rqp_executor::Engine`] dispatcher);
+/// Generic over the [`PlanEngine`] driving the runs, so tests can
+/// substitute the row-at-a-time `rqp_executor::reference::Executor`; the
 /// engines are metering-bit-compatible, so the choice affects wall-clock
 /// time but never a discovery report.
-pub struct ExecOracle<'a, E = Executor<'a>> {
+pub struct ExecOracle<'a, E = Engine<'a>> {
     executor: E,
     opt: &'a Optimizer<'a>,
     grid: &'a MultiGrid,

@@ -1,4 +1,4 @@
-//! The vectorized engine must be bit-compatible with the row engine.
+//! The batch engine must be bit-compatible with the row-at-a-time reference.
 //!
 //! Budgeted execution, spill-mode runs, metered costs, and discovery
 //! reports are the *observable* outputs the robustness algorithms reason
@@ -9,17 +9,17 @@
 //! do optimizer-chosen plans at random ESS locations. Edge layer: row
 //! counts straddling `BATCH_SIZE`, empty and single-row tables, filter
 //! selectivities of exactly 0 and 1, and budgets expiring exactly on a
-//! batch edge. Fallback layer: every plan the paper suite's optimizer
-//! can emit is inside the vectorized subset (the `batch.fallbacks`
-//! counter stays zero), and full SB/AB discovery through the dispatching
-//! [`Engine`] reproduces the row engine's reports byte for byte.
+//! batch edge. Coverage layer: every plan the paper suite's optimizer can
+//! emit passes the plan validation both engines share, and full SB/AB
+//! discovery through the batch [`Engine`] reproduces the row-at-a-time
+//! reference engine's reports byte for byte.
 
 use proptest::prelude::*;
 use rqp::catalog::tpcds;
 use rqp::core::{AlignedBound, SpillBound};
 use rqp::ess::EssSurface;
-use rqp::executor::{DataStore, Engine, Executor, PlanEngine, TableStore, BATCH_SIZE};
-use rqp::obs::MetricsRegistry;
+use rqp::executor::reference::Executor;
+use rqp::executor::{validate, DataStore, Engine, PlanEngine, TableStore, BATCH_SIZE};
 use rqp::optimizer::{
     CostParams, EnumerationMode, JoinMethod, Optimizer, PlanNode, Predicate, PredicateKind,
     QuerySpec, ScanMethod,
@@ -139,17 +139,15 @@ fn fx() -> &'static Fx {
 
 // ------------------------------------------------------------ differential
 
-/// Runs `plan` under `budget` on the row engine and the dispatching
+/// Runs `plan` under `budget` on the reference engine and the batch
 /// `Engine` over both backends, asserting bit-identical full outcomes
-/// and spill runs (for every predicate in `spill_preds`), zero
-/// fallbacks, and mem/paged agreement within the batch engine.
+/// and spill runs (for every predicate in `spill_preds`), and mem/paged
+/// agreement within the batch engine.
 fn assert_bit_identical(fx: &Fx, plan: &PlanNode, budget: f64, spill_preds: &[usize]) {
     let mut batch_spent_bits = Vec::new();
     for store in [&fx.mem as &dyn TableStore, &fx.paged as &dyn TableStore] {
         let row = Executor::new(&fx.catalog, &fx.query, store, CostParams::default());
-        let reg = MetricsRegistry::new();
-        let engine =
-            Engine::new(&fx.catalog, &fx.query, store, CostParams::default()).with_metrics(&reg);
+        let engine = Engine::new(&fx.catalog, &fx.query, store, CostParams::default());
         let a = row.run_full(plan, budget).expect("row engine");
         let b = engine.run_full(plan, budget).expect("batch engine");
         assert_eq!(a.completed, b.completed, "completion diverged");
@@ -175,7 +173,6 @@ fn assert_bit_identical(fx: &Fx, plan: &PlanNode, budget: f64, spill_preds: &[us
                 sb.spent
             );
         }
-        assert_eq!(reg.counter("batch.fallbacks").value(), 0, "silent fallback");
     }
     assert_eq!(
         batch_spent_bits[0], batch_spent_bits[1],
@@ -216,7 +213,8 @@ fn join_plan(method: JoinMethod, index_scan: bool, with_filter: bool, swap: bool
     }
 }
 
-/// Full-run metered cost of `plan` on the row engine (the budget scale).
+/// Full-run metered cost of `plan` on the reference engine (the budget
+/// scale).
 fn full_cost(fx: &Fx, plan: &PlanNode) -> f64 {
     Executor::new(&fx.catalog, &fx.query, &fx.mem, CostParams::default())
         .run_full(plan, f64::INFINITY)
@@ -261,7 +259,7 @@ proptest! {
         )
         .expect("valid query");
         let (plan, _) = opt.optimize_at(&[s0, s1]);
-        prop_assert!(Engine::batch_supports(&plan).is_ok(), "optimizer emitted unsupported plan");
+        prop_assert!(validate(&plan).is_ok(), "optimizer emitted an invalid plan");
         let budget = frac * full_cost(fx, &plan);
         assert_bit_identical(fx, &plan, budget, &[0]);
     }
@@ -345,10 +343,10 @@ fn budget_expiring_on_batch_edges() {
     }
 }
 
-// --------------------------------------------------------------- fallbacks
+// ---------------------------------------------------------------- coverage
 
-/// Every plan the optimizer can emit for the whole paper suite is inside
-/// the vectorized subset: the row-engine fallback would never fire.
+/// Every plan the optimizer can emit for the whole paper suite passes the
+/// plan validation: neither engine would reject it.
 #[test]
 fn paper_suite_plans_never_fall_back() {
     let catalog = tpcds::catalog_sf100();
@@ -369,19 +367,18 @@ fn paper_suite_plans_never_fall_back() {
         }
         for sels in &locations {
             let (plan, _) = opt.optimize_at(sels);
-            assert!(
-                Engine::batch_supports(&plan).is_ok(),
-                "{} at {sels:?}: optimizer plan outside the vectorized subset ({:?})",
-                bench.name(),
-                Engine::batch_supports(&plan).unwrap_err()
-            );
+            if let Err(e) = validate(&plan) {
+                panic!(
+                    "{} at {sels:?}: optimizer emitted an invalid plan: {e}",
+                    bench.name()
+                );
+            }
         }
     }
 }
 
-/// Full SB/AB discovery through the dispatching engine is byte-identical
-/// to the row engine's reports on both backends, with zero fallbacks
-/// across every executed plan.
+/// Full SB/AB discovery through the batch engine is byte-identical to the
+/// reference engine's reports on both backends.
 #[test]
 fn discovery_reports_bit_identical_between_engines() {
     let catalog = tpcds::catalog(0.05);
@@ -404,7 +401,6 @@ fn discovery_reports_bit_identical_between_engines() {
     )
     .expect("valid query");
     let surface = EssSurface::build(&opt, MultiGrid::uniform(2, 1e-7, 6));
-    let reg = MetricsRegistry::new();
 
     // serde_json round-trips f64 exactly: string equality is bit
     // equality for every budget, cost, and learnt selectivity.
@@ -414,8 +410,7 @@ fn discovery_reports_bit_identical_between_engines() {
             let mut out = Vec::new();
             for algo in ["sb", "ab"] {
                 let report = if engine {
-                    let exec = Engine::new(&catalog, query, store, CostParams::default())
-                        .with_metrics(&reg);
+                    let exec = Engine::new(&catalog, query, store, CostParams::default());
                     let mut oracle = ExecOracle::new(exec, &opt, surface.grid());
                     match algo {
                         "sb" => SpillBound::new(&surface, &opt, 2.0).run(&mut oracle),
@@ -442,9 +437,4 @@ fn discovery_reports_bit_identical_between_engines() {
     for r in &reports[1..] {
         assert_eq!(&reports[0], r, "discovery reports diverged");
     }
-    assert_eq!(
-        reg.counter("batch.fallbacks").value(),
-        0,
-        "discovery dispatched a silent row-engine fallback"
-    );
 }

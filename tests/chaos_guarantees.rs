@@ -15,7 +15,7 @@ use rqp::core::{
     NativeChoice, PenaltyConfig, PriorConfig, SelectivityPrior, SpillBound,
 };
 use rqp::ess::EssSurface;
-use rqp::executor::Executor;
+use rqp::executor::{Engine, PlanEngine as _};
 use rqp::faults::{BreakerConfig, FaultPlan, FaultSite, RetryPolicy};
 use rqp::obs::MetricValue;
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer, Predicate, PredicateKind, QuerySpec};
@@ -348,14 +348,14 @@ fn paged_sb_run(
     let store = PagedStore::materialize(f.catalog, &f.data, config).expect("materialize");
     let qa = measure_qa(&store, f.query);
     let (opt_plan, _) = f.opt.optimize_at(&qa);
-    let opt_spent = Executor::new(f.catalog, f.query, &store, CostParams::default())
+    let opt_spent = Engine::new(f.catalog, f.query, &store, CostParams::default())
         .run_full(&opt_plan, f64::INFINITY)
         .expect("clean optimal run")
         .spent;
     store.set_faults(plan);
     let sb = SpillBound::new(&f.surface, &f.opt, 2.0);
     let mut oracle = ExecOracle::new(
-        Executor::new(f.catalog, f.query, &store, CostParams::default()),
+        Engine::new(f.catalog, f.query, &store, CostParams::default()),
         &f.opt,
         f.surface.grid(),
     );

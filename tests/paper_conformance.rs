@@ -25,7 +25,8 @@ use rqp::core::{
 };
 use rqp::ess::anorexic::reduce_contour;
 use rqp::ess::{ContourSet, EssSurface, EssView, LazySurface, SurfaceAccess};
-use rqp::executor::{DataStore, Engine, Executor};
+use rqp::executor::reference::Executor;
+use rqp::executor::{DataStore, Engine};
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer};
 use rqp::runner::ExecOracle;
 use rqp::workloads::{executable_genspec_with_errors, paper_suite, q91_with_dims};
@@ -261,8 +262,8 @@ fn golden_path() -> PathBuf {
 /// Executor-backed discovery golden: full SB and AB runs over the
 /// executable 2D_Q91 workload, serialized with exact floats (shortest
 /// round-trip rendering), pinned in `tests/golden/batch_discovery.json`.
-/// Both the row engine and the vectorized [`Engine`] must reproduce the
-/// checked-in bytes — the batch engine cannot drift a single budget,
+/// Both the batch [`Engine`] and the row-at-a-time reference engine must
+/// reproduce the checked-in bytes — the batch engine cannot drift a single budget,
 /// spent cost, or learnt selectivity that the goldens pin, so switching
 /// engines never forces a re-bless. Regenerate intentionally with
 /// `RQP_BLESS=1 cargo test --test paper_conformance batch_engine`.

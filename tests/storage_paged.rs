@@ -13,7 +13,8 @@ use proptest::prelude::*;
 use rqp::catalog::tpcds;
 use rqp::core::{AlignedBound, PlanBouquet, SpillBound};
 use rqp::ess::EssSurface;
-use rqp::executor::{BatchExecutor, DataStore, Executor, TableStore};
+use rqp::executor::reference::Executor;
+use rqp::executor::{DataStore, Engine, PlanEngine, TableStore};
 use rqp::obs::{MetricValue, MetricsRegistry};
 use rqp::optimizer::{
     CostParams, EnumerationMode, JoinMethod, Optimizer, PlanNode, PredicateKind, ScanMethod,
@@ -234,7 +235,7 @@ fn discovery_reports(bk: &Backends, store: &dyn TableStore) -> Vec<String> {
     let surface = EssSurface::build(&opt, bk.grid.clone());
     let mut out = Vec::new();
     for algo in ["sb", "ab", "pb"] {
-        let exec = Executor::new(bk.catalog, bk.query, store, CostParams::default());
+        let exec = Engine::new(bk.catalog, bk.query, store, CostParams::default());
         let mut oracle = ExecOracle::new(exec, &opt, surface.grid());
         let report = match algo {
             "sb" => SpillBound::new(&surface, &opt, 2.0).run(&mut oracle),
@@ -297,7 +298,7 @@ fn backends_bit_identical_4d() {
     assert_backends_agree(4, &[30.0, 10.0, 50.0, 20.0], 6);
 }
 
-/// The vectorized engine matches the row engine over the paged backend
+/// The batch engine matches the reference engine over the paged backend
 /// bit for bit — same row counts, same metered cost to the last bit —
 /// for every join method, exercising the cursor-based batch scan path
 /// against the in-memory gather path. (Ledger metering makes the two
@@ -349,7 +350,7 @@ fn batch_engine_matches_row_engine_on_paged_store() {
         let rows = Executor::new(bk.catalog, bk.query, &bk.paged, CostParams::default())
             .run_full(&plan, f64::INFINITY)
             .expect("row engine");
-        let vecs = BatchExecutor::new(bk.catalog, bk.query, &bk.paged, CostParams::default())
+        let vecs = Engine::new(bk.catalog, bk.query, &bk.paged, CostParams::default())
             .run_full(&plan, f64::INFINITY)
             .expect("batch engine");
         assert_eq!(rows.rows_out, vecs.rows_out, "{method:?} row count");
@@ -361,7 +362,7 @@ fn batch_engine_matches_row_engine_on_paged_store() {
             vecs.spent
         );
         // And within the batch engine, backends must agree bitwise too.
-        let mem = BatchExecutor::new(bk.catalog, bk.query, &bk.mem, CostParams::default())
+        let mem = Engine::new(bk.catalog, bk.query, &bk.mem, CostParams::default())
             .run_full(&plan, f64::INFINITY)
             .expect("batch engine, in-memory");
         assert_eq!(mem.rows_out, vecs.rows_out, "{method:?} backend rows");
