@@ -1,8 +1,8 @@
 //! Lazy vs dense ESS discovery — optimizer calls and build wall-clock.
 //!
 //! The dense path optimizes every grid cell up front; the lazy path
-//! materializes only what contour discovery and SpillBound's axis-probe
-//! selections actually touch. This bench sweeps the full paper suite
+//! materializes only what contour discovery and the axis-probe warm-up
+//! (`lazy_warm_up`) actually touch. This bench sweeps the full paper suite
 //! (plus 2D_Q91) at the *default* grid resolutions and reports, per
 //! query: dense optimizer calls (= grid size) and build time vs lazy
 //! optimizer calls, materialized cells, and build time.
@@ -12,7 +12,7 @@
 //! optimizer-call budget.
 
 use rqp::catalog::tpcds;
-use rqp::core::{CostOracle, SelectionMode, SpillBound};
+use rqp::core::lazy_warm_up;
 use rqp::ess::{ContourSet, EssSurface, LazySurface, SurfaceAccess};
 use rqp::experiments::{fmt, print_table, write_json};
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer};
@@ -32,21 +32,6 @@ struct Row {
     call_ratio: f64,
 }
 
-/// The deterministic warm-up sample the lazy compile uses: both corners,
-/// the center, and each axis-extreme corner.
-fn warmup_coords(d: usize, n: usize) -> Vec<Vec<usize>> {
-    let mut sample = vec![vec![0; d], vec![n - 1; d], vec![n / 2; d]];
-    for j in 0..d {
-        let mut lo = vec![0; d];
-        lo[j] = n - 1;
-        let mut hi = vec![n - 1; d];
-        hi[j] = 0;
-        sample.push(lo);
-        sample.push(hi);
-    }
-    sample
-}
-
 fn main() {
     let catalog = tpcds::catalog_sf100();
     let mut benches = vec![q91_with_dims(&catalog, 2)];
@@ -55,7 +40,6 @@ fn main() {
     for bench in benches {
         let name = bench.name().to_string();
         let d = bench.query.ndims();
-        let n = bench.grid_points;
         let opt = Optimizer::new(
             &catalog,
             &bench.query,
@@ -72,12 +56,7 @@ fn main() {
         let t1 = std::time::Instant::now();
         let lazy = LazySurface::new(&opt, bench.grid());
         let _contours = ContourSet::build(&lazy, 2.0);
-        let sb = SpillBound::with_mode(&lazy, &opt, 2.0, SelectionMode::AxisProbe);
-        for coords in warmup_coords(d, n) {
-            let qa = lazy.grid().flat(&coords);
-            let mut oracle = CostOracle::at_grid(&opt, lazy.grid(), qa);
-            sb.run(&mut oracle).expect("lazy discovery completes");
-        }
+        lazy_warm_up(&lazy, &opt, 2.0).expect("lazy discovery completes");
         let lazy_secs = t1.elapsed().as_secs_f64();
 
         let lazy_calls = lazy.optimizer_calls();

@@ -12,13 +12,10 @@
 //! total penalty `π*`; the singleton partition (= SpillBound's behavior,
 //! penalty ≤ D) is always feasible, so `MSO ∈ [2D+2, D²+3D]`.
 
-use crate::discovery::{ContourMemo, MemoStats, Shared, SpillExec, MEMO_CAP};
-use crate::oracle::ExecutionOracle;
-use crate::report::RunReport;
-use rqp_common::{Cost, GridIdx, Result};
-use rqp_ess::alignment::{PlanChoice, SpillDimCache};
-use rqp_ess::{ContourSet, EssView, SurfaceAccess};
-use rqp_obs::Tracer;
+use crate::discovery::{Discovery, Exec, Rule, Step};
+use rqp_common::{Cost, GridIdx};
+use rqp_ess::alignment::PlanChoice;
+use rqp_ess::{EssView, SurfaceAccess};
 use rqp_optimizer::{constrained, Optimizer, PlanId, PlanNode};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,95 +30,57 @@ struct PartExec {
     penalty: f64,
 }
 
-/// The memoized per-(contour, pins) decision: the leader executions of
-/// the chosen partition, in leader order.
+/// AlignedBound's discovery rule: per contour, the partition of the unlearnt
+/// epps with the minimum total penalty, one leader execution per part.
 #[derive(Debug)]
-struct ContourDecision {
-    execs: Vec<SpillExec>,
-    /// Maximum part penalty of the chosen partition (what Table 4
-    /// reports the maximum of).
-    max_part_penalty: f64,
-}
-
-impl AsRef<[SpillExec]> for ContourDecision {
-    fn as_ref(&self) -> &[SpillExec] {
-        &self.execs
-    }
+pub struct Psa {
+    /// Bits of the maximum part penalty any decision has chosen (Table
+    /// 4). Penalties are at least 1, and the bit patterns of positive
+    /// floats order as the floats do, so `fetch_max` on the bits is the
+    /// float maximum.
+    observed_max_penalty: AtomicU64,
 }
 
 /// A compiled AlignedBound instance: immutable, plus a memo of partition
 /// decisions, which are pure functions of (contour, pins). Runs take
 /// `&self` and keep their state on the stack, so one instance is shared
 /// by every run on every thread.
-#[derive(Debug)]
-pub struct AlignedBound<'a> {
-    shared: Shared<'a>,
-    spill_cache: SpillDimCache,
-    decisions: ContourMemo<ContourDecision>,
-    /// Bits of the maximum part penalty seen across all runs (Table 4).
-    /// Penalties are at least 1, and the bit patterns of positive floats
-    /// order as the floats do, so `fetch_max` on the bits is the float
-    /// maximum.
-    observed_max_penalty: AtomicU64,
+pub type AlignedBound<'a> = Discovery<'a, Psa>;
+
+impl Rule for Psa {
+    const ALGO: &'static str = "alignedbound";
+    /// One synthesized plan per part, charged the flat 256 bytes the
+    /// artifact accounting charges a pool plan.
+    const STEP_HEAP: usize = 256;
+
+    /// The partition decision for contour `i` under `pins` — steps S0–S2
+    /// of Algorithm 2 — as its leaders' spill steps, in leader order. It
+    /// also folds the decision's largest part penalty into the observed
+    /// maximum: every value the memo hands out was computed here once.
+    fn spill_steps(d: &AlignedBound<'_>, i: usize, pins: &[Option<usize>]) -> Vec<Step> {
+        d.partition_steps(i, pins)
+    }
 }
 
 impl<'a> AlignedBound<'a> {
     /// Compiles AlignedBound with the given inter-contour cost ratio.
     pub fn new(surface: &'a dyn SurfaceAccess, opt: &'a Optimizer<'a>, ratio: f64) -> Self {
-        Self {
-            shared: Shared::new(surface, opt, ratio),
-            spill_cache: SpillDimCache::new(),
-            decisions: ContourMemo::with_cap(MEMO_CAP),
-            observed_max_penalty: AtomicU64::new(1.0f64.to_bits()),
-        }
-    }
-
-    /// Forces the memo's entry cap.
-    #[cfg(test)]
-    pub(crate) fn with_memo_cap(mut self, cap: usize) -> Self {
-        self.decisions = ContourMemo::with_cap(cap);
-        self
-    }
-
-    /// Hits, misses and resident entries of the decision memo.
-    pub fn memo_stats(&self) -> MemoStats {
-        self.decisions.stats()
-    }
-
-    /// Most bytes the decision memo and the spill-dimension cache can come
-    /// to hold: per dimension one part with a synthesized plan, charged
-    /// the flat 256 bytes the artifact accounting charges a pool plan.
-    pub fn memo_bytes_bound(&self) -> usize {
-        let per_exec = std::mem::size_of::<SpillExec>() + 256;
-        self.decisions.bytes_bound(&self.shared, per_exec)
-    }
-
-    /// Upper end of the guarantee range (`D² + 3D`, retained by §5.3).
-    pub fn mso_guarantee(&self) -> f64 {
-        crate::spillbound_guarantee(self.shared.ndims())
+        let observed_max_penalty = AtomicU64::new(1.0f64.to_bits());
+        let rule = Psa {
+            observed_max_penalty,
+        };
+        Discovery::compile(surface, opt, ratio, rule)
     }
 
     /// Lower end of the guarantee range (`2D + 2`, fully aligned case).
     pub fn mso_guarantee_lower(&self) -> f64 {
-        crate::aligned_guarantee_lower(self.shared.ndims())
-    }
-
-    /// The contour schedule.
-    pub fn contours(&self) -> &ContourSet {
-        &self.shared.contours
-    }
-
-    /// Attach a structured tracer; subsequent [`run`](Self::run) calls
-    /// emit typed events for every contour entry, execution, and learnt
-    /// selectivity.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.shared.tracer = tracer;
+        crate::aligned_guarantee_lower(self.surface.grid().ndims())
     }
 
     /// Maximum per-part penalty encountered over all runs so far (the
     /// quantity the paper reports in Table 4).
     pub fn observed_max_penalty(&self) -> f64 {
-        f64::from_bits(self.observed_max_penalty.load(Ordering::Relaxed))
+        f64::from_bits(self.rule.observed_max_penalty.load(Ordering::Relaxed))
     }
 
     /// Enumerates all set partitions of `items`.
@@ -158,8 +117,8 @@ impl<'a> AlignedBound<'a> {
         j: usize,
         unlearnt: u32,
     ) -> Option<PartExec> {
-        let surface = self.shared.surface;
-        let opt = self.shared.opt;
+        let surface = self.surface;
+        let opt = self.opt;
         let grid = surface.grid();
         // Extreme j-coordinate over IC_i|T.
         let qjt_coord = t
@@ -234,14 +193,12 @@ impl<'a> AlignedBound<'a> {
         best
     }
 
-    /// Computes (memoized) the partition decision for contour `i` under
-    /// `pins` — step S0–S2 of Algorithm 2.
-    fn compute_decision(&self, i: usize, pins: &[Option<usize>]) -> ContourDecision {
-        let surface = self.shared.surface;
-        let opt = self.shared.opt;
+    fn partition_steps(&self, i: usize, pins: &[Option<usize>]) -> Vec<Step> {
+        let surface = self.surface;
+        let opt = self.opt;
         let view = EssView::from_pins(pins.to_vec());
         let unlearnt = view.free_mask();
-        let locs = self.shared.contours.locations(surface, &view, i);
+        let locs = self.contours.locations(surface, &view, i);
 
         // Group contour locations by the dimension their plan spills on.
         let mut locs_by_dim: HashMap<usize, Vec<GridIdx>> = HashMap::new();
@@ -315,23 +272,14 @@ impl<'a> AlignedBound<'a> {
         }
         let mut parts = best.map(|(_, parts)| parts).unwrap_or_default();
         parts.sort_by_key(|p| p.leader);
-        ContourDecision {
-            max_part_penalty: parts.iter().map(|p| p.penalty).fold(1.0, f64::max),
-            execs: (parts.into_iter())
-                .map(|p| SpillExec::new(surface, p.leader, p.plan, p.budget))
-                .collect(),
-        }
-    }
-
-    /// Runs selectivity discovery against `oracle`.
-    pub fn run(&self, oracle: &mut dyn ExecutionOracle) -> Result<RunReport> {
-        self.shared.run_spilling("alignedbound", oracle, |i, pins| {
-            let decision =
-                (self.decisions).get_or_compute(i, pins, || self.compute_decision(i, pins));
-            self.observed_max_penalty
-                .fetch_max(decision.max_part_penalty.to_bits(), Ordering::Relaxed);
-            decision
-        })
+        let max_part_penalty = parts.iter().map(|p| p.penalty).fold(1.0, f64::max);
+        (self.rule.observed_max_penalty).fetch_max(max_part_penalty.to_bits(), Ordering::Relaxed);
+        (parts.into_iter())
+            .map(|p| Step::Spill {
+                dim: p.leader,
+                exec: Exec::new(surface, p.plan, p.budget),
+            })
+            .collect()
     }
 }
 

@@ -9,7 +9,7 @@
 //! [`CachedOracle`] answers the oracle protocol from it:
 //!
 //! * full-mode executions of pool plans are a single matrix lookup;
-//! * spill-mode executions replay [`CostOracle`]'s budget logic but
+//! * spill-mode executions replay [`crate::CostOracle`]'s budget logic but
 //!   memoize the monotone subtree costs in a [`SpillMemo`] keyed by
 //!   `(plan fingerprint, dimension, probe location)` — every probe the
 //!   binary search makes lands on an exact grid location, so the memo is
@@ -17,13 +17,12 @@
 //!   of precision.
 //!
 //! Both caches store values computed by exactly the code paths
-//! [`CostOracle`] uses, so a cached sweep is **bit-equal** to the
+//! [`crate::CostOracle`] uses, so a cached sweep is **bit-equal** to the
 //! uncached one; `crate::eval` asserts this.
 
-use crate::oracle::{CostOracle, ExecutionOracle, FullOutcome, SpillOutcome};
-use rqp_common::{cost_le, Cost, GridIdx, MultiGrid};
+use crate::oracle::{spill_lower_bound, ExecutionOracle, FullOutcome, SpillOutcome};
+use rqp_common::{cost_le, Cost, GridIdx, MultiGrid, Result};
 use rqp_ess::EssSurface;
-use rqp_obs::{TraceEvent, Tracer};
 use rqp_optimizer::{CostMatrix, Optimizer, PlanId, PlanNode, Sels};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -63,7 +62,7 @@ impl<'a> EvalContext<'a> {
         surface: &'a EssSurface,
         opt: &'a Optimizer<'a>,
         matrix: Cow<'a, CostMatrix>,
-    ) -> rqp_common::Result<Self> {
+    ) -> Result<Self> {
         if !matrix.shape_matches(surface.posp_size(), surface.grid().len()) {
             return Err(rqp_common::RqpError::Config(format!(
                 "cost matrix shape {}x{} does not match surface ({} plans, {} locations)",
@@ -118,21 +117,11 @@ impl SpillMemo {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Number of cached subtree costs.
-    pub fn len(&self) -> usize {
-        self.subtree.len()
-    }
-
-    /// True if nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.subtree.is_empty()
-    }
 }
 
 /// A cost oracle at a grid location that answers from the shared caches.
 ///
-/// Produces bit-identical outcomes to [`CostOracle`] at the same
+/// Produces bit-identical outcomes to [`crate::CostOracle`] at the same
 /// location: full-mode costs come from the matrix (computed by the same
 /// `cost_plan` call), spill-mode decisions replay the same binary search
 /// over memoized subtree costs.
@@ -143,7 +132,6 @@ pub struct CachedOracle<'c, 'a, 'm> {
     qa_coords: Vec<usize>,
     qa: Sels,
     memo: &'m mut SpillMemo,
-    tracer: Tracer,
 }
 
 impl<'c, 'a, 'm> CachedOracle<'c, 'a, 'm> {
@@ -157,21 +145,7 @@ impl<'c, 'a, 'm> CachedOracle<'c, 'a, 'm> {
             qa_coords: grid.coords(qa),
             qa: ctx.opt().sels_at(&grid.sels(qa)),
             memo,
-            tracer: Tracer::disabled(),
         }
-    }
-
-    /// Attach a structured tracer: spill-memo lookups emit
-    /// `cache_hit`/`cache_miss` events keyed by the probe grid location.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// An uncached [`CostOracle`] at the same location (reference
-    /// implementation for equivalence tests).
-    pub fn reference(&self) -> CostOracle<'_> {
-        CostOracle::at_grid(self.ctx.opt(), self.ctx.grid(), self.qa_idx)
     }
 
     /// Memoized spill-subtree cost of `plan` on `dim` with the spilled
@@ -184,16 +158,8 @@ impl<'c, 'a, 'm> CachedOracle<'c, 'a, 'm> {
         coords[dim] = coord;
         let key = (fp, dim, grid.flat(&coords));
         if let Some(&c) = self.memo.subtree.get(&key) {
-            self.tracer.emit(|| TraceEvent::CacheHit {
-                cache: "spill_memo",
-                key: key.2 as u64,
-            });
             return c;
         }
-        self.tracer.emit(|| TraceEvent::CacheMiss {
-            cache: "spill_memo",
-            key: key.2 as u64,
-        });
         let opt = self.ctx.opt();
         let pred = opt.query().epps[dim];
         let mut probe = self.qa.clone();
@@ -206,83 +172,61 @@ impl<'c, 'a, 'm> CachedOracle<'c, 'a, 'm> {
         self.memo.subtree.insert(key, c);
         c
     }
-
-    fn full_with_cost(&self, cost: Cost, budget: Cost) -> FullOutcome {
-        if cost_le(cost, budget) {
-            FullOutcome::Completed { spent: cost }
-        } else {
-            FullOutcome::TimedOut { spent: budget }
-        }
-    }
 }
 
 impl ExecutionOracle for CachedOracle<'_, '_, '_> {
-    fn spill_execute(&mut self, plan: &PlanNode, dim: usize, budget: Cost) -> SpillOutcome {
+    /// The spill memo keys on fingerprints, which cover custom plans too,
+    /// so the pool id adds nothing here.
+    fn try_spill_execute_id(
+        &mut self,
+        _pid: Option<PlanId>,
+        plan: &PlanNode,
+        dim: usize,
+        budget: Cost,
+    ) -> Result<SpillOutcome> {
         let fp = plan.fingerprint();
         let pred = self.ctx.opt().query().epps[dim];
         // `qa` is on-grid, so the estimate at qa *is* the subtree cost at
         // qa's own coordinate (Sels::inject copies grid sels verbatim).
         let est = self.subtree_cost(fp, plan, dim, self.qa_coords[dim]);
         if cost_le(est, budget) {
-            return SpillOutcome::Completed {
+            return Ok(SpillOutcome::Completed {
                 sel: self.qa.get(pred),
                 spent: est,
-            };
+            });
         }
-        // Same partition_point search as CostOracle::spill_execute, over
-        // memoized subtree costs.
-        let g = self.ctx.grid().dim(dim);
-        let mut lo = 0usize;
-        let mut hi = g.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if cost_le(self.subtree_cost(fp, plan, dim, mid), budget) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let lower_bound = if lo == 0 { 0.0 } else { g.sel(lo - 1) };
-        SpillOutcome::TimedOut {
-            lower_bound,
-            spent: budget,
-        }
+        // The same frontier as CostOracle's, over memoized subtree costs.
+        let lower_bound = spill_lower_bound(self.ctx.grid().dim(dim), |k| {
+            cost_le(self.subtree_cost(fp, plan, dim, k), budget)
+        });
+        let spent = budget;
+        Ok(SpillOutcome::TimedOut { lower_bound, spent })
     }
 
-    fn full_execute(&mut self, plan: &PlanNode, budget: Cost) -> FullOutcome {
-        // No id: fall back to a direct recost (same call CostOracle makes).
-        self.full_with_cost(self.ctx.opt().cost_plan(plan, &self.qa), budget)
-    }
-
-    fn spill_execute_id(
-        &mut self,
-        _pid: Option<PlanId>,
-        plan: &PlanNode,
-        dim: usize,
-        budget: Cost,
-    ) -> SpillOutcome {
-        // The spill memo keys on fingerprints, which cover custom plans
-        // too; the pool id adds nothing here.
-        self.spill_execute(plan, dim, budget)
-    }
-
-    fn full_execute_id(
+    /// A pool plan's cost is one matrix lookup; any other plan is
+    /// recosted, with the same call [`crate::CostOracle`] makes.
+    fn try_full_execute_id(
         &mut self,
         pid: Option<PlanId>,
         plan: &PlanNode,
         budget: Cost,
-    ) -> FullOutcome {
+    ) -> Result<FullOutcome> {
         let cost = match pid {
             Some(pid) => self.ctx.matrix().cost(pid, self.qa_idx),
             None => self.ctx.opt().cost_plan(plan, &self.qa),
         };
-        self.full_with_cost(cost, budget)
+        Ok(if cost_le(cost, budget) {
+            FullOutcome::Completed { spent: cost }
+        } else {
+            FullOutcome::TimedOut { spent: budget }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::CostOracle;
     use crate::test_fixtures::star2_surface;
 
     #[test]
@@ -335,13 +279,15 @@ mod tests {
                 let full_cost = plain.true_cost(plan);
                 for budget in [full_cost * 0.5, full_cost, full_cost * 2.0] {
                     assert_eq!(
-                        cached.full_execute_id(Some(pid), plan, budget),
+                        cached.try_full_execute_id(Some(pid), plan, budget).unwrap(),
                         plain.full_execute(plan, budget),
                         "full pid {pid} qa {qa}"
                     );
                     for dim in 0..grid.ndims() {
                         assert_eq!(
-                            cached.spill_execute_id(Some(pid), plan, dim, budget),
+                            cached
+                                .try_spill_execute_id(Some(pid), plan, dim, budget)
+                                .unwrap(),
                             plain.spill_execute(plan, dim, budget),
                             "spill pid {pid} dim {dim} qa {qa}"
                         );
@@ -349,6 +295,9 @@ mod tests {
                 }
             }
         }
-        assert!(!memo.is_empty(), "sweep must populate the spill memo");
+        assert!(
+            !memo.subtree.is_empty(),
+            "sweep must populate the spill memo"
+        );
     }
 }

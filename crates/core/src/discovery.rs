@@ -1,12 +1,25 @@
-//! Shared plumbing for the discovery algorithms.
+//! The discovery protocol of §6.1, written once: budgeted executions in
+//! spill mode or regular mode.
+//!
+//! A strategy is a contour schedule plus a pure decision,
+//! [`Protocol::decide`]: for a contour and the epps learnt so far, the
+//! budget traced on entering the contour and the [`Step`]s to make on it,
+//! in order. [`run`] interprets any strategy against an
+//! [`ExecutionOracle`]. It enters each contour and makes its steps,
+//! charging, recording and tracing each one. A completed spill-mode step
+//! pins its epp, and the same contour is decided again; when every step
+//! times out, the next contour is. The first completed regular step
+//! finishes the query, and past the last contour the §7 overflow phase
+//! does. SpillBound and AlignedBound are one holder, [`Discovery`], over
+//! their per-contour [`Rule`].
 
 use crate::oracle::{ExecutionOracle, FullOutcome, SpillOutcome};
 use crate::report::{ExecMode, ExecutionRecord, Outcome, RunReport};
 use rqp_common::{Cost, Result, RqpError};
-use rqp_ess::alignment::PlanChoice;
+use rqp_ess::alignment::{PlanChoice, SpillDimCache};
 use rqp_ess::{ContourSet, EssView, SurfaceAccess};
 use rqp_obs::{TraceEvent, Tracer};
-use rqp_optimizer::{Optimizer, PlanId};
+use rqp_optimizer::Optimizer;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -31,24 +44,24 @@ pub struct MemoStats {
     pub entries: usize,
 }
 
-/// The memo behind a compiled SpillBound or AlignedBound: what the
-/// strategy does on contour `i` once `pins` are learnt. That is a function
-/// of the key alone and never of the hidden `qa`, so every run of every
-/// thread may share it. Look-ups take the read lock, values are computed
-/// outside any lock and inserted under the write lock; a thread that loses
-/// the race computed the identical value.
+/// The memo behind a compiled SpillBound or AlignedBound: the spill steps
+/// of contour `i` once `pins` are learnt. That is a function of the key
+/// alone and never of the hidden `qa`, so every run of every thread may
+/// share it. Look-ups take the read lock, values are computed outside any
+/// lock and inserted under the write lock; a thread that loses the race
+/// computed the identical value.
 #[derive(Debug)]
-pub(crate) struct ContourMemo<V> {
-    map: RwLock<HashMap<PinKey, Arc<V>>>,
+struct ContourMemo {
+    map: RwLock<HashMap<PinKey, Arc<[Step]>>>,
     cap: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl<V> ContourMemo<V> {
+impl ContourMemo {
     const POISONED: &'static str = "a thread panicked holding the contour memo";
 
-    pub(crate) fn with_cap(cap: usize) -> Self {
+    fn with_cap(cap: usize) -> Self {
         Self {
             map: RwLock::new(HashMap::new()),
             cap,
@@ -57,68 +70,53 @@ impl<V> ContourMemo<V> {
         }
     }
 
-    pub(crate) fn get_or_compute(
+    fn get_or_compute(
         &self,
         i: usize,
         pins: &[Option<usize>],
-        compute: impl FnOnce() -> V,
-    ) -> Arc<V> {
-        let key: PinKey = (i, pins.to_vec());
+        compute: impl FnOnce() -> Vec<Step>,
+    ) -> Arc<[Step]> {
+        let key = (i, pins.to_vec());
         if let Some(v) = self.map.read().expect(Self::POISONED).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return v.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let value = Arc::new(compute());
+        let value: Arc<[Step]> = compute().into();
         let mut map = self.map.write().expect(Self::POISONED);
         if map.len() < self.cap {
             map.insert(key, value.clone());
         }
         value
     }
-
-    pub(crate) fn stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map.read().expect(Self::POISONED).len(),
-        }
-    }
-
-    /// Most bytes a full memo of contour decisions and the strategy's
-    /// spill-dimension cache hold: per entry the key with its pins, the
-    /// `Arc` and the table slot, and one execution of `exec_bytes` per
-    /// dimension; per cache entry a slot of 32 bytes.
-    pub(crate) fn bytes_bound(&self, shared: &Shared<'_>, exec_bytes: usize) -> usize {
-        let d = shared.ndims();
-        self.cap * (128 + d * (16 + exec_bytes)) + (shared.surface.pool_len() << d) * 32
-    }
 }
 
-/// One spill-mode execution a contour decision names: the plan, the epp
-/// it spills on and the budget. The fingerprint is taken here, once, for
-/// every run that makes or skips the execution.
+/// One budgeted execution a decision names.
 #[derive(Debug)]
-pub(crate) struct SpillExec {
-    pub dim: usize,
+pub enum Step {
+    /// Spill mode on epp `dim` (§3.1.2): completing learns its
+    /// selectivity, timing out prunes a half-space.
+    Spill { dim: usize, exec: Exec },
+    /// Regular mode: completing answers the query.
+    Full(Exec),
+}
+
+/// The plan a [`Step`] runs, its budget, and its fingerprint, taken when
+/// the step is decided, once for every run that makes or skips it.
+#[derive(Debug)]
+pub struct Exec {
     pub plan: PlanChoice,
     pub fingerprint: u64,
     pub budget: Cost,
 }
 
-impl SpillExec {
-    pub(crate) fn new(
-        surface: &dyn SurfaceAccess,
-        dim: usize,
-        plan: PlanChoice,
-        budget: Cost,
-    ) -> Self {
+impl Exec {
+    pub(crate) fn new(surface: &dyn SurfaceAccess, plan: PlanChoice, budget: Cost) -> Self {
         let fingerprint = match &plan {
-            PlanChoice::Pool(pid) => surface.plan_clone(*pid).fingerprint(),
+            PlanChoice::Pool(pid) => surface.plan_fingerprint(*pid),
             PlanChoice::Custom(plan) => plan.fingerprint(),
         };
         Self {
-            dim,
             plan,
             fingerprint,
             budget,
@@ -126,279 +124,323 @@ impl SpillExec {
     }
 }
 
-/// Emit the run-level finish event and flush file-backed sinks.
-pub(crate) fn trace_run_finished(tracer: &Tracer, report: &RunReport) {
-    tracer.emit(|| TraceEvent::RunFinished {
-        total_cost: report.total_cost,
-        executions: report.records.len(),
-        completed: report.completed,
-    });
-    tracer.flush();
+/// A strategy as [`run`] interprets it.
+pub(crate) trait Protocol {
+    /// The surface the steps' pool plans come from, and the contour
+    /// schedule: `None` for the fixed-plan strategies, whose one contour
+    /// is not traced.
+    fn schedule(&self) -> (&dyn SurfaceAccess, Option<&ContourSet>);
+
+    /// What to do on contour `i` once `pins` are learnt: the budget
+    /// traced on entering it, and the steps, in order.
+    fn decide(&self, i: usize, pins: &[Option<usize>]) -> (Cost, Arc<[Step]>);
+
+    /// Events a run emits before its first step.
+    fn prelude(&self, _tracer: &Tracer) {}
 }
 
-/// Emit the pair of events every run shares for the report's latest
-/// execution: the execution itself plus the running budget account.
-pub(crate) fn trace_execution(tracer: &Tracer, report: &RunReport) {
-    let rec = report.records.last().expect("an execution to trace");
-    tracer.emit(|| {
-        let (mode, dim) = match rec.mode {
-            ExecMode::Spill { dim } => ("spill", Some(dim)),
-            ExecMode::Full => ("full", None),
-        };
-        let outcome = match rec.outcome {
-            Outcome::Completed { .. } => "completed",
-            Outcome::TimedOut { .. } => "timed_out",
-        };
-        TraceEvent::PlanExecuted {
-            contour: rec.contour,
-            plan_fingerprint: rec.plan_fingerprint,
-            plan_id: rec.plan_id,
-            mode,
-            dim,
-            budget: rec.budget,
-            spent: rec.spent,
-            outcome,
-        }
+/// Runs `protocol` against `oracle`, tracing it as `algo`.
+pub(crate) fn run(
+    algo: &'static str,
+    protocol: &dyn Protocol,
+    tracer: &Tracer,
+    oracle: &mut dyn ExecutionOracle,
+) -> Result<RunReport> {
+    let (surface, contours) = protocol.schedule();
+    let dims = surface.grid().ndims();
+    let ncontours = contours.map_or(0, ContourSet::len);
+    tracer.emit(|| TraceEvent::RunStarted {
+        algo,
+        dims,
+        contours: ncontours,
     });
-    tracer.emit(|| TraceEvent::BudgetCharged {
-        contour: rec.contour,
-        spent: rec.spent,
-        total: report.total_cost,
-    });
-}
-
-/// Immutable context shared by every discovery algorithm: the POSP
-/// surface (dense or lazy, behind [`SurfaceAccess`]), the optimizer that
-/// produced it, and the contour schedule.
-#[derive(Debug)]
-pub struct Shared<'a> {
-    /// POSP surface over the ESS grid.
-    pub surface: &'a dyn SurfaceAccess,
-    /// The optimizer (selectivity injection + abstract-plan costing).
-    pub opt: &'a Optimizer<'a>,
-    /// Geometric contour schedule.
-    pub contours: ContourSet,
-    /// Structured trace destination (disabled by default).
-    pub tracer: Tracer,
-}
-
-impl<'a> Shared<'a> {
-    /// Builds the context with the given inter-contour cost ratio.
-    pub fn new(surface: &'a dyn SurfaceAccess, opt: &'a Optimizer<'a>, ratio: f64) -> Self {
-        let contours = ContourSet::build(surface, ratio);
-        Self {
-            surface,
-            opt,
-            contours,
-            tracer: Tracer::disabled(),
-        }
-    }
-
-    /// Emit the run-level start event.
-    pub fn trace_run_started(&self, algo: &'static str) {
-        let dims = self.ndims();
-        let contours = self.contours.len();
-        self.tracer.emit(|| TraceEvent::RunStarted {
-            algo,
-            dims,
-            contours,
-        });
-    }
-
-    /// ESS dimensionality.
-    pub fn ndims(&self) -> usize {
-        self.surface.grid().ndims()
-    }
-
-    /// The discovery loop of SpillBound and AlignedBound (Algorithms 1 and
-    /// 2), which differ only in `decide`: the spill executions to make on
-    /// contour `i` once `pins` are learnt. They are made in order, each
-    /// within its budget. The first to complete pins its dimension, and
-    /// the contour is decided again for the smaller epp set; if none
-    /// completes, the true location lies beyond the contour (Lemma 4.3)
-    /// and discovery moves on. With one epp left, the terminal phase
-    /// finishes the query.
-    pub fn run_spilling<V: AsRef<[SpillExec]>>(
-        &self,
-        algo: &'static str,
-        oracle: &mut dyn ExecutionOracle,
-        decide: impl Fn(usize, &[Option<usize>]) -> Arc<V>,
-    ) -> Result<RunReport> {
-        let d = self.ndims();
-        let mut pins: Vec<Option<usize>> = vec![None; d];
-        let mut report = RunReport {
-            learnt: vec![None; d],
+    protocol.prelude(tracer);
+    let mut run = Run {
+        surface,
+        tracer,
+        oracle,
+        report: RunReport {
+            learnt: vec![None; dims],
             ..RunReport::default()
-        };
-        self.trace_run_started(algo);
-        let mut i = 0usize;
-        let mut entered: Option<usize> = None;
-        // Executions already made on the current contour: the same plan
-        // spilling on the same dimension is provably the same timeout, so
-        // it is neither re-run nor re-charged.
-        let mut executed: HashSet<(u64, usize)> = HashSet::new();
-        loop {
-            if pins.iter().filter(|p| p.is_none()).count() <= 1 {
-                self.run_terminal_phase(&pins, i, oracle, &mut report)?;
-                break;
-            }
-            if i >= self.contours.len() {
-                // Unreachable with an exact cost model (the last contour
-                // always yields progress); under bounded cost-model error
-                // the overflow phase finishes the query within the
-                // inflated guarantee (§7).
-                self.run_overflow_phase(&pins, oracle, &mut report)?;
-                break;
-            }
-            let decision = decide(i, &pins);
-            if entered != Some(i) {
-                entered = Some(i);
-                let budget = self.contours.cost(i);
-                self.tracer
-                    .emit(|| TraceEvent::ContourEntered { contour: i, budget });
-            }
-            let mut learnt = false;
-            for exec in (*decision).as_ref() {
-                let j = exec.dim;
-                debug_assert!(pins[j].is_none(), "a decision spills on unlearnt epps");
-                if !executed.insert((exec.fingerprint, j)) {
+        },
+    };
+    let mut pins = vec![None; dims];
+    // Executions already made on the current contour: the same plan
+    // spilling on the same dimension is provably the same timeout, so it
+    // is neither re-run nor re-charged.
+    let mut executed: HashSet<(u64, usize)> = HashSet::new();
+    let (mut i, mut entered) = (0, None);
+    'contours: while i < ncontours.max(1) {
+        let (budget, steps) = protocol.decide(i, &pins);
+        if contours.is_some() && entered.replace(i) != Some(i) {
+            tracer.emit(|| TraceEvent::ContourEntered { contour: i, budget });
+        }
+        for step in steps.iter() {
+            let (mode, exec) = match *step {
+                Step::Spill { dim, ref exec } => (ExecMode::Spill { dim }, exec),
+                Step::Full(ref exec) => (ExecMode::Full, exec),
+            };
+            if let ExecMode::Spill { dim } = mode {
+                debug_assert!(pins[dim].is_none(), "a decision spills on unlearnt epps");
+                if !executed.insert((exec.fingerprint, dim)) {
                     continue;
                 }
-                let pool_plan;
-                let (plan, plan_id) = match &exec.plan {
-                    PlanChoice::Pool(pid) => {
-                        pool_plan = self.surface.plan_clone(*pid);
-                        (&pool_plan, Some(*pid))
-                    }
-                    PlanChoice::Custom(plan) => (&**plan, None),
-                };
-                let (spent, outcome, sel) =
-                    match oracle.try_spill_execute_id(plan_id, plan, j, exec.budget)? {
-                        SpillOutcome::Completed { sel, spent } => {
-                            (spent, Outcome::Completed { sel: Some(sel) }, Some(sel))
-                        }
-                        SpillOutcome::TimedOut { lower_bound, spent } => {
-                            (spent, Outcome::TimedOut { lower_bound }, None)
-                        }
-                    };
-                report.total_cost += spent;
-                report.records.push(ExecutionRecord {
-                    contour: i,
-                    plan_fingerprint: exec.fingerprint,
-                    plan_id,
-                    mode: ExecMode::Spill { dim: j },
-                    budget: exec.budget,
-                    spent,
-                    outcome,
-                });
-                trace_execution(&self.tracer, &report);
-                if let Some(sel) = sel {
-                    self.tracer
-                        .emit(|| TraceEvent::SelectivityLearnt { dim: j, sel });
-                    report.learnt[j] = Some(sel);
-                    pins[j] = Some(self.surface.grid().dim(j).ceil_idx(sel));
-                    learnt = true;
-                    break;
-                }
             }
-            if !learnt {
-                i += 1;
-                executed.clear();
+            match (mode, run.execute(i, mode, exec)?) {
+                (ExecMode::Full, Outcome::Completed { .. }) => return Ok(run.finish()),
+                (ExecMode::Spill { dim }, Outcome::Completed { sel: Some(sel) }) => {
+                    tracer.emit(|| TraceEvent::SelectivityLearnt { dim, sel });
+                    run.report.learnt[dim] = Some(sel);
+                    pins[dim] = Some(surface.grid().dim(dim).ceil_idx(sel));
+                    continue 'contours;
+                }
+                _ => {}
             }
         }
-        trace_run_finished(&self.tracer, &report);
-        Ok(report)
+        i += 1;
+        executed.clear();
     }
+    // The overflow phase (§7). With an exact cost model nothing gets here:
+    // the last contour covers the terminus. Under a bounded cost-model
+    // error δ, real costs may exceed modeled budgets by up to (1+δ), so
+    // the pinned view's terminus plan runs at budgets doubling from twice
+    // the last contour cost; the geometric sum keeps the extra spend
+    // within the (1+δ)²-inflated guarantee.
+    let contours = contours.expect("a fixed plan's one step has an infinite budget");
+    let last = ncontours - 1;
+    let terminus = EssView::from_pins(pins).terminus(surface.grid());
+    let mut exec = Exec::new(surface, PlanChoice::Pool(surface.plan_id(terminus)), 0.0);
+    // 64 doublings ≈ a 1.8e19× cost-model error: unambiguously a bug.
+    for k in 1..=64 {
+        exec.budget = contours.cost(last) * 2f64.powi(k);
+        if let Outcome::Completed { .. } = run.execute(last, ExecMode::Full, &exec)? {
+            return Ok(run.finish());
+        }
+    }
+    Err(RqpError::Discovery(
+        "overflow phase did not complete within 64 budget doublings; \
+         the execution oracle is inconsistent with PCM"
+            .into(),
+    ))
+}
 
-    /// One regular execution of pool plan `pid` within `budget`: charged,
-    /// recorded and traced. True if it completed, and the query with it.
-    pub fn full_step(
-        &self,
-        oracle: &mut dyn ExecutionOracle,
-        report: &mut RunReport,
-        contour: usize,
-        pid: PlanId,
-        budget: Cost,
-    ) -> Result<bool> {
-        let plan = self.surface.plan_clone(pid);
-        let (spent, outcome) = match oracle.try_full_execute_id(Some(pid), &plan, budget)? {
-            FullOutcome::Completed { spent } => (spent, Outcome::Completed { sel: None }),
-            FullOutcome::TimedOut { spent } => (spent, Outcome::TimedOut { lower_bound: 0.0 }),
+/// One run's state: where its pool plans come from, where it traces, the
+/// oracle it asks and the report it builds.
+struct Run<'r> {
+    surface: &'r dyn SurfaceAccess,
+    tracer: &'r Tracer,
+    oracle: &'r mut dyn ExecutionOracle,
+    report: RunReport,
+}
+
+impl Run<'_> {
+    /// Makes one execution on contour `contour`: charged, recorded and
+    /// traced.
+    fn execute(&mut self, contour: usize, mode: ExecMode, exec: &Exec) -> Result<Outcome> {
+        let pool_plan;
+        let (plan_id, plan) = match &exec.plan {
+            PlanChoice::Pool(pid) => {
+                pool_plan = self.surface.plan_clone(*pid);
+                (Some(*pid), &pool_plan)
+            }
+            PlanChoice::Custom(plan) => (None, &**plan),
         };
-        report.total_cost += spent;
-        report.records.push(ExecutionRecord {
+        let (oracle, budget) = (&mut *self.oracle, exec.budget);
+        let (spent, outcome) = if let ExecMode::Spill { dim } = mode {
+            match oracle.try_spill_execute_id(plan_id, plan, dim, budget)? {
+                SpillOutcome::Completed { sel, spent } => {
+                    (spent, Outcome::Completed { sel: Some(sel) })
+                }
+                SpillOutcome::TimedOut { lower_bound, spent } => {
+                    (spent, Outcome::TimedOut { lower_bound })
+                }
+            }
+        } else {
+            match oracle.try_full_execute_id(plan_id, plan, budget)? {
+                FullOutcome::Completed { spent } => (spent, Outcome::Completed { sel: None }),
+                FullOutcome::TimedOut { .. } if budget == f64::INFINITY => {
+                    let msg = "an execution with an infinite budget timed out";
+                    return Err(RqpError::Discovery(msg.into()));
+                }
+                FullOutcome::TimedOut { spent } => (spent, Outcome::TimedOut { lower_bound: 0.0 }),
+            }
+        };
+        let plan_fingerprint = exec.fingerprint;
+        self.report.total_cost += spent;
+        let total = self.report.total_cost;
+        self.report.records.push(ExecutionRecord {
             contour,
-            plan_fingerprint: plan.fingerprint(),
-            plan_id: Some(pid),
-            mode: ExecMode::Full,
+            plan_fingerprint,
+            plan_id,
+            mode,
             budget,
             spent,
             outcome,
         });
-        trace_execution(&self.tracer, report);
-        report.completed = matches!(outcome, Outcome::Completed { .. });
-        Ok(report.completed)
+        let (mode, dim) = match mode {
+            ExecMode::Spill { dim } => ("spill", Some(dim)),
+            ExecMode::Full => ("full", None),
+        };
+        let completed = matches!(outcome, Outcome::Completed { .. });
+        self.tracer.emit(|| TraceEvent::PlanExecuted {
+            contour,
+            plan_fingerprint,
+            plan_id,
+            mode,
+            dim,
+            budget,
+            spent,
+            outcome: if completed { "completed" } else { "timed_out" },
+        });
+        self.tracer.emit(|| TraceEvent::BudgetCharged {
+            contour,
+            spent,
+            total,
+        });
+        Ok(outcome)
     }
 
-    /// The terminal discovery phase: when at most one epp remains
-    /// unlearnt, SpillBound and AlignedBound hand over to a plain
-    /// PlanBouquet on the pinned (≤1-dimensional) view (§4.1) — plans run
-    /// in regular mode, one per contour, budgets equal to contour costs.
-    ///
-    /// Appends executions to `report` and marks it completed.
-    pub fn run_terminal_phase(
-        &self,
-        pins: &[Option<usize>],
-        start_contour: usize,
-        oracle: &mut dyn ExecutionOracle,
-        report: &mut RunReport,
-    ) -> Result<()> {
-        let view = EssView::from_pins(pins.to_vec());
-        debug_assert!(view.nfree() <= 1, "terminal phase needs ≤ 1 free dim");
-        for i in start_contour..self.contours.len() {
-            let budget = self.contours.cost(i);
-            self.tracer
-                .emit(|| TraceEvent::ContourEntered { contour: i, budget });
-            for q in self.contours.locations(self.surface, &view, i) {
-                if self.full_step(oracle, report, i, self.surface.plan_id(q), budget)? {
-                    return Ok(());
-                }
-            }
+    /// The completed report, after the run-level finish event and a flush
+    /// of file-backed sinks.
+    fn finish(mut self) -> RunReport {
+        self.report.completed = true;
+        let report = self.report;
+        self.tracer.emit(|| TraceEvent::RunFinished {
+            total_cost: report.total_cost,
+            executions: report.records.len(),
+            completed: true,
+        });
+        self.tracer.flush();
+        report
+    }
+}
+
+/// How a [`Discovery`] strategy decides a contour on which two or more
+/// epps are unlearnt: its spill-mode steps, in order.
+pub trait Rule: Sized + std::fmt::Debug {
+    /// The name a run's trace carries.
+    const ALGO: &'static str;
+    /// Heap bytes a memoized step may own beyond the step itself.
+    const STEP_HEAP: usize;
+    /// The spill steps of contour `i` once `pins` are learnt.
+    fn spill_steps(d: &Discovery<'_, Self>, i: usize, pins: &[Option<usize>]) -> Vec<Step>;
+}
+
+/// SpillBound and AlignedBound compiled (Algorithms 1 and 2), which
+/// differ only in their [`Rule`]: immutable apart from a memo of the
+/// spill steps per (contour, pins). Runs take `&self` and keep their
+/// state on the stack, so one instance serves every `qa` of a sweep and
+/// every request of a daemon, from any number of threads, and each
+/// contour analysis is done once per state. With at most one epp
+/// unlearnt, both finish with the terminal phase.
+#[derive(Debug)]
+pub struct Discovery<'a, R> {
+    /// POSP surface over the ESS grid, dense or lazy.
+    pub(crate) surface: &'a dyn SurfaceAccess,
+    /// The optimizer that produced it.
+    pub(crate) opt: &'a Optimizer<'a>,
+    pub(crate) contours: ContourSet,
+    tracer: Tracer,
+    pub(crate) spill_cache: SpillDimCache,
+    memo: ContourMemo,
+    pub(crate) rule: R,
+}
+
+impl<'a, R: Rule> Discovery<'a, R> {
+    pub(crate) fn compile(
+        surface: &'a dyn SurfaceAccess,
+        opt: &'a Optimizer<'a>,
+        ratio: f64,
+        rule: R,
+    ) -> Self {
+        Self {
+            surface,
+            opt,
+            contours: ContourSet::build(surface, ratio),
+            tracer: Tracer::disabled(),
+            spill_cache: SpillDimCache::new(),
+            memo: ContourMemo::with_cap(MEMO_CAP),
+            rule,
         }
-        // Overflow phase (§7 robustness): with a perfect cost model this is
-        // unreachable — the last contour's budget covers the view terminus.
-        // Under bounded cost-model error δ, real costs may exceed modeled
-        // budgets by up to (1+δ); keep doubling the budget on the terminus
-        // plan until it completes. The geometric sum keeps the extra spend
-        // within the (1+δ)²-inflated guarantee the paper derives.
-        self.run_overflow_phase(pins, oracle, report)
     }
 
-    /// Executes the view-terminus location's optimal plan with budgets
-    /// doubling beyond the last contour cost, until completion.
-    pub fn run_overflow_phase(
-        &self,
-        pins: &[Option<usize>],
-        oracle: &mut dyn ExecutionOracle,
-        report: &mut RunReport,
-    ) -> Result<()> {
-        let view = EssView::from_pins(pins.to_vec());
-        let terminus = view.terminus(self.surface.grid());
-        let pid = self.surface.plan_id(terminus);
-        let last = self.contours.len() - 1;
-        let mut budget = self.contours.cost(last) * 2.0;
-        // 64 doublings ≈ a 1.8e19× cost-model error: unambiguously a bug.
-        for _ in 0..64 {
-            if self.full_step(oracle, report, last, pid, budget)? {
-                return Ok(());
-            }
-            budget *= 2.0;
+    /// Forces the memo's entry cap.
+    #[cfg(test)]
+    pub(crate) fn with_memo_cap(mut self, cap: usize) -> Self {
+        self.memo = ContourMemo::with_cap(cap);
+        self
+    }
+
+    /// Hits, misses and resident entries of the per-(contour, pins) memo.
+    pub fn memo_stats(&self) -> MemoStats {
+        let memo = &self.memo;
+        MemoStats {
+            hits: memo.hits.load(Ordering::Relaxed),
+            misses: memo.misses.load(Ordering::Relaxed),
+            entries: memo.map.read().expect(ContourMemo::POISONED).len(),
         }
-        Err(RqpError::Discovery(
-            "overflow phase did not complete within 64 budget doublings; \
-             the execution oracle is inconsistent with PCM"
-                .into(),
-        ))
+    }
+
+    /// Most bytes the memo and the spill-dimension cache can come to
+    /// hold: per memo entry the key with its pins, the `Arc` and the table
+    /// slot, and one step per dimension; per cache entry a slot of 32
+    /// bytes.
+    pub fn memo_bytes_bound(&self) -> usize {
+        let d = self.surface.grid().ndims();
+        let step = std::mem::size_of::<Step>() + R::STEP_HEAP;
+        self.memo.cap * (128 + d * (16 + step)) + (self.surface.pool_len() << d) * 32
+    }
+
+    /// The structural MSO guarantee `D² + 3D` (AlignedBound's upper end,
+    /// retained by §5.3).
+    pub fn mso_guarantee(&self) -> f64 {
+        crate::spillbound_guarantee(self.surface.grid().ndims())
+    }
+
+    /// The contour schedule.
+    pub fn contours(&self) -> &ContourSet {
+        &self.contours
+    }
+
+    /// Attach a structured tracer; subsequent [`run`](Self::run) calls
+    /// emit typed events for every contour entry, execution, and learnt
+    /// selectivity.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
+    }
+
+    /// Runs selectivity discovery against `oracle`.
+    pub fn run(&self, oracle: &mut dyn ExecutionOracle) -> Result<RunReport> {
+        run(R::ALGO, self, &self.tracer, oracle)
+    }
+}
+
+impl<R: Rule> Protocol for Discovery<'_, R> {
+    fn schedule(&self) -> (&dyn SurfaceAccess, Option<&ContourSet>) {
+        (self.surface, Some(&self.contours))
+    }
+
+    fn decide(&self, i: usize, pins: &[Option<usize>]) -> (Cost, Arc<[Step]>) {
+        let (surface, budget) = (self.surface, self.contours.cost(i));
+        if pins.iter().filter(|p| p.is_none()).count() > 1 {
+            let spill = || R::spill_steps(self, i, pins);
+            return (budget, self.memo.get_or_compute(i, pins, spill));
+        }
+        // The terminal phase (§4.1): with at most one epp unlearnt,
+        // spilling weakens the bound, so a plain bouquet on the pinned
+        // view takes over. Its contour is one location, whose plan runs in
+        // regular mode at `CC_i`. Decided as each run reaches it, outside
+        // the memo.
+        let view = EssView::from_pins(pins.to_vec());
+        let locs = self.contours.locations(surface, &view, i);
+        let full = |q| {
+            Step::Full(Exec::new(
+                surface,
+                PlanChoice::Pool(surface.plan_id(q)),
+                budget,
+            ))
+        };
+        (budget, locs.into_iter().map(full).collect())
     }
 }
 

@@ -152,32 +152,24 @@ where
 /// workers, bit-equal at any thread count. The oracle follows the cost
 /// source: a [`CachedOracle`] (one [`SpillMemo`] per worker) over a
 /// [`CostSource::Matrix`], a [`CostOracle`] over a [`CostSource::Recost`],
-/// with the same bits; a matrix-backed PlanBouquet replays its plan list
-/// as budget arithmetic instead. Side results (AlignedBound's maximum part
-/// penalty, PenaltyAware's selection) are read off `compiled` after.
+/// with the same bits. Side results (AlignedBound's maximum part penalty,
+/// PenaltyAware's selection) are read off `compiled` after.
 pub fn evaluate_strategy(compiled: &Compiled<'_>, threads: usize) -> Result<SubOptStats> {
-    match compiled.source() {
-        CostSource::Matrix(ctx) => match compiled.bouquet() {
-            Some(pb) => evaluate_parallel(ctx.surface(), threads, || {
-                move |qa| pb.replay_subopt(ctx, qa)
-            }),
-            None => evaluate_parallel(ctx.surface(), threads, || {
-                let mut memo = SpillMemo::new();
-                move |qa| {
-                    let mut oracle = CachedOracle::at_grid(ctx, qa, &mut memo);
-                    let report = compiled.run(&mut oracle)?;
-                    Ok(report.sub_optimality(ctx.surface().opt_cost(qa)))
+    let surface = compiled.source().surface();
+    evaluate_parallel(surface, threads, || {
+        let mut memo = SpillMemo::new();
+        move |qa| {
+            let report = match compiled.source() {
+                CostSource::Matrix(ctx) => {
+                    compiled.run(&mut CachedOracle::at_grid(ctx, qa, &mut memo))
                 }
-            }),
-        },
-        CostSource::Recost(surface, opt) => evaluate_parallel(surface, threads, || {
-            move |qa| {
-                let mut oracle = CostOracle::at_grid(opt, surface.grid(), qa);
-                let report = compiled.run(&mut oracle)?;
-                Ok(report.sub_optimality(surface.opt_cost(qa)))
-            }
-        }),
-    }
+                CostSource::Recost(_, opt) => {
+                    compiled.run(&mut CostOracle::at_grid(opt, surface.grid(), qa))
+                }
+            }?;
+            Ok(report.sub_optimality(surface.opt_cost(qa)))
+        }
+    })
 }
 
 #[cfg(test)]

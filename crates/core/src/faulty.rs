@@ -23,7 +23,6 @@
 use crate::oracle::{ExecutionOracle, FullOutcome, SpillOutcome};
 use rqp_common::{Cost, Result, RqpError};
 use rqp_faults::{FaultPlan, FaultSite, RetryPolicy};
-use rqp_obs::{TraceEvent, Tracer};
 use rqp_optimizer::{PlanId, PlanNode};
 use std::time::Duration;
 
@@ -50,7 +49,6 @@ pub struct FaultyOracle<'p, O> {
     retry: RetryPolicy,
     fault_budget: u64,
     stats: FaultStats,
-    tracer: Tracer,
 }
 
 impl<'p, O: ExecutionOracle> FaultyOracle<'p, O> {
@@ -64,20 +62,12 @@ impl<'p, O: ExecutionOracle> FaultyOracle<'p, O> {
             retry: RetryPolicy::no_sleep(6),
             fault_budget: u64::MAX,
             stats: FaultStats::default(),
-            tracer: Tracer::disabled(),
         }
     }
 
     /// Replaces the retry policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Attach a structured tracer: injected faults and retries emit
-    /// `fault_injected`/`fault_retried` events.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
         self
     }
 
@@ -94,11 +84,6 @@ impl<'p, O: ExecutionOracle> FaultyOracle<'p, O> {
         &self.stats
     }
 
-    /// Unwraps the inner oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-
     /// Runs `call` under the retry layer: each attempt first consults
     /// the fault plan; a scheduled fault burns a deterministic fraction
     /// of `budget` and is retried with backoff until the policy or the
@@ -107,18 +92,14 @@ impl<'p, O: ExecutionOracle> FaultyOracle<'p, O> {
         &mut self,
         site: FaultSite,
         budget: Cost,
-        mut call: impl FnMut(&mut O) -> T,
+        mut call: impl FnMut(&mut O) -> Result<T>,
     ) -> Result<T> {
         let attempts = self.retry.max_attempts.max(1);
         for attempt in 0..attempts {
             match self.plan.shot(site) {
-                None => return Ok(call(&mut self.inner)),
+                None => return call(&mut self.inner),
                 Some(shot) => {
                     self.stats.faults_injected += 1;
-                    self.tracer.emit(|| TraceEvent::FaultInjected {
-                        site: site.name(),
-                        seq: shot.seq,
-                    });
                     if budget.is_finite() {
                         self.stats.wasted_cost += budget * shot.frac;
                     }
@@ -131,10 +112,6 @@ impl<'p, O: ExecutionOracle> FaultyOracle<'p, O> {
                     }
                     if attempt + 1 < attempts {
                         self.stats.retries += 1;
-                        self.tracer.emit(|| TraceEvent::FaultRetried {
-                            site: site.name(),
-                            attempt,
-                        });
                         self.stats.backoff_total += self.retry.backoff(attempt);
                         self.retry.pause(attempt);
                     }
@@ -149,35 +126,6 @@ impl<'p, O: ExecutionOracle> FaultyOracle<'p, O> {
 }
 
 impl<O: ExecutionOracle> ExecutionOracle for FaultyOracle<'_, O> {
-    // The infallible legacy entry points delegate untouched — injection
-    // lives on the `try_*` path the discovery algorithms use.
-    fn spill_execute(&mut self, plan: &PlanNode, dim: usize, budget: Cost) -> SpillOutcome {
-        self.inner.spill_execute(plan, dim, budget)
-    }
-
-    fn full_execute(&mut self, plan: &PlanNode, budget: Cost) -> FullOutcome {
-        self.inner.full_execute(plan, budget)
-    }
-
-    fn spill_execute_id(
-        &mut self,
-        pid: Option<PlanId>,
-        plan: &PlanNode,
-        dim: usize,
-        budget: Cost,
-    ) -> SpillOutcome {
-        self.inner.spill_execute_id(pid, plan, dim, budget)
-    }
-
-    fn full_execute_id(
-        &mut self,
-        pid: Option<PlanId>,
-        plan: &PlanNode,
-        budget: Cost,
-    ) -> FullOutcome {
-        self.inner.full_execute_id(pid, plan, budget)
-    }
-
     fn try_spill_execute_id(
         &mut self,
         pid: Option<PlanId>,
@@ -187,16 +135,8 @@ impl<O: ExecutionOracle> ExecutionOracle for FaultyOracle<'_, O> {
     ) -> Result<SpillOutcome> {
         let eps = self.plan.perturb_eps(plan.fingerprint() ^ dim as u64);
         self.with_retries(FaultSite::OracleSpill, budget, |inner| {
-            match inner.spill_execute_id(pid, plan, dim, budget / eps) {
-                SpillOutcome::Completed { sel, spent } => SpillOutcome::Completed {
-                    sel,
-                    spent: spent * eps,
-                },
-                SpillOutcome::TimedOut { lower_bound, spent } => SpillOutcome::TimedOut {
-                    lower_bound,
-                    spent: (spent * eps).min(budget),
-                },
-            }
+            let out = inner.try_spill_execute_id(pid, plan, dim, budget / eps)?;
+            Ok(out.scaled(eps, budget))
         })
     }
 
@@ -208,12 +148,8 @@ impl<O: ExecutionOracle> ExecutionOracle for FaultyOracle<'_, O> {
     ) -> Result<FullOutcome> {
         let eps = self.plan.perturb_eps(plan.fingerprint());
         self.with_retries(FaultSite::OracleFull, budget, |inner| {
-            match inner.full_execute_id(pid, plan, budget / eps) {
-                FullOutcome::Completed { spent } => FullOutcome::Completed { spent: spent * eps },
-                FullOutcome::TimedOut { spent } => FullOutcome::TimedOut {
-                    spent: (spent * eps).min(budget),
-                },
-            }
+            let out = inner.try_full_execute_id(pid, plan, budget / eps)?;
+            Ok(out.scaled(eps, budget))
         })
     }
 }

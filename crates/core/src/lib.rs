@@ -24,6 +24,10 @@
 //!   simulation used for all MSO experiments (as in the paper, §6), with
 //!   an executor-backed implementation living in the workspace root for
 //!   wall-clock runs;
+//! * `discovery` — the one interpreter of the §6.1 protocol: every
+//!   strategy above is a contour schedule plus a pure per-contour
+//!   decision, a list of spill-mode or regular budgeted steps, and one
+//!   loop makes, charges, records and traces them;
 //! * [`strategy`] — the table of strategies: a [`Strategy`] is parsed
 //!   from its name once and compiled into one [`Compiled`] form that
 //!   every entry point runs;
@@ -95,7 +99,7 @@ pub use penalty::{
 pub use planbouquet::PlanBouquet;
 pub use pop::PopReoptimizer;
 pub use report::{ExecutionRecord, Outcome, RunReport};
-pub use spillbound::{SelectionMode, SpillBound};
+pub use spillbound::{lazy_warm_up, SpillBound};
 pub use strategy::{Compiled, CostSource, Params, Strategy};
 
 /// The MSO guarantee of SpillBound: `D² + 3D` (Theorem 4.5). Platform

@@ -42,8 +42,7 @@ impl NativeChoice {
         let qe_idx = grid.flat(&coords);
         let (plan, est_cost) = opt.optimize_at(&qe_sels);
         let fp = plan.fingerprint();
-        let plan_id =
-            (0..surface.pool_len()).find(|&pid| surface.plan_clone(pid).fingerprint() == fp);
+        let plan_id = (0..surface.pool_len()).find(|&pid| surface.plan_fingerprint(pid) == fp);
         Self {
             qe_sels,
             qe_idx,

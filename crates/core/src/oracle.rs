@@ -9,7 +9,8 @@
 //! §6.3). The executor-backed implementation for wall-clock runs lives in
 //! the workspace root crate.
 
-use rqp_common::{cost_le, Cost, MultiGrid, Result, Selectivity};
+use rqp_common::{cost_le, Cost, MultiGrid, Result, SelGrid, Selectivity};
+use rqp_faults::FaultPlan;
 use rqp_optimizer::{Optimizer, PlanId, PlanNode, Sels};
 
 /// Result of a spill-mode budgeted execution (Lemma 3.1): either the exact
@@ -48,68 +49,95 @@ pub enum FullOutcome {
     },
 }
 
+/// What a spill that did not complete learns: the largest grid
+/// selectivity of the spilled dimension whose subtree cost still fits the
+/// budget (0 when none does), found by a partition point over the
+/// monotone `fits(coordinate)`. The true value lies strictly above it.
+pub fn spill_lower_bound(g: &SelGrid, mut fits: impl FnMut(usize) -> bool) -> Selectivity {
+    let (mut lo, mut hi) = (0usize, g.len());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if fits(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    if lo == 0 {
+        0.0
+    } else {
+        g.sel(lo - 1)
+    }
+}
+
+impl SpillOutcome {
+    /// The outcome under real costs `eps` times the model's, given the
+    /// model's outcome within `budget / eps`: spends scale back by `eps`,
+    /// capped at `budget` on a timeout.
+    pub(crate) fn scaled(self, eps: f64, budget: Cost) -> Self {
+        match self {
+            SpillOutcome::Completed { sel, spent } => SpillOutcome::Completed {
+                sel,
+                spent: spent * eps,
+            },
+            SpillOutcome::TimedOut { lower_bound, spent } => SpillOutcome::TimedOut {
+                lower_bound,
+                spent: (spent * eps).min(budget),
+            },
+        }
+    }
+}
+
+impl FullOutcome {
+    /// [`SpillOutcome::scaled`] for a regular execution.
+    pub(crate) fn scaled(self, eps: f64, budget: Cost) -> Self {
+        match self {
+            FullOutcome::Completed { spent } => FullOutcome::Completed { spent: spent * eps },
+            FullOutcome::TimedOut { spent } => FullOutcome::TimedOut {
+                spent: (spent * eps).min(budget),
+            },
+        }
+    }
+}
+
 /// The engine-side execution interface available to discovery algorithms.
+///
+/// Both required methods carry the plan's interned POSP pool id when the
+/// caller knows it (`None` for plans synthesized outside the pool), which
+/// cache-backed oracles key on, and are fallible, so that oracles with an
+/// operational failure mode (executor-backed, fault-injected) can surface
+/// `RqpError::Fault` instead of panicking.
 pub trait ExecutionOracle {
     /// Executes `plan` in spill-mode on ESS dimension `dim` with the given
     /// cost budget.
-    fn spill_execute(&mut self, plan: &PlanNode, dim: usize, budget: Cost) -> SpillOutcome;
-
-    /// Executes `plan` normally with the given cost budget.
-    fn full_execute(&mut self, plan: &PlanNode, budget: Cost) -> FullOutcome;
-
-    /// Like [`spill_execute`](Self::spill_execute), carrying the plan's
-    /// interned POSP pool id when the caller knows it (`None` for plans
-    /// synthesized outside the pool). Cache-backed oracles key on the id;
-    /// the default ignores it.
-    fn spill_execute_id(
-        &mut self,
-        pid: Option<PlanId>,
-        plan: &PlanNode,
-        dim: usize,
-        budget: Cost,
-    ) -> SpillOutcome {
-        let _ = pid;
-        self.spill_execute(plan, dim, budget)
-    }
-
-    /// Like [`full_execute`](Self::full_execute), carrying the plan's
-    /// interned POSP pool id when the caller knows it. Cache-backed
-    /// oracles answer from the plan×location cost matrix; the default
-    /// ignores the id.
-    fn full_execute_id(
-        &mut self,
-        pid: Option<PlanId>,
-        plan: &PlanNode,
-        budget: Cost,
-    ) -> FullOutcome {
-        let _ = pid;
-        self.full_execute(plan, budget)
-    }
-
-    /// Fallible [`spill_execute_id`](Self::spill_execute_id): the variant
-    /// the discovery algorithms call, so oracles with an operational
-    /// failure mode (executor-backed, fault-injected) can surface
-    /// `RqpError::Fault` instead of panicking. Infallible oracles inherit
-    /// this default.
     fn try_spill_execute_id(
         &mut self,
         pid: Option<PlanId>,
         plan: &PlanNode,
         dim: usize,
         budget: Cost,
-    ) -> Result<SpillOutcome> {
-        Ok(self.spill_execute_id(pid, plan, dim, budget))
-    }
+    ) -> Result<SpillOutcome>;
 
-    /// Fallible [`full_execute_id`](Self::full_execute_id); see
-    /// [`try_spill_execute_id`](Self::try_spill_execute_id).
+    /// Executes `plan` normally with the given cost budget.
     fn try_full_execute_id(
         &mut self,
         pid: Option<PlanId>,
         plan: &PlanNode,
         budget: Cost,
-    ) -> Result<FullOutcome> {
-        Ok(self.full_execute_id(pid, plan, budget))
+    ) -> Result<FullOutcome>;
+
+    /// [`try_spill_execute_id`](Self::try_spill_execute_id) without a pool
+    /// id, panicking on an operational failure.
+    fn spill_execute(&mut self, plan: &PlanNode, dim: usize, budget: Cost) -> SpillOutcome {
+        (self.try_spill_execute_id(None, plan, dim, budget))
+            .unwrap_or_else(|e| panic!("spill execution failed: {e}"))
+    }
+
+    /// [`try_full_execute_id`](Self::try_full_execute_id) without a pool
+    /// id, panicking on an operational failure.
+    fn full_execute(&mut self, plan: &PlanNode, budget: Cost) -> FullOutcome {
+        (self.try_full_execute_id(None, plan, budget))
+            .unwrap_or_else(|e| panic!("full execution failed: {e}"))
     }
 }
 
@@ -140,11 +168,6 @@ impl<'a> CostOracle<'a> {
         Self::new(opt, grid, &sels)
     }
 
-    /// The hidden full selectivity assignment (tests / reporting only).
-    pub fn qa_sels(&self) -> &Sels {
-        &self.qa
-    }
-
     /// The true cost of executing `plan` at `qa`.
     pub fn true_cost(&self, plan: &PlanNode) -> Cost {
         self.opt.cost_plan(plan, &self.qa)
@@ -152,55 +175,46 @@ impl<'a> CostOracle<'a> {
 }
 
 impl ExecutionOracle for CostOracle<'_> {
-    fn spill_execute(&mut self, plan: &PlanNode, dim: usize, budget: Cost) -> SpillOutcome {
+    fn try_spill_execute_id(
+        &mut self,
+        _pid: Option<PlanId>,
+        plan: &PlanNode,
+        dim: usize,
+        budget: Cost,
+    ) -> Result<SpillOutcome> {
         let pred = self.opt.query().epps[dim];
         let model = self.opt.cost_model();
         let est = model
             .spill_subtree_estimate(plan, pred, &self.qa)
             .expect("spilled plan must apply the epp");
         if cost_le(est.cost, budget) {
-            return SpillOutcome::Completed {
+            return Ok(SpillOutcome::Completed {
                 sel: self.qa.get(pred),
                 spent: est.cost,
-            };
+            });
         }
-        // Invert the (monotone) subtree cost: the largest grid selectivity
-        // whose subtree cost fits the budget is the pruning frontier.
-        let g = self.grid.dim(dim);
-        let mut probe = self.qa.clone();
-        let fits = |s: Selectivity, probe: &mut Sels| {
-            probe.set(pred, s);
-            let c = model
-                .spill_subtree_estimate(plan, pred, probe)
-                .expect("subtree exists")
-                .cost;
-            cost_le(c, budget)
-        };
-        // partition_point over grid coordinates: first index that does NOT fit.
-        let mut lo = 0usize; // invariant: everything below lo fits
-        let mut hi = g.len(); // invariant: everything at/after hi does not fit
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if fits(g.sel(mid), &mut probe) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let lower_bound = if lo == 0 { 0.0 } else { g.sel(lo - 1) };
-        SpillOutcome::TimedOut {
-            lower_bound,
-            spent: budget,
-        }
+        let (g, mut probe) = (self.grid.dim(dim), self.qa.clone());
+        let lower_bound = spill_lower_bound(g, |k| {
+            probe.set(pred, g.sel(k));
+            let est = model.spill_subtree_estimate(plan, pred, &probe);
+            cost_le(est.expect("subtree exists").cost, budget)
+        });
+        let spent = budget;
+        Ok(SpillOutcome::TimedOut { lower_bound, spent })
     }
 
-    fn full_execute(&mut self, plan: &PlanNode, budget: Cost) -> FullOutcome {
+    fn try_full_execute_id(
+        &mut self,
+        _pid: Option<PlanId>,
+        plan: &PlanNode,
+        budget: Cost,
+    ) -> Result<FullOutcome> {
         let cost = self.opt.cost_plan(plan, &self.qa);
-        if cost_le(cost, budget) {
+        Ok(if cost_le(cost, budget) {
             FullOutcome::Completed { spent: cost }
         } else {
             FullOutcome::TimedOut { spent: budget }
-        }
+        })
     }
 }
 
@@ -217,57 +231,46 @@ impl ExecutionOracle for CostOracle<'_> {
 #[derive(Debug)]
 pub struct NoisyCostOracle<'a> {
     inner: CostOracle<'a>,
-    delta: f64,
-    seed: u64,
+    /// The deterministic plan-keyed factor: log-uniform over
+    /// `[1/(1+δ), 1+δ]`, as a fault plan's perturbation draws it.
+    noise: FaultPlan,
 }
 
 impl<'a> NoisyCostOracle<'a> {
     /// Wraps a [`CostOracle`] with error bound `delta ≥ 0` and a noise
     /// `seed`.
     pub fn new(inner: CostOracle<'a>, delta: f64, seed: u64) -> Self {
-        assert!(delta >= 0.0);
-        Self { inner, delta, seed }
-    }
-
-    /// Deterministic multiplicative error for a plan fingerprint:
-    /// log-uniform over `[1/(1+δ), 1+δ]`.
-    fn eps(&self, fingerprint: u64) -> f64 {
-        // SplitMix64 over (seed, fingerprint) → u ∈ [0,1)
-        let mut z = self.seed ^ fingerprint.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let u = (z >> 11) as f64 / (1u64 << 53) as f64;
-        let l = (1.0 + self.delta).ln();
-        ((2.0 * u - 1.0) * l).exp()
+        let noise = FaultPlan::new(seed).with_perturb(delta);
+        Self { inner, noise }
     }
 }
 
 impl ExecutionOracle for NoisyCostOracle<'_> {
-    fn spill_execute(&mut self, plan: &PlanNode, dim: usize, budget: Cost) -> SpillOutcome {
-        let eps = self.eps(plan.fingerprint() ^ dim as u64);
+    fn try_spill_execute_id(
+        &mut self,
+        pid: Option<PlanId>,
+        plan: &PlanNode,
+        dim: usize,
+        budget: Cost,
+    ) -> Result<SpillOutcome> {
         // A real cost of model·eps against `budget` is equivalent to the
         // model against budget/eps — with spends scaled back by eps.
-        match self.inner.spill_execute(plan, dim, budget / eps) {
-            SpillOutcome::Completed { sel, spent } => SpillOutcome::Completed {
-                sel,
-                spent: spent * eps,
-            },
-            SpillOutcome::TimedOut { lower_bound, spent } => SpillOutcome::TimedOut {
-                lower_bound,
-                spent: (spent * eps).min(budget),
-            },
-        }
+        let eps = self.noise.perturb_eps(plan.fingerprint() ^ dim as u64);
+        let out = self
+            .inner
+            .try_spill_execute_id(pid, plan, dim, budget / eps)?;
+        Ok(out.scaled(eps, budget))
     }
 
-    fn full_execute(&mut self, plan: &PlanNode, budget: Cost) -> FullOutcome {
-        let eps = self.eps(plan.fingerprint());
-        match self.inner.full_execute(plan, budget / eps) {
-            FullOutcome::Completed { spent } => FullOutcome::Completed { spent: spent * eps },
-            FullOutcome::TimedOut { spent } => FullOutcome::TimedOut {
-                spent: (spent * eps).min(budget),
-            },
-        }
+    fn try_full_execute_id(
+        &mut self,
+        pid: Option<PlanId>,
+        plan: &PlanNode,
+        budget: Cost,
+    ) -> Result<FullOutcome> {
+        let eps = self.noise.perturb_eps(plan.fingerprint());
+        let out = self.inner.try_full_execute_id(pid, plan, budget / eps)?;
+        Ok(out.scaled(eps, budget))
     }
 }
 
@@ -399,7 +402,7 @@ mod tests {
         let budget = 0.5 * oracle.true_cost(&plan);
         if let SpillOutcome::TimedOut { lower_bound, .. } = oracle.spill_execute(&plan, 0, budget) {
             // verify maximality: lb fits, next grid point does not
-            let mut probe = oracle.qa_sels().clone();
+            let mut probe = oracle.qa.clone();
             if lower_bound > 0.0 {
                 probe.set(pred, lower_bound);
                 let c = model
@@ -436,9 +439,9 @@ mod noisy_tests {
         let o1 = mk();
         let o2 = mk();
         for fp in [1u64, 99, 12345, u64::MAX] {
-            let e = o1.eps(fp);
+            let e = o1.noise.perturb_eps(fp);
             assert!((1.0 / 1.3..=1.3).contains(&e), "eps {e} out of range");
-            assert_eq!(e, o2.eps(fp), "eps must be deterministic");
+            assert_eq!(e, o2.noise.perturb_eps(fp), "eps must be deterministic");
         }
     }
 

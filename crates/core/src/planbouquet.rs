@@ -9,20 +9,26 @@
 //! to even compute.
 
 use crate::cached::EvalContext;
-use crate::discovery::{trace_run_finished, Shared};
+use crate::discovery::{self, Exec, Protocol, Step};
 use crate::oracle::ExecutionOracle;
 use crate::report::RunReport;
-use rqp_common::{GridIdx, Result};
+use rqp_common::{Cost, Result, RqpError};
+use rqp_ess::alignment::PlanChoice;
 use rqp_ess::anorexic::{reduce_all, reduce_all_with, ReducedContour};
 use rqp_ess::{ContourSet, SurfaceAccess};
-use rqp_obs::{TraceEvent, Tracer};
+use rqp_obs::Tracer;
 use rqp_optimizer::Optimizer;
+use std::sync::Arc;
 
 /// A compiled PlanBouquet: contour schedule plus reduced plan sets.
 #[derive(Debug)]
 pub struct PlanBouquet<'a> {
-    shared: Shared<'a>,
+    surface: &'a dyn SurfaceAccess,
+    contours: ContourSet,
     reduced: Vec<ReducedContour>,
+    /// Each contour's decision, made once: its budget `(1+λ)·CC_i` and
+    /// its reduced plans as regular executions within it.
+    steps: Vec<(Cost, Arc<[Step]>)>,
     rho_red: usize,
     lambda: f64,
     ratio: f64,
@@ -37,71 +43,81 @@ impl<'a> PlanBouquet<'a> {
         ratio: f64,
         lambda: f64,
     ) -> Self {
-        let shared = Shared::new(surface, opt, ratio);
-        let (reduced, rho_red) = reduce_all(surface, opt, &shared.contours, lambda);
-        Self {
-            shared,
-            reduced,
-            rho_red,
-            lambda,
-            ratio,
-        }
+        let contours = ContourSet::build(surface, ratio);
+        let (reduced, _) = reduce_all(surface, opt, &contours, lambda);
+        Self::assemble(surface, contours, reduced, lambda, ratio)
     }
 
     /// [`new`](Self::new) over an [`EvalContext`]: the anorexic cover reads
     /// the context's cost matrix instead of recosting; same bouquet.
     pub fn from_ctx(ctx: &EvalContext<'a>, ratio: f64, lambda: f64) -> Self {
-        let shared = Shared::new(ctx.surface(), ctx.opt(), ratio);
-        let (reduced, rho_red) =
-            reduce_all_with(ctx.surface(), &shared.contours, lambda, |pid, q| {
-                ctx.matrix().cost(pid, q)
-            });
-        Self {
-            shared,
-            reduced,
-            rho_red,
-            lambda,
-            ratio,
-        }
+        let contours = ContourSet::build(ctx.surface(), ratio);
+        let cost = |pid, q| ctx.matrix().cost(pid, q);
+        let (reduced, _) = reduce_all_with(ctx.surface(), &contours, lambda, cost);
+        Self::assemble(ctx.surface(), contours, reduced, lambda, ratio)
     }
 
     /// Rebuilds a bouquet from an already-reduced contour schedule (e.g.
     /// loaded from a persisted artifact), skipping the anorexic set-cover
     /// — the expensive part of [`new`](Self::new). The cheap contour
-    /// schedule is rebuilt from the surface; `reduced` / `rho_red` must be
-    /// the output of [`reduce_all`] for the same surface, ratio and
-    /// lambda.
+    /// schedule is rebuilt from the surface; `reduced` must be the output
+    /// of [`reduce_all`] for the same surface, ratio and lambda: one
+    /// non-empty cover of pool plans per contour, at the contour's cost
+    /// bit for bit. `ρ_red` is derived from it, never taken on trust.
     pub fn from_parts(
         surface: &'a dyn SurfaceAccess,
-        opt: &'a Optimizer<'a>,
         ratio: f64,
         lambda: f64,
         reduced: Vec<ReducedContour>,
-        rho_red: usize,
     ) -> Result<Self> {
-        let shared = Shared::new(surface, opt, ratio);
-        if reduced.len() != shared.contours.len() {
-            return Err(rqp_common::RqpError::Config(format!(
+        let contours = ContourSet::build(surface, ratio);
+        let costs = contours.costs();
+        if reduced.len() != costs.len() {
+            return Err(RqpError::Config(format!(
                 "reduced bouquet has {} contours but the surface yields {}",
                 reduced.len(),
-                shared.contours.len(),
+                costs.len(),
             )));
         }
         let nplans = surface.pool_len();
-        for (i, rc) in reduced.iter().enumerate() {
-            if rc.plans.is_empty() || rc.plans.iter().any(|&pid| pid >= nplans) {
-                return Err(rqp_common::RqpError::Config(format!(
-                    "reduced contour {i} is empty or references a plan outside the pool"
+        for (i, (rc, cost)) in reduced.iter().zip(costs).enumerate() {
+            let in_pool = !rc.plans.is_empty() && rc.plans.iter().all(|&pid| pid < nplans);
+            if !in_pool || rc.cost.to_bits() != cost.to_bits() {
+                return Err(RqpError::Config(format!(
+                    "reduced contour {i} (cost {}, plans {:?}) is not a cover of pool plans \
+                     at the surface's contour cost {cost}",
+                    rc.cost, rc.plans
                 )));
             }
         }
-        Ok(Self {
-            shared,
+        Ok(Self::assemble(surface, contours, reduced, lambda, ratio))
+    }
+
+    /// Decides every contour once, and `ρ_red = max |plans|` as the
+    /// reduction computes it.
+    fn assemble(
+        surface: &'a dyn SurfaceAccess,
+        contours: ContourSet,
+        reduced: Vec<ReducedContour>,
+        lambda: f64,
+        ratio: f64,
+    ) -> Self {
+        let steps = (reduced.iter())
+            .map(|rc| {
+                let budget = (1.0 + lambda) * rc.cost;
+                let plan = |&pid| Step::Full(Exec::new(surface, PlanChoice::Pool(pid), budget));
+                (budget, rc.plans.iter().map(plan).collect())
+            })
+            .collect();
+        Self {
+            rho_red: reduced.iter().map(|r| r.plans.len()).max().unwrap_or(0),
+            surface,
+            contours,
             reduced,
-            rho_red,
+            steps,
             lambda,
             ratio,
-        })
+        }
     }
 
     /// Post-reduction maximum contour density `ρ_red`.
@@ -122,63 +138,23 @@ impl<'a> PlanBouquet<'a> {
 
     /// The contour schedule.
     pub fn contours(&self) -> &ContourSet {
-        &self.shared.contours
-    }
-
-    /// Attach a structured tracer; subsequent [`run`](Self::run) calls
-    /// emit typed events for every contour entry and execution.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.shared.tracer = tracer;
-    }
-
-    /// The sub-optimality [`run`](Self::run) reaches at `qa` through a
-    /// [`crate::CachedOracle`] over `ctx`, bit for bit, as plain budget
-    /// arithmetic over the matrix: the budget for every plan that times
-    /// out, the true cost of the first that completes.
-    pub(crate) fn replay_subopt(&self, ctx: &EvalContext<'_>, qa: GridIdx) -> Result<f64> {
-        let mut total = 0.0;
-        for rc in &self.reduced {
-            let budget = (1.0 + self.lambda) * rc.cost;
-            for &pid in &rc.plans {
-                let c = ctx.matrix().cost(pid, qa);
-                if rqp_common::cost_le(c, budget) {
-                    total += c;
-                    return Ok(total / ctx.surface().opt_cost(qa));
-                }
-                total += budget;
-            }
-        }
-        Err(rqp_common::RqpError::Discovery(
-            "bouquet replay exhausted contours".into(),
-        ))
+        &self.contours
     }
 
     /// Runs the bouquet discovery sequence against `oracle`.
     pub fn run(&self, oracle: &mut dyn ExecutionOracle) -> Result<RunReport> {
-        let mut report = RunReport {
-            learnt: vec![None; self.shared.ndims()],
-            ..RunReport::default()
-        };
-        self.shared.trace_run_started("planbouquet");
-        for (i, rc) in self.reduced.iter().enumerate() {
-            let budget = (1.0 + self.lambda) * rc.cost;
-            self.shared
-                .tracer
-                .emit(|| TraceEvent::ContourEntered { contour: i, budget });
-            for &pid in &rc.plans {
-                if self.shared.full_step(oracle, &mut report, i, pid, budget)? {
-                    trace_run_finished(&self.shared.tracer, &report);
-                    return Ok(report);
-                }
-            }
-        }
-        // Unreachable with an exact cost model (the last contour's reduced
-        // plan set covers every location); under bounded cost-model error
-        // (§7) keep doubling budgets on the terminus plan.
-        self.shared
-            .run_overflow_phase(&vec![None; self.shared.ndims()], oracle, &mut report)?;
-        trace_run_finished(&self.shared.tracer, &report);
-        Ok(report)
+        discovery::run("planbouquet", self, &Tracer::disabled(), oracle)
+    }
+}
+
+impl Protocol for PlanBouquet<'_> {
+    fn schedule(&self) -> (&dyn SurfaceAccess, Option<&ContourSet>) {
+        (self.surface, Some(&self.contours))
+    }
+
+    fn decide(&self, i: usize, _pins: &[Option<usize>]) -> (Cost, Arc<[Step]>) {
+        let (budget, steps) = &self.steps[i];
+        (*budget, steps.clone())
     }
 }
 

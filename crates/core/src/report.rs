@@ -83,11 +83,6 @@ impl RunReport {
     pub fn last_contour(&self) -> Option<usize> {
         self.records.last().map(|r| r.contour)
     }
-
-    /// Records belonging to contour `i`.
-    pub fn contour_records(&self, i: usize) -> impl Iterator<Item = &ExecutionRecord> {
-        self.records.iter().filter(move |r| r.contour == i)
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +118,6 @@ mod tests {
         };
         assert_eq!(rep.executions(), 2);
         assert_eq!(rep.last_contour(), Some(1));
-        assert_eq!(rep.contour_records(0).count(), 1);
         assert!((rep.sub_optimality(5.0) - 5.0).abs() < 1e-12);
     }
 

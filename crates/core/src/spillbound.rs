@@ -20,207 +20,152 @@
 //!
 //! The resulting guarantee is **structural**: `MSO ≤ D² + 3D` (Theorem
 //! 4.5), a function of nothing but the number of error-prone predicates.
+//!
+//! [`lazy_warm_up`] runs a cheaper, unsound selection rule on a lazy
+//! surface to choose the cells a sparse artifact persists; it is not a
+//! strategy.
 
-use crate::discovery::{ContourMemo, MemoStats, Shared, SpillExec, MEMO_CAP};
-use crate::oracle::ExecutionOracle;
+use crate::discovery::{Discovery, Exec, Rule, Step};
+use crate::oracle::CostOracle;
 use crate::report::RunReport;
 use rqp_common::{GridIdx, Result};
-use rqp_ess::alignment::{PlanChoice, SpillDimCache};
-use rqp_ess::{ContourSet, EssView, SurfaceAccess};
-use rqp_obs::Tracer;
-use rqp_optimizer::{Optimizer, PlanId};
-use std::sync::Arc;
+use rqp_ess::alignment::PlanChoice;
+use rqp_ess::{EssView, LazySurface, SurfaceAccess};
+use rqp_optimizer::Optimizer;
 
-/// Per-contour plan selections: for each dimension, the chosen
-/// `(q^j_max, P^j_max)` pair, or `None` if no contour plan spills on it.
-type Selections = Vec<Option<(GridIdx, PlanId)>>;
-
-/// How per-contour `(q^j_max, P^j_max)` selections are computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectionMode {
-    /// Enumerate the full contour skyline and pick the paper's exact
-    /// `P^j_max` per dimension (§3.2). Produces identical selections on
-    /// dense and lazy surfaces (the skylines are identical); the default.
-    #[default]
-    Exact,
-    /// Probe only the axis fiber through the view origin: binary-search
-    /// the level set's `j`-extreme, then walk the fiber downward until a
-    /// location whose optimal plan spills on `e_j`. Materializes
-    /// `O(D · n)` cells per pin state instead of whole skylines — the
-    /// *warm-up/compile* mode for lazy high-resolution surfaces (it
-    /// decides which cells a sparse artifact persists). Completion and
-    /// truthful learning are unchanged (contour advance, terminal and
-    /// overflow phases are identical), but off-fiber spill groups may be
-    /// missed, so pruning is weaker and the D²+3D bound does **not**
-    /// carry over — serving runs must use [`SelectionMode::Exact`].
-    AxisProbe,
-}
+/// SpillBound's discovery rule: per unlearnt dimension `j`, the paper's exact
+/// `P^j_max` over the contour skyline (§3.2). Skylines, and so the
+/// selections, are identical on dense and lazy surfaces.
+#[derive(Debug)]
+pub struct Skyline;
 
 /// A compiled SpillBound instance: immutable, plus a memo of per-contour
 /// selections, which are pure functions of (contour, pins). Runs take
 /// `&self` and keep their state on the stack, so one instance serves
 /// every `qa` of a sweep and every request of a daemon, from any number
 /// of threads, and the contour analysis is done once per state.
-#[derive(Debug)]
-pub struct SpillBound<'a> {
-    shared: Shared<'a>,
-    spill_cache: SpillDimCache,
-    execs: ContourMemo<Vec<SpillExec>>,
-    mode: SelectionMode,
-}
+pub type SpillBound<'a> = Discovery<'a, Skyline>;
 
 impl<'a> SpillBound<'a> {
     /// Compiles SpillBound with the given inter-contour cost ratio (the
-    /// paper's default is 2) and [`SelectionMode::Exact`] selections.
+    /// paper's default is 2).
     pub fn new(surface: &'a dyn SurfaceAccess, opt: &'a Optimizer<'a>, ratio: f64) -> Self {
-        Self::with_mode(surface, opt, ratio, SelectionMode::Exact)
+        Discovery::compile(surface, opt, ratio, Skyline)
     }
+}
 
-    /// Compiles SpillBound with an explicit selection mode.
-    pub fn with_mode(
-        surface: &'a dyn SurfaceAccess,
-        opt: &'a Optimizer<'a>,
-        ratio: f64,
-        mode: SelectionMode,
-    ) -> Self {
-        Self {
-            shared: Shared::new(surface, opt, ratio),
-            spill_cache: SpillDimCache::new(),
-            execs: ContourMemo::with_cap(MEMO_CAP),
-            mode,
-        }
-    }
+impl Rule for Skyline {
+    const ALGO: &'static str = "spillbound";
+    const STEP_HEAP: usize = 0;
 
-    /// Forces the memo's entry cap.
-    #[cfg(test)]
-    pub(crate) fn with_memo_cap(mut self, cap: usize) -> Self {
-        self.execs = ContourMemo::with_cap(cap);
-        self
-    }
-
-    /// Hits, misses and resident entries of the selection memo.
-    pub fn memo_stats(&self) -> MemoStats {
-        self.execs.stats()
-    }
-
-    /// Most bytes the selection memo and the spill-dimension cache can
-    /// come to hold.
-    pub fn memo_bytes_bound(&self) -> usize {
-        let per_exec = std::mem::size_of::<SpillExec>();
-        self.execs.bytes_bound(&self.shared, per_exec)
-    }
-
-    /// The active selection mode.
-    pub fn selection_mode(&self) -> SelectionMode {
-        self.mode
-    }
-
-    /// The structural MSO guarantee `D² + 3D`.
-    pub fn mso_guarantee(&self) -> f64 {
-        crate::spillbound_guarantee(self.shared.ndims())
-    }
-
-    /// The contour schedule.
-    pub fn contours(&self) -> &ContourSet {
-        &self.shared.contours
-    }
-
-    /// Attach a structured tracer; subsequent [`run`](Self::run) calls
-    /// emit typed events for every contour entry, execution, and learnt
-    /// selectivity.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.shared.tracer = tracer;
-    }
-
-    /// Computes (memoized) the executions of contour `i` under the given
-    /// pins: per unlearnt dimension with a `(q^j_max, P^j_max)` choice, in
-    /// dimension order, `P^j_max` spilling on `e_j` with budget `CC_i`. A
-    /// dimension no contour plan spills on is skipped (§4.2).
-    fn contour_execs(&self, i: usize, pins: &[Option<usize>]) -> Arc<Vec<SpillExec>> {
-        self.execs.get_or_compute(i, pins, || {
-            let selections = match self.mode {
-                SelectionMode::Exact => self.exact_selections(i, pins),
-                SelectionMode::AxisProbe => self.axis_probe_selections(i, pins),
-            };
-            let budget = self.shared.contours.cost(i);
-            (selections.into_iter().enumerate())
-                .filter_map(|(j, s)| {
-                    let plan = PlanChoice::Pool(s?.1);
-                    Some(SpillExec::new(self.shared.surface, j, plan, budget))
-                })
-                .collect()
-        })
-    }
-
-    /// The paper's selections: group the contour skyline by each
-    /// location's spill dimension and keep the `j`-maximal location.
-    fn exact_selections(&self, i: usize, pins: &[Option<usize>]) -> Selections {
-        let surface = self.shared.surface;
-        let opt = self.shared.opt;
+    /// Groups the contour skyline by each location's spill dimension and
+    /// keeps the `j`-maximal location.
+    fn spill_steps(d: &SpillBound<'_>, i: usize, pins: &[Option<usize>]) -> Vec<Step> {
+        let surface = d.surface;
         let grid = surface.grid();
-        let d = grid.ndims();
         let view = EssView::from_pins(pins.to_vec());
         let unlearnt = view.free_mask();
-        let locs = self.shared.contours.locations(surface, &view, i);
-        let mut out: Selections = vec![None; d];
-        for q in locs {
-            let Some(j) = self.spill_cache.of_location(surface, opt, q, unlearnt) else {
+        let mut out: Vec<Option<(GridIdx, usize)>> = vec![None; grid.ndims()];
+        for q in d.contours.locations(surface, &view, i) {
+            let Some(j) = d.spill_cache.of_location(surface, d.opt, q, unlearnt) else {
                 continue;
             };
-            let better = match out[j] {
-                None => true,
-                Some((cur, _)) => {
-                    let (qc, cc) = (grid.coord(q, j), grid.coord(cur, j));
-                    qc > cc || (qc == cc && q > cur)
-                }
+            let better = |&(cur, _): &(GridIdx, usize)| {
+                let (qc, cc) = (grid.coord(q, j), grid.coord(cur, j));
+                qc > cc || (qc == cc && q > cur)
             };
-            if better {
+            if out[j].as_ref().is_none_or(better) {
                 out[j] = Some((q, surface.plan_id(q)));
             }
         }
-        out
+        spill_steps(d, i, out.into_iter().map(|s| s.map(|(_, pid)| pid)))
     }
+}
 
-    /// Fiber-probe selections: for each free dimension the level set's
-    /// `j`-extreme lies on the axis fiber through the view origin (PCM);
-    /// walk that fiber downward to the first location whose plan spills
-    /// on `e_j`. All probed locations satisfy `OptCost(q) ≤ CC_i`, so a
-    /// budget-`CC_i` spill execution of the chosen plan is within budget
-    /// at its own location, exactly as in `Exact` mode.
-    fn axis_probe_selections(&self, i: usize, pins: &[Option<usize>]) -> Selections {
-        let surface = self.shared.surface;
-        let opt = self.shared.opt;
+/// The warm-up rule: for each free dimension the level set's `j`-extreme
+/// lies on the axis fiber through the view origin (PCM); walk that fiber
+/// down to the first location whose plan spills on `e_j`. That
+/// materializes `O(D · n)` cells per pin state instead of whole
+/// skylines. Every probed location has `OptCost(q) ≤ CC_i`, so the chosen
+/// plan's budget-`CC_i` spill is within budget at its own location, and
+/// completion and learning stay truthful. But off-fiber spill groups may
+/// be missed, so pruning is weaker and the D²+3D bound does **not** hold.
+#[derive(Debug)]
+struct AxisProbe;
+
+impl Rule for AxisProbe {
+    const ALGO: &'static str = "spillbound";
+    const STEP_HEAP: usize = 0;
+
+    fn spill_steps(d: &Discovery<'_, Self>, i: usize, pins: &[Option<usize>]) -> Vec<Step> {
+        let surface = d.surface;
         let grid = surface.grid();
-        let d = grid.ndims();
-        let cc = self.shared.contours.cost(i);
+        let cc = d.contours.cost(i);
         let view = EssView::from_pins(pins.to_vec());
         let unlearnt = view.free_mask();
-        let mut out: Selections = vec![None; d];
+        let mut out = vec![None; grid.ndims()];
         for j in view.free_dims() {
             let Some(ext) = surface.axis_extreme(&view, cc, j) else {
                 continue;
             };
-            let mut c = grid.coord(ext, j);
-            loop {
+            for c in (0..=grid.coord(ext, j)).rev() {
                 let q = grid.with_coord(ext, j, c);
-                if self.spill_cache.of_location(surface, opt, q, unlearnt) == Some(j) {
-                    out[j] = Some((q, surface.plan_id(q)));
+                if d.spill_cache.of_location(surface, d.opt, q, unlearnt) == Some(j) {
+                    out[j] = Some(surface.plan_id(q));
                     break;
                 }
-                if c == 0 {
-                    break;
-                }
-                c -= 1;
             }
         }
-        out
+        spill_steps(d, i, out.into_iter())
     }
+}
 
-    /// Runs selectivity discovery against `oracle`.
-    pub fn run(&self, oracle: &mut dyn ExecutionOracle) -> Result<RunReport> {
-        self.shared
-            .run_spilling("spillbound", oracle, |i, pins| self.contour_execs(i, pins))
+/// Contour `i`'s spill steps from per-dimension plan selections: in
+/// dimension order, `P^j_max` spilling on `e_j` with budget `CC_i`. A
+/// dimension no contour plan spills on is skipped (§4.2).
+fn spill_steps<R>(
+    d: &Discovery<'_, R>,
+    i: usize,
+    selections: impl Iterator<Item = Option<usize>>,
+) -> Vec<Step> {
+    let budget = d.contours.cost(i);
+    (selections.enumerate())
+        .filter_map(|(dim, pid)| {
+            let exec = Exec::new(d.surface, PlanChoice::Pool(pid?), budget);
+            Some(Step::Spill { dim, exec })
+        })
+        .collect()
+}
+
+/// Warms a lazy surface up before its sparse artifact is written: one
+/// discovery run against the cost model at each location of a fixed
+/// sample (both corners, the center, and each axis-extreme corner), with
+/// `AxisProbe` selections. The cells the runs materialize are the cells
+/// the artifact persists. The runs complete and learn truthfully, but
+/// their sub-optimality is unbounded, so this is not a strategy: it takes
+/// no oracle, and nothing serves or evaluates through it. Returns each
+/// sample location with its report.
+pub fn lazy_warm_up<'a>(
+    surface: &'a LazySurface<'a>,
+    opt: &'a Optimizer<'a>,
+    ratio: f64,
+) -> Result<Vec<(GridIdx, RunReport)>> {
+    let grid = surface.grid();
+    let d = grid.ndims();
+    let top = |j: usize| grid.dim(j).len() - 1;
+    let mut sample = vec![
+        vec![0; d],
+        (0..d).map(top).collect(),
+        (0..d).map(|j| grid.dim(j).len() / 2).collect(),
+    ];
+    for j in 0..d {
+        sample.push((0..d).map(|k| if k == j { top(k) } else { 0 }).collect());
+        sample.push((0..d).map(|k| if k == j { 0 } else { top(k) }).collect());
     }
+    let probe = Discovery::compile(surface, opt, ratio, AxisProbe);
+    (sample.iter().map(|coords| grid.flat(coords)))
+        .map(|qa| Ok((qa, probe.run(&mut CostOracle::at_grid(opt, grid, qa))?)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -12,17 +12,19 @@
 
 use crate::alignedbound::AlignedBound;
 use crate::cached::EvalContext;
-use crate::discovery::{trace_execution, trace_run_finished, MemoStats};
+use crate::discovery::{self, Exec, MemoStats, Protocol, Step};
 use crate::native::NativeChoice;
-use crate::oracle::{ExecutionOracle, FullOutcome};
+use crate::oracle::ExecutionOracle;
 use crate::penalty::{self, PenaltyConfig, PenaltySelection, PriorConfig, SelectivityPrior};
 use crate::planbouquet::PlanBouquet;
-use crate::report::{ExecMode, ExecutionRecord, Outcome, RunReport};
+use crate::report::RunReport;
 use crate::spillbound::SpillBound;
-use rqp_common::{Result, RqpError};
-use rqp_ess::SurfaceAccess;
+use rqp_common::{Cost, Result};
+use rqp_ess::alignment::PlanChoice;
+use rqp_ess::{ContourSet, SurfaceAccess};
 use rqp_obs::{TraceEvent, Tracer};
 use rqp_optimizer::{Optimizer, PlanId, PlanNode};
+use std::sync::Arc;
 
 /// One robust-query-processing strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -108,12 +110,15 @@ impl Strategy {
                 Form::PenaltyAware(sel)
             }
         };
-        Ok(Compiled {
-            strategy: self,
-            source,
-            form,
-            tracer: Tracer::disabled(),
-        })
+        let mut compiled = Compiled::new(self, source, form);
+        if let Some((plan_id, plan)) = compiled.fixed_plan() {
+            let plan = plan_id.map_or_else(
+                || PlanChoice::Custom(Box::new(plan.clone())),
+                PlanChoice::Pool,
+            );
+            compiled.fixed = Arc::new([Step::Full(Exec::new(surface, plan, f64::INFINITY))]);
+        }
+        Ok(compiled)
     }
 }
 
@@ -190,21 +195,52 @@ pub struct Compiled<'a> {
     strategy: Strategy,
     source: CostSource<'a>,
     form: Form<'a>,
-    /// The fixed-plan forms' trace destination; the discovery forms keep
-    /// their own.
+    /// Native's and PenaltyAware's one decision: their plan in full, with
+    /// an infinite budget.
+    fixed: Arc<[Step]>,
     tracer: Tracer,
 }
 
+/// Native's and PenaltyAware's protocol is the compiled form itself: one
+/// untraced contour holding their one step.
+impl Protocol for Compiled<'_> {
+    fn schedule(&self) -> (&dyn SurfaceAccess, Option<&ContourSet>) {
+        (self.source.surface(), None)
+    }
+
+    fn decide(&self, _i: usize, _pins: &[Option<usize>]) -> (Cost, Arc<[Step]>) {
+        (f64::INFINITY, self.fixed.clone())
+    }
+
+    /// The candidates PenaltyAware's offline selection weighed, so that a
+    /// trace shows why its plan runs.
+    fn prelude(&self, tracer: &Tracer) {
+        for r in self.penalty_selection().map_or(&[][..], |sel| &sel.risks) {
+            tracer.emit(|| TraceEvent::RiskEvaluated {
+                plan_fingerprint: r.fingerprint,
+                plan_id: r.plan_id,
+                expected: r.expected,
+                cvar: r.cvar,
+            });
+        }
+    }
+}
+
 impl<'a> Compiled<'a> {
+    fn new(strategy: Strategy, source: CostSource<'a>, form: Form<'a>) -> Self {
+        Self {
+            strategy,
+            source,
+            form,
+            fixed: Arc::new([]),
+            tracer: Tracer::disabled(),
+        }
+    }
+
     /// A PlanBouquet whose reduced contours were loaded, e.g. from an
     /// artifact, rather than computed.
     pub fn planbouquet(source: CostSource<'a>, bouquet: PlanBouquet<'a>) -> Self {
-        Self {
-            strategy: Strategy::PlanBouquet,
-            source,
-            form: Form::PlanBouquet(bouquet),
-            tracer: Tracer::disabled(),
-        }
+        Self::new(Strategy::PlanBouquet, source, Form::PlanBouquet(bouquet))
     }
 
     /// Which strategy this is.
@@ -231,71 +267,23 @@ impl<'a> Compiled<'a> {
     /// PenaltyAware run first emits the risk of every candidate its
     /// selection weighed.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        match &mut self.form {
-            Form::PlanBouquet(pb) => pb.set_tracer(tracer.clone()),
-            Form::SpillBound(sb) => sb.set_tracer(tracer.clone()),
-            Form::AlignedBound(ab) => ab.set_tracer(tracer.clone()),
-            Form::Native(_) | Form::PenaltyAware(_) => {}
-        }
         self.tracer = tracer;
     }
 
-    /// Runs the strategy against `oracle`. Native and PenaltyAware make
-    /// one full execution of their plan with an infinite budget.
+    /// Runs the strategy against `oracle` through the one discovery
+    /// protocol. Native and PenaltyAware make one full execution of their
+    /// plan with an infinite budget.
     pub fn run(&self, oracle: &mut dyn ExecutionOracle) -> Result<RunReport> {
-        match &self.form {
-            Form::PlanBouquet(pb) => pb.run(oracle),
-            Form::SpillBound(sb) => sb.run(oracle),
-            Form::AlignedBound(ab) => ab.run(oracle),
-            Form::Native(_) | Form::PenaltyAware(_) => self.run_fixed(oracle),
-        }
+        discovery::run(self.strategy.name(), self.protocol(), &self.tracer, oracle)
     }
 
-    fn run_fixed(&self, oracle: &mut dyn ExecutionOracle) -> Result<RunReport> {
-        let (plan_id, plan) = self.fixed_plan().expect("a fixed-plan form");
-        let dims = self.source.surface().grid().ndims();
-        let algo = self.strategy().name();
-        self.tracer.emit(|| TraceEvent::RunStarted {
-            algo,
-            dims,
-            contours: 0,
-        });
-        // The candidates the offline selection weighed, so that a trace
-        // shows why this plan runs.
-        if let Form::PenaltyAware(sel) = &self.form {
-            for r in &sel.risks {
-                self.tracer.emit(|| TraceEvent::RiskEvaluated {
-                    plan_fingerprint: r.fingerprint,
-                    plan_id: r.plan_id,
-                    expected: r.expected,
-                    cvar: r.cvar,
-                });
-            }
+    fn protocol(&self) -> &dyn Protocol {
+        match &self.form {
+            Form::PlanBouquet(pb) => pb,
+            Form::SpillBound(sb) => sb,
+            Form::AlignedBound(ab) => ab,
+            Form::Native(_) | Form::PenaltyAware(_) => self,
         }
-        let budget = f64::INFINITY;
-        let FullOutcome::Completed { spent } = oracle.try_full_execute_id(plan_id, plan, budget)?
-        else {
-            return Err(RqpError::Discovery(
-                "an execution with an infinite budget timed out".into(),
-            ));
-        };
-        let report = RunReport {
-            records: vec![ExecutionRecord {
-                contour: 0,
-                plan_fingerprint: plan.fingerprint(),
-                plan_id,
-                mode: ExecMode::Full,
-                budget,
-                spent,
-                outcome: Outcome::Completed { sel: None },
-            }],
-            total_cost: spent,
-            completed: true,
-            learnt: vec![None; dims],
-        };
-        trace_execution(&self.tracer, &report);
-        trace_run_finished(&self.tracer, &report);
-        Ok(report)
     }
 
     /// The one plan Native and PenaltyAware run, with its pool id when it

@@ -47,6 +47,11 @@ pub trait SurfaceAccess: std::fmt::Debug + Sync {
     /// An owned copy of pool plan `pid`.
     fn plan_clone(&self, pid: PlanId) -> PlanNode;
 
+    /// The structural fingerprint of pool plan `pid`.
+    fn plan_fingerprint(&self, pid: PlanId) -> u64 {
+        self.plan_clone(pid).fingerprint()
+    }
+
     /// Number of plans interned so far.
     fn pool_len(&self) -> usize;
 
@@ -137,6 +142,10 @@ impl SurfaceAccess for EssSurface {
 
     fn plan_clone(&self, pid: PlanId) -> PlanNode {
         self.pool().get(pid).clone()
+    }
+
+    fn plan_fingerprint(&self, pid: PlanId) -> u64 {
+        self.pool().get(pid).fingerprint()
     }
 
     fn pool_len(&self) -> usize {

@@ -202,8 +202,14 @@ impl ServedQuery {
             };
             params.penalty.alpha = s.alpha;
         }
-        let loaded = PlanBouquet::from_parts(surface_ref, opt_ref, ratio, lambda, bouquet, rho_red)
+        let loaded = PlanBouquet::from_parts(surface_ref, ratio, lambda, bouquet)
             .map_err(|e| format!("artifact `{name}`: {e}"))?;
+        if loaded.rho_red() != rho_red {
+            return Err(format!(
+                "artifact `{name}`: stored rho_red {rho_red} disagrees with its bouquet's {}",
+                loaded.rho_red()
+            ));
+        }
         let mut loaded = Some(Compiled::planbouquet(source, loaded));
         let strategies = (Strategy::ALL.into_iter())
             .map(|s| match s {

@@ -29,8 +29,8 @@ use rqp::catalog::tpcds;
 use rqp::common::RqpError;
 use rqp::core::report::ExecMode;
 use rqp::core::{
-    CostOracle, CostSource, FaultyOracle, Outcome, Params, PenaltySelection, PopReoptimizer,
-    RunReport, SelectionMode, SpillBound, Strategy,
+    lazy_warm_up, CostOracle, CostSource, FaultyOracle, Outcome, Params, PenaltySelection,
+    PopReoptimizer, RunReport, SpillBound, Strategy,
 };
 use rqp::ess::{ContourSet, LazySurface, SurfaceAccess};
 use rqp::experiments::{compare, fmt, harness_threads, print_table, Experiment};
@@ -344,8 +344,8 @@ fn compile_one(
 }
 
 /// `rqp compile <query> --lazy [--points N]`: discover the contour
-/// skylines on a [`LazySurface`] (cells optimized on demand), warm up
-/// SpillBound's axis-probe selections at a deterministic qa sample, and
+/// skylines on a [`LazySurface`] (cells optimized on demand), run
+/// [`lazy_warm_up`]'s axis-probe discovery at its fixed qa sample, and
 /// persist only the materialized cells as a sparse (version-2) artifact.
 ///
 /// High-D suite queries default to `lazy_grid_points` (≥ 16 points/dim)
@@ -386,27 +386,11 @@ fn compile_lazy(args: &[String], name: &str) -> ExitCode {
     let t_discover = std::time::Instant::now();
     let lazy = LazySurface::new(&opt, bench.grid());
     let contours = ContourSet::build(&lazy, 2.0);
-    // Warm up the selections SpillBound needs at serve time: one
-    // axis-probe discovery run per sample location (both corners, the
-    // center, and each axis-extreme corner — all deterministic).
-    let n = points;
-    let mut sample: Vec<Vec<usize>> = vec![vec![0; d], vec![n - 1; d], vec![n / 2; d]];
-    for j in 0..d {
-        let mut lo = vec![0; d];
-        lo[j] = n - 1;
-        let mut hi = vec![n - 1; d];
-        hi[j] = 0;
-        sample.push(lo);
-        sample.push(hi);
-    }
-    let sb = SpillBound::with_mode(&lazy, &opt, 2.0, SelectionMode::AxisProbe);
-    for coords in &sample {
-        let qa = lazy.grid().flat(coords);
-        let mut oracle = CostOracle::at_grid(&opt, lazy.grid(), qa);
-        if let Err(e) = sb.run(&mut oracle) {
-            eprintln!("lazy warm-up run at {coords:?} failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    // Warm up the cells discovery reaches: one axis-probe run per sample
+    // location.
+    if let Err(e) = lazy_warm_up(&lazy, &opt, 2.0) {
+        eprintln!("lazy warm-up failed: {e}");
+        return ExitCode::FAILURE;
     }
     let discover_secs = t_discover.elapsed().as_secs_f64();
     let cells = lazy.cells_materialized();

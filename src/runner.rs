@@ -8,6 +8,7 @@
 //! drill-down is regenerated.
 
 use rqp_common::{cost_le, Cost, MultiGrid, Result, RqpError, Selectivity, EPS};
+use rqp_core::oracle::spill_lower_bound;
 use rqp_core::{ExecutionOracle, FullOutcome, SpillOutcome};
 use rqp_executor::{Engine, NodeObservation, PlanEngine};
 use rqp_faults::RetryPolicy;
@@ -105,16 +106,6 @@ impl<'a, E: PlanEngine> ExecOracle<'a, E> {
 }
 
 impl<E: PlanEngine> ExecutionOracle for ExecOracle<'_, E> {
-    fn spill_execute(&mut self, plan: &PlanNode, dim: usize, budget: Cost) -> SpillOutcome {
-        self.try_spill_execute_id(None, plan, dim, budget)
-            .unwrap_or_else(|e| panic!("spill execution failed: {e}"))
-    }
-
-    fn full_execute(&mut self, plan: &PlanNode, budget: Cost) -> FullOutcome {
-        self.try_full_execute_id(None, plan, budget)
-            .unwrap_or_else(|e| panic!("full execution failed: {e}"))
-    }
-
     fn try_spill_execute_id(
         &mut self,
         _pid: Option<PlanId>,
@@ -144,25 +135,13 @@ impl<E: PlanEngine> ExecutionOracle for ExecOracle<'_, E> {
             // largest grid selectivity whose modeled cost fits the budget.
             // (The paper's engine infers the same bound from its calibrated
             // cost model.)
-            let model = self.opt.cost_model();
-            let g = self.grid.dim(dim);
+            let (model, g) = (self.opt.cost_model(), self.grid.dim(dim));
             let mut probe = self.known.clone();
-            let mut lo = 0usize;
-            let mut hi = g.len();
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                probe.set(pred, g.sel(mid));
-                let fits = model
-                    .spill_subtree_estimate(plan, pred, &probe)
-                    .map(|e| cost_le(e.cost, budget))
-                    .unwrap_or(false);
-                if fits {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            let lower_bound = if lo == 0 { 0.0 } else { g.sel(lo - 1) };
+            let lower_bound = spill_lower_bound(g, |k| {
+                probe.set(pred, g.sel(k));
+                (model.spill_subtree_estimate(plan, pred, &probe))
+                    .is_some_and(|e| cost_le(e.cost, budget))
+            });
             SpillOutcome::TimedOut {
                 lower_bound,
                 spent: run.spent,

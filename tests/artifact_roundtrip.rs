@@ -12,6 +12,7 @@ use rqp::catalog::{tpcds, Catalog};
 use rqp::core::{evaluate_strategy, CostSource, EvalContext, Params, Strategy, SubOptStats};
 use rqp::faults::{FaultPlan, FaultSite};
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer, QuerySpec};
+use rqp::server::ServedQuery;
 use rqp_common::MultiGrid;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -172,6 +173,37 @@ fn small_artifact() -> CompiledArtifact {
     let f = fx();
     let opt = optimizer(f);
     CompiledArtifact::compile(&opt, MultiGrid::uniform(2, 1e-5, 5), 2.0, 0.2, 1)
+}
+
+/// Hydration derives ρ_red from the bouquet instead of trusting the
+/// stored value: an artifact that says otherwise, or whose bouquet is not
+/// at the surface's contour costs, is refused with a typed error rather
+/// than served with a wrong PlanBouquet guarantee.
+#[test]
+fn hydration_derives_rho_red_instead_of_trusting_it() {
+    let catalog: &'static Catalog = &fx().catalog;
+    let good = small_artifact();
+    let rho_red = good.rho_red;
+    let served = ServedQuery::from_artifact(good.clone(), catalog).unwrap();
+    let explain = served.explain_body().render();
+    assert!(
+        explain.contains(&format!("\"rho_red\":{rho_red},")),
+        "{explain}"
+    );
+
+    let mut wrong = good.clone();
+    wrong.rho_red += 1;
+    let err = ServedQuery::from_artifact(wrong, catalog)
+        .err()
+        .expect("refused");
+    assert!(err.contains("rho_red"), "{err}");
+
+    let mut shifted = good;
+    shifted.bouquet[0].cost *= 2.0;
+    let err = ServedQuery::from_artifact(shifted, catalog)
+        .err()
+        .expect("refused");
+    assert!(err.contains("reduced contour 0"), "{err}");
 }
 
 /// A torn (injected short) write must error out before the atomic

@@ -8,10 +8,7 @@
 
 use proptest::prelude::*;
 use rqp::catalog::tpcds;
-use rqp::core::{
-    evaluate_strategy, CostOracle, CostSource, Params, SelectionMode, SpillBound, Strategy,
-    SubOptStats,
-};
+use rqp::core::{evaluate_strategy, lazy_warm_up, CostSource, Params, Strategy, SubOptStats};
 use rqp::ess::anorexic::reduce_all;
 use rqp::ess::{ContourSet, EssSurface, EssView, LazySurface, SurfaceAccess};
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer};
@@ -172,7 +169,7 @@ fn lazy_msoe_reports_bit_equal_to_dense() {
 }
 
 /// The hard call bound on the discovery path 2D/3D queries actually
-/// compile with: contour schedule plus the full axis-probe warm-up, at
+/// compile with: contour schedule plus the full lazy warm-up, at
 /// the lazy (high) resolutions, stays well under the grid size. (Note
 /// the *identity* tests above deliberately materialize everything — the
 /// union of all contour skylines covers most of the grid on real cost
@@ -185,15 +182,9 @@ fn lazy_discovery_call_budget_on_low_dims() {
         let bench =
             q91_with_dims(&catalog, d).with_grid_points(rqp::workloads::suite::lazy_grid_points(d));
         let opt = optimizer_for(&catalog, &bench);
-        let n = bench.grid_points;
         let lazy = LazySurface::new(&opt, bench.grid());
         let _contours = ContourSet::build(&lazy, 2.0);
-        let sb = SpillBound::with_mode(&lazy, &opt, 2.0, SelectionMode::AxisProbe);
-        for coords in warmup_coords(d, n) {
-            let qa = lazy.grid().flat(&coords);
-            let mut oracle = CostOracle::at_grid(&opt, lazy.grid(), qa);
-            sb.run(&mut oracle).unwrap();
-        }
+        lazy_warm_up(&lazy, &opt, 2.0).unwrap();
         let grid_len = lazy.grid().len();
         let calls = lazy.optimizer_calls();
         assert!(
@@ -205,28 +196,13 @@ fn lazy_discovery_call_budget_on_low_dims() {
     }
 }
 
-/// The deterministic warm-up sample the lazy compile path uses.
-fn warmup_coords(d: usize, n: usize) -> Vec<Vec<usize>> {
-    let mut sample = vec![vec![0; d], vec![n - 1; d], vec![n / 2; d]];
-    for j in 0..d {
-        let mut lo = vec![0; d];
-        lo[j] = n - 1;
-        let mut hi = vec![n - 1; d];
-        hi[j] = 0;
-        sample.push(lo);
-        sample.push(hi);
-    }
-    sample
-}
-
 /// The acceptance bound, test-asserted: on every 4D+ suite query at its
-/// default resolution, axis-probe SpillBound discovery (contour schedule
-/// plus a full warm-up sweep) spends at most 20% of the dense
-/// optimizer-call budget — and each sampled run is sound: it completes
-/// and never overshoots the truth. (Axis-probe pruning is weaker than
-/// the exact skyline selections, so the D²+3D bound is *not* asserted
-/// here — it belongs to `SelectionMode::Exact`, which the bit-equality
-/// tests above cover.)
+/// default resolution, the lazy warm-up (contour schedule plus a full
+/// axis-probe sweep) spends at most 20% of the dense optimizer-call
+/// budget — and each sampled run is sound: it completes and never
+/// overshoots the truth. (Axis-probe pruning is weaker than SpillBound's
+/// skyline selections, so the D²+3D bound is *not* asserted here — it
+/// belongs to SpillBound, which the bit-equality tests above cover.)
 #[test]
 fn lazy_axis_probe_call_budget_on_high_dims() {
     let catalog = tpcds::catalog_sf100();
@@ -235,15 +211,10 @@ fn lazy_axis_probe_call_budget_on_high_dims() {
         .filter(|b| b.query.ndims() >= 4)
     {
         let opt = optimizer_for(&catalog, &bench);
-        let d = bench.query.ndims();
-        let n = bench.grid_points;
         let lazy = LazySurface::new(&opt, bench.grid());
         let _contours = ContourSet::build(&lazy, 2.0);
-        let sb = SpillBound::with_mode(&lazy, &opt, 2.0, SelectionMode::AxisProbe);
-        for coords in warmup_coords(d, n) {
-            let qa = lazy.grid().flat(&coords);
-            let mut oracle = CostOracle::at_grid(&opt, lazy.grid(), qa);
-            let report = sb.run(&mut oracle).unwrap();
+        for (qa, report) in lazy_warm_up(&lazy, &opt, 2.0).unwrap() {
+            let coords = lazy.grid().coords(qa);
             assert!(
                 report.completed,
                 "{}: run at {coords:?} did not complete",
