@@ -11,18 +11,16 @@
 //!   probe/scan-bound shape where vectorization shines. Run at 1x and at
 //!   scale (default 10x, `RQP_SCALE` overrides); the scaled hash-plan
 //!   speedup must be >= 5x (the line CI greps: `batch exec check: PASS`).
-//! - **planted-error** (tab03's error vector, ~17x join fan-out): an
+//! - **planted-error** (the TAB3 row's error vector, ~17x join fan-out): an
 //!   output-materialization-bound shape where both engines converge on
 //!   the same memcpy cost. Reported, not gated — an honest upper and
 //!   lower bracket on what batching buys.
 //!
 //! The scaled leg scales the *catalog* (`tpcds::catalog(sf * scale)`):
 //! rows and NDVs grow together, so join fan-out stays TPC-DS-like and
-//! full-run work grows ~linearly. (`GenSpec::scaled` — the datagen knob
-//! `tab03_wallclock` uses — multiplies rows under fixed domains, which
-//! is right for budget-bounded discovery runs but compounds planted join
-//! selectivities into a combinatorial output blowup on unbudgeted full
-//! runs of a 4-join tree.)
+//! full-run work grows ~linearly. (Multiplying rows under fixed domains
+//! instead would compound planted join selectivities into a combinatorial
+//! output blowup on unbudgeted full runs of a 4-join tree.)
 //!
 //! Before any timing, outcomes are asserted bit-identical (`rows_out` and
 //! `spent.to_bits()`), and a small 2D discovery fixture asserts that full
@@ -249,7 +247,7 @@ fn main() {
         .filter(|f: &f64| *f > 0.0)
         .unwrap_or(10.0);
     let uniform = [1.0, 1.0, 1.0, 1.0];
-    let tab03_errors = [30.0, 10.0, 50.0, 20.0];
+    let tab3_errors = [30.0, 10.0, 50.0, 20.0];
 
     println!("=== batch vs row executor wall-clock (4D_Q91, scale knob RQP_SCALE) ===");
     let catalog = tpcds::catalog(0.1);
@@ -259,7 +257,7 @@ fn main() {
         "planted-error",
         &catalog,
         &bench.query,
-        &tab03_errors,
+        &tab3_errors,
         1.0,
         true,
     );

@@ -14,7 +14,8 @@
 use rqp::catalog::tpcds;
 use rqp::core::lazy_warm_up;
 use rqp::ess::{ContourSet, EssSurface, LazySurface, SurfaceAccess};
-use rqp::experiments::{fmt, print_table, write_json};
+use rqp::experiments::write_json;
+use rqp::figures::{Cell, Table};
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer};
 use rqp::workloads::{paper_suite, q91_with_dims};
 use serde::Serialize;
@@ -75,34 +76,31 @@ fn main() {
         eprintln!("[{name}: dense {dense_secs:.2}s, lazy {lazy_secs:.3}s]");
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.query.clone(),
-                r.dims.to_string(),
-                r.grid_len.to_string(),
-                format!("{:.3}", r.dense_secs),
-                r.lazy_calls.to_string(),
-                r.lazy_cells.to_string(),
-                format!("{:.3}", r.lazy_secs),
-                fmt(100.0 * r.call_ratio, 2) + "%",
-            ]
-        })
-        .collect();
-    print_table(
-        "Lazy vs dense ESS build (dense calls = grid size)",
-        &[
-            "query",
-            "D",
-            "grid",
-            "dense s",
-            "lazy calls",
-            "lazy cells",
-            "lazy s",
-            "calls/grid",
-        ],
-        &table,
+    let mut table = Table::new(&[
+        "query",
+        "D",
+        "grid",
+        "dense s",
+        "lazy calls",
+        "lazy cells",
+        "lazy s",
+        "calls/grid %",
+    ]);
+    for r in &rows {
+        table.push(vec![
+            r.query.as_str().into(),
+            r.dims.into(),
+            r.grid_len.into(),
+            Cell::Num(r.dense_secs, 3),
+            Cell::Num(r.lazy_calls as f64, 0),
+            r.lazy_cells.into(),
+            Cell::Num(r.lazy_secs, 3),
+            Cell::Num(100.0 * r.call_ratio, 2),
+        ]);
+    }
+    println!(
+        "Lazy vs dense ESS build (dense calls = grid size)\n\n{}",
+        table.markdown()
     );
 
     // The acceptance bound: every 4D+ suite query stays within 20% of
@@ -118,7 +116,7 @@ fn main() {
         }
     }
     if ok {
-        println!("\nPASS: all 4D+ suite queries within 20% of the dense optimizer-call budget");
+        println!("PASS: all 4D+ suite queries within 20% of the dense optimizer-call budget");
     } else {
         std::process::exit(1);
     }

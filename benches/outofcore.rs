@@ -1,6 +1,6 @@
 //! Out-of-core execution — working set larger than the buffer pool.
 //!
-//! The tab03 wall-clock drill-down, re-run over the slotted-page heap
+//! The TAB3 drill-down of `rqp figures`, re-run over the slotted-page heap
 //! store with a pool budget deliberately smaller than the query's working
 //! set (`RQP_POOL_FRAMES`, default 8 frames = 64 KiB). Every scan pins
 //! pages through the pool and spill-mode output is written through it, so

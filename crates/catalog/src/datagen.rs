@@ -59,25 +59,6 @@ pub struct GenSpec {
     pub tables: Vec<TableGenSpec>,
 }
 
-impl GenSpec {
-    /// The same recipe with every table's row count multiplied by
-    /// `factor` (min 1 row) — the datagen scale knob for running the
-    /// wall-clock experiments 10–100× larger without re-deriving specs.
-    ///
-    /// Only cardinalities scale: column generators (domains, skew,
-    /// serial keys) are untouched, so per-table filter selectivities are
-    /// preserved while `Serial` key ranges grow with their tables. The
-    /// seed also stays, so a scaled dataset is a deterministic function
-    /// of the base recipe.
-    pub fn scaled(mut self, factor: f64) -> Self {
-        assert!(factor > 0.0, "scale factor must be positive");
-        for t in &mut self.tables {
-            t.rows = ((t.rows as f64 * factor).round() as u64).max(1);
-        }
-        self
-    }
-}
-
 /// A materialized table: column-major `i64` vectors.
 #[derive(Debug, Clone)]
 pub struct DataTable {

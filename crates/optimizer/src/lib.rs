@@ -54,7 +54,6 @@ pub mod constrained;
 pub mod cost;
 pub mod cost_matrix;
 pub mod dp;
-pub mod dphyp;
 pub mod parser;
 pub mod pipeline;
 pub mod plan;
@@ -63,7 +62,6 @@ pub mod query;
 pub use cost::{CostModel, CostParams};
 pub use cost_matrix::{CostMatrix, SparseCostMatrix};
 pub use dp::{EnumerationMode, Optimizer};
-pub use dphyp::optimize_dphyp;
 pub use parser::parse_sql;
 pub use plan::{JoinMethod, PlanId, PlanNode, PlanPool, ScanMethod};
 pub use query::{PredId, Predicate, PredicateKind, QuerySpec, RelIdx, Sels};

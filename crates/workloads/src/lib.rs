@@ -31,8 +31,8 @@ pub use builder::QueryBuilder;
 pub use epps::{identify_epps, with_identified_epps, EppPolicy};
 pub use example::example_query_eq;
 pub use suite::{
-    executable_genspec, executable_genspec_with_errors, paper_suite, q91_with_dims, scale_from_env,
-    scaled_genspec_with_errors, zipf_exponent_for, BenchQuery,
+    executable_genspec, executable_genspec_with_errors, paper_suite, q91_with_dims,
+    zipf_exponent_for, BenchQuery,
 };
 
 pub use suite::{dimensionality_matrix, with_first_epps};

@@ -137,33 +137,6 @@ pub fn zipf_exponent_for(n: u64, target_sel: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
-/// Dataset scale factor from the `RQP_SCALE` environment variable
-/// (default 1.0) — the knob the wall-clock benches use to run the
-/// tab03-style comparison 10–100× larger. Invalid or non-positive
-/// values fall back to 1.0.
-pub fn scale_from_env() -> f64 {
-    std::env::var("RQP_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|&f| f > 0.0)
-        .unwrap_or(1.0)
-}
-
-/// [`executable_genspec_with_errors`] with every table scaled by
-/// `scale` (see [`rqp_catalog::datagen::GenSpec::scaled`]): the
-/// error-injection skew is derived first, at catalog statistics, then
-/// cardinalities are multiplied — so planted per-table selectivities
-/// survive the scale-up.
-pub fn scaled_genspec_with_errors(
-    catalog: &Catalog,
-    query: &QuerySpec,
-    seed: u64,
-    error: &[f64],
-    scale: f64,
-) -> GenSpec {
-    executable_genspec_with_errors(catalog, query, seed, error).scaled(scale)
-}
-
 /// Like [`executable_genspec`], but *injects estimation error*: the true
 /// selectivity of epp `j` is planted at roughly `error[j] ×` the
 /// statistics-derived estimate `1/max(NDV)`, by generating **both** join

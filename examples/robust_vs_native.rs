@@ -10,7 +10,8 @@
 
 use rqp::catalog::tpcds;
 use rqp::core::native::native_mso_worst_case;
-use rqp::experiments::{compare, fmt, print_table, Experiment};
+use rqp::experiments::{compare, Experiment};
+use rqp::figures::{Cell, Table};
 use rqp::optimizer::EnumerationMode;
 use rqp::workloads::paper_suite;
 use std::time::Instant;
@@ -49,44 +50,44 @@ fn main() {
         t.elapsed().as_secs_f64()
     );
 
-    print_table(
-        &format!("{want}: worst/average sub-optimality"),
-        &["strategy", "MSO guarantee", "MSO empirical", "ASO"],
-        &[
-            vec![
-                "native (fixed qe)".into(),
-                "∞".into(),
-                fmt(row.msoe_native, 1),
-                "-".into(),
-            ],
-            vec![
-                "native (worst qe)".into(),
-                "∞".into(),
-                fmt(native_worst, 1),
-                "-".into(),
-            ],
-            vec![
-                "PlanBouquet".into(),
-                fmt(row.msog_pb, 1),
-                fmt(row.msoe_pb, 1),
-                fmt(row.aso_pb, 2),
-            ],
-            vec![
-                "SpillBound".into(),
-                fmt(row.msog_sb, 1),
-                fmt(row.msoe_sb, 1),
-                fmt(row.aso_sb, 2),
-            ],
-            vec![
-                format!("AlignedBound (≥{})", row.msog_ab_lower),
-                fmt(row.msog_sb, 1),
-                fmt(row.msoe_ab, 1),
-                fmt(row.aso_ab, 2),
-            ],
-        ],
+    let mut table = Table::new(&["strategy", "MSO guarantee", "MSO empirical", "ASO"]);
+    let inf = f64::INFINITY;
+    for (name, msog, msoe, aso) in [
+        ("native (fixed qe)".to_string(), inf, row.msoe_native, None),
+        ("native (worst qe)".to_string(), inf, native_worst, None),
+        (
+            "PlanBouquet".into(),
+            row.msog_pb,
+            row.msoe_pb,
+            Some(row.aso_pb),
+        ),
+        (
+            "SpillBound".into(),
+            row.msog_sb,
+            row.msoe_sb,
+            Some(row.aso_sb),
+        ),
+        (
+            format!("AlignedBound (≥{})", row.msog_ab_lower),
+            row.msog_sb,
+            row.msoe_ab,
+            Some(row.aso_ab),
+        ),
+    ] {
+        let aso = aso.map_or("-".into(), |a| Cell::Num(a, 2));
+        table.push(vec![
+            name.into(),
+            Cell::Num(msog, 1),
+            Cell::Num(msoe, 1),
+            aso,
+        ]);
+    }
+    println!(
+        "{want}: worst/average sub-optimality\n\n{}",
+        table.markdown()
     );
     println!(
-        "\nρ_red = {} (anorexic λ=0.2); AB max part penalty = {:.2}",
+        "ρ_red = {} (anorexic λ=0.2); AB max part penalty = {:.2}",
         row.rho_red, row.ab_max_penalty
     );
 }

@@ -5,6 +5,8 @@
 //! rqp explore <query>               POSP / contour anatomy of a query
 //! rqp run <query> <algo> [qa...]    run a strategy at a true location
 //! rqp compare <query>               MSOg/MSOe/ASO across all algorithms
+//! rqp figures [id]                  the paper's evaluation: every table of
+//!                                   EXPERIMENTS.md, each checked against its claim
 //! rqp compile <query>               compile + persist the query's artifact
 //!                                   (--lazy: contour-only sparse artifact)
 //! rqp serve                         serve compiled artifacts over TCP
@@ -33,8 +35,9 @@ use rqp::core::{
     PopReoptimizer, RunReport, SpillBound, Strategy,
 };
 use rqp::ess::{ContourSet, LazySurface, SurfaceAccess};
-use rqp::experiments::{compare, fmt, harness_threads, print_table, Experiment};
+use rqp::experiments::{compare, harness_threads, Experiment};
 use rqp::faults::{FaultPlan, FaultSite, RetryPolicy};
+use rqp::figures::{Cell, Lab, Table, FIGURES};
 use rqp::obs::{
     prof, JsonlSink, MetricValue, MetricsRegistry, RingSink, TeeSink, TraceEvent, TraceRecord,
     TraceSink, Tracer,
@@ -47,8 +50,10 @@ use std::sync::Arc;
 
 fn usage() -> ExitCode {
     let algos = Strategy::ALL.map(Strategy::short).join("|");
+    let ids: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
+    let ids = ids.join(" ");
     eprintln!(
-        "usage:\n  rqp list\n  rqp explore <query>\n  rqp run <query> <{algos}|pop> [qa...]\n  rqp run <query> <{algos}> --paged [--pool-frames N]\n           (executor-backed out-of-core run over the slotted-page store;\n            env: RQP_PAGE_SIZE / RQP_POOL_FRAMES)\n  rqp run-sql <sql> [qa...]    (mark epps with `-- epp` comments)\n  rqp compare <query>\n  rqp compile <query> [--dir DIR] [--threads N] [--force] [--lazy [--points N]]\n  rqp serve [--addr HOST:PORT] [--dir DIR] [--queries q1,q2] [--workers N] [--queue N] [--threads N]\n           [--shards N] [--max-conns N] [--cache-mb MB] [--tenant-quota N] [--pool-frames N] [--recover]\n           (every artifact in --dir is servable via the LRU cache; --queries are pinned)\n           (--recover: replay the intent journal, quarantine corrupt artifacts,\n            and pre-warm the LRU cache from the persisted hot-set manifest)\n           (env: RQP_FAULT_RATE=R RQP_FAULT_SEED=N enable fault injection)\n  rqp bench-serve [--queries q1,q2] [--clients N] [--secs S] [--pipeline D] [--dir DIR]\n           [--workers N] [--shards N] [--queue N] [--threads N] [--min-rps R]\n           (closed-loop throughput/latency bench over precompiled explains)\n  rqp client <addr> <method> [query] [qa...] [--deadline-ms N]\n  rqp chaos [query] [--seed N] [--rate R]   (defaults: 2D_Q91, seed 42, rate 0.1;\n           also sweeps the page-level fault sites over the paged backend and the\n           penalty-aware risk evaluation)\n  rqp chaos --crash [--seed N]   crash-recovery matrix: abort the victim process at\n           every named crashpoint (RQP_CRASH_POINT) plus 5 seeded random-delay\n           SIGKILL rounds, recover, and assert bit-identical reports\n  rqp trace <query> [{algos}] [qa...] [--jsonl FILE] [--flame FILE]\n           (env: RQP_TRACE=jsonl:FILE mirrors the event stream to FILE)\n  rqp trace --check <file>   validate a JSONL trace file"
+        "usage:\n  rqp list\n  rqp explore <query>\n  rqp run <query> <{algos}|pop> [qa...]\n  rqp run <query> <{algos}> --paged [--pool-frames N]\n           (executor-backed out-of-core run over the slotted-page store;\n            env: RQP_PAGE_SIZE / RQP_POOL_FRAMES)\n  rqp run-sql <sql> [qa...]    (mark epps with `-- epp` comments)\n  rqp compare <query>\n  rqp figures [id]   (ids: {ids})\n  rqp compile <query> [--dir DIR] [--threads N] [--force] [--lazy [--points N]]\n  rqp serve [--addr HOST:PORT] [--dir DIR] [--queries q1,q2] [--workers N] [--queue N] [--threads N]\n           [--shards N] [--max-conns N] [--cache-mb MB] [--tenant-quota N] [--pool-frames N] [--recover]\n           (every artifact in --dir is servable via the LRU cache; --queries are pinned)\n           (--recover: replay the intent journal, quarantine corrupt artifacts,\n            and pre-warm the LRU cache from the persisted hot-set manifest)\n           (env: RQP_FAULT_RATE=R RQP_FAULT_SEED=N enable fault injection)\n  rqp bench-serve [--queries q1,q2] [--clients N] [--secs S] [--pipeline D] [--dir DIR]\n           [--workers N] [--shards N] [--queue N] [--threads N] [--min-rps R]\n           (closed-loop throughput/latency bench over precompiled explains)\n  rqp client <addr> <method> [query] [qa...] [--deadline-ms N]\n  rqp chaos [query] [--seed N] [--rate R]   (defaults: 2D_Q91, seed 42, rate 0.1;\n           also sweeps the page-level fault sites over the paged backend and the\n           penalty-aware risk evaluation)\n  rqp chaos --crash [--seed N]   crash-recovery matrix: abort the victim process at\n           every named crashpoint (RQP_CRASH_POINT) plus 5 seeded random-delay\n           SIGKILL rounds, recover, and assert bit-identical reports\n  rqp trace <query> [{algos}] [qa...] [--jsonl FILE] [--flame FILE]\n           (env: RQP_TRACE=jsonl:FILE mirrors the event stream to FILE)\n  rqp trace --check <file>   validate a JSONL trace file"
     );
     ExitCode::FAILURE
 }
@@ -1018,6 +1023,48 @@ fn check_trace_file(path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `rqp figures [id]`: runs one row of the figures table, or all of them,
+/// at every query's default grid; prints each table as markdown with its
+/// wall time, writes `target/experiments/<id>.json`, and fails naming the
+/// first claim that does not hold.
+fn figures(id: Option<&str>) -> ExitCode {
+    let rows: Vec<_> = match id {
+        None => FIGURES.iter().collect(),
+        Some(id) => match rqp::figures::find(id) {
+            Some(f) => vec![f],
+            None => {
+                eprintln!("unknown figure {id}");
+                return usage();
+            }
+        },
+    };
+    let (lab, total) = (Lab::full(), std::time::Instant::now());
+    let mut failed = None;
+    for f in rows {
+        println!("### {} — {}\n", f.id, f.title);
+        let start = std::time::Instant::now();
+        let table = (f.run)(&lab);
+        let secs = start.elapsed().as_secs_f64();
+        println!("{}", table.markdown());
+        rqp::experiments::write_json(f.id, &table);
+        match (f.claim)(&table) {
+            Ok(()) => println!("{}: claim holds ({secs:.1} s)\n", f.id),
+            Err(e) => {
+                println!("{}: CLAIM FAILED: {e} ({secs:.1} s)\n", f.id);
+                failed.get_or_insert(format!("{}: {e}", f.id));
+            }
+        }
+    }
+    println!("total {:.1} s", total.elapsed().as_secs_f64());
+    match failed {
+        None => ExitCode::SUCCESS,
+        Some(e) => {
+            eprintln!("first failed claim: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -1168,14 +1215,13 @@ fn main() -> ExitCode {
             };
             let exp = Experiment::build(tpcds::catalog_sf100(), bench, EnumerationMode::LeftDeep);
             let row = compare(&exp, 2.0, 0.2);
-            let rows: Vec<Vec<String>> = (Strategy::ALL.into_iter())
-                .map(|s| {
-                    let (msog, msoe, aso) = row.stats(s);
-                    vec![s.name().into(), fmt(msog, 1), fmt(msoe, 1), fmt(aso, 2)]
-                })
-                .collect();
-            let title = format!("{name}: comparison");
-            print_table(&title, &["strategy", "MSOg", "MSOe", "ASO"], &rows);
+            let mut table = Table::new(&["strategy", "MSOg", "MSOe", "ASO"]);
+            for s in Strategy::ALL {
+                let (msog, msoe, aso) = row.stats(s);
+                let cells = [Cell::Num(msog, 1), Cell::Num(msoe, 1), Cell::Num(aso, 2)];
+                table.push([vec![s.name().into()], cells.to_vec()].concat());
+            }
+            println!("{name}: comparison\n\n{}", table.markdown());
             println!(
                 "penalty-aware prior-expected sub-optimality: {:.4} (native plan {:.4}), \
                  CVaR {:.4} — expected-case guarantee: PA ≤ native under the prior",
@@ -1183,6 +1229,7 @@ fn main() -> ExitCode {
             );
             ExitCode::SUCCESS
         }
+        Some("figures") => figures(args.get(1).map(String::as_str)),
         Some("compile") => {
             let Some(name) = args.get(1).filter(|n| !n.starts_with("--")) else {
                 return usage();

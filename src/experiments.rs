@@ -1,10 +1,8 @@
-//! Shared experiment harness for the benchmark binaries.
-//!
-//! Each `benches/` target regenerates one table or figure of the paper;
-//! they all share this plumbing: building the POSP surface for a workload
-//! query, computing guarantees and exhaustive empirical statistics for
-//! every algorithm, and persisting machine-readable results under
-//! `target/experiments/` (the source for `EXPERIMENTS.md`).
+//! Shared experiment plumbing for the figures table, the CLI, the benches
+//! and the examples: building the POSP surface for a workload query,
+//! computing guarantees and exhaustive empirical statistics for every
+//! strategy, and persisting machine-readable results under
+//! `target/experiments/`.
 
 use rqp_artifacts::{CompiledArtifact, PenaltySummary};
 use rqp_catalog::Catalog;
@@ -70,8 +68,8 @@ impl Experiment {
 }
 
 /// Full comparison of one query across algorithms — the data behind
-/// Figs. 8, 10, 11, 13 and Table 4.
-#[derive(Debug, Clone, PartialEq, Serialize, serde::Deserialize)]
+/// Figs. 8, 10, 11, 13, 14 and Table 4.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonRow {
     /// Query name (`xD_Qz`).
     pub name: String,
@@ -109,15 +107,13 @@ pub struct ComparisonRow {
     /// choice under the seeded selectivity-error prior.
     pub aso_prior_pa: f64,
     /// Prior-weighted ASO of the native plan under the same prior —
-    /// `aso_prior_pa <= aso_prior_native` by construction (the fig14
-    /// gate).
+    /// `aso_prior_pa <= aso_prior_native` by construction (FIG14's
+    /// claim).
     pub aso_prior_native: f64,
     /// CVaR (alpha = 0.9) of the penalty-aware choice under the prior.
     pub pa_cvar: f64,
     /// Maximum AlignedBound part penalty observed (Table 4).
     pub ab_max_penalty: f64,
-    /// Surface preprocessing seconds.
-    pub build_secs: f64,
 }
 
 impl ComparisonRow {
@@ -198,7 +194,6 @@ pub fn compare_with_threads(
         aso_prior_native: pa_sel.native.expected,
         pa_cvar: pa_sel.chosen.cvar,
         ab_max_penalty: ab_c.observed_max_penalty().expect("AlignedBound's penalty"),
-        build_secs: exp.build_secs,
     }
 }
 
@@ -239,99 +234,9 @@ pub fn penalty_summary(
     Ok((summary, sel))
 }
 
-/// Sequential-vs-parallel wall-clock comparison for one query's
-/// exhaustive evaluation (matrix build + every strategy's sweep).
-#[derive(Debug, Clone, Serialize, serde::Deserialize)]
-pub struct SpeedupRow {
-    /// Query name.
-    pub name: String,
-    /// Worker threads used for the parallel run.
-    pub threads: usize,
-    /// Wall-clock seconds of the seed's evaluation path (recost per
-    /// location, no shared matrix, single-threaded).
-    pub seed_secs: f64,
-    /// Wall-clock seconds of the single-threaded cached evaluation.
-    pub seq_secs: f64,
-    /// Wall-clock seconds of the `threads`-worker cached evaluation.
-    pub par_secs: f64,
-    /// `seq_secs / par_secs` (thread scaling alone).
-    pub speedup: f64,
-    /// `seed_secs / par_secs` (shared matrix + memoization + threads).
-    pub speedup_vs_seed: f64,
-}
-
-/// Times the full every-strategy evaluation of `exp` sequentially and
-/// with `threads` workers, panicking if the two disagree bit-for-bit on
-/// any reported statistic. The returned row is what the fig10–fig13 and
-/// micro harnesses print as their "parallel evaluation" section.
-pub fn measure_speedup(exp: &Experiment, ratio: f64, lambda: f64, threads: usize) -> SpeedupRow {
-    // The seed's evaluation path: one full recost (or spill binary search
-    // with per-probe recosting) per strategy per grid location.
-    let opt = exp.optimizer();
-    let params = Params {
-        ratio,
-        lambda,
-        ..Params::default()
-    };
-    let ts = Instant::now();
-    let seed =
-        Strategy::ALL.map(|s| sweep(s, CostSource::Recost(&exp.surface, &opt), &params, 1).0);
-    let seed_secs = ts.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    let seq = compare_with_threads(exp, ratio, lambda, 1);
-    let seq_secs = t0.elapsed().as_secs_f64();
-    for (s, seed) in Strategy::ALL.into_iter().zip(seed) {
-        let (seed, cached) = (seed.mso, seq.stats(s).1);
-        assert_eq!(
-            seed.to_bits(),
-            cached.to_bits(),
-            "{}: {} MSOe diverged between the seed path ({seed}) and the cached path ({cached})",
-            exp.bench.query.name,
-            s.name()
-        );
-    }
-    let t1 = Instant::now();
-    let par = compare_with_threads(exp, ratio, lambda, threads);
-    let par_secs = t1.elapsed().as_secs_f64();
-    // Every statistic is finite and at least 1, so `==` is bit equality.
-    assert_eq!(
-        seq, par,
-        "{}: the sequential and {threads}-thread comparisons diverged",
-        exp.bench.query.name
-    );
-    SpeedupRow {
-        name: exp.bench.query.name.clone(),
-        threads,
-        seed_secs,
-        seq_secs,
-        par_secs,
-        speedup: seq_secs / par_secs,
-        speedup_vs_seed: seed_secs / par_secs,
-    }
-}
-
-/// Prints a [`SpeedupRow`] in the shared harness format.
-pub fn print_speedup(row: &SpeedupRow) {
-    println!(
-        "[parallel evaluation] {}: seed path {:.3}s, cached sequential {:.3}s, {} threads \
-         {:.3}s -> {:.2}x vs cached sequential, {:.2}x vs the seed path \
-         (bit-equal results; set RQP_THREADS to change the worker count)",
-        row.name,
-        row.seed_secs,
-        row.seq_secs,
-        row.threads,
-        row.par_secs,
-        row.speedup,
-        row.speedup_vs_seed
-    );
-}
-
-/// Worker-thread count for a harness or CLI invocation, resolved in
-/// priority order: a `--threads N` command-line override, then the
-/// `RQP_THREADS` environment knob, then `default`. Every bench harness
-/// and the `rqp` CLI share this one resolution (it used to be
-/// copy-pasted per harness).
+/// Worker-thread count for an `rqp` invocation, resolved in priority
+/// order: a `--threads N` command-line override, then the `RQP_THREADS`
+/// environment knob, then `default`.
 pub fn harness_threads(default: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();
     if let Some(pos) = args.iter().position(|a| a == "--threads") {
@@ -349,23 +254,7 @@ pub fn harness_threads(default: usize) -> usize {
     }
 }
 
-/// The standard "parallel evaluation" trailer shared by the figure
-/// harnesses: measures the sequential-vs-parallel speedup of the full
-/// every-strategy sweep on `dD_Q91`, prints it, and persists it as
-/// `target/experiments/<json_name>.json`. The worker count comes from
-/// [`harness_threads`] (`--threads N`, then `RQP_THREADS`, then 4).
-pub fn speedup_section(d: usize, json_name: &str) -> SpeedupRow {
-    let threads = harness_threads(4);
-    let catalog = rqp_catalog::tpcds::catalog_sf100();
-    let bench = rqp_workloads::q91_with_dims(&catalog, d);
-    let exp = Experiment::build(catalog, bench, EnumerationMode::LeftDeep);
-    let row = measure_speedup(&exp, 2.0, 0.2, threads);
-    print_speedup(&row);
-    write_json(json_name, &row);
-    row
-}
-
-/// Directory where benchmark harnesses persist their results.
+/// Directory where `rqp figures` and the bench harnesses persist results.
 pub fn output_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("target")
@@ -380,190 +269,4 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     let json = serde_json::to_string_pretty(value).expect("serialize experiment");
     std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     println!("[saved {}]", path.display());
-}
-
-/// Prints an aligned plain-text table (benchmark harness output format).
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let fmt_row = |cells: &[String]| {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:>w$}", c, w = widths[i]))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let header_cells: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    println!("{}", fmt_row(&header_cells));
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
-    );
-    for row in rows {
-        println!("{}", fmt_row(row));
-    }
-}
-
-/// Rounds to a fixed number of decimals for table display.
-pub fn fmt(v: f64, decimals: usize) -> String {
-    format!("{v:.decimals$}")
-}
-
-/// Re-export of [`rqp_core::spillbound_guarantee_ratio`] for the bench
-/// harnesses.
-pub use rqp_core::spillbound_guarantee_ratio;
-
-/// Computes (or loads from `target/experiments/suite_comparison.json`) the
-/// full-suite comparison. Several figure harnesses share this data; the
-/// first one to run pays the cost.
-pub fn suite_comparison_cached() -> Vec<ComparisonRow> {
-    let path = output_dir().join("suite_comparison.json");
-    // The cache is keyed by nothing but its presence: after changing any
-    // algorithm or workload, delete target/experiments/ or set
-    // RQP_FORCE_RECOMPUTE=1 to avoid silently reusing stale numbers.
-    let force = std::env::var_os("RQP_FORCE_RECOMPUTE").is_some();
-    if force {
-        let _ = std::fs::remove_file(&path);
-    }
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(rows) = serde_json::from_str::<Vec<ComparisonRow>>(&text) {
-            let expected = rqp_workloads::paper_suite(&rqp_catalog::tpcds::catalog_sf100()).len();
-            if rows.len() == expected {
-                println!("[reusing cached {}]", path.display());
-                return rows;
-            }
-        }
-    }
-    let catalog = rqp_catalog::tpcds::catalog_sf100();
-    let suite = rqp_workloads::paper_suite(&catalog);
-    let threads = env_threads();
-    let mut rows = Vec::with_capacity(suite.len());
-    for bench in suite {
-        let name = bench.query.name.clone();
-        eprintln!("[evaluating {name} with {threads} thread(s) ...]");
-        let exp = Experiment::build(
-            rqp_catalog::tpcds::catalog_sf100(),
-            bench,
-            EnumerationMode::LeftDeep,
-        );
-        rows.push(compare(&exp, 2.0, 0.2));
-    }
-    write_json("suite_comparison", &rows);
-    rows
-}
-
-/// Renders the suite comparison as a markdown report (the generated
-/// companion to `EXPERIMENTS.md`), written to
-/// `target/experiments/report.md` by [`write_report`].
-pub fn render_report(rows: &[ComparisonRow]) -> String {
-    use std::fmt::Write as _;
-    let mut md = String::from(
-        "# rqp experiment report\n\n\
-         Generated from the exhaustive suite comparison (MSO guarantees, \
-         empirical MSO/ASO, AlignedBound penalties).\n\n\
-         | query | D | ρ_red | PB MSOg | SB MSOg | PB MSOe | SB MSOe | AB MSOe | 2D+2 | PB ASO | SB ASO | AB ASO | AB max ε | native MSOe |\n\
-         |---|---|---|---|---|---|---|---|---|---|---|---|---|\n",
-    );
-    for r in rows {
-        let _ = writeln!(
-            md,
-            "| {} | {} | {} | {:.1} | {:.0} | {:.1} | {:.1} | {:.1} | {:.0} | {:.2} | {:.2} | {:.2} | {:.2} | {:.3e} |",
-            r.name,
-            r.d,
-            r.rho_red,
-            r.msog_pb,
-            r.msog_sb,
-            r.msoe_pb,
-            r.msoe_sb,
-            r.msoe_ab,
-            r.msog_ab_lower,
-            r.aso_pb,
-            r.aso_sb,
-            r.aso_ab,
-            r.ab_max_penalty,
-            r.msoe_native,
-        );
-    }
-    let sb_wins = rows.iter().filter(|r| r.msoe_sb <= r.msoe_pb).count();
-    let ab_wins = rows.iter().filter(|r| r.msoe_ab <= r.msoe_sb).count();
-    let _ = write!(
-        md,
-        "\n- SpillBound ≤ PlanBouquet (MSOe): {sb_wins}/{} queries\n\
-         - AlignedBound ≤ SpillBound (MSOe): {ab_wins}/{} queries\n\
-         - every SB MSOe within its D²+3D guarantee: {}\n",
-        rows.len(),
-        rows.len(),
-        rows.iter().all(|r| r.msoe_sb <= r.msog_sb * (1.0 + 1e-9)),
-    );
-    md
-}
-
-/// Writes [`render_report`] output to `target/experiments/report.md`.
-pub fn write_report(rows: &[ComparisonRow]) {
-    let path = output_dir().join("report.md");
-    std::fs::write(&path, render_report(rows))
-        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!("[saved {}]", path.display());
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn row(name: &str, msoe_sb: f64, msoe_pb: f64) -> ComparisonRow {
-        ComparisonRow {
-            name: name.into(),
-            d: 3,
-            rho_red: 5,
-            msog_pb: 24.0,
-            msog_sb: 18.0,
-            msog_ab_lower: 8.0,
-            msoe_pb,
-            msoe_sb,
-            msoe_ab: msoe_sb * 0.9,
-            aso_pb: 4.0,
-            aso_sb: 2.0,
-            aso_ab: 1.9,
-            msoe_native: 1e6,
-            aso_native: 9.0e5,
-            msoe_pa: 1.5,
-            aso_pa: 1.2,
-            aso_prior_pa: 1.1,
-            aso_prior_native: 1.3,
-            pa_cvar: 2.0,
-            ab_max_penalty: 2.5,
-            build_secs: 0.1,
-        }
-    }
-
-    #[test]
-    fn report_contains_rows_and_verdicts() {
-        let rows = vec![row("3D_QA", 10.0, 20.0), row("3D_QB", 12.0, 15.0)];
-        let md = render_report(&rows);
-        assert!(md.contains("| 3D_QA |"));
-        assert!(md.contains("| 3D_QB |"));
-        assert!(md.contains("SpillBound ≤ PlanBouquet (MSOe): 2/2"));
-        assert!(md.contains("within its D²+3D guarantee: true"));
-    }
-
-    #[test]
-    fn ratio_guarantee_reexport_consistent() {
-        assert_eq!(spillbound_guarantee_ratio(2, 2.0), 10.0);
-    }
-
-    #[test]
-    fn print_table_is_well_formed() {
-        // smoke: no panic on ragged-ish content, alignment computed
-        print_table(
-            "t",
-            &["a", "long-header"],
-            &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
-        );
-    }
 }

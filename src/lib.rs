@@ -53,4 +53,5 @@ pub use rqp_storage as storage;
 pub use rqp_workloads as workloads;
 
 pub mod experiments;
+pub mod figures;
 pub mod runner;
