@@ -19,16 +19,12 @@
 //!   (plus the native choice) against the prior and pick the risk
 //!   minimizer, reading the cost matrix or recosting. Per-plan risk is a
 //!   pure function of the plan, so every thread count and both cost
-//!   sources are bit-identical;
-//! * [`select_ctx_faulted`] — the same selection under injected oracle
-//!   faults: transients are absorbed by retries (bit-identical
-//!   selection), persistent faults surface as a typed
-//!   [`RqpError::Fault`].
+//!   sources are bit-identical.
 //!
 //! Because the candidate set always contains the native plan, the
 //! chosen plan's expected sub-optimality under the prior is ≤ the
-//! native plan's *by construction* — the guarantee the fig14 bench
-//! gate and the differential suite pin.
+//! native plan's *by construction* — the guarantee the FIG14 claim of
+//! `rqp figures` and the differential suite pin.
 //!
 //! Every path scores candidates with one kernel, `risk`, over a row of
 //! costs by flat grid index: a matrix row read in place, or one scratch
@@ -44,12 +40,10 @@
 //! * a NaN or negative penalty panics.
 
 use crate::cached::EvalContext;
-use crate::faulty::FaultStats;
 use crate::native::NativeChoice;
 use crate::strategy::CostSource;
 use rqp_common::{chunk_bounds, Cost, GridIdx, MultiGrid, Result, RqpError};
 use rqp_ess::SurfaceAccess;
-use rqp_faults::{FaultPlan, FaultSite, RetryPolicy};
 use rqp_optimizer::{Optimizer, PlanId, PlanNode};
 
 /// Shape of the selectivity-error prior.
@@ -474,20 +468,18 @@ fn candidates(
 
 /// Every candidate's risk, in order: a pool candidate over a matrix reads
 /// its row in place, any other is recosted into one scratch row at the
-/// support's cells. `gate` runs before each candidate and may abort.
+/// support's cells.
 fn risks(
     source: CostSource<'_>,
     support: &[(GridIdx, f64, Cost)],
     alpha: f64,
     cands: &[(Option<PlanId>, PlanNode)],
-    mut gate: impl FnMut(Option<PlanId>) -> Result<()>,
-) -> Result<Vec<PlanRisk>> {
+) -> Vec<PlanRisk> {
     let (opt, grid) = (source.opt(), source.surface().grid());
     let mut keys = Vec::with_capacity(support.len());
     let mut scratch = Vec::new();
     (cands.iter())
         .map(|(pid, plan)| {
-            gate(*pid)?;
             let row = match (source, *pid) {
                 (CostSource::Matrix(ctx), Some(pid)) => ctx.matrix().row(pid),
                 _ => {
@@ -499,12 +491,12 @@ fn risks(
                 }
             };
             let (expected, cvar) = risk(row, support, alpha, &mut keys);
-            Ok(PlanRisk {
+            PlanRisk {
                 plan_id: *pid,
                 fingerprint: plan.fingerprint(),
                 expected,
                 cvar,
-            })
+            }
         })
         .collect()
 }
@@ -603,64 +595,21 @@ pub(crate) fn selection(
     threads: usize,
 ) -> Result<PenaltySelection> {
     let (cands, native_idx, support) = candidates(source, native, prior, cfg)?;
-    let chunk_risks =
-        |(lo, hi): (usize, usize)| risks(source, &support, cfg.alpha, &cands[lo..hi], |_| Ok(()));
+    let chunk_risks = |(lo, hi): (usize, usize)| risks(source, &support, cfg.alpha, &cands[lo..hi]);
     let bounds = chunk_bounds(cands.len(), threads);
     let risks = if bounds.len() <= 1 {
-        chunk_risks((0, cands.len()))?
+        chunk_risks((0, cands.len()))
     } else {
         std::thread::scope(|s| {
             let handles: Vec<_> = (bounds.iter())
                 .map(|&b| s.spawn(move || chunk_risks(b)))
                 .collect();
             (handles.into_iter())
-                .map(|h| h.join().expect("risk worker panicked"))
-                .collect::<Result<Vec<_>>>()
-        })?
-        .concat()
+                .flat_map(|h| h.join().expect("risk worker panicked"))
+                .collect()
+        })
     };
     Ok(assemble(cands, native_idx, risks, prior, cfg))
-}
-
-/// [`select`] under injected oracle faults: each candidate's risk
-/// integration is one fallible oracle call at
-/// [`FaultSite::OracleFull`], retried under `retry`. Absorbed
-/// transients recompute the identical pure risk, so the selection is
-/// bit-identical to the un-faulted path; a fault persisting through
-/// every attempt yields a typed [`RqpError::Fault`]. Returns the
-/// selection plus the fault accounting.
-pub fn select_ctx_faulted(
-    ctx: &EvalContext<'_>,
-    prior: &SelectivityPrior,
-    cfg: &PenaltyConfig,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-) -> Result<(PenaltySelection, FaultStats)> {
-    let source = CostSource::Matrix(ctx);
-    let native = NativeChoice::compute(ctx.surface(), ctx.opt());
-    let (cands, native_idx, support) = candidates(source, native, prior, cfg)?;
-    let mut stats = FaultStats::default();
-    let attempts = retry.max_attempts.max(1);
-    let shot = |pid: Option<PlanId>| {
-        for attempt in 0..attempts {
-            if plan.shot(FaultSite::OracleFull).is_none() {
-                return Ok(());
-            }
-            stats.faults_injected += 1;
-            if attempt + 1 < attempts {
-                stats.retries += 1;
-                stats.backoff_total += retry.backoff(attempt);
-                retry.pause(attempt);
-            }
-        }
-        Err(RqpError::Fault(format!(
-            "transient fault at {} persisted through {attempts} attempts \
-             during risk evaluation of candidate {pid:?}",
-            FaultSite::OracleFull.name(),
-        )))
-    };
-    let risks = risks(source, &support, cfg.alpha, &cands, shot)?;
-    Ok((assemble(cands, native_idx, risks, prior, cfg), stats))
 }
 
 #[cfg(test)]
@@ -875,41 +824,5 @@ mod tests {
             );
             last = native_cvar;
         }
-    }
-
-    #[test]
-    fn faulted_selection_absorbs_transients_bit_identically() {
-        let fx = star2_surface(9);
-        let ctx = EvalContext::new(&fx.surface, &fx.opt);
-        let prior = prior_for(&fx);
-        let cfg = PenaltyConfig::default();
-        let clean = select(&ctx, &prior, &cfg, 1).unwrap();
-        let plan = FaultPlan::new(42).with_site(FaultSite::OracleFull, 0.3);
-        let (faulted, stats) =
-            select_ctx_faulted(&ctx, &prior, &cfg, &plan, &RetryPolicy::no_sleep(6)).unwrap();
-        assert!(stats.faults_injected > 0, "rate 0.3 must fire");
-        assert_eq!(faulted.chosen.fingerprint, clean.chosen.fingerprint);
-        assert_eq!(
-            faulted.chosen.expected.to_bits(),
-            clean.chosen.expected.to_bits()
-        );
-        assert_eq!(faulted.chosen.cvar.to_bits(), clean.chosen.cvar.to_bits());
-    }
-
-    #[test]
-    fn persistent_faults_yield_typed_error() {
-        let fx = star2_surface(8);
-        let ctx = EvalContext::new(&fx.surface, &fx.opt);
-        let prior = prior_for(&fx);
-        let plan = FaultPlan::new(5).with_site(FaultSite::OracleFull, 1.0);
-        let err = select_ctx_faulted(
-            &ctx,
-            &prior,
-            &PenaltyConfig::default(),
-            &plan,
-            &RetryPolicy::no_sleep(4),
-        )
-        .unwrap_err();
-        assert!(matches!(err, RqpError::Fault(_)), "got {err:?}");
     }
 }

@@ -12,9 +12,6 @@
 //! rqp serve                         serve compiled artifacts over TCP
 //!                                   (--recover: journal replay + quarantine + cache pre-warm)
 //! rqp client <addr> <method> ...    issue one request to a server
-//! rqp chaos [query]                 seeded fault-injection sweep (MSO under faults)
-//! rqp chaos --crash                 crash-recovery matrix (abort at every named
-//!                                   crashpoint + seeded SIGKILL rounds, then recover)
 //! rqp trace <query> [algo] [qa...]  per-contour budget/cost timeline of one run
 //! rqp trace --check <file>          validate a JSONL trace against the event schema
 //! ```
@@ -25,18 +22,20 @@
 //! selectivity prior) — or, for `run`, `pop` (re-optimization baseline).
 //! `qa` is one selectivity per error-prone predicate (defaults to the
 //! middle of the space).
+//!
+//! A malformed flag or selectivity ends the process with exit code 1,
+//! naming what was wrong; nothing falls back to a default silently.
 
 use rqp::artifacts::{ArtifactStore, CompiledArtifact, Provenance, SparseArtifact};
 use rqp::catalog::tpcds;
-use rqp::common::RqpError;
 use rqp::core::report::ExecMode;
 use rqp::core::{
-    lazy_warm_up, CostOracle, CostSource, FaultyOracle, Outcome, Params, PenaltySelection,
-    PopReoptimizer, RunReport, SpillBound, Strategy,
+    lazy_warm_up, CostOracle, CostSource, Outcome, Params, PenaltySelection, PopReoptimizer,
+    RunReport, SpillBound, Strategy,
 };
 use rqp::ess::{ContourSet, LazySurface, SurfaceAccess};
-use rqp::experiments::{compare, harness_threads, Experiment};
-use rqp::faults::{FaultPlan, FaultSite, RetryPolicy};
+use rqp::experiments::{compare, env_threads, Experiment};
+use rqp::faults::{FaultPlan, RetryPolicy};
 use rqp::figures::{Cell, Lab, Table, FIGURES};
 use rqp::obs::{
     prof, JsonlSink, MetricValue, MetricsRegistry, RingSink, TeeSink, TraceEvent, TraceRecord,
@@ -45,7 +44,10 @@ use rqp::obs::{
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer, SparseCostMatrix};
 use rqp::server::{serve, ArtifactCache, Client, Registry, ServedQuery, ServerConfig};
 use rqp::workloads::{paper_suite, q91_with_dims};
+use std::fmt::Display;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 fn usage() -> ExitCode {
@@ -53,7 +55,7 @@ fn usage() -> ExitCode {
     let ids: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
     let ids = ids.join(" ");
     eprintln!(
-        "usage:\n  rqp list\n  rqp explore <query>\n  rqp run <query> <{algos}|pop> [qa...]\n  rqp run <query> <{algos}> --paged [--pool-frames N]\n           (executor-backed out-of-core run over the slotted-page store;\n            env: RQP_PAGE_SIZE / RQP_POOL_FRAMES)\n  rqp run-sql <sql> [qa...]    (mark epps with `-- epp` comments)\n  rqp compare <query>\n  rqp figures [id]   (ids: {ids})\n  rqp compile <query> [--dir DIR] [--threads N] [--force] [--lazy [--points N]]\n  rqp serve [--addr HOST:PORT] [--dir DIR] [--queries q1,q2] [--workers N] [--queue N] [--threads N]\n           [--shards N] [--max-conns N] [--cache-mb MB] [--tenant-quota N] [--pool-frames N] [--recover]\n           (every artifact in --dir is servable via the LRU cache; --queries are pinned)\n           (--recover: replay the intent journal, quarantine corrupt artifacts,\n            and pre-warm the LRU cache from the persisted hot-set manifest)\n           (env: RQP_FAULT_RATE=R RQP_FAULT_SEED=N enable fault injection)\n  rqp bench-serve [--queries q1,q2] [--clients N] [--secs S] [--pipeline D] [--dir DIR]\n           [--workers N] [--shards N] [--queue N] [--threads N] [--min-rps R]\n           (closed-loop throughput/latency bench over precompiled explains)\n  rqp client <addr> <method> [query] [qa...] [--deadline-ms N]\n  rqp chaos [query] [--seed N] [--rate R]   (defaults: 2D_Q91, seed 42, rate 0.1;\n           also sweeps the page-level fault sites over the paged backend and the\n           penalty-aware risk evaluation)\n  rqp chaos --crash [--seed N]   crash-recovery matrix: abort the victim process at\n           every named crashpoint (RQP_CRASH_POINT) plus 5 seeded random-delay\n           SIGKILL rounds, recover, and assert bit-identical reports\n  rqp trace <query> [{algos}] [qa...] [--jsonl FILE] [--flame FILE]\n           (env: RQP_TRACE=jsonl:FILE mirrors the event stream to FILE)\n  rqp trace --check <file>   validate a JSONL trace file"
+        "usage:\n  rqp list\n  rqp explore <query>\n  rqp run <query> <{algos}|pop> [qa...]\n  rqp run <query> <{algos}> --paged [--pool-frames N]\n           (executor-backed out-of-core run over the slotted-page store;\n            env: RQP_PAGE_SIZE / RQP_POOL_FRAMES)\n  rqp run-sql <sql> [qa...]    (mark epps with `-- epp` comments)\n  rqp compare <query>\n  rqp figures [id]   (ids: {ids})\n  rqp compile <query> [--dir DIR] [--threads N] [--force] [--lazy [--points N]]\n  rqp serve [--addr HOST:PORT] [--dir DIR] [--queries q1,q2] [--workers N] [--queue N] [--threads N]\n           [--shards N] [--max-conns N] [--cache-mb MB] [--tenant-quota N] [--pool-frames N] [--recover]\n           (every artifact in --dir is servable via the LRU cache; --queries are pinned)\n           (--recover: replay the intent journal, quarantine corrupt artifacts,\n            and pre-warm the LRU cache from the persisted hot-set manifest)\n           (env: RQP_FAULT_RATE=R RQP_FAULT_SEED=N enable fault injection)\n  rqp bench-serve [--queries q1,q2] [--clients N] [--secs S] [--pipeline D] [--dir DIR]\n           [--workers N] [--shards N] [--queue N] [--threads N] [--min-rps R]\n           (closed-loop throughput/latency bench over precompiled explains)\n  rqp client <addr> <method> [query] [qa...] [--deadline-ms N]\n  rqp trace <query> [{algos}] [qa...] [--jsonl FILE] [--flame FILE]\n           (env: RQP_TRACE=jsonl:FILE mirrors the event stream to FILE)\n  rqp trace --check <file>   validate a JSONL trace file"
     );
     ExitCode::FAILURE
 }
@@ -150,12 +152,51 @@ fn print_selection(sel: &PenaltySelection) {
     );
 }
 
-/// Value of `--flag V` in `args`, if present.
+/// Value of `--flag V` in `args`, if present; a flag with nothing after
+/// it exits 1.
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    let i = args.iter().position(|a| a == flag)?;
+    let value = args.get(i + 1).cloned();
+    value.or_else(|| fail(&format!("{flag} expects a value")))
+}
+
+/// `--flag V` parsed as a `T`, if present; a malformed `V` exits 1.
+fn flag<T: FromStr>(args: &[String], flag: &str) -> Option<T>
+where
+    T::Err: Display,
+{
+    flag_value(args, flag).map(|v| parse_arg(flag, &v))
+}
+
+/// `value` parsed as a `T`, or exit 1 naming `what` and the value.
+fn parse_arg<T: FromStr>(what: &str, value: &str) -> T
+where
+    T::Err: Display,
+{
+    (value.parse()).unwrap_or_else(|e| fail(&format!("{what}: invalid value {value:?} ({e})")))
+}
+
+/// Prints `msg` and exits 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1)
+}
+
+/// Worker threads: `--threads N` (N ≥ 1), else `RQP_THREADS`, else
+/// `default`.
+fn thread_count(args: &[String], default: usize) -> usize {
+    match flag::<NonZeroUsize>(args, "--threads") {
+        Some(n) => n.get(),
+        None if std::env::var_os("RQP_THREADS").is_some() => env_threads(),
+        None => default,
+    }
+}
+
+/// The comma-separated `--queries` list (default `2D_Q91`).
+fn query_names(args: &[String]) -> Vec<String> {
+    let list = flag_value(args, "--queries").unwrap_or_else(|| "2D_Q91".into());
+    let names = list.split(',').map(str::trim).filter(|s| !s.is_empty());
+    names.map(str::to_string).collect()
 }
 
 fn artifact_dir(args: &[String]) -> String {
@@ -166,11 +207,7 @@ fn artifact_dir(args: &[String]) -> String {
 /// from the environment, then a `--pool-frames N` command-line override.
 fn storage_config(args: &[String]) -> Result<rqp::storage::StorageConfig, String> {
     let mut config = rqp::storage::StorageConfig::from_env().map_err(|e| e.to_string())?;
-    if let Some(s) = flag_value(args, "--pool-frames") {
-        let n: usize = s
-            .trim()
-            .parse()
-            .map_err(|_| format!("--pool-frames expects an integer (got {s})"))?;
+    if let Some(n) = flag(args, "--pool-frames") {
         config = config.with_pool_frames(n);
     }
     config.validated().map_err(|e| e.to_string())
@@ -203,13 +240,7 @@ fn run_paged(name: &str, strategy: Strategy, args: &[String]) -> ExitCode {
     use rqp::runner::{measure_qa, ExecOracle};
     use rqp::storage::PagedStore;
 
-    let config = match storage_config(args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let config = storage_config(args).unwrap_or_else(|e| fail(&e));
     // Executable scale: synthetic TPC-DS at SF 0.1 — the sf100 statistics
     // catalog has no materializable data.
     let catalog = tpcds::catalog(0.1);
@@ -348,6 +379,27 @@ fn compile_one(
     Ok((artifact, prov))
 }
 
+/// A registry pinning `names`, each compiled or warm-loaded from `store`,
+/// with `faults` injected into its executions when given.
+fn pinned(
+    store: &ArtifactStore,
+    names: &[String],
+    threads: usize,
+    catalog: &'static rqp::catalog::Catalog,
+    faults: Option<&Arc<FaultPlan>>,
+) -> Result<Registry, String> {
+    let mut registry = Registry::new();
+    for name in names {
+        let (artifact, _) = compile_one(store, name, threads, false)?;
+        let mut q = ServedQuery::from_artifact(artifact, catalog).map_err(|e| e.to_string())?;
+        if let Some(p) = faults {
+            q = q.with_faults(Arc::clone(p), RetryPolicy::no_sleep(6));
+        }
+        registry.insert(q);
+    }
+    Ok(registry)
+}
+
 /// `rqp compile <query> --lazy [--points N]`: discover the contour
 /// skylines on a [`LazySurface`] (cells optimized on demand), run
 /// [`lazy_warm_up`]'s axis-probe discovery at its fixed qa sample, and
@@ -361,16 +413,12 @@ fn compile_lazy(args: &[String], name: &str) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let d = bench.query.ndims();
-    let points = match flag_value(args, "--points") {
-        Some(s) => match s.parse::<usize>() {
-            Ok(p) if p >= 2 => p,
-            _ => {
-                eprintln!("--points must be an integer >= 2 (got {s})");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => rqp::workloads::suite::lazy_grid_points(d),
-    };
+    let points =
+        flag(args, "--points").unwrap_or_else(|| rqp::workloads::suite::lazy_grid_points(d));
+    if points < 2 {
+        eprintln!("--points must be >= 2 (got {points})");
+        return ExitCode::FAILURE;
+    }
     let bench = bench.with_grid_points(points);
     let catalog = tpcds::catalog_sf100();
     let opt = match Optimizer::new(
@@ -657,216 +705,6 @@ fn crash_victim(args: &[String]) -> ExitCode {
         println!("victim done");
         ExitCode::SUCCESS
     } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// `rqp chaos --crash [--seed N]` — the crash-recovery matrix. For every
-/// named crashpoint: arm it via `RQP_CRASH_POINT`, run the victim until
-/// it aborts mid-mutation, then restart it with `--recover` and assert
-/// (a) recovery succeeds, (b) every surviving artifact parses, and
-/// (c) the recovered run's `report` lines are bit-identical to an
-/// uninterrupted reference run. Five additional rounds SIGKILL the
-/// victim at a seeded random delay, so torn state is exercised at
-/// arbitrary instants, not only at the curated points.
-fn chaos_crash(args: &[String]) -> ExitCode {
-    use std::process::{Command, Stdio};
-
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("cannot locate own executable: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let base = std::env::temp_dir().join(format!("rqp-crash-matrix-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-
-    let report_lines = |out: &std::process::Output| -> Vec<String> {
-        String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .filter(|l| l.starts_with("report "))
-            .map(str::to_string)
-            .collect()
-    };
-    let run_victim = |dir: &std::path::Path,
-                      recover: bool,
-                      crash: Option<&str>|
-     -> std::io::Result<std::process::Output> {
-        let mut cmd = Command::new(&exe);
-        cmd.arg("crash-victim").arg("--dir").arg(dir);
-        if recover {
-            cmd.arg("--recover");
-        }
-        cmd.env_remove("RQP_CRASH_POINT");
-        if let Some(point) = crash {
-            cmd.env("RQP_CRASH_POINT", point);
-        }
-        cmd.output()
-    };
-    // Every artifact that survived recovery must parse; a torn `.rqpa`
-    // in the store root means quarantine failed.
-    let artifacts_parse = |dir: &std::path::Path| -> bool {
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return false;
-        };
-        entries
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("rqpa"))
-            .all(|p| match rqp::artifacts::load_any_path(&p) {
-                Ok(_) => true,
-                Err(e) => {
-                    eprintln!("torn artifact survived recovery: {}: {e}", p.display());
-                    false
-                }
-            })
-    };
-    // Recovered rerun: must exit cleanly, reproduce the reference report
-    // bit-for-bit, and leave only parseable artifacts behind.
-    let recover_and_check = |dir: &std::path::Path, want: &[String], label: &str| -> bool {
-        match run_victim(dir, true, None) {
-            Ok(out) if out.status.success() => {
-                let got = report_lines(&out);
-                if got != want {
-                    eprintln!(
-                        "{label}: recovered report diverged\n  want: {want:?}\n  got:  {got:?}"
-                    );
-                    return false;
-                }
-                artifacts_parse(dir)
-            }
-            Ok(out) => {
-                eprintln!(
-                    "{label}: recovery rerun failed ({}):\n{}",
-                    out.status,
-                    String::from_utf8_lossy(&out.stderr)
-                );
-                false
-            }
-            Err(e) => {
-                eprintln!("{label}: cannot spawn recovery rerun: {e}");
-                false
-            }
-        }
-    };
-
-    // Uninterrupted reference run in a fresh directory.
-    let refdir = base.join("reference");
-    let _ = std::fs::create_dir_all(&refdir);
-    let want = match run_victim(&refdir, false, None) {
-        Ok(out) if out.status.success() => report_lines(&out),
-        Ok(out) => {
-            eprintln!(
-                "reference run failed ({}):\n{}",
-                out.status,
-                String::from_utf8_lossy(&out.stderr)
-            );
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("cannot spawn reference run: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if want.is_empty() {
-        eprintln!("reference run produced no report lines");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "crash matrix: seed {seed}, {} crashpoints + 5 sigkill rounds, reference = {} report lines",
-        rqp::faults::crash::POINTS.len(),
-        want.len()
-    );
-
-    let mut failures = 0usize;
-    for point in rqp::faults::crash::POINTS {
-        let dir = base.join(point.replace('.', "-"));
-        let _ = std::fs::create_dir_all(&dir);
-        // Armed run: the crashpoint must actually fire (abnormal exit).
-        let mut pass = match run_victim(&dir, false, Some(point)) {
-            Ok(out) if !out.status.success() => true,
-            Ok(_) => {
-                eprintln!("crashpoint {point}: armed victim exited cleanly (point never hit)");
-                false
-            }
-            Err(e) => {
-                eprintln!("crashpoint {point}: cannot spawn armed victim: {e}");
-                false
-            }
-        };
-        if pass {
-            pass = recover_and_check(&dir, &want, &format!("crashpoint {point}"));
-        }
-        println!("crashpoint {point}: {}", if pass { "PASS" } else { "FAIL" });
-        if !pass {
-            failures += 1;
-        }
-    }
-
-    // Seeded random-delay SIGKILL rounds: no curated point, just a hard
-    // kill at an arbitrary instant of the workload.
-    let mut state = seed;
-    let mut next = move || -> u64 {
-        // SplitMix64 — the workspace's standard seeded stream.
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    for round in 0..5u32 {
-        // The victim's mutation window is tens of milliseconds; keep the
-        // kill inside it.
-        let delay_ms = 1 + next() % 30;
-        let dir = base.join(format!("sigkill-{round}"));
-        let _ = std::fs::create_dir_all(&dir);
-        let label = format!("sigkill round {round}");
-        let mut pass = true;
-        let mut cmd = Command::new(&exe);
-        cmd.arg("crash-victim")
-            .arg("--dir")
-            .arg(&dir)
-            .env_remove("RQP_CRASH_POINT")
-            .stdout(Stdio::null())
-            .stderr(Stdio::null());
-        match cmd.spawn() {
-            Ok(mut child) => {
-                std::thread::sleep(std::time::Duration::from_millis(delay_ms));
-                // `Child::kill` is SIGKILL on unix: no destructors, no
-                // flushes — the hardest crash the harness can deal.
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            Err(e) => {
-                eprintln!("{label}: cannot spawn victim: {e}");
-                pass = false;
-            }
-        }
-        if pass {
-            pass = recover_and_check(&dir, &want, &label);
-        }
-        println!(
-            "crash sigkill round {round} (delay {delay_ms}ms): {}",
-            if pass { "PASS" } else { "FAIL" }
-        );
-        if !pass {
-            failures += 1;
-        }
-    }
-
-    let _ = std::fs::remove_dir_all(&base);
-    if failures == 0 {
-        println!(
-            "crash matrix passed: {} crashpoints + 5 sigkill rounds, all reports bit-identical",
-            rqp::faults::crash::POINTS.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("crash matrix FAILED: {failures} case(s)");
         ExitCode::FAILURE
     }
 }
@@ -1237,7 +1075,7 @@ fn main() -> ExitCode {
             if args.iter().any(|a| a == "--lazy") {
                 return compile_lazy(&args, name);
             }
-            let threads = harness_threads(4);
+            let threads = thread_count(&args, 4);
             let store = ArtifactStore::new(artifact_dir(&args));
             let force = args.iter().any(|a| a == "--force");
             // Cold pass (compile + save, unless a valid artifact exists
@@ -1308,6 +1146,28 @@ fn main() -> ExitCode {
         }
         Some("serve") => {
             let addr = flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7401".into());
+            let (threads, names) = (thread_count(&args, 4), query_names(&args));
+            let cache_mb: usize = flag(&args, "--cache-mb").unwrap_or(256);
+            let config = ServerConfig {
+                workers: flag(&args, "--workers").unwrap_or(4),
+                queue_capacity: flag(&args, "--queue").unwrap_or(64),
+                shards: flag(&args, "--shards").unwrap_or(2),
+                max_connections: flag(&args, "--max-conns").unwrap_or(1024),
+                tenant_quota: flag(&args, "--tenant-quota"),
+                ..ServerConfig::default()
+            };
+            // Out-of-core knob: --pool-frames caps any paged-backend
+            // buffer pool created in this process. Validated here, then
+            // exported through RQP_POOL_FRAMES so the storage layer's
+            // `from_env` resolution picks it up uniformly.
+            if args.iter().any(|a| a == "--pool-frames") {
+                let c = storage_config(&args).unwrap_or_else(|e| fail(&e));
+                std::env::set_var(rqp::storage::ENV_POOL_FRAMES, c.pool_frames.to_string());
+                println!(
+                    "storage: paged-backend pool budget {} frames x {} B pages",
+                    c.pool_frames, c.page_size
+                );
+            }
             // --recover runs crash recovery over the artifact directory
             // *before* anything is loaded from it: replay the intent
             // journal, sweep stray temp files, and quarantine corrupt
@@ -1324,60 +1184,13 @@ fn main() -> ExitCode {
                 report
             });
             let store = ArtifactStore::new(artifact_dir(&args));
-            let threads = harness_threads(4);
-            let names: Vec<String> = flag_value(&args, "--queries")
-                .unwrap_or_else(|| "2D_Q91".into())
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
             let catalog: &'static _ = Box::leak(Box::new(tpcds::catalog_sf100()));
-            // Out-of-core knob: --pool-frames caps any paged-backend
-            // buffer pool created in this process. Validated here, then
-            // exported through RQP_POOL_FRAMES so the storage layer's
-            // `from_env` resolution picks it up uniformly.
-            if args.iter().any(|a| a == "--pool-frames") {
-                match storage_config(&args) {
-                    Ok(c) => {
-                        std::env::set_var(rqp::storage::ENV_POOL_FRAMES, c.pool_frames.to_string());
-                        println!(
-                            "storage: paged-backend pool budget {} frames x {} B pages",
-                            c.pool_frames, c.page_size
-                        );
-                    }
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             // RQP_FAULT_RATE / RQP_FAULT_SEED turn on deterministic fault
             // injection across the oracles and socket paths; the breaker
             // + retry machinery absorbs it.
             let fault_plan = FaultPlan::from_env().map(Arc::new);
-            let mut registry = Registry::new();
-            for name in &names {
-                let artifact = match compile_one(&store, name, threads, false) {
-                    Ok((a, _)) => a,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                match ServedQuery::from_artifact(artifact, catalog) {
-                    Ok(q) => {
-                        let q = match &fault_plan {
-                            Some(p) => q.with_faults(Arc::clone(p), RetryPolicy::no_sleep(6)),
-                            None => q,
-                        };
-                        registry.insert(q)
-                    }
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
+            let registry = pinned(&store, &names, threads, catalog, fault_plan.as_ref())
+                .unwrap_or_else(|e| fail(&e));
             if let Some(p) = &fault_plan {
                 println!(
                     "fault injection active: seed {}, socket read/write faults enabled",
@@ -1387,9 +1200,6 @@ fn main() -> ExitCode {
             // Every artifact in --dir is servable, not only the pinned
             // --queries: an LRU byte-bounded cache faults the rest in on
             // first use and evicts under memory pressure.
-            let cache_mb: usize = flag_value(&args, "--cache-mb")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(256);
             let mut cache_store = ArtifactStore::new(artifact_dir(&args));
             if let Some(p) = &fault_plan {
                 cache_store = cache_store.with_faults(Arc::clone(p));
@@ -1416,21 +1226,8 @@ fn main() -> ExitCode {
             }
             let registry = registry.with_cache(cache);
             let config = ServerConfig {
-                workers: flag_value(&args, "--workers")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(4),
-                queue_capacity: flag_value(&args, "--queue")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(64),
-                shards: flag_value(&args, "--shards")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(2),
-                max_connections: flag_value(&args, "--max-conns")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(1024),
-                tenant_quota: flag_value(&args, "--tenant-quota").and_then(|s| s.parse().ok()),
                 faults: fault_plan,
-                ..ServerConfig::default()
+                ..config
             };
             match serve(registry, addr.as_str(), config) {
                 Ok(handle) => {
@@ -1461,58 +1258,22 @@ fn main() -> ExitCode {
             // and every response is checked byte-for-byte against a
             // single-threaded baseline. Throughput and latency quantiles
             // come from an `rqp-obs` histogram.
-            let store = ArtifactStore::new(artifact_dir(&args));
-            let threads = harness_threads(4);
-            let names: Vec<String> = flag_value(&args, "--queries")
-                .unwrap_or_else(|| "2D_Q91".into())
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
-            let clients: usize = flag_value(&args, "--clients")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(8)
-                .max(1);
-            let secs = flag_value(&args, "--secs")
-                .and_then(|s| s.parse::<f64>().ok())
-                .unwrap_or(3.0)
-                .max(0.1);
-            let min_rps: Option<f64> = flag_value(&args, "--min-rps").and_then(|s| s.parse().ok());
-            let pipeline: usize = flag_value(&args, "--pipeline")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(16)
-                .max(1);
-            let catalog: &'static _ = Box::leak(Box::new(tpcds::catalog_sf100()));
-            let mut registry = Registry::new();
-            for name in &names {
-                let artifact = match compile_one(&store, name, threads, false) {
-                    Ok((a, _)) => a,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                match ServedQuery::from_artifact(artifact, catalog) {
-                    Ok(q) => registry.insert(q),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
+            let (threads, names) = (thread_count(&args, 4), query_names(&args));
+            let clients = flag(&args, "--clients").unwrap_or(8usize).max(1);
+            let secs = flag(&args, "--secs").unwrap_or(3.0f64).max(0.1);
+            let pipeline = flag(&args, "--pipeline").unwrap_or(16usize).max(1);
+            let min_rps: Option<f64> = flag(&args, "--min-rps");
             let config = ServerConfig {
-                workers: flag_value(&args, "--workers")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(4),
-                queue_capacity: flag_value(&args, "--queue")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(256),
-                shards: flag_value(&args, "--shards")
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(4),
+                workers: flag(&args, "--workers").unwrap_or(4),
+                queue_capacity: flag(&args, "--queue").unwrap_or(256),
+                shards: flag(&args, "--shards").unwrap_or(4),
                 max_connections: 1024,
                 ..ServerConfig::default()
             };
+            let store = ArtifactStore::new(artifact_dir(&args));
+            let catalog: &'static _ = Box::leak(Box::new(tpcds::catalog_sf100()));
+            let registry =
+                pinned(&store, &names, threads, catalog, None).unwrap_or_else(|e| fail(&e));
             let (nworkers, nshards) = (config.workers, config.shards);
             let handle = match serve(registry, "127.0.0.1:0", config) {
                 Ok(h) => h,
@@ -1623,14 +1384,10 @@ fn main() -> ExitCode {
             let (Some(addr), Some(method)) = (args.get(1), args.get(2)) else {
                 return usage();
             };
-            let deadline_ms: Option<u64> =
-                flag_value(&args, "--deadline-ms").and_then(|s| s.parse().ok());
-            let mut positional = args[3..]
-                .iter()
-                .take_while(|a| !a.starts_with("--"))
-                .cloned();
+            let deadline_ms: Option<u64> = flag(&args, "--deadline-ms");
+            let mut positional = args[3..].iter().take_while(|a| !a.starts_with("--"));
             let query = positional.next();
-            let qa: Vec<f64> = positional.filter_map(|s| s.parse().ok()).collect();
+            let qa: Vec<f64> = positional.map(|s| parse_arg("selectivity", s)).collect();
             let mut client = match Client::connect(addr.as_str()) {
                 Ok(c) => c,
                 Err(e) => {
@@ -1638,7 +1395,8 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let line = rqp::server::request_line(1.0, method, query.as_deref(), &qa, deadline_ms);
+            let line =
+                rqp::server::request_line(1.0, method, query.map(String::as_str), &qa, deadline_ms);
             // Retry transient drops (including injected ones) with
             // backoff; `shutdown` is the one non-idempotent method.
             let result = if method == "shutdown" {
@@ -1666,392 +1424,6 @@ fn main() -> ExitCode {
             }
         }
         Some("crash-victim") => crash_victim(&args),
-        Some("chaos") => {
-            if args.iter().any(|a| a == "--crash") {
-                return chaos_crash(&args);
-            }
-            let name = args
-                .get(1)
-                .filter(|n| !n.starts_with("--"))
-                .cloned()
-                .unwrap_or_else(|| "2D_Q91".into());
-            let seed: u64 = flag_value(&args, "--seed")
-                .or_else(|| std::env::var("RQP_FAULT_SEED").ok())
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(42);
-            let rate: f64 = flag_value(&args, "--rate")
-                .or_else(|| std::env::var("RQP_FAULT_RATE").ok())
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0.1);
-            if !(0.0..=0.5).contains(&rate) {
-                eprintln!("--rate must be in [0, 0.5] for the transient sweep (got {rate})");
-                return ExitCode::FAILURE;
-            }
-            let Some(bench) = find_query(&name) else {
-                eprintln!("unknown query {name}; try `rqp list`");
-                return ExitCode::FAILURE;
-            };
-            let exp = Experiment::build(tpcds::catalog_sf100(), bench, EnumerationMode::LeftDeep);
-            let opt = exp.optimizer();
-            let grid = exp.surface.grid();
-            println!(
-                "chaos sweep on {name}: seed {seed}, transient fault rate {rate}, \
-                 {} locations x {} strategies",
-                exp.surface.len(),
-                Strategy::ALL.len()
-            );
-
-            // Per-location plan: the seed is salted with the location and
-            // the strategy so every (point, strategy) pair sees an
-            // independent but fully reproducible fault stream.
-            let point_plan = |qa: usize, s: Strategy| {
-                let salt = s as u64 + 1;
-                FaultPlan::new(seed ^ (qa as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt)
-                    .with_site(FaultSite::OracleSpill, rate)
-                    .with_site(FaultSite::OracleFull, rate)
-            };
-            let source = CostSource::Recost(&exp.surface, &opt);
-            let params = Params::default();
-            let compiled = Strategy::ALL.map(|s| s.compile(source, &params).expect("compiles"));
-            let mut faults = 0u64;
-            let mut retries = 0u64;
-            let mut wasted = 0.0f64;
-            let mut worst = [0.0f64; Strategy::ALL.len()];
-            let mut violations = 0usize;
-            for qa in 0..exp.surface.len() {
-                let opt_cost = exp.surface.opt_cost(qa);
-                for (c, worst) in compiled.iter().zip(&mut worst) {
-                    let (label, bound) = (c.strategy().short(), c.mso_guarantee());
-                    let plan = point_plan(qa, c.strategy());
-                    let inner = CostOracle::at_grid(&opt, grid, qa);
-                    let mut oracle = FaultyOracle::new(inner, &plan);
-                    let res = c.run(&mut oracle);
-                    let stats = oracle.stats();
-                    faults += stats.faults_injected;
-                    retries += stats.retries;
-                    wasted += stats.wasted_cost;
-                    match res {
-                        Ok(report) => {
-                            let sub = report.sub_optimality(opt_cost);
-                            *worst = worst.max(sub);
-                            if sub > bound * (1.0 + 1e-9) {
-                                violations += 1;
-                                eprintln!(
-                                    "VIOLATION: {label} at location {qa}: \
-                                     sub-optimality {sub:.3} exceeds the MSO bound {bound}"
-                                );
-                            }
-                        }
-                        Err(e) => {
-                            violations += 1;
-                            eprintln!("VIOLATION: {label} at location {qa}: {e}");
-                        }
-                    }
-                }
-            }
-            let sb = &compiled[Strategy::SpillBound as usize];
-
-            // Determinism: the same seed must replay to bit-identical
-            // results, fault stream included.
-            let qa0 = exp.surface.len() / 2;
-            let replay = || {
-                let plan = point_plan(qa0, Strategy::SpillBound);
-                let inner = CostOracle::at_grid(&opt, grid, qa0);
-                let mut oracle = FaultyOracle::new(inner, &plan);
-                let outcome = sb.run(&mut oracle).map(|r| r.total_cost.to_bits()).ok();
-                (
-                    outcome,
-                    oracle.stats().faults_injected,
-                    oracle.stats().retries,
-                )
-            };
-            let (first, second) = (replay(), replay());
-            if first != second {
-                violations += 1;
-                eprintln!("VIOLATION: replay with seed {seed} diverged: {first:?} vs {second:?}");
-            }
-
-            // Persistent faults: every probe fails, so discovery must
-            // surface a typed error quickly — never hang or panic.
-            let plan = FaultPlan::new(seed)
-                .with_site(FaultSite::OracleSpill, 1.0)
-                .with_site(FaultSite::OracleFull, 1.0);
-            let inner = CostOracle::at_grid(&opt, grid, qa0);
-            let mut oracle = FaultyOracle::new(inner, &plan);
-            let t0 = std::time::Instant::now();
-            match sb.run(&mut oracle) {
-                Err(RqpError::Fault(msg)) => println!(
-                    "persistent faults: typed error in {:.1}ms ({msg})",
-                    t0.elapsed().as_secs_f64() * 1e3
-                ),
-                Err(e) => {
-                    violations += 1;
-                    eprintln!("VIOLATION: persistent faults surfaced as `{e}` (expected a fault)");
-                }
-                Ok(_) => {
-                    violations += 1;
-                    eprintln!("VIOLATION: persistent faults still produced a completed run");
-                }
-            }
-
-            // Page-level fault sites over the paged backend: transient
-            // torn writes / failed pins / checksum mismatches must be
-            // absorbed with bit-identical replay and a preserved MSO
-            // bound; a persistent pin fault must surface as a typed
-            // error. Output lines are stable for CI grepping.
-            {
-                use rqp::ess::EssSurface;
-                use rqp::executor::{Engine, PlanEngine as _};
-                use rqp::runner::{measure_qa, ExecOracle};
-                use rqp::storage::{PagedStore, StorageConfig};
-
-                let catalog = tpcds::catalog(0.1);
-                let bench2 = q91_with_dims(&catalog, 2);
-                let query = &bench2.query;
-                let spec = rqp::workloads::executable_genspec_with_errors(
-                    &catalog,
-                    query,
-                    seed ^ 0xA5A5,
-                    &[30.0, 10.0],
-                );
-                let data = rqp::catalog::DataSet::generate(&catalog, &spec).expect("generate");
-                let config = StorageConfig::default().with_pool_frames(64);
-                let popt = Optimizer::new(
-                    &catalog,
-                    query,
-                    CostParams::default(),
-                    EnumerationMode::LeftDeep,
-                )
-                .expect("valid query");
-                let psurface = EssSurface::build(&popt, bench2.grid());
-                // Page-level shots fire per pin / per page I/O — orders
-                // of magnitude more draws than oracle calls — and only
-                // escalate past the pool after FAULT_RETRIES consecutive
-                // hits, so the per-call rate must stay low for the
-                // retry budget to absorb every transient.
-                let page_rate = (rate / 5.0).min(0.02);
-                println!(
-                    "paged-fault sweep: 2D_Q91 over the paged store (64 frames), \
-                     sites page.torn_write/page.failed_pin/page.checksum at rate {page_rate}"
-                );
-                let page_plan = || {
-                    Arc::new(
-                        FaultPlan::new(seed ^ 0x5A5A)
-                            .with_site(FaultSite::PageTornWrite, page_rate)
-                            .with_site(FaultSite::PagePinFailed, page_rate)
-                            .with_site(FaultSite::PageChecksum, page_rate),
-                    )
-                };
-                let counter = |store: &PagedStore, name: &str| -> u64 {
-                    store
-                        .registry()
-                        .snapshot()
-                        .into_iter()
-                        .find_map(|(n, v)| match v {
-                            MetricValue::Counter(c) if n == name => Some(c),
-                            _ => None,
-                        })
-                        .unwrap_or(0)
-                };
-                // Faults are armed only after materialization + qa
-                // measurement so every replay sees the same pages.
-                let paged_run =
-                    |plan: Option<Arc<FaultPlan>>| -> (Option<(u64, u64)>, u64, u64, u64) {
-                        let store =
-                            PagedStore::materialize(&catalog, &data, config).expect("materialize");
-                        let qa = measure_qa(&store, query);
-                        store.set_faults(plan);
-                        let exec = || Engine::new(&catalog, query, &store, CostParams::default());
-                        let (opt_plan, _) = popt.optimize_at(&qa);
-                        let opt_spent = exec()
-                            .run_full(&opt_plan, f64::INFINITY)
-                            .map(|o| o.spent)
-                            .unwrap_or(f64::NAN);
-                        let sb = SpillBound::new(&psurface, &popt, 2.0);
-                        let mut oracle = ExecOracle::new(exec(), &popt, psurface.grid());
-                        let outcome = sb.run(&mut oracle).ok().map(|r| {
-                            (
-                                r.total_cost.to_bits(),
-                                r.sub_optimality(opt_spent).to_bits(),
-                            )
-                        });
-                        let injected = counter(&store, "storage.faults.torn_write")
-                            + counter(&store, "storage.faults.failed_pin")
-                            + counter(&store, "storage.faults.checksum");
-                        (
-                            outcome,
-                            injected,
-                            counter(&store, "storage.faults.retries"),
-                            counter(&store, "storage.pool.evictions"),
-                        )
-                    };
-                let first = paged_run(Some(page_plan()));
-                let second = paged_run(Some(page_plan()));
-                let (outcome, pfaults, pretries, pevictions) = &first;
-                match outcome {
-                    Some((_, sub_bits)) => {
-                        let sub = f64::from_bits(*sub_bits);
-                        let bound2 = rqp::core::spillbound_guarantee(2);
-                        println!(
-                            "paged-fault sweep: faults={pfaults} retries={pretries} \
-                             evictions={pevictions} sub-optimality={sub:.2} (bound {bound2})"
-                        );
-                        if sub > bound2 * (1.0 + 1e-9) {
-                            violations += 1;
-                            eprintln!(
-                                "VIOLATION: paged SB sub-optimality {sub:.3} exceeds the \
-                                 MSO bound {bound2} under transient page faults"
-                            );
-                        }
-                    }
-                    None => {
-                        violations += 1;
-                        eprintln!(
-                            "VIOLATION: transient page faults at rate {page_rate} aborted \
-                             the paged SB run"
-                        );
-                    }
-                }
-                if first != second {
-                    violations += 1;
-                    eprintln!(
-                        "VIOLATION: paged replay with seed {seed} diverged: \
-                         {first:?} vs {second:?}"
-                    );
-                } else {
-                    println!("paged-fault sweep: replay bit-identical: true");
-                }
-                // Persistent pin failure: typed fault, never a hang.
-                let t0 = std::time::Instant::now();
-                let persistent =
-                    Arc::new(FaultPlan::new(seed).with_site(FaultSite::PagePinFailed, 1.0));
-                match paged_run(Some(persistent)) {
-                    (None, ..) => println!(
-                        "paged-fault sweep: persistent page.failed_pin -> typed fault in {:.1}ms",
-                        t0.elapsed().as_secs_f64() * 1e3
-                    ),
-                    (Some(_), ..) => {
-                        violations += 1;
-                        eprintln!(
-                            "VIOLATION: persistent page.failed_pin still produced a completed run"
-                        );
-                    }
-                }
-            }
-
-            // Penalty-aware selection under oracle faults: transient faults
-            // during the per-candidate risk integration must be absorbed
-            // with a bit-identical selection; persistent faults must
-            // surface as a typed error, never a hang or a silent pick.
-            {
-                use rqp::core::{penalty, EvalContext, PenaltyConfig, PriorConfig};
-                let choice = rqp::core::NativeChoice::compute(&exp.surface, &opt);
-                let prior = rqp::core::SelectivityPrior::lognormal(
-                    grid,
-                    &choice.qe_sels,
-                    PriorConfig::default(),
-                )
-                .expect("prior over the ESS grid");
-                let ctx = EvalContext::new(&exp.surface, &opt);
-                let cfg = PenaltyConfig::default();
-                let clean =
-                    penalty::select(&ctx, &prior, &cfg, 1).expect("clean penalty-aware selection");
-                let mut pa_faults = 0u64;
-                let mut pa_retries = 0u64;
-                let mut pa_identical = true;
-                for round in 0..8u64 {
-                    let pa_plan =
-                        FaultPlan::new(seed ^ 0xBEEF ^ round.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-                            .with_site(FaultSite::OracleFull, rate);
-                    match penalty::select_ctx_faulted(
-                        &ctx,
-                        &prior,
-                        &cfg,
-                        &pa_plan,
-                        &RetryPolicy::no_sleep(6),
-                    ) {
-                        Ok((sel, stats)) => {
-                            pa_faults += stats.faults_injected;
-                            pa_retries += stats.retries;
-                            let identical = sel.chosen.fingerprint == clean.chosen.fingerprint
-                                && sel.chosen.expected.to_bits() == clean.chosen.expected.to_bits()
-                                && sel.chosen.cvar.to_bits() == clean.chosen.cvar.to_bits();
-                            if !identical {
-                                pa_identical = false;
-                                violations += 1;
-                                eprintln!(
-                                    "VIOLATION: transient faults changed the penalty-aware \
-                                     selection in round {round} (clean {:016x} vs faulted {:016x})",
-                                    clean.chosen.fingerprint, sel.chosen.fingerprint
-                                );
-                            }
-                        }
-                        Err(e) => {
-                            pa_identical = false;
-                            violations += 1;
-                            eprintln!(
-                                "VIOLATION: transient faults at rate {rate} aborted the \
-                                 penalty-aware selection in round {round}: {e}"
-                            );
-                        }
-                    }
-                }
-                faults += pa_faults;
-                retries += pa_retries;
-                println!(
-                    "penalty-aware sweep: {pa_faults} transient faults absorbed over 8 rounds \
-                     ({pa_retries} retries), selection bit-identical: {pa_identical}"
-                );
-                let persistent = FaultPlan::new(seed).with_site(FaultSite::OracleFull, 1.0);
-                let t0 = std::time::Instant::now();
-                match penalty::select_ctx_faulted(
-                    &ctx,
-                    &prior,
-                    &cfg,
-                    &persistent,
-                    &RetryPolicy::no_sleep(4),
-                ) {
-                    Err(RqpError::Fault(msg)) => println!(
-                        "penalty-aware sweep: persistent faults -> typed error in {:.1}ms ({msg})",
-                        t0.elapsed().as_secs_f64() * 1e3
-                    ),
-                    Err(e) => {
-                        violations += 1;
-                        eprintln!(
-                            "VIOLATION: persistent faults surfaced as `{e}` during \
-                             penalty-aware selection (expected a fault)"
-                        );
-                    }
-                    Ok(_) => {
-                        violations += 1;
-                        eprintln!(
-                            "VIOLATION: persistent faults still produced a \
-                             penalty-aware selection"
-                        );
-                    }
-                }
-            }
-
-            println!(
-                "sweep: {} locations x {} strategies, {faults} faults injected, \
-                 {retries} retries, wasted cost {wasted:.0}",
-                exp.surface.len(),
-                compiled.len()
-            );
-            print!("worst sub-optimality under faults:");
-            for (c, w) in compiled.iter().zip(&worst) {
-                let (label, bound) = (c.strategy().short(), c.mso_guarantee());
-                print!(" {label} {w:.2} (bound {bound:.1})");
-            }
-            println!();
-            if violations == 0 {
-                println!("chaos sweep passed: guarantees hold under rate-{rate} transient faults");
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("chaos sweep FAILED: {violations} violation(s)");
-                ExitCode::FAILURE
-            }
-        }
         Some("trace") => {
             if args.get(1).map(String::as_str) == Some("--check") {
                 let Some(path) = args.get(2) else {

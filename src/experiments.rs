@@ -234,26 +234,6 @@ pub fn penalty_summary(
     Ok((summary, sel))
 }
 
-/// Worker-thread count for an `rqp` invocation, resolved in priority
-/// order: a `--threads N` command-line override, then the `RQP_THREADS`
-/// environment knob, then `default`.
-pub fn harness_threads(default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(pos) = args.iter().position(|a| a == "--threads") {
-        if let Some(n) = args.get(pos + 1).and_then(|s| s.parse::<usize>().ok()) {
-            if n >= 1 {
-                return n;
-            }
-        }
-        eprintln!("--threads expects a positive integer; falling back to RQP_THREADS/default");
-    }
-    if std::env::var_os("RQP_THREADS").is_some() {
-        env_threads()
-    } else {
-        default
-    }
-}
-
 /// Directory where `rqp figures` and the bench harnesses persist results.
 pub fn output_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
