@@ -8,7 +8,7 @@
 
 use rqp_common::{Cost, GridIdx};
 use rqp_ess::{EssSurface, SurfaceAccess};
-use rqp_optimizer::{Optimizer, PlanId, PlanNode};
+use rqp_optimizer::{Optimizer, PlanId, PlanNode, RecostSweep};
 
 /// The native optimizer's choice for a query: the estimate location and
 /// the plan it commits to.
@@ -59,13 +59,12 @@ impl NativeChoice {
 pub fn native_mso_worst_case(surface: &EssSurface, opt: &Optimizer<'_>) -> f64 {
     let grid = surface.grid();
     let mut mso: f64 = 1.0;
-    for (_, plan) in surface.pool().iter() {
-        for qa in grid.iter() {
-            let sels = opt.sels_at(&grid.sels(qa));
-            let sub = opt.cost_plan(plan, &sels) / surface.opt_cost(qa);
-            mso = mso.max(sub);
+    let pool = surface.pool().iter().map(|(_, plan)| plan);
+    RecostSweep::new(opt.query(), pool).sweep(opt, grid, grid.iter(), |_, qa, costs| {
+        for &cost in costs {
+            mso = mso.max(cost / surface.opt_cost(qa));
         }
-    }
+    });
     mso
 }
 

@@ -44,7 +44,7 @@ use crate::native::NativeChoice;
 use crate::strategy::CostSource;
 use rqp_common::{chunk_bounds, Cost, GridIdx, MultiGrid, Result, RqpError};
 use rqp_ess::SurfaceAccess;
-use rqp_optimizer::{Optimizer, PlanId, PlanNode};
+use rqp_optimizer::{Optimizer, PlanId, PlanNode, RecostSweep};
 
 /// Shape of the selectivity-error prior.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -484,9 +484,9 @@ fn risks(
                 (CostSource::Matrix(ctx), Some(pid)) => ctx.matrix().row(pid),
                 _ => {
                     scratch.resize(grid.len(), 0.0);
-                    for &(qa, ..) in support {
-                        scratch[qa] = opt.cost_plan(plan, &opt.sels_at(&grid.sels(qa)));
-                    }
+                    let cells = support.iter().map(|&(qa, ..)| qa);
+                    RecostSweep::new(opt.query(), [plan])
+                        .sweep(opt, grid, cells, |_, qa, cost| scratch[qa] = cost[0]);
                     &scratch[..]
                 }
             };

@@ -1,8 +1,9 @@
 //! The optimal cost surface (OCS) over the ESS grid.
 
 use rqp_common::{Cost, GridIdx, MultiGrid, Result, RqpError};
-use rqp_optimizer::{Optimizer, PlanId, PlanNode, PlanPool};
+use rqp_optimizer::{DpSweep, Optimizer, PlanId, PlanKey, PlanNode, PlanPool};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// The parametric-optimal-set-of-plans (POSP) surface: for every grid
 /// location, the optimizer's optimal plan and its cost (paper Fig. 3).
@@ -24,33 +25,10 @@ pub struct EssSurface {
 
 impl EssSurface {
     /// Sweeps `optimizer` over `grid` and records the optimal plan and
-    /// cost at every location.
+    /// cost at every location: [`build_parallel`](Self::build_parallel)
+    /// with one worker.
     pub fn build(optimizer: &Optimizer<'_>, grid: MultiGrid) -> Self {
-        assert_eq!(
-            grid.ndims(),
-            optimizer.query().ndims(),
-            "grid dimensionality must match the query's epp count"
-        );
-        let mut pool = PlanPool::new();
-        let mut opt_cost = Vec::with_capacity(grid.len());
-        let mut opt_plan = Vec::with_capacity(grid.len());
-        let mut sels = vec![0.0; grid.ndims()];
-        let mut coords = vec![0usize; grid.ndims()];
-        for idx in grid.iter() {
-            grid.coords_into(idx, &mut coords);
-            for (j, &c) in coords.iter().enumerate() {
-                sels[j] = grid.dim(j).sel(c);
-            }
-            let (plan, cost) = optimizer.optimize_at(&sels);
-            opt_cost.push(cost);
-            opt_plan.push(pool.intern(plan));
-        }
-        Self {
-            grid,
-            opt_cost,
-            opt_plan,
-            pool,
-        }
+        Self::build_parallel(optimizer, grid, 1)
     }
 
     /// The underlying grid.
@@ -132,46 +110,43 @@ impl EssSurface {
     /// chunk of the grid (§7: contour/POSP construction parallelizes
     /// trivially because locations are independent).
     ///
-    /// Produces a surface **bit-identical** to [`build`](Self::build) —
-    /// plan ids and pool contents included: workers only optimize, and
-    /// interning happens afterwards in flat-index order regardless of the
+    /// Every cell equals `optimizer.optimize_at(grid.sels(idx))` bit for
+    /// bit, and plan ids are in first-appearance flat order, whatever the
     /// thread count (the same [`rqp_common::chunk_bounds`] partitioning
-    /// every parallel sweep in the workspace uses).
+    /// every parallel sweep in the workspace uses). Each worker walks its
+    /// chunk in flat order with one [`DpSweep`], so a step recomputes only
+    /// the DP entries the changed dimensions reach, and builds each
+    /// distinct plan once; interning happens afterwards in flat order.
     pub fn build_parallel(optimizer: &Optimizer<'_>, grid: MultiGrid, threads: usize) -> Self {
+        assert_eq!(
+            grid.ndims(),
+            optimizer.query().ndims(),
+            "grid dimensionality must match the query's epp count"
+        );
         let total = grid.len();
         let bounds = rqp_common::chunk_bounds(total, threads);
-        let pieces: Vec<Vec<(Cost, PlanNode)>> = std::thread::scope(|s| {
+        let pieces: Vec<_> = std::thread::scope(|s| {
             let grid = &grid;
-            let handles: Vec<_> = bounds
-                .iter()
-                .map(|&(lo, hi)| {
-                    s.spawn(move || {
-                        let mut out = Vec::with_capacity(hi - lo);
-                        let mut sels = vec![0.0; grid.ndims()];
-                        let mut coords = vec![0usize; grid.ndims()];
-                        for idx in lo..hi {
-                            grid.coords_into(idx, &mut coords);
-                            for (j, &c) in coords.iter().enumerate() {
-                                sels[j] = grid.dim(j).sel(c);
-                            }
-                            let (plan, cost) = optimizer.optimize_at(&sels);
-                            out.push((cost, plan));
-                        }
-                        out
-                    })
-                })
+            let handles: Vec<_> = (bounds.iter())
+                .map(|&(lo, hi)| s.spawn(move || sweep_chunk(optimizer, grid, lo, hi)))
                 .collect();
-            handles
-                .into_iter()
+            (handles.into_iter())
                 .map(|h| h.join().expect("worker"))
                 .collect()
         });
         let mut pool = PlanPool::new();
         let mut opt_cost = Vec::with_capacity(total);
         let mut opt_plan = Vec::with_capacity(total);
-        for (cost, plan) in pieces.into_iter().flatten() {
-            opt_cost.push(cost);
-            opt_plan.push(pool.intern(plan));
+        for (cells, plans) in pieces {
+            let mut plans: Vec<_> = plans.into_iter().map(|plan| (Some(plan), 0)).collect();
+            for (cost, local) in cells {
+                let (plan, id) = &mut plans[local];
+                if let Some(plan) = plan.take() {
+                    *id = pool.intern(plan);
+                }
+                opt_cost.push(cost);
+                opt_plan.push(*id);
+            }
         }
         Self {
             grid,
@@ -219,6 +194,44 @@ impl EssSurface {
         }
         Ok(())
     }
+}
+
+/// Optimizes cells `lo..hi` in flat order. Returns each cell's cost and
+/// the index of its plan among the chunk's distinct plans, which come in
+/// first-appearance order.
+fn sweep_chunk(
+    opt: &Optimizer<'_>,
+    grid: &MultiGrid,
+    lo: usize,
+    hi: usize,
+) -> (Vec<(Cost, usize)>, Vec<PlanNode>) {
+    let mut dp = DpSweep::new(opt);
+    let mut seen: HashMap<PlanKey, usize> = HashMap::new();
+    let mut plans = Vec::new();
+    let (mut key, mut last, mut local) = (PlanKey::default(), PlanKey::default(), 0);
+    let mut sels = vec![0.0; grid.ndims()];
+    let mut cells = Vec::with_capacity(hi - lo);
+    for idx in lo..hi {
+        for (j, s) in sels.iter_mut().enumerate() {
+            *s = grid.sel_at(idx, j);
+        }
+        let cost = dp.optimize_at(&sels);
+        dp.plan_key(&mut key);
+        // Neighbouring cells mostly share their plan.
+        if plans.is_empty() || key != last {
+            local = match seen.get(&key) {
+                Some(&i) => i,
+                None => {
+                    plans.push(dp.plan());
+                    seen.insert(key.clone(), plans.len() - 1);
+                    plans.len() - 1
+                }
+            };
+            std::mem::swap(&mut key, &mut last);
+        }
+        cells.push((cost, local));
+    }
+    (cells, plans)
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! bound on the cheapest spilling plan — any valid spilling plan induces a
 //! correct, if conservative, penalty).
 
+use crate::cost::NodeEstimate;
 use crate::dp::Optimizer;
 use crate::pipeline::DimMask;
 use crate::plan::{JoinMethod, PlanNode, ScanMethod};
@@ -24,8 +25,7 @@ const NONE_DIM: usize = usize::MAX;
 
 #[derive(Clone)]
 struct Entry {
-    cost: Cost,
-    rows: f64,
+    est: NodeEstimate,
     plan: PlanNode,
 }
 
@@ -74,13 +74,8 @@ pub fn best_plan_spilling_on(
         let f = first_among(opt.rel_filters(r));
         for (plan, est) in opt.scan_candidates(r, sels) {
             let idx = (1usize << r) * nstates + slot(f);
-            let better = table[idx].as_ref().is_none_or(|e| est.cost < e.cost);
-            if better {
-                table[idx] = Some(Entry {
-                    cost: est.cost,
-                    rows: est.rows,
-                    plan,
-                });
+            if table[idx].as_ref().is_none_or(|e| est.cost < e.est.cost) {
+                table[idx] = Some(Entry { est, plan });
             }
         }
     }
@@ -90,36 +85,20 @@ pub fn best_plan_spilling_on(
             continue;
         }
         let mut new_entries: Vec<Option<Entry>> = vec![None; nstates];
-        let mut bits = mask;
-        while bits != 0 {
-            let bit = bits & bits.wrapping_neg();
-            bits ^= bit;
-            let rest = mask ^ bit;
-            if rest == 0 {
-                continue;
-            }
-            // Orientations: (rest outer, bit inner) always; (bit outer,
-            // rest inner) only when rest is a single relation (left-deep).
-            let mut orientations = vec![(rest, bit)];
-            if rest.count_ones() == 1 {
-                orientations.push((bit, rest));
-            }
-            for (lmask, rmask) in orientations {
-                let preds = opt.connecting_preds(lmask, rmask);
-                if preds.is_empty() {
-                    continue;
-                }
-                let node_first = first_among(&preds);
+        // Each split is (rest, bit); its sides are (rest outer, bit inner)
+        // and, when rest is a single relation, (bit outer, rest inner).
+        for split in &opt.left_deep[mask as usize] {
+            let preds = &split.preds;
+            let node_first = first_among(preds);
+            for &(lmask, rmask, ref key_order) in &split.sides {
                 let rel_inner = rmask.trailing_zeros() as usize;
                 for lf in 0..nstates {
-                    let lentry = match &table[lmask as usize * nstates + lf] {
-                        Some(e) => e.clone(),
-                        None => continue,
+                    let Some(lentry) = &table[lmask as usize * nstates + lf] else {
+                        continue;
                     };
                     for rf in 0..nstates {
-                        let rentry = match &table[rmask as usize * nstates + rf] {
-                            Some(e) => e.clone(),
-                            None => continue,
+                        let Some(rentry) = &table[rmask as usize * nstates + rf] else {
+                            continue;
                         };
                         // order: right (build/inner), left (probe), node
                         let combined = if rf < d {
@@ -130,27 +109,16 @@ pub fn best_plan_spilling_on(
                             node_first
                         };
                         let cslot = slot(combined);
-                        let l_est = crate::cost::NodeEstimate {
-                            rows: lentry.rows,
-                            cost: lentry.cost,
-                        };
-                        let r_est = crate::cost::NodeEstimate {
-                            rows: rentry.rows,
-                            cost: rentry.cost,
-                        };
-                        for method in [
-                            JoinMethod::HashJoin,
-                            JoinMethod::SortMergeJoin,
-                            JoinMethod::NestedLoopJoin,
-                        ] {
-                            let est = model.join_estimate(method, l_est, r_est, &preds, sels);
+                        let (l_est, r_est) = (lentry.est, rentry.est);
+                        // Hash, sort-merge and nested-loop.
+                        for &method in &JoinMethod::ALL[..3] {
+                            let est = model.join_estimate(method, l_est, r_est, preds, sels);
                             let better = new_entries[cslot]
                                 .as_ref()
-                                .is_none_or(|e| est.cost < e.cost);
+                                .is_none_or(|e| est.cost < e.est.cost);
                             if better {
                                 new_entries[cslot] = Some(Entry {
-                                    cost: est.cost,
-                                    rows: est.rows,
+                                    est,
                                     plan: PlanNode::Join {
                                         method,
                                         left: Box::new(lentry.plan.clone()),
@@ -164,49 +132,39 @@ pub fn best_plan_spilling_on(
                         // Its access is the index; the rf state must come
                         // from the plain scan's filter set (same for all
                         // access paths), so reuse rf.
-                        if rmask.count_ones() == 1 {
-                            if let Some(&key) = preds.iter().find(|&&p| {
-                                model
-                                    .join_col_on(p, rel_inner)
-                                    .is_some_and(|c| model.is_indexed(rel_inner, c))
-                            }) {
-                                let mut ordered = Vec::with_capacity(preds.len());
-                                ordered.push(key);
-                                ordered.extend(preds.iter().copied().filter(|&x| x != key));
-                                let rfilters = opt.rel_filters(rel_inner);
-                                let est = model
-                                    .index_nl_estimate(l_est, rel_inner, rfilters, &ordered, sels);
-                                // INL inner has no separate pipeline: state
-                                // composition is unchanged (inner filters
-                                // still precede the node in epp order).
-                                let inner_first = first_among(rfilters);
-                                let combined = if inner_first != NONE_DIM {
-                                    inner_first
-                                } else if lf < d {
-                                    lf
-                                } else {
-                                    node_first
-                                };
-                                let cslot = slot(combined);
-                                let better = new_entries[cslot]
-                                    .as_ref()
-                                    .is_none_or(|e| est.cost < e.cost);
-                                if better {
-                                    new_entries[cslot] = Some(Entry {
-                                        cost: est.cost,
-                                        rows: est.rows,
-                                        plan: PlanNode::Join {
-                                            method: JoinMethod::IndexNLJoin,
-                                            left: Box::new(lentry.plan.clone()),
-                                            right: Box::new(PlanNode::Scan {
-                                                rel: rel_inner,
-                                                method: ScanMethod::IndexScan,
-                                                filters: rfilters.to_vec(),
-                                            }),
-                                            preds: ordered,
-                                        },
-                                    });
-                                }
+                        if let Some(ordered) = key_order {
+                            let rfilters = opt.rel_filters(rel_inner);
+                            let est =
+                                model.index_nl_estimate(l_est, rel_inner, rfilters, ordered, sels);
+                            // INL inner has no separate pipeline: state
+                            // composition is unchanged (inner filters
+                            // still precede the node in epp order).
+                            let inner_first = first_among(rfilters);
+                            let combined = if inner_first != NONE_DIM {
+                                inner_first
+                            } else if lf < d {
+                                lf
+                            } else {
+                                node_first
+                            };
+                            let cslot = slot(combined);
+                            let better = new_entries[cslot]
+                                .as_ref()
+                                .is_none_or(|e| est.cost < e.est.cost);
+                            if better {
+                                new_entries[cslot] = Some(Entry {
+                                    est,
+                                    plan: PlanNode::Join {
+                                        method: JoinMethod::IndexNLJoin,
+                                        left: Box::new(lentry.plan.clone()),
+                                        right: Box::new(PlanNode::Scan {
+                                            rel: rel_inner,
+                                            method: ScanMethod::IndexScan,
+                                            filters: rfilters.to_vec(),
+                                        }),
+                                        preds: ordered.to_vec(),
+                                    },
+                                });
                             }
                         }
                     }
@@ -220,7 +178,7 @@ pub fn best_plan_spilling_on(
 
     table[full as usize * nstates + target_dim]
         .as_ref()
-        .map(|e| (e.plan.clone(), e.cost))
+        .map(|e| (e.plan.clone(), e.est.cost))
 }
 
 #[cfg(test)]

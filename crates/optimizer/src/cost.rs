@@ -52,7 +52,7 @@ impl Default for CostParams {
 
 /// Output of costing a plan (sub)tree: estimated output cardinality and
 /// total cost.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NodeEstimate {
     /// Expected output rows (fractional expectations allowed).
     pub rows: f64,
@@ -95,6 +95,18 @@ impl<'a> CostModel<'a> {
 
     /// Costs a full plan tree at selectivity assignment `sels`.
     pub fn estimate(&self, node: &PlanNode, sels: &Sels) -> NodeEstimate {
+        self.node_estimate(node, sels, |child| self.estimate(child, sels))
+    }
+
+    /// Costs `node` alone, given its children's estimates: `child` is
+    /// asked for the left child, then for the right one unless the node is
+    /// an index nested-loop join, whose inner scan is costed inside it.
+    pub(crate) fn node_estimate(
+        &self,
+        node: &PlanNode,
+        sels: &Sels,
+        mut child: impl FnMut(&PlanNode) -> NodeEstimate,
+    ) -> NodeEstimate {
         match node {
             PlanNode::Scan {
                 rel,
@@ -107,7 +119,7 @@ impl<'a> CostModel<'a> {
                 right,
                 preds,
             } => {
-                let l = self.estimate(left, sels);
+                let l = child(left);
                 if *method == JoinMethod::IndexNLJoin {
                     let (rel, rfilters) = match right.as_ref() {
                         PlanNode::Scan { rel, filters, .. } => (*rel, filters.as_slice()),
@@ -115,7 +127,7 @@ impl<'a> CostModel<'a> {
                     };
                     self.index_nl_estimate(l, rel, rfilters, preds, sels)
                 } else {
-                    let r = self.estimate(right, sels);
+                    let r = child(right);
                     self.join_estimate(*method, l, r, preds, sels)
                 }
             }

@@ -11,9 +11,12 @@
 //! surface builder uses — both produce bit-identical cells, because each
 //! cell is a pure function of (plan, location).
 
-use crate::{Optimizer, PlanId, PlanPool};
+use crate::cost::NodeEstimate;
+use crate::pipeline::DimMask;
+use crate::{JoinMethod, Optimizer, PlanId, PlanNode, PlanPool, QuerySpec};
 use rqp_common::{chunk_bounds, Cost, GridIdx, MultiGrid};
 use serde::{Deserialize, Error, Serialize, Value};
+use std::collections::HashMap;
 
 /// Dense matrix of `cost(plan, location)` over a plan pool and an ESS
 /// grid. Row-major: `cells[pid * grid_len + qa]`.
@@ -198,10 +201,10 @@ impl CostMatrix {
     /// Recosts every pool plan at every grid location across `threads`
     /// scoped worker threads.
     ///
-    /// The grid is split with [`chunk_bounds`] and each worker fills the
-    /// column block for its locations; results are written by index, so
-    /// the matrix is bit-equal to the sequential build regardless of
-    /// thread count.
+    /// The grid is split with [`chunk_bounds`] and each worker sweeps its
+    /// column block of every row in flat order, in place; every cell is a
+    /// pure function of (plan, location), so the matrix is bit-equal to
+    /// the sequential build regardless of thread count.
     pub fn build_parallel(
         opt: &Optimizer<'_>,
         pool: &PlanPool,
@@ -212,82 +215,25 @@ impl CostMatrix {
         let nplans = pool.len();
         let grid_len = grid.len();
         let mut cells = vec![0.0; nplans * grid_len];
-        if cells.is_empty() {
-            return Self {
-                nplans,
-                grid_len,
-                cells,
-            };
-        }
+        let sweep = &RecostSweep::new(opt.query(), pool.iter().map(|(_, plan)| plan));
         let bounds = chunk_bounds(grid_len, threads);
-        if bounds.len() <= 1 {
-            Self::fill_columns(opt, pool, grid, 0, grid_len, &mut cells);
-        } else {
-            let blocks = std::thread::scope(|s| {
-                let handles: Vec<_> = bounds
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        s.spawn(move || {
-                            let mut block = vec![0.0; nplans * (hi - lo)];
-                            Self::fill_block(opt, pool, grid, lo, hi, &mut block);
-                            (lo, hi, block)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("cost matrix worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (lo, hi, block) in blocks {
-                let width = hi - lo;
-                for pid in 0..nplans {
-                    cells[pid * grid_len + lo..pid * grid_len + hi]
-                        .copy_from_slice(&block[pid * width..(pid + 1) * width]);
-                }
+        let mut blocks: Vec<Vec<&mut [Cost]>> = bounds.iter().map(|_| Vec::new()).collect();
+        for mut row in cells.chunks_mut(grid_len) {
+            for (block, &(lo, hi)) in blocks.iter_mut().zip(&bounds) {
+                let (head, tail) = row.split_at_mut(hi - lo);
+                block.push(head);
+                row = tail;
             }
         }
+        std::thread::scope(|s| {
+            for (rows, &(lo, hi)) in blocks.iter_mut().zip(&bounds) {
+                s.spawn(move || sweep.fill_block(opt, grid, lo..hi, rows));
+            }
+        });
         Self {
             nplans,
             grid_len,
             cells,
-        }
-    }
-
-    /// Fills locations `lo..hi` directly into the full matrix.
-    fn fill_columns(
-        opt: &Optimizer<'_>,
-        pool: &PlanPool,
-        grid: &MultiGrid,
-        lo: usize,
-        hi: usize,
-        cells: &mut [Cost],
-    ) {
-        let grid_len = grid.len();
-        for qa in lo..hi {
-            let sels = opt.sels_at(&grid.sels(qa));
-            for (pid, plan) in pool.iter() {
-                cells[pid * grid_len + qa] = opt.cost_plan(plan, &sels);
-            }
-        }
-    }
-
-    /// Fills a worker-local column block for locations `lo..hi`
-    /// (block-local stride `hi - lo`).
-    fn fill_block(
-        opt: &Optimizer<'_>,
-        pool: &PlanPool,
-        grid: &MultiGrid,
-        lo: usize,
-        hi: usize,
-        block: &mut [Cost],
-    ) {
-        let width = hi - lo;
-        for qa in lo..hi {
-            let sels = opt.sels_at(&grid.sels(qa));
-            for (pid, plan) in pool.iter() {
-                block[pid * width + (qa - lo)] = opt.cost_plan(plan, &sels);
-            }
         }
     }
 
@@ -391,9 +337,9 @@ impl Deserialize for SparseCostMatrix {
 
 impl SparseCostMatrix {
     /// Recosts every pool plan at each of the given grid cells. The cell
-    /// list is sorted and deduplicated; each recost is the same pure
-    /// `cost_plan(plan, sels_at(cell))` the dense builder computes, so a
-    /// sparse cell is bit-equal to its dense counterpart.
+    /// list is sorted and deduplicated and swept as the dense builder
+    /// sweeps its block, so a sparse cell is bit-equal to its dense
+    /// counterpart.
     pub fn build(
         opt: &Optimizer<'_>,
         pool: &PlanPool,
@@ -406,14 +352,14 @@ impl SparseCostMatrix {
         cell_idx.dedup();
         debug_assert!(cell_idx.last().is_none_or(|&q| q < grid.len()));
         let nplans = pool.len();
-        let mut cells = Vec::with_capacity(nplans * cell_idx.len());
-        for (pid, plan) in pool.iter() {
-            debug_assert_eq!(pid * cell_idx.len(), cells.len());
-            for &qa in &cell_idx {
-                let sels = opt.sels_at(&grid.sels(qa));
-                cells.push(opt.cost_plan(plan, &sels));
-            }
-        }
+        let mut cells = vec![0.0; nplans * cell_idx.len()];
+        let mut rows: Vec<&mut [Cost]> = cells.chunks_mut(cell_idx.len().max(1)).collect();
+        RecostSweep::new(opt.query(), pool.iter().map(|(_, plan)| plan)).fill_block(
+            opt,
+            grid,
+            cell_idx.iter().copied(),
+            &mut rows,
+        );
         Self {
             nplans,
             cell_idx,
@@ -464,6 +410,119 @@ impl SparseCostMatrix {
             && self.cells.len() == nplans * self.cell_idx.len()
             && self.cell_idx.windows(2).all(|w| w[0] < w[1])
             && self.cell_idx.last().is_none_or(|&q| q < grid_len)
+    }
+}
+
+/// Plans lowered once for recosting at many grid cells.
+///
+/// Each plan becomes a post-order list of its costed nodes (an index
+/// nested-loop join costs its inner scan itself), each with the ESS
+/// dimensions of the predicates in its subtree; a subtree several plans
+/// share is lowered, and evaluated, once. A sweep moves one `Sels`
+/// from cell to cell in place and re-evaluates only the nodes whose
+/// dimensions changed; a node runs `CostModel::node_estimate`, the step
+/// `CostModel::estimate` takes at it, so every cost is bit-equal to
+/// `cost_plan(plan, sels_at(grid.sels(qa)))`. In flat order dimension 0
+/// is the only one that changes on most steps.
+#[derive(Debug, Default)]
+pub struct RecostSweep<'p> {
+    /// `(node, its children's slots, subtree dimensions)`, children before
+    /// parents.
+    nodes: Vec<(&'p PlanNode, [usize; 2], DimMask)>,
+    /// Each plan's root slot.
+    roots: Vec<usize>,
+}
+
+impl<'p> RecostSweep<'p> {
+    /// Lowers `plans`, in order.
+    pub fn new(query: &QuerySpec, plans: impl IntoIterator<Item = &'p PlanNode>) -> Self {
+        let mut sweep = Self::default();
+        let mut slots = HashMap::new();
+        for plan in plans {
+            let root = sweep.lower(query, plan, &mut slots);
+            sweep.roots.push(root);
+        }
+        sweep
+    }
+
+    /// Appends `node`'s subtree in post order and returns its slot. Equal
+    /// subtrees cost the same, so plans that share one share its slots.
+    fn lower(
+        &mut self,
+        query: &QuerySpec,
+        node: &'p PlanNode,
+        slots: &mut HashMap<&'p PlanNode, usize>,
+    ) -> usize {
+        if let Some(&slot) = slots.get(node) {
+            return slot;
+        }
+        let kids = match node {
+            PlanNode::Scan { .. } => [0, 0],
+            PlanNode::Join {
+                method: JoinMethod::IndexNLJoin,
+                left,
+                ..
+            } => [self.lower(query, left, slots); 2],
+            PlanNode::Join { left, right, .. } => [
+                self.lower(query, left, slots),
+                self.lower(query, right, slots),
+            ],
+        };
+        let dims = (node.all_preds().into_iter())
+            .filter_map(|p| query.dim_of(p))
+            .fold(0, |dims, j| dims | 1 << j);
+        self.nodes.push((node, kids, dims));
+        slots.insert(node, self.nodes.len() - 1);
+        self.nodes.len() - 1
+    }
+
+    /// Visits the `k`-th of `cells`, in the order given, with every plan's
+    /// cost there in plan order.
+    pub fn sweep(
+        &self,
+        opt: &Optimizer<'_>,
+        grid: &MultiGrid,
+        cells: impl IntoIterator<Item = GridIdx>,
+        mut visit: impl FnMut(usize, GridIdx, &[Cost]),
+    ) {
+        let model = opt.cost_model();
+        let mut sels = opt.base_sels().clone();
+        let mut est = vec![NodeEstimate::default(); self.nodes.len()];
+        let mut costs = vec![0.0; self.roots.len()];
+        let mut epp = vec![0.0; grid.ndims()];
+        for (k, qa) in cells.into_iter().enumerate() {
+            for (j, s) in epp.iter_mut().enumerate() {
+                *s = grid.sel_at(qa, j);
+            }
+            let changed = opt.inject_into(&mut sels, &epp);
+            for (slot, &(node, kids, dims)) in self.nodes.iter().enumerate() {
+                if k == 0 || dims & changed != 0 {
+                    let mut kids = kids.into_iter();
+                    let e = model.node_estimate(node, &sels, |_| est[kids.next().unwrap_or(0)]);
+                    est[slot] = e;
+                }
+            }
+            for (cost, &root) in costs.iter_mut().zip(&self.roots) {
+                *cost = est[root].cost;
+            }
+            visit(k, qa, &costs);
+        }
+    }
+
+    /// Fills a column block: `rows[pid][k]` is plan `pid`'s cost at the
+    /// `k`-th of `cells`.
+    fn fill_block(
+        &self,
+        opt: &Optimizer<'_>,
+        grid: &MultiGrid,
+        cells: impl IntoIterator<Item = GridIdx>,
+        rows: &mut [&mut [Cost]],
+    ) {
+        self.sweep(opt, grid, cells, |k, _, costs| {
+            for (row, &cost) in rows.iter_mut().zip(costs) {
+                row[k] = cost;
+            }
+        });
     }
 }
 

@@ -6,8 +6,14 @@
 //! [`JoinMethod::ALL`] in both orientations, and both access paths per base
 //! relation; ties are broken deterministically by enumeration order so the
 //! POSP is stable across runs.
+//!
+//! What no selectivity changes — the connecting predicates of every split,
+//! their index nested-loop key orders, the index access paths — is
+//! computed once, in [`Optimizer::new`]. [`DpSweep`] keeps the DP table
+//! across a walk over ESS locations.
 
 use crate::cost::{CostModel, CostParams, NodeEstimate};
+use crate::pipeline::DimMask;
 use crate::plan::{JoinMethod, PlanNode, ScanMethod};
 use crate::query::{self, PredId, PredicateKind, QuerySpec, Sels};
 use rqp_catalog::Catalog;
@@ -31,12 +37,33 @@ pub struct Optimizer<'a> {
     catalog: &'a Catalog,
     query: &'a QuerySpec,
     params: CostParams,
-    mode: EnumerationMode,
     base: Sels,
-    /// Join edges as `(pred, left-relation bit, right-relation bit)`.
+    /// Join edges as `(pred, left-relation bit, right-relation bit)`, in
+    /// predicate id order.
     edges: Vec<(PredId, u32, u32)>,
     /// Sorted filter lists per relation.
     filters: Vec<Vec<PredId>>,
+    /// Per relation, each index access path: the driving filter and the
+    /// filter list with it rotated to the front.
+    index_paths: Vec<Vec<(PredId, Vec<PredId>)>>,
+    /// Per relation set, its left-deep splits in enumeration order: what
+    /// the DP enumerates in that mode, and what the constrained DP of
+    /// [`crate::constrained`] always enumerates.
+    pub(crate) left_deep: Vec<Vec<Split>>,
+    /// The bushy splits, in bushy mode only.
+    bushy: Option<Vec<Vec<Split>>>,
+}
+
+/// A split of a relation set into two connected halves some predicate joins.
+#[derive(Debug)]
+pub(crate) struct Split {
+    /// The connecting join predicates, sorted by id.
+    pub(crate) preds: Vec<PredId>,
+    /// `(outer, inner, index nested-loop key order)` per orientation the
+    /// mode allows, in enumeration order. The key order is `preds` with
+    /// the first predicate an index on a single-relation inner serves
+    /// rotated to the front.
+    pub(crate) sides: Vec<(u32, u32, Option<Vec<PredId>>)>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -45,16 +72,13 @@ struct DpEntry {
     step: BuildStep,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum BuildStep {
-    Scan(ScanMethod, Option<PredId>),
-    Join {
-        method: JoinMethod,
-        lmask: u32,
-        rmask: u32,
-        /// For index nested-loop: the key predicate rotated to the front.
-        key_pred: Option<PredId>,
-    },
+    /// Sequential scan (`None`) or the relation's `i`-th index path.
+    Scan(Option<usize>),
+    /// `(method, split, side)`: a join over one side of one of the
+    /// relation set's splits.
+    Join(JoinMethod, usize, usize),
 }
 
 impl<'a> Optimizer<'a> {
@@ -80,15 +104,106 @@ impl<'a> Optimizer<'a> {
                 f
             })
             .collect();
-        Ok(Self {
+        let mut opt = Self {
             catalog,
             query,
             params,
-            mode,
             base,
             edges,
             filters,
-        })
+            index_paths: Vec::new(),
+            left_deep: Vec::new(),
+            bushy: None,
+        };
+        let model = opt.cost_model();
+        let index_paths = (opt.filters.iter().enumerate())
+            .map(|(r, filters)| {
+                (filters.iter())
+                    .filter(|&&f| match query.predicates[f].kind {
+                        PredicateKind::FilterLe { col, .. }
+                        | PredicateKind::FilterEq { col, .. } => model.is_indexed(r, col),
+                        PredicateKind::Join { .. } => false,
+                    })
+                    .map(|&f| (f, Self::rotate_front(filters, f)))
+                    .collect()
+            })
+            .collect();
+        opt.index_paths = index_paths;
+        opt.left_deep = opt.splits(EnumerationMode::LeftDeep);
+        if mode == EnumerationMode::Bushy {
+            opt.bushy = Some(opt.splits(mode));
+        }
+        Ok(opt)
+    }
+
+    /// Per relation set, the connected splits `mode` enumerates, in its
+    /// order.
+    fn splits(&self, mode: EnumerationMode) -> Vec<Vec<Split>> {
+        let model = self.cost_model();
+        let key_order = |preds: &[PredId], inner: u32| {
+            let rel = inner.trailing_zeros() as usize;
+            let indexed = |&&p: &&PredId| {
+                (model.join_col_on(p, rel)).is_some_and(|c| model.is_indexed(rel, c))
+            };
+            let key = preds.iter().find(indexed);
+            key.filter(|_| inner.count_ones() == 1)
+                .map(|&key| Self::rotate_front(preds, key))
+        };
+        let split = |a: u32, b: u32| {
+            let preds = self.connecting_preds(a, b);
+            (!preds.is_empty()).then(|| {
+                // Left-deep keeps a composite on the outer side.
+                let sides = [(a, b), (b, a)]
+                    .into_iter()
+                    .filter(|&(l, r)| {
+                        mode == EnumerationMode::Bushy || l.count_ones() > 1 || r.count_ones() == 1
+                    })
+                    .map(|(l, r)| (l, r, key_order(&preds, r)))
+                    .collect();
+                Split { preds, sides }
+            })
+        };
+        // Only a split into two connected halves can be a join: the DP
+        // has no plan for a disconnected set.
+        let mut connected = vec![false; self.full() as usize + 1];
+        let mut splits = vec![Vec::new()];
+        for mask in 1..=self.full() {
+            let mut list = Vec::new();
+            match mode {
+                EnumerationMode::LeftDeep => {
+                    let mut bits = mask;
+                    while bits != 0 {
+                        let bit = bits & bits.wrapping_neg();
+                        bits ^= bit;
+                        if connected[(mask ^ bit) as usize] {
+                            list.extend(split(mask ^ bit, bit));
+                        }
+                    }
+                }
+                EnumerationMode::Bushy => {
+                    // Unordered splits, once each.
+                    let mut s1 = (mask - 1) & mask;
+                    while s1 != 0 {
+                        let s2 = mask ^ s1;
+                        if s1 > s2 && connected[s1 as usize] && connected[s2 as usize] {
+                            list.extend(split(s1, s2));
+                        }
+                        s1 = (s1 - 1) & mask;
+                    }
+                }
+            }
+            connected[mask as usize] = mask.is_power_of_two() || !list.is_empty();
+            splits.push(list);
+        }
+        splits
+    }
+
+    fn full(&self) -> u32 {
+        (1u32 << self.query.relations.len()) - 1
+    }
+
+    fn dp_splits(&self) -> &[Vec<Split>] {
+        self.bushy.as_ref().unwrap_or(&self.left_deep)
     }
 
     /// The bound query.
@@ -117,6 +232,20 @@ impl<'a> Optimizer<'a> {
         Sels::inject(&self.base, self.query, epp_sels)
     }
 
+    /// Moves `sels` to ESS location `epp_sels` in place and returns the
+    /// dimensions whose selectivity changed bits.
+    pub(crate) fn inject_into(&self, sels: &mut Sels, epp_sels: &[Selectivity]) -> DimMask {
+        assert_eq!(epp_sels.len(), self.query.epps.len());
+        let mut changed = 0;
+        for (j, (&p, &s)) in self.query.epps.iter().zip(epp_sels).enumerate() {
+            if sels.get(p).to_bits() != s.to_bits() {
+                sels.set(p, s);
+                changed |= 1 << j;
+            }
+        }
+        changed
+    }
+
     /// Optimizes at an ESS location (one selectivity per epp).
     pub fn optimize_at(&self, epp_sels: &[Selectivity]) -> (PlanNode, Cost) {
         self.optimize_with(&self.sels_at(epp_sels))
@@ -125,52 +254,31 @@ impl<'a> Optimizer<'a> {
     /// Optimizes under a fully-resolved selectivity assignment.
     pub fn optimize_with(&self, sels: &Sels) -> (PlanNode, Cost) {
         rqp_obs::span!("optimizer.optimize_with");
-        let n = self.query.relations.len();
-        debug_assert!(n <= 16);
-        let full: u32 = if n == 32 { u32::MAX } else { (1 << n) - 1 };
+        let mut table = vec![None; self.full() as usize + 1];
+        let cost = self.fill(&mut table, sels, |_| true);
+        (self.rebuild(&table, self.full()), cost)
+    }
+
+    /// The DP proper: recomputes `table[mask]` for every relation set
+    /// `stale` names, in ascending mask order so that the entries it reads
+    /// are current, and returns the optimal cost.
+    fn fill(
+        &self,
+        table: &mut [Option<DpEntry>],
+        sels: &Sels,
+        stale: impl Fn(u32) -> bool,
+    ) -> Cost {
         let model = self.cost_model();
-        let mut table: Vec<Option<DpEntry>> = vec![None; (full as usize) + 1];
-
-        for r in 0..n {
-            table[1usize << r] = Some(self.best_scan(&model, r, sels));
+        let full = self.full();
+        for mask in (1..=full).filter(|&mask| stale(mask)) {
+            table[mask as usize] = if mask.is_power_of_two() {
+                Some(self.best_scan(&model, mask.trailing_zeros() as usize, sels))
+            } else {
+                self.best_join(&model, sels, table, mask)
+            };
         }
-
-        for mask in 1..=full {
-            if mask.count_ones() < 2 {
-                continue;
-            }
-            let mut best: Option<DpEntry> = None;
-            match self.mode {
-                EnumerationMode::LeftDeep => {
-                    let mut bits = mask;
-                    while bits != 0 {
-                        let bit = bits & bits.wrapping_neg();
-                        bits ^= bit;
-                        let rest = mask ^ bit;
-                        if rest == 0 {
-                            continue;
-                        }
-                        self.try_splits(&model, sels, &table, rest, bit, &mut best);
-                    }
-                }
-                EnumerationMode::Bushy => {
-                    // Enumerate unordered splits once.
-                    let mut s1 = (mask - 1) & mask;
-                    while s1 != 0 {
-                        let s2 = mask ^ s1;
-                        if s1 > s2 {
-                            self.try_splits(&model, sels, &table, s1, s2, &mut best);
-                        }
-                        s1 = (s1 - 1) & mask;
-                    }
-                }
-            }
-            table[mask as usize] = best;
-        }
-
         let entry = table[full as usize].expect("connected query must have a full plan");
-        let plan = self.rebuild(&table, full);
-        (plan, entry.est.cost)
+        entry.est.cost
     }
 
     /// Costs an arbitrary plan at a selectivity assignment.
@@ -180,16 +288,13 @@ impl<'a> Optimizer<'a> {
 
     /// Join predicates connecting two relation masks, sorted by id.
     pub fn connecting_preds(&self, lmask: u32, rmask: u32) -> Vec<PredId> {
-        let mut preds: Vec<PredId> = self
-            .edges
+        self.edges
             .iter()
             .filter(|&&(_, lb, rb)| {
                 ((lb & lmask != 0) && (rb & rmask != 0)) || ((lb & rmask != 0) && (rb & lmask != 0))
             })
             .map(|&(p, _, _)| p)
-            .collect();
-        preds.sort_unstable();
-        preds
+            .collect()
     }
 
     /// Sorted filter predicates of a relation.
@@ -202,60 +307,38 @@ impl<'a> Optimizer<'a> {
     /// Used by the constrained enumeration of [`crate::constrained`].
     pub fn scan_candidates(&self, r: usize, sels: &Sels) -> Vec<(PlanNode, NodeEstimate)> {
         let model = self.cost_model();
-        let filters = &self.filters[r];
-        let mut out = vec![(
-            PlanNode::Scan {
-                rel: r,
-                method: ScanMethod::SeqScan,
-                filters: filters.clone(),
-            },
-            model.scan_estimate(r, ScanMethod::SeqScan, filters, sels),
-        )];
-        for &f in filters {
-            let col = match self.query.predicates[f].kind {
-                PredicateKind::FilterLe { col, .. } | PredicateKind::FilterEq { col, .. } => col,
-                PredicateKind::Join { .. } => continue,
-            };
-            if !model.is_indexed(r, col) {
-                continue;
-            }
-            let ordered = Self::rotate_front(filters, f);
-            let est = model.scan_estimate(r, ScanMethod::IndexScan, &ordered, sels);
-            out.push((
-                PlanNode::Scan {
-                    rel: r,
-                    method: ScanMethod::IndexScan,
-                    filters: ordered,
-                },
-                est,
-            ));
+        let paths = (self.index_paths[r].iter()).map(|(_, f)| (ScanMethod::IndexScan, f));
+        (std::iter::once((ScanMethod::SeqScan, &self.filters[r])).chain(paths))
+            .map(|(method, filters)| {
+                let est = model.scan_estimate(r, method, filters, sels);
+                (Self::scan(r, method, filters), est)
+            })
+            .collect()
+    }
+
+    fn scan(rel: usize, method: ScanMethod, filters: &[PredId]) -> PlanNode {
+        let filters = filters.to_vec();
+        PlanNode::Scan {
+            rel,
+            method,
+            filters,
         }
-        out
     }
 
     /// The best access path for relation `r` at `sels`, considering a
     /// sequential scan and one index scan per indexed filter column.
     fn best_scan(&self, model: &CostModel<'_>, r: usize, sels: &Sels) -> DpEntry {
-        let filters = &self.filters[r];
-        let seq = model.scan_estimate(r, ScanMethod::SeqScan, filters, sels);
+        let seq = model.scan_estimate(r, ScanMethod::SeqScan, &self.filters[r], sels);
         let mut best = DpEntry {
             est: seq,
-            step: BuildStep::Scan(ScanMethod::SeqScan, None),
+            step: BuildStep::Scan(None),
         };
-        for &f in filters {
-            let col = match self.query.predicates[f].kind {
-                PredicateKind::FilterLe { col, .. } | PredicateKind::FilterEq { col, .. } => col,
-                PredicateKind::Join { .. } => continue,
-            };
-            if !model.is_indexed(r, col) {
-                continue;
-            }
-            let ordered = Self::rotate_front(filters, f);
-            let est = model.scan_estimate(r, ScanMethod::IndexScan, &ordered, sels);
+        for (i, (_, ordered)) in self.index_paths[r].iter().enumerate() {
+            let est = model.scan_estimate(r, ScanMethod::IndexScan, ordered, sels);
             if est.cost < best.est.cost {
                 best = DpEntry {
                     est,
-                    step: BuildStep::Scan(ScanMethod::IndexScan, Some(f)),
+                    step: BuildStep::Scan(Some(i)),
                 };
             }
         }
@@ -269,132 +352,156 @@ impl<'a> Optimizer<'a> {
         out
     }
 
-    /// Tries all methods and both orientations for the split `(a, b)`.
-    fn try_splits(
+    /// The cheapest join for `mask` over its splits, both orientations
+    /// and every method.
+    fn best_join(
         &self,
         model: &CostModel<'_>,
         sels: &Sels,
         table: &[Option<DpEntry>],
-        a: u32,
-        b: u32,
-        best: &mut Option<DpEntry>,
-    ) {
-        let (ea, eb) = match (table[a as usize], table[b as usize]) {
-            (Some(x), Some(y)) => (x, y),
-            _ => return,
-        };
-        let preds = self.connecting_preds(a, b);
-        if preds.is_empty() {
-            return;
-        }
-        for (lmask, rmask, l, r) in [(a, b, ea, eb), (b, a, eb, ea)] {
-            // In left-deep mode, keep the composite on the outer side.
-            if self.mode == EnumerationMode::LeftDeep
-                && rmask.count_ones() > 1
-                && lmask.count_ones() == 1
-            {
-                continue;
-            }
-            for method in [
-                JoinMethod::HashJoin,
-                JoinMethod::SortMergeJoin,
-                JoinMethod::NestedLoopJoin,
-            ] {
-                let est = model.join_estimate(method, l.est, r.est, &preds, sels);
-                Self::consider(
-                    best,
-                    DpEntry {
-                        est,
-                        step: BuildStep::Join {
-                            method,
-                            lmask,
-                            rmask,
-                            key_pred: None,
-                        },
-                    },
-                );
-            }
-            // Index nested-loop: inner must be a single base relation with
-            // an index on some connecting predicate's inner column.
-            if rmask.count_ones() == 1 {
-                let rel = rmask.trailing_zeros() as usize;
-                if let Some(&key) = preds.iter().find(|&&p| {
-                    model
-                        .join_col_on(p, rel)
-                        .is_some_and(|c| model.is_indexed(rel, c))
-                }) {
-                    let ordered = Self::rotate_front(&preds, key);
-                    let est =
-                        model.index_nl_estimate(l.est, rel, &self.filters[rel], &ordered, sels);
-                    Self::consider(
-                        best,
-                        DpEntry {
-                            est,
-                            step: BuildStep::Join {
-                                method: JoinMethod::IndexNLJoin,
-                                lmask,
-                                rmask,
-                                key_pred: Some(key),
-                            },
-                        },
+        mask: u32,
+    ) -> Option<DpEntry> {
+        let mut best: Option<DpEntry> = None;
+        for (split, s) in self.dp_splits()[mask as usize].iter().enumerate() {
+            for (side, &(lmask, rmask, ref key_order)) in s.sides.iter().enumerate() {
+                let plan = |m: u32| table[m as usize].expect("a connected set has a plan");
+                let (l, r) = (plan(lmask), plan(rmask));
+                let mut consider = |method, est: NodeEstimate| {
+                    if best.is_none_or(|b| est.cost < b.est.cost) {
+                        let step = BuildStep::Join(method, split, side);
+                        best = Some(DpEntry { est, step });
+                    }
+                };
+                // Hash, sort-merge and nested-loop; index nested-loop below.
+                for &method in &JoinMethod::ALL[..3] {
+                    consider(
+                        method,
+                        model.join_estimate(method, l.est, r.est, &s.preds, sels),
                     );
+                }
+                if let Some(ordered) = key_order {
+                    let rel = rmask.trailing_zeros() as usize;
+                    let est =
+                        model.index_nl_estimate(l.est, rel, &self.filters[rel], ordered, sels);
+                    consider(JoinMethod::IndexNLJoin, est);
                 }
             }
         }
-    }
-
-    fn consider(best: &mut Option<DpEntry>, cand: DpEntry) {
-        match best {
-            None => *best = Some(cand),
-            Some(b) if cand.est.cost < b.est.cost => *best = Some(cand),
-            _ => {}
-        }
+        best
     }
 
     /// Reconstructs the plan tree for `mask` from the DP table.
     fn rebuild(&self, table: &[Option<DpEntry>], mask: u32) -> PlanNode {
         let entry = table[mask as usize].expect("DP entry must exist during rebuild");
+        let rel = mask.trailing_zeros() as usize;
         match entry.step {
-            BuildStep::Scan(method, driving) => {
-                let rel = mask.trailing_zeros() as usize;
-                let filters = match driving {
-                    Some(f) => Self::rotate_front(&self.filters[rel], f),
-                    None => self.filters[rel].clone(),
-                };
-                PlanNode::Scan {
-                    rel,
-                    method,
-                    filters,
-                }
+            BuildStep::Scan(Some(i)) => {
+                Self::scan(rel, ScanMethod::IndexScan, &self.index_paths[rel][i].1)
             }
-            BuildStep::Join {
-                method,
-                lmask,
-                rmask,
-                key_pred,
-            } => {
-                let left = self.rebuild(table, lmask);
-                let preds = self.connecting_preds(lmask, rmask);
-                let (preds, right) = match (method, key_pred) {
-                    (JoinMethod::IndexNLJoin, Some(key)) => {
+            BuildStep::Scan(None) => Self::scan(rel, ScanMethod::SeqScan, &self.filters[rel]),
+            BuildStep::Join(method, split, side) => {
+                let s = &self.dp_splits()[mask as usize][split];
+                let (lmask, rmask, ref key_order) = s.sides[side];
+                let left = Box::new(self.rebuild(table, lmask));
+                let (right, preds) = match (method, key_order) {
+                    (JoinMethod::IndexNLJoin, Some(ordered)) => {
                         let rel = rmask.trailing_zeros() as usize;
-                        let inner = PlanNode::Scan {
-                            rel,
-                            method: ScanMethod::IndexScan,
-                            filters: self.filters[rel].clone(),
-                        };
-                        (Self::rotate_front(&preds, key), inner)
+                        let inner = Self::scan(rel, ScanMethod::IndexScan, &self.filters[rel]);
+                        (inner, ordered.clone())
                     }
-                    _ => (preds, self.rebuild(table, rmask)),
+                    _ => (self.rebuild(table, rmask), s.preds.clone()),
                 };
+                let right = Box::new(right);
                 PlanNode::Join {
                     method,
-                    left: Box::new(left),
-                    right: Box::new(right),
+                    left,
+                    right,
                     preds,
                 }
             }
         }
+    }
+
+    /// Appends the steps [`rebuild`](Self::rebuild) takes from `mask`.
+    fn walk(&self, table: &[Option<DpEntry>], mask: u32, key: &mut Vec<BuildStep>) {
+        let entry = table[mask as usize].expect("DP entry must exist during walk");
+        key.push(entry.step);
+        if let BuildStep::Join(method, split, side) = entry.step {
+            let (lmask, rmask, _) = self.dp_splits()[mask as usize][split].sides[side];
+            self.walk(table, lmask, key);
+            if method != JoinMethod::IndexNLJoin {
+                self.walk(table, rmask, key);
+            }
+        }
+    }
+}
+
+/// The DP's decision walk to one optimum: equal keys rebuild equal plans.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+pub struct PlanKey(Vec<BuildStep>);
+
+/// One DP table kept across a walk over ESS locations.
+///
+/// `table[S]` depends only on the selectivities of the predicates inside
+/// relation set `S`, so each [`optimize_at`](Self::optimize_at) recomputes
+/// only the sets holding an epp whose selectivity changed since the last
+/// call; any other entry would be recomputed from the same inputs by the
+/// same operations. In flat grid order dimension 0 is the only one that
+/// changes on most steps. Every result is bit-identical to
+/// [`Optimizer::optimize_at`].
+#[derive(Debug)]
+pub struct DpSweep<'o, 'a> {
+    opt: &'o Optimizer<'a>,
+    sels: Sels,
+    table: Vec<Option<DpEntry>>,
+    /// Epp dimensions among each relation set's internal predicates.
+    deps: Vec<DimMask>,
+    fresh: bool,
+}
+
+impl<'o, 'a> DpSweep<'o, 'a> {
+    /// An empty table over `opt`; the first call fills all of it.
+    pub fn new(opt: &'o Optimizer<'a>) -> Self {
+        let query = opt.query;
+        let deps = (0..=opt.full())
+            .map(|mask| {
+                (query.epps.iter().enumerate())
+                    .filter(|&(_, &p)| {
+                        let (a, b) = query.predicates[p].kind.relations();
+                        let rels = 1 << a | b.map_or(0, |b| 1 << b);
+                        mask & rels == rels
+                    })
+                    .fold(0, |deps, (j, _)| deps | 1 << j)
+            })
+            .collect();
+        Self {
+            opt,
+            sels: opt.base.clone(),
+            table: vec![None; opt.full() as usize + 1],
+            deps,
+            fresh: true,
+        }
+    }
+
+    /// The optimal cost at ESS location `epp_sels`; its plan is
+    /// [`plan`](Self::plan).
+    pub fn optimize_at(&mut self, epp_sels: &[Selectivity]) -> Cost {
+        let changed = self.opt.inject_into(&mut self.sels, epp_sels);
+        let (deps, fresh) = (&self.deps, std::mem::take(&mut self.fresh));
+        (self.opt).fill(&mut self.table, &self.sels, |mask| {
+            fresh || deps[mask as usize] & changed != 0
+        })
+    }
+
+    /// Writes the decision walk to the last optimum into `key`.
+    pub fn plan_key(&self, key: &mut PlanKey) {
+        key.0.clear();
+        self.opt.walk(&self.table, self.opt.full(), &mut key.0);
+    }
+
+    /// The last optimum's plan.
+    pub fn plan(&self) -> PlanNode {
+        self.opt.rebuild(&self.table, self.opt.full())
     }
 }
 

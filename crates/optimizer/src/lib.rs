@@ -60,8 +60,8 @@ pub mod plan;
 pub mod query;
 
 pub use cost::{CostModel, CostParams};
-pub use cost_matrix::{CostMatrix, SparseCostMatrix};
-pub use dp::{EnumerationMode, Optimizer};
+pub use cost_matrix::{CostMatrix, RecostSweep, SparseCostMatrix};
+pub use dp::{DpSweep, EnumerationMode, Optimizer, PlanKey};
 pub use parser::parse_sql;
 pub use plan::{JoinMethod, PlanId, PlanNode, PlanPool, ScanMethod};
 pub use query::{PredId, Predicate, PredicateKind, QuerySpec, RelIdx, Sels};

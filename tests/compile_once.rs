@@ -1,7 +1,11 @@
 //! Differential and golden suite for the compile path that does each unit
-//! of work once: the matrix-backed anorexic cover against the recosting
-//! one, the one-pass skylines against the per-contour scans, and the
-//! in-place artifact encoder against pinned file checksums.
+//! of work once: the incremental surface and recost sweeps against one
+//! optimizer call per cell, the matrix-backed anorexic cover against the
+//! recosting one, the one-pass skylines against the per-contour scans,
+//! and the in-place artifact encoder against pinned file checksums.
+
+#[path = "support/per_cell.rs"]
+mod per_cell;
 
 use rqp::artifacts::{checksum64, CompiledArtifact};
 use rqp::catalog::tpcds;
@@ -9,6 +13,35 @@ use rqp::ess::anorexic::{reduce_all, reduce_all_with};
 use rqp::ess::{ContourSet, EssSurface, EssView, LazySurface};
 use rqp::optimizer::{CostMatrix, CostParams, EnumerationMode, Optimizer};
 use rqp::workloads::{paper_suite, BenchQuery};
+
+/// On every non-6D suite query at its default grid, at 1, 2 and 3
+/// threads: the surface and the matrix equal the per-cell reference bit
+/// for bit, plan ids and pool order included. The two 3D queries also run
+/// with bushy enumeration.
+#[test]
+fn compile_sweeps_match_the_per_cell_reference_on_the_suite() {
+    let catalog = tpcds::catalog_sf100();
+    let mut checked = 0;
+    for bench in paper_suite(&catalog) {
+        let d = bench.query.ndims();
+        if d >= 6 {
+            continue;
+        }
+        let modes: &[EnumerationMode] = match d {
+            3 => &[EnumerationMode::LeftDeep, EnumerationMode::Bushy],
+            _ => &[EnumerationMode::LeftDeep],
+        };
+        for &mode in modes {
+            let opt = Optimizer::new(&catalog, &bench.query, CostParams::default(), mode)
+                .expect("suite query valid");
+            if let Err(e) = per_cell::check_sweeps(&opt, &bench.grid(), &[1, 2, 3]) {
+                panic!("{} ({mode}): {e}", bench.name());
+            }
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 11, "nine left-deep and two bushy sweeps");
+}
 
 fn optimizer_for<'a>(catalog: &'a rqp::catalog::Catalog, bench: &'a BenchQuery) -> Optimizer<'a> {
     Optimizer::new(

@@ -1,7 +1,11 @@
 //! Randomized cross-crate properties: random catalogs and random acyclic
 //! join-graph geometries (chains, stars, branches — the shapes the paper's
 //! workload spans), checked for optimizer optimality, PCM, surface
-//! monotonicity, contour covering, and the SpillBound guarantee.
+//! monotonicity, contour covering, the SpillBound guarantee, and the
+//! incremental compile sweeps against one optimizer call per cell.
+
+#[path = "support/per_cell.rs"]
+mod per_cell;
 
 use proptest::prelude::*;
 use rqp::catalog::{Catalog, Column, ColumnStats, DataType, Table};
@@ -69,6 +73,42 @@ fn random_query_strategy() -> impl Strategy<Value = RandomQuery> {
                 epps: vec![0, 1],
             };
             RandomQuery { catalog, query }
+        })
+}
+
+/// [`random_query_strategy`] plus `<=` filters on some relations — on the
+/// indexed key, so index scans and index nested-loop inners carry them, or
+/// on the foreign key — and one to three epps drawn from joins and filters
+/// alike, the first filter always among them.
+fn filtered_query_strategy() -> impl Strategy<Value = RandomQuery> {
+    (
+        random_query_strategy(),
+        proptest::collection::vec((0usize..3, 1i64..5_000), 6),
+        proptest::collection::vec(any::<bool>(), 12),
+    )
+        .prop_map(|(mut rq, filters, picks)| {
+            let joins = rq.query.predicates.len();
+            let n = rq.query.relations.len();
+            for (rel, &(col, value)) in filters.iter().enumerate().take(n) {
+                // Column 2 means no filter on this relation.
+                if col < 2 {
+                    rq.query.predicates.push(Predicate {
+                        label: format!("t{rel}.c{col}<={value}"),
+                        kind: PredicateKind::FilterLe { rel, col, value },
+                    });
+                }
+            }
+            let npreds = rq.query.predicates.len();
+            let mut epps: Vec<usize> = (0..npreds).filter(|&p| picks[p]).collect();
+            if joins < npreds && !epps.contains(&joins) {
+                epps.insert(0, joins);
+            }
+            epps.truncate(3);
+            if epps.is_empty() {
+                epps.push(0);
+            }
+            rq.query.epps = epps;
+            rq
         })
 }
 
@@ -154,6 +194,24 @@ proptest! {
         }
         // Last, because the pass materializes the lazy surface.
         prop_assert_eq!(&one_pass, &contours.all_locations(&lazy));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The incremental surface and recost sweeps equal one optimizer call
+    /// per cell on random join graphs whose epps include filters, so the
+    /// filter-epp and index nested-loop inner-filter dependencies are
+    /// exercised, in both enumeration modes at 1, 2 and 3 threads.
+    #[test]
+    fn incremental_sweeps_match_per_cell_on_random_filtered_queries(rq in filtered_query_strategy()) {
+        let grid = MultiGrid::uniform(rq.query.ndims(), 1e-6, 5);
+        for mode in [EnumerationMode::LeftDeep, EnumerationMode::Bushy] {
+            let opt = Optimizer::new(&rq.catalog, &rq.query, CostParams::default(), mode).unwrap();
+            let checked = per_cell::check_sweeps(&opt, &grid, &[1, 2, 3]);
+            prop_assert!(checked.is_ok(), "{}: {:?}", mode, checked);
+        }
     }
 }
 
