@@ -24,23 +24,27 @@
 //! the raw payload bytes, hex-encoded — a string, not a JSON number,
 //! because the vendored `serde` shim carries numbers as `f64` and u64
 //! checksums exceed 2^53.
-//! Loading validates magic → version → length → checksum → decode →
-//! structural invariants, and every failure surfaces as a typed
-//! [`ArtifactError`]; nothing in the load path panics on bad input.
+//! This is the only format: the store writes one kind of file and
+//! [`CompiledArtifact::from_bytes`] is its one decoder. Loading validates
+//! magic → version → length → checksum → decode → structural invariants,
+//! and every failure surfaces as a typed [`ArtifactError`]; nothing in
+//! the load path panics on bad input. A file of any other version — such
+//! as a contour-only version-2 file an older build wrote — is an
+//! [`ArtifactError::UnsupportedVersion`].
 //!
 //! Float fields round-trip bit-exactly: the `serde_json` shim renders
 //! floats with Rust's shortest-round-trip `Display`, so a loaded artifact
 //! evaluates bit-identically to the freshly compiled one (property-tested
 //! in `tests/artifact_roundtrip.rs` at the workspace root).
 
-use rqp_common::{Cost, GridIdx, MultiGrid};
+use rqp_common::MultiGrid;
 use rqp_ess::anorexic::{reduce_all_with, ReducedContour};
-use rqp_ess::{ContourSet, EssSurface, LazySurface};
+use rqp_ess::{ContourSet, EssSurface};
 use rqp_faults::{crash, FaultPlan, FaultSite};
 use rqp_obs::{TraceEvent, Tracer};
-use rqp_optimizer::cost_matrix::{decode_cells_hex, encode_cells_hex, PackedJson};
-use rqp_optimizer::{CostMatrix, Optimizer, PlanId, PlanPool, QuerySpec, SparseCostMatrix};
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use rqp_optimizer::cost_matrix::PackedJson;
+use rqp_optimizer::{CostMatrix, Optimizer, QuerySpec};
+use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -48,16 +52,9 @@ use std::time::{Duration, Instant};
 /// Magic string identifying an rqp artifact file.
 pub const MAGIC: &str = "rqp-artifact";
 
-/// On-disk format version of dense [`CompiledArtifact`] payloads. Bump on
-/// any incompatible change to its serialized shape.
+/// On-disk format version of [`CompiledArtifact`] payloads. Bump on any
+/// incompatible change to its serialized shape.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// On-disk format version of sparse [`SparseArtifact`] payloads: same
-/// envelope (header line, checksum), different payload shape — only the
-/// cells a lazy compile actually materialized are persisted. Version-1
-/// readers reject these files with a typed error; [`load_any`] dispatches
-/// on the header version and reads both.
-pub const SPARSE_FORMAT_VERSION: u32 = 2;
 
 /// Typed artifact-store failure. Every load-path failure maps to one of
 /// these; the load path never panics on malformed input.
@@ -169,12 +166,12 @@ struct Header {
 /// Wraps a payload in the on-disk envelope, header line + raw payload, in
 /// one buffer of the final size: the payload is rendered behind the room
 /// the header needs, checksummed in place, and the header written last.
-fn seal(version: u32, payload: &PackedJson<'_>) -> Vec<u8> {
+fn seal(payload: &PackedJson<'_>) -> Vec<u8> {
     let payload_len = payload.rendered_len();
     let header_line = |checksum: u64| {
         let header = Header {
             magic: MAGIC.into(),
-            version,
+            version: FORMAT_VERSION,
             checksum: format!("{checksum:016x}"),
             payload_len,
         };
@@ -194,11 +191,10 @@ fn member<T: Serialize>(json: &mut PackedJson<'_>, name: &str, value: &T) {
     json.raw(&serde_json::to_string(value).expect("artifact field serializes"));
 }
 
-/// Validates the envelope — header shape, magic, payload length, checksum
-/// — and returns the declared format version plus the payload text.
-/// Version interpretation is the caller's job (each decoder checks its
-/// own; [`load_any`] dispatches). Never panics on malformed input.
-fn open_envelope(bytes: &[u8]) -> Result<(u32, &str), ArtifactError> {
+/// Validates the envelope — header shape, magic, format version, payload
+/// length, checksum — and returns the payload text. Never panics
+/// on malformed input.
+fn open_envelope(bytes: &[u8]) -> Result<&str, ArtifactError> {
     let nl = bytes
         .iter()
         .position(|&b| b == b'\n')
@@ -212,6 +208,12 @@ fn open_envelope(bytes: &[u8]) -> Result<(u32, &str), ArtifactError> {
         serde_json::from_str(header_text).map_err(|e| ArtifactError::BadHeader(e.to_string()))?;
     if header.magic != MAGIC {
         return Err(ArtifactError::BadMagic(header.magic));
+    }
+    if header.version != FORMAT_VERSION {
+        return Err(ArtifactError::UnsupportedVersion {
+            found: header.version,
+            supported: FORMAT_VERSION,
+        });
     }
     let payload = &bytes[nl + 1..];
     if payload.len() < header.payload_len {
@@ -233,9 +235,7 @@ fn open_envelope(bytes: &[u8]) -> Result<(u32, &str), ArtifactError> {
             found,
         });
     }
-    let payload_text =
-        std::str::from_utf8(payload).map_err(|e| ArtifactError::Decode(e.to_string()))?;
-    Ok((header.version, payload_text))
+    std::str::from_utf8(payload).map_err(|e| ArtifactError::Decode(e.to_string()))
 }
 
 /// The persisted outcome of a penalty-aware selection: which plan the
@@ -367,23 +367,16 @@ impl CompiledArtifact {
         self.matrix.write_packed(&mut json);
         member(&mut json, "penalty", &self.penalty);
         json.raw("}");
-        seal(FORMAT_VERSION, &json)
+        seal(&json)
     }
 
     /// Parses and validates the on-disk byte format. Checks, in order:
-    /// header shape, magic, payload length, checksum, format version,
+    /// header shape, magic, format version, payload length, checksum,
     /// payload decode, and structural invariants. Never panics on
-    /// malformed input. A version-2 (sparse) file is rejected with
-    /// [`ArtifactError::UnsupportedVersion`] — use [`load_any`] or
-    /// [`SparseArtifact::from_bytes`] for those.
+    /// malformed input; a file of any other format version is an
+    /// [`ArtifactError::UnsupportedVersion`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        let (version, payload_text) = open_envelope(bytes)?;
-        if version != FORMAT_VERSION {
-            return Err(ArtifactError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
+        let payload_text = open_envelope(bytes)?;
         let mut artifact: CompiledArtifact =
             serde_json::from_str(payload_text).map_err(|e| ArtifactError::Decode(e.to_string()))?;
         artifact.rehydrate()?;
@@ -470,22 +463,15 @@ impl CompiledArtifact {
         Self::load_with(path, None)
     }
 
-    /// [`load`](Self::load) under an optional fault plan: the plan's
-    /// `slow_load` latency is served first, then an injected
+    /// [`load`](Self::load) under an optional fault plan: an injected
     /// `store.load` fault surfaces as an interrupted-read I/O error
     /// before the file is touched.
     pub fn load_with(path: &Path, faults: Option<&FaultPlan>) -> Result<Self, ArtifactError> {
-        if let Some(plan) = faults {
-            let lag = plan.slow_load();
-            if !lag.is_zero() {
-                std::thread::sleep(lag);
-            }
-            if plan.should_inject(FaultSite::StoreLoad) {
-                return Err(ArtifactError::Io(format!(
-                    "injected read fault at {} (Interrupted)",
-                    path.display()
-                )));
-            }
+        if faults.is_some_and(|plan| plan.should_inject(FaultSite::StoreLoad)) {
+            return Err(ArtifactError::Io(format!(
+                "injected read fault at {} (Interrupted)",
+                path.display()
+            )));
         }
         let bytes = std::fs::read(path)?;
         Self::from_bytes(&bytes)
@@ -548,278 +534,6 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), ArtifactError> {
         std::fs::File::open(dir)?.sync_all()?;
     }
     Ok(())
-}
-
-/// Bit-exact packed cost vector — 16 lowercase hex digits of each cost's
-/// IEEE-754 bit pattern, the same codec the cost matrices use. A wrapper
-/// type so the derived artifact serde treats the whole vector as one
-/// string field instead of a huge float array.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct HexCosts(pub Vec<Cost>);
-
-impl Serialize for HexCosts {
-    fn to_value(&self) -> Value {
-        Value::String(encode_cells_hex(&self.0))
-    }
-}
-
-impl Deserialize for HexCosts {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        match v {
-            Value::String(s) => Ok(Self(decode_cells_hex(s.as_bytes())?)),
-            _ => Err(SerdeError::msg("expected packed hex string for costs")),
-        }
-    }
-}
-
-/// The sparse (version-2) artifact a lazy compile produces: instead of a
-/// full [`EssSurface`], only the cells the lazy contour discovery and
-/// warm-up actually materialized are persisted, with the interned plan
-/// pool, the contour schedule, and a [`SparseCostMatrix`] over exactly
-/// those cells. A warm start seeds a [`LazySurface`] from these cells
-/// ([`Self::to_lazy`]): every persisted cost is served without an
-/// optimizer call, and any cell outside the persisted set is discovered
-/// on demand as usual.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SparseArtifact {
-    /// The query template this artifact was compiled for.
-    pub query: QuerySpec,
-    /// Inter-contour cost ratio.
-    pub ratio: f64,
-    /// The ESS grid the cells index into.
-    pub grid: MultiGrid,
-    /// Flat grid indices of the materialized cells, strictly ascending.
-    pub cell_idx: Vec<GridIdx>,
-    /// `OptCost` of each materialized cell (bit-exact hex packing).
-    pub cell_costs: HexCosts,
-    /// Optimal-plan id of each materialized cell, indexing `pool`.
-    pub cell_plan: Vec<PlanId>,
-    /// Plans interned in materialization order.
-    pub pool: PlanPool,
-    /// The contour schedule's costs, ascending.
-    pub contour_costs: Vec<Cost>,
-    /// Plan×cell recost matrix over `pool` × `cell_idx`.
-    pub matrix: SparseCostMatrix,
-}
-
-impl SparseArtifact {
-    /// Snapshots a lazily-built surface into its persistable form.
-    pub fn from_lazy(
-        opt: &Optimizer<'_>,
-        lazy: &LazySurface<'_>,
-        contours: &ContourSet,
-        matrix: SparseCostMatrix,
-        ratio: f64,
-    ) -> Self {
-        let cells = lazy.cells();
-        let mut cell_idx = Vec::with_capacity(cells.len());
-        let mut cell_costs = Vec::with_capacity(cells.len());
-        let mut cell_plan = Vec::with_capacity(cells.len());
-        for (idx, cost, pid) in cells {
-            cell_idx.push(idx);
-            cell_costs.push(cost);
-            cell_plan.push(pid);
-        }
-        Self {
-            query: opt.query().clone(),
-            ratio,
-            grid: rqp_ess::SurfaceAccess::grid(lazy).clone(),
-            cell_idx,
-            cell_costs: HexCosts(cell_costs),
-            cell_plan,
-            pool: rqp_ess::SurfaceAccess::pool_snapshot(lazy),
-            contour_costs: contours.costs().to_vec(),
-            matrix,
-        }
-    }
-
-    /// Serializes to the on-disk byte format (version-2 envelope): the
-    /// derived `Serialize`'s members, both cost vectors written in place.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut json = PackedJson::default();
-        json.raw("{");
-        member(&mut json, "query", &self.query);
-        member(&mut json, "ratio", &self.ratio);
-        member(&mut json, "grid", &self.grid);
-        member(&mut json, "cell_idx", &self.cell_idx);
-        json.key("cell_costs");
-        json.cells(&self.cell_costs.0);
-        member(&mut json, "cell_plan", &self.cell_plan);
-        member(&mut json, "pool", &self.pool);
-        member(&mut json, "contour_costs", &self.contour_costs);
-        json.key("matrix");
-        self.matrix.write_packed(&mut json);
-        json.raw("}");
-        seal(SPARSE_FORMAT_VERSION, &json)
-    }
-
-    /// Parses and validates a version-2 artifact. Same envelope checks as
-    /// the dense reader, then sparse structural invariants.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        let (version, payload_text) = open_envelope(bytes)?;
-        if version != SPARSE_FORMAT_VERSION {
-            return Err(ArtifactError::UnsupportedVersion {
-                found: version,
-                supported: SPARSE_FORMAT_VERSION,
-            });
-        }
-        let mut artifact: SparseArtifact =
-            serde_json::from_str(payload_text).map_err(|e| ArtifactError::Decode(e.to_string()))?;
-        artifact.rehydrate()?;
-        Ok(artifact)
-    }
-
-    /// Rebuilds non-serialized state (the pool's fingerprint index) and
-    /// validates structural invariants.
-    fn rehydrate(&mut self) -> Result<(), ArtifactError> {
-        self.pool.rebuild_index();
-        if self.query.ndims() != self.grid.ndims() {
-            return Err(ArtifactError::Invalid(format!(
-                "query has {} error-prone predicates but the grid has {} dimensions",
-                self.query.ndims(),
-                self.grid.ndims()
-            )));
-        }
-        let n = self.cell_idx.len();
-        if self.cell_costs.0.len() != n || self.cell_plan.len() != n {
-            return Err(ArtifactError::Invalid(format!(
-                "cell arrays disagree: {} indices, {} costs, {} plans",
-                n,
-                self.cell_costs.0.len(),
-                self.cell_plan.len()
-            )));
-        }
-        if !self.cell_idx.windows(2).all(|w| w[0] < w[1])
-            || self.cell_idx.last().is_some_and(|&q| q >= self.grid.len())
-        {
-            return Err(ArtifactError::Invalid(
-                "cell indices must be strictly ascending and inside the grid".into(),
-            ));
-        }
-        if self.cell_plan.iter().any(|&pid| pid >= self.pool.len()) {
-            return Err(ArtifactError::Invalid(
-                "a cell references a plan outside the pool".into(),
-            ));
-        }
-        if self.contour_costs.is_empty()
-            || self
-                .contour_costs
-                .windows(2)
-                .any(|w| w[1].partial_cmp(&w[0]) != Some(std::cmp::Ordering::Greater))
-        {
-            return Err(ArtifactError::Invalid(
-                "contour costs must be non-empty and strictly ascending".into(),
-            ));
-        }
-        if !self.matrix.shape_matches(self.pool.len(), self.grid.len()) {
-            return Err(ArtifactError::Invalid(format!(
-                "sparse matrix shape ({} plans, {} cells) does not match pool/grid",
-                self.matrix.nplans(),
-                self.matrix.ncells()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Rough resident-memory footprint in bytes, for cache accounting —
-    /// the sparse analogue of [`CompiledArtifact::approx_bytes`].
-    pub fn approx_bytes(&self) -> usize {
-        let cells = self.cell_idx.len();
-        let matrix = self.matrix.nplans() * self.matrix.ncells() * 8;
-        let plans = self.pool.len() * 256;
-        4096 + matrix + cells * 24 + plans + self.contour_costs.len() * 8
-    }
-
-    /// The persisted cells as the `(idx, cost, plan_id)` seed
-    /// [`LazySurface::from_parts`] consumes.
-    pub fn seed(&self) -> Vec<(GridIdx, Cost, PlanId)> {
-        self.cell_idx
-            .iter()
-            .zip(&self.cell_costs.0)
-            .zip(&self.cell_plan)
-            .map(|((&idx, &cost), &pid)| (idx, cost, pid))
-            .collect()
-    }
-
-    /// Re-seeds a lazy surface from the persisted cells: every persisted
-    /// cost is served without an optimizer call.
-    pub fn to_lazy<'a>(&self, opt: &'a Optimizer<'a>) -> rqp_common::Result<LazySurface<'a>> {
-        LazySurface::from_parts(opt, self.grid.clone(), &self.seed(), self.pool.clone())
-    }
-
-    /// True if this artifact was compiled for the given configuration.
-    pub fn matches(&self, opt: &Optimizer<'_>, grid: &MultiGrid, ratio: f64) -> bool {
-        self.query.name == opt.query().name
-            && self.query.ndims() == opt.query().ndims()
-            && &self.grid == grid
-            && self.ratio == ratio
-    }
-
-    /// Writes the artifact atomically (`path.tmp` then rename).
-    pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
-        write_atomic(path, &self.to_bytes())
-    }
-
-    /// Loads and validates a sparse artifact file.
-    pub fn load(path: &Path) -> Result<Self, ArtifactError> {
-        Self::from_bytes(&std::fs::read(path)?)
-    }
-}
-
-/// A decoded artifact of either on-disk format version.
-#[derive(Debug, Clone)]
-pub enum ArtifactKind {
-    /// Version 1: dense surface + dense cost matrix.
-    Dense(Box<CompiledArtifact>),
-    /// Version 2: materialized cells only.
-    Sparse(Box<SparseArtifact>),
-}
-
-impl ArtifactKind {
-    /// Name of the query template the artifact was compiled for.
-    pub fn query_name(&self) -> &str {
-        match self {
-            ArtifactKind::Dense(a) => &a.query.name,
-            ArtifactKind::Sparse(a) => &a.query.name,
-        }
-    }
-
-    /// Rough resident-memory footprint in bytes, for cache accounting.
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            ArtifactKind::Dense(a) => a.approx_bytes(),
-            ArtifactKind::Sparse(a) => a.approx_bytes(),
-        }
-    }
-}
-
-/// Parses an artifact of either format version, dispatching on the
-/// envelope's version field after the integrity checks.
-pub fn load_any(bytes: &[u8]) -> Result<ArtifactKind, ArtifactError> {
-    let (version, payload_text) = open_envelope(bytes)?;
-    match version {
-        FORMAT_VERSION => {
-            let mut a: CompiledArtifact = serde_json::from_str(payload_text)
-                .map_err(|e| ArtifactError::Decode(e.to_string()))?;
-            a.rehydrate()?;
-            Ok(ArtifactKind::Dense(Box::new(a)))
-        }
-        SPARSE_FORMAT_VERSION => {
-            let mut a: SparseArtifact = serde_json::from_str(payload_text)
-                .map_err(|e| ArtifactError::Decode(e.to_string()))?;
-            a.rehydrate()?;
-            Ok(ArtifactKind::Sparse(Box::new(a)))
-        }
-        other => Err(ArtifactError::UnsupportedVersion {
-            found: other,
-            supported: SPARSE_FORMAT_VERSION,
-        }),
-    }
-}
-
-/// [`load_any`] from a file path.
-pub fn load_any_path(path: &Path) -> Result<ArtifactKind, ArtifactError> {
-    load_any(&std::fs::read(path)?)
 }
 
 /// Why `compile_or_load` went cold instead of loading.
@@ -1005,27 +719,14 @@ impl ArtifactStore {
         result
     }
 
-    /// Loads the artifact for query `name` in either format version —
-    /// the cache-fill path the serving LRU uses on a miss. Honors the
-    /// store's fault plan (`slow_load` latency, injected `store.load`
-    /// errors) so cold loads participate in fault injection, and emits
-    /// the same `artifact_store` cache-miss trace event as
-    /// [`compile_or_load`](Self::compile_or_load).
-    pub fn load_any_named(&self, name: &str) -> Result<ArtifactKind, ArtifactError> {
-        rqp_obs::span!("artifacts.load_any_named");
-        if let Some(plan) = self.faults.as_deref() {
-            let lag = plan.slow_load();
-            if !lag.is_zero() {
-                std::thread::sleep(lag);
-            }
-            if plan.should_inject(FaultSite::StoreLoad) {
-                return Err(ArtifactError::Io(format!(
-                    "injected read fault at {} (Interrupted)",
-                    self.path_for(name).display()
-                )));
-            }
-        }
-        let result = load_any_path(&self.path_for(name));
+    /// Loads the artifact for query `name` — the cache-fill path the
+    /// serving LRU uses on a miss. Honors the store's fault plan
+    /// (injected `store.load` errors) so cold loads participate in fault
+    /// injection, and emits the same `artifact_store` cache-miss trace
+    /// event as [`compile_or_load`](Self::compile_or_load).
+    pub fn load_named(&self, name: &str) -> Result<CompiledArtifact, ArtifactError> {
+        rqp_obs::span!("artifacts.load_named");
+        let result = CompiledArtifact::load_with(&self.path_for(name), self.faults.as_deref());
         if result.is_ok() {
             self.tracer.emit(|| TraceEvent::CacheMiss {
                 cache: "artifact_store",
@@ -1033,25 +734,6 @@ impl ArtifactStore {
             });
         }
         result
-    }
-
-    /// Path of the sparse (lazily-compiled) artifact for query `name`.
-    /// Kept distinct from [`path_for`](Self::path_for) so dense and
-    /// sparse compiles of the same template coexist.
-    pub fn sparse_path_for(&self, name: &str) -> PathBuf {
-        self.root.join(format!("{name}.lazy.rqpa"))
-    }
-
-    /// Persists a sparse artifact under its query's name.
-    pub fn save_sparse(&self, artifact: &SparseArtifact) -> Result<PathBuf, ArtifactError> {
-        let path = self.sparse_path_for(&artifact.query.name);
-        artifact.save(&path)?;
-        Ok(path)
-    }
-
-    /// Loads the sparse artifact for query `name`.
-    pub fn load_sparse(&self, name: &str) -> Result<SparseArtifact, ArtifactError> {
-        SparseArtifact::load(&self.sparse_path_for(name))
     }
 
     /// Names of the artifacts present in the store (files ending in
@@ -1187,8 +869,8 @@ mod tests {
         assert_eq!(loaded.contours, art.contours);
     }
 
-    /// The in-place writers against the generic encoder they replaced:
-    /// dense with and without a penalty summary, and sparse.
+    /// The in-place writer against the generic encoder it replaced, with
+    /// and without a penalty summary.
     #[test]
     fn to_bytes_equals_the_generic_encoding() {
         let (cat, q, grid) = compile_fixture();
@@ -1215,19 +897,10 @@ mod tests {
             dense.to_bytes(),
             seal_envelope(FORMAT_VERSION, serde_json::to_string(&dense).unwrap())
         );
-        let (sparse, _) = sparse_fixture(&opt);
-        assert!(!sparse.cell_costs.0.is_empty() && !sparse.matrix.is_empty());
-        assert_eq!(
-            sparse.to_bytes(),
-            seal_envelope(
-                SPARSE_FORMAT_VERSION,
-                serde_json::to_string(&sparse).unwrap()
-            )
-        );
     }
 
     #[test]
-    fn approx_bytes_and_store_load_any_named() {
+    fn approx_bytes_and_store_load_named() {
         let (cat, q, grid) = compile_fixture();
         let opt =
             Optimizer::new(&cat, &q, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
@@ -1241,10 +914,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let store = ArtifactStore::new(&root);
         art.save(&store.path_for("star2")).unwrap();
-        let kind = store.load_any_named("star2").unwrap();
-        assert_eq!(kind.query_name(), "star2");
-        assert_eq!(kind.approx_bytes(), art.approx_bytes());
-        match store.load_any_named("missing") {
+        let loaded = store.load_named("star2").unwrap();
+        assert_eq!(loaded.query.name, "star2");
+        assert_eq!(loaded.approx_bytes(), art.approx_bytes());
+        match store.load_named("missing") {
             Err(ArtifactError::Io(_)) => {}
             other => panic!("expected io error for missing artifact, got {other:?}"),
         }
@@ -1327,114 +1000,28 @@ mod tests {
         assert!(CompiledArtifact::from_bytes(b"").is_err());
     }
 
-    /// Builds a small sparse artifact by lazily discovering contour 0's
-    /// skyline on the star2 fixture.
-    fn sparse_fixture<'a>(opt: &'a Optimizer<'a>) -> (SparseArtifact, LazySurface<'a>) {
-        use rqp_ess::{EssView, SurfaceAccess};
-        let lazy = LazySurface::new(opt, MultiGrid::uniform(2, 1e-5, 8));
-        let contours = ContourSet::build(&lazy, 2.0);
-        let view = EssView::full(2);
-        for i in 0..contours.len() {
-            let _ = contours.locations(&lazy, &view, i);
-        }
-        let cells: Vec<GridIdx> = lazy.cells().iter().map(|&(idx, _, _)| idx).collect();
-        let matrix = SparseCostMatrix::build(opt, &lazy.pool_snapshot(), lazy.grid(), &cells);
-        let art = SparseArtifact::from_lazy(opt, &lazy, &contours, matrix, 2.0);
-        (art, lazy)
-    }
-
-    #[test]
-    fn sparse_roundtrip_is_bit_identical_and_seeds_without_calls() {
-        use rqp_ess::SurfaceAccess;
-        let (cat, q) = star2();
-        let opt =
-            Optimizer::new(&cat, &q, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
-        let (art, lazy) = sparse_fixture(&opt);
-        assert!(
-            art.cell_idx.len() < art.grid.len(),
-            "sparse artifact persists fewer cells than the grid"
-        );
-        let loaded = SparseArtifact::from_bytes(&art.to_bytes()).expect("round trip");
-        assert_eq!(loaded.cell_idx, art.cell_idx);
-        assert_eq!(loaded.cell_plan, art.cell_plan);
-        assert_eq!(loaded.contour_costs, art.contour_costs);
-        assert_eq!(loaded.matrix, art.matrix);
-        for (a, b) in loaded.cell_costs.0.iter().zip(&art.cell_costs.0) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // Re-seeding serves every persisted cost without optimizer calls.
-        let warm = loaded.to_lazy(&opt).expect("seed is valid");
-        for &(idx, cost, _) in &lazy.cells() {
-            assert_eq!(warm.opt_cost(idx).to_bits(), cost.to_bits());
-        }
-        assert_eq!(warm.optimizer_calls(), 0, "seeded cells are free");
-    }
-
+    /// A contour-only version-2 file, as older builds wrote: a well-formed
+    /// envelope whose payload no decoder of this build reads. Decoder and
+    /// store refuse it with a typed error, never a panic.
     #[test]
     fn dense_reader_rejects_sparse_files_with_typed_error() {
-        let (cat, q) = star2();
-        let opt =
-            Optimizer::new(&cat, &q, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
-        let (art, _) = sparse_fixture(&opt);
-        let bytes = art.to_bytes();
-        match CompiledArtifact::from_bytes(&bytes) {
-            Err(ArtifactError::UnsupportedVersion { found: 2, .. }) => {}
+        let payload = r#"{"cell_idx":[0,3],"cell_costs":"3ff0000000000000","matrix":{}}"#;
+        let bytes = seal_envelope(2, payload.into());
+        let refused = |r: Result<CompiledArtifact, ArtifactError>| match r {
+            Err(ArtifactError::UnsupportedVersion {
+                found: 2,
+                supported: 1,
+            }) => {}
             other => panic!("expected UnsupportedVersion {{ found: 2 }}, got {other:?}"),
-        }
-        // ...and load_any dispatches both formats.
-        match load_any(&bytes).expect("sparse dispatch") {
-            ArtifactKind::Sparse(s) => assert_eq!(s.cell_idx, art.cell_idx),
-            other => panic!("expected sparse, got {other:?}"),
-        }
-        let grid = MultiGrid::uniform(2, 1e-5, 6);
-        let dense = CompiledArtifact::compile(&opt, grid, 2.0, 0.2, 1);
-        match load_any(&dense.to_bytes()).expect("dense dispatch") {
-            ArtifactKind::Dense(d) => assert_eq!(d.surface.posp_size(), dense.surface.posp_size()),
-            other => panic!("expected dense, got {other:?}"),
-        }
-    }
+        };
+        refused(CompiledArtifact::from_bytes(&bytes));
 
-    #[test]
-    fn sparse_rehydrate_rejects_malformed() {
-        let (cat, q) = star2();
-        let opt =
-            Optimizer::new(&cat, &q, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
-        let (art, _) = sparse_fixture(&opt);
-        let mut bad = art.clone();
-        bad.cell_plan[0] = 10_000;
-        assert!(matches!(
-            SparseArtifact::from_bytes(&bad.to_bytes()),
-            Err(ArtifactError::Invalid(_))
-        ));
-        let mut bad = art.clone();
-        bad.cell_idx[0] = bad.cell_idx[1]; // breaks strict ascent
-        assert!(matches!(
-            SparseArtifact::from_bytes(&bad.to_bytes()),
-            Err(ArtifactError::Invalid(_))
-        ));
-        let mut bad = art;
-        bad.contour_costs.clear();
-        assert!(matches!(
-            SparseArtifact::from_bytes(&bad.to_bytes()),
-            Err(ArtifactError::Invalid(_))
-        ));
-    }
-
-    #[test]
-    fn store_sparse_save_and_load() {
-        let root =
-            std::env::temp_dir().join(format!("rqp-store-sparse-test-{}", std::process::id()));
+        let root = std::env::temp_dir().join(format!("rqp-store-v2-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let (cat, q) = star2();
-        let opt =
-            Optimizer::new(&cat, &q, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
-        let (art, _) = sparse_fixture(&opt);
+        std::fs::create_dir_all(&root).unwrap();
         let store = ArtifactStore::new(&root);
-        let path = store.save_sparse(&art).expect("save");
-        assert!(path.ends_with("star2.lazy.rqpa"));
-        let loaded = store.load_sparse("star2").expect("load");
-        assert_eq!(loaded.cell_idx, art.cell_idx);
-        assert!(loaded.matches(&opt, &art.grid, 2.0));
+        std::fs::write(store.path_for("star2.lazy"), &bytes).unwrap();
+        refused(store.load_named("star2.lazy"));
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -41,18 +41,6 @@ impl SelGrid {
         Self { points }
     }
 
-    /// Builds a grid from explicit points (must be strictly increasing,
-    /// within `(0, 1]`).
-    pub fn from_points(points: Vec<Selectivity>) -> Self {
-        assert!(points.len() >= 2);
-        for w in points.windows(2) {
-            assert!(w[0] < w[1], "grid points must be strictly increasing");
-        }
-        assert!(*points.first().unwrap() > 0.0);
-        assert!(*points.last().unwrap() <= 1.0);
-        Self { points }
-    }
-
     /// Number of grid points.
     #[inline]
     pub fn len(&self) -> usize {

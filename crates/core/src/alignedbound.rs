@@ -72,11 +72,6 @@ impl<'a> AlignedBound<'a> {
         Discovery::compile(surface, opt, ratio, rule)
     }
 
-    /// Lower end of the guarantee range (`2D + 2`, fully aligned case).
-    pub fn mso_guarantee_lower(&self) -> f64 {
-        crate::aligned_guarantee_lower(self.surface.grid().ndims())
-    }
-
     /// Maximum per-part penalty encountered over all runs so far (the
     /// quantity the paper reports in Table 4).
     pub fn observed_max_penalty(&self) -> f64 {

@@ -99,7 +99,7 @@ pub use penalty::{
 pub use planbouquet::PlanBouquet;
 pub use pop::PopReoptimizer;
 pub use report::{ExecutionRecord, Outcome, RunReport};
-pub use spillbound::{lazy_warm_up, SpillBound};
+pub use spillbound::SpillBound;
 pub use strategy::{Compiled, CostSource, Params, Strategy};
 
 /// The MSO guarantee of SpillBound: `D² + 3D` (Theorem 4.5). Platform

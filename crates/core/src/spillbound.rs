@@ -20,17 +20,11 @@
 //!
 //! The resulting guarantee is **structural**: `MSO ≤ D² + 3D` (Theorem
 //! 4.5), a function of nothing but the number of error-prone predicates.
-//!
-//! [`lazy_warm_up`] runs a cheaper, unsound selection rule on a lazy
-//! surface to choose the cells a sparse artifact persists; it is not a
-//! strategy.
 
 use crate::discovery::{Discovery, Exec, Rule, Step};
-use crate::oracle::CostOracle;
-use crate::report::RunReport;
-use rqp_common::{GridIdx, Result};
+use rqp_common::GridIdx;
 use rqp_ess::alignment::PlanChoice;
-use rqp_ess::{EssView, LazySurface, SurfaceAccess};
+use rqp_ess::{EssView, SurfaceAccess};
 use rqp_optimizer::Optimizer;
 
 /// SpillBound's discovery rule: per unlearnt dimension `j`, the paper's exact
@@ -78,94 +72,17 @@ impl Rule for Skyline {
                 out[j] = Some((q, surface.plan_id(q)));
             }
         }
-        spill_steps(d, i, out.into_iter().map(|s| s.map(|(_, pid)| pid)))
+        // In dimension order, `P^j_max` spilling on `e_j` with budget
+        // `CC_i`. A dimension no contour plan spills on is skipped (§4.2).
+        let budget = d.contours.cost(i);
+        (out.into_iter().enumerate())
+            .filter_map(|(dim, sel)| {
+                let (_, pid) = sel?;
+                let exec = Exec::new(surface, PlanChoice::Pool(pid), budget);
+                Some(Step::Spill { dim, exec })
+            })
+            .collect()
     }
-}
-
-/// The warm-up rule: for each free dimension the level set's `j`-extreme
-/// lies on the axis fiber through the view origin (PCM); walk that fiber
-/// down to the first location whose plan spills on `e_j`. That
-/// materializes `O(D · n)` cells per pin state instead of whole
-/// skylines. Every probed location has `OptCost(q) ≤ CC_i`, so the chosen
-/// plan's budget-`CC_i` spill is within budget at its own location, and
-/// completion and learning stay truthful. But off-fiber spill groups may
-/// be missed, so pruning is weaker and the D²+3D bound does **not** hold.
-#[derive(Debug)]
-struct AxisProbe;
-
-impl Rule for AxisProbe {
-    const ALGO: &'static str = "spillbound";
-    const STEP_HEAP: usize = 0;
-
-    fn spill_steps(d: &Discovery<'_, Self>, i: usize, pins: &[Option<usize>]) -> Vec<Step> {
-        let surface = d.surface;
-        let grid = surface.grid();
-        let cc = d.contours.cost(i);
-        let view = EssView::from_pins(pins.to_vec());
-        let unlearnt = view.free_mask();
-        let mut out = vec![None; grid.ndims()];
-        for j in view.free_dims() {
-            let Some(ext) = surface.axis_extreme(&view, cc, j) else {
-                continue;
-            };
-            for c in (0..=grid.coord(ext, j)).rev() {
-                let q = grid.with_coord(ext, j, c);
-                if d.spill_cache.of_location(surface, d.opt, q, unlearnt) == Some(j) {
-                    out[j] = Some(surface.plan_id(q));
-                    break;
-                }
-            }
-        }
-        spill_steps(d, i, out.into_iter())
-    }
-}
-
-/// Contour `i`'s spill steps from per-dimension plan selections: in
-/// dimension order, `P^j_max` spilling on `e_j` with budget `CC_i`. A
-/// dimension no contour plan spills on is skipped (§4.2).
-fn spill_steps<R>(
-    d: &Discovery<'_, R>,
-    i: usize,
-    selections: impl Iterator<Item = Option<usize>>,
-) -> Vec<Step> {
-    let budget = d.contours.cost(i);
-    (selections.enumerate())
-        .filter_map(|(dim, pid)| {
-            let exec = Exec::new(d.surface, PlanChoice::Pool(pid?), budget);
-            Some(Step::Spill { dim, exec })
-        })
-        .collect()
-}
-
-/// Warms a lazy surface up before its sparse artifact is written: one
-/// discovery run against the cost model at each location of a fixed
-/// sample (both corners, the center, and each axis-extreme corner), with
-/// `AxisProbe` selections. The cells the runs materialize are the cells
-/// the artifact persists. The runs complete and learn truthfully, but
-/// their sub-optimality is unbounded, so this is not a strategy: it takes
-/// no oracle, and nothing serves or evaluates through it. Returns each
-/// sample location with its report.
-pub fn lazy_warm_up<'a>(
-    surface: &'a LazySurface<'a>,
-    opt: &'a Optimizer<'a>,
-    ratio: f64,
-) -> Result<Vec<(GridIdx, RunReport)>> {
-    let grid = surface.grid();
-    let d = grid.ndims();
-    let top = |j: usize| grid.dim(j).len() - 1;
-    let mut sample = vec![
-        vec![0; d],
-        (0..d).map(top).collect(),
-        (0..d).map(|j| grid.dim(j).len() / 2).collect(),
-    ];
-    for j in 0..d {
-        sample.push((0..d).map(|k| if k == j { top(k) } else { 0 }).collect());
-        sample.push((0..d).map(|k| if k == j { 0 } else { top(k) }).collect());
-    }
-    let probe = Discovery::compile(surface, opt, ratio, AxisProbe);
-    (sample.iter().map(|coords| grid.flat(coords)))
-        .map(|qa| Ok((qa, probe.run(&mut CostOracle::at_grid(opt, grid, qa))?)))
-        .collect()
 }
 
 #[cfg(test)]

@@ -292,9 +292,6 @@ mod tests {
         fn pool_len(&self) -> usize {
             1
         }
-        fn pool_snapshot(&self) -> rqp_optimizer::PlanPool {
-            rqp_optimizer::PlanPool::new()
-        }
         fn cmin(&self) -> Cost {
             42.0
         }

@@ -14,14 +14,14 @@
 //!
 //! Dense and lazy surfaces are unified behind the [`SurfaceAccess`]
 //! trait, which every consumer ([`crate::ContourSet`], the anorexic
-//! reducer, SB/AB/PB discovery in `rqp-core`, the artifact store) now
-//! accepts as `&dyn SurfaceAccess`. The dense implementation is the
+//! reducer, SB/AB/PB discovery in `rqp-core`) accepts as
+//! `&dyn SurfaceAccess`. The dense implementation is the
 //! identity over the precomputed arrays, so all dense results are
 //! bit-identical to before the refactor.
 
 use crate::surface::EssSurface;
 use crate::view::EssView;
-use rqp_common::{cost_le, Cost, GridIdx, MultiGrid, Result, RqpError};
+use rqp_common::{cost_le, Cost, GridIdx, MultiGrid};
 use rqp_optimizer::{Optimizer, PlanId, PlanNode, PlanPool};
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -54,9 +54,6 @@ pub trait SurfaceAccess: std::fmt::Debug + Sync {
 
     /// Number of plans interned so far.
     fn pool_len(&self) -> usize;
-
-    /// An owned snapshot of the plan pool (for persistence).
-    fn pool_snapshot(&self) -> PlanPool;
 
     /// Minimum cost — at the origin, by PCM.
     fn cmin(&self) -> Cost;
@@ -91,40 +88,6 @@ pub trait SurfaceAccess: std::fmt::Debug + Sync {
             })
             .collect()
     }
-
-    /// The in-budget location with the maximal `dim`-coordinate in
-    /// `view`'s `cc` level set, found by binary search along the axis
-    /// fiber through the view origin. `None` when even the view origin
-    /// exceeds the budget. By PCM the maximum over the whole level set is
-    /// attained on this fiber (raising any other free coordinate can only
-    /// raise cost, shrinking the fitting range).
-    fn axis_extreme(&self, view: &EssView, cc: Cost, dim: usize) -> Option<GridIdx> {
-        let grid = self.grid();
-        debug_assert!(view.pins()[dim].is_none(), "dim {dim} is pinned");
-        let base_coords: Vec<usize> = view.pins().iter().map(|p| p.unwrap_or(0)).collect();
-        let base = grid.flat(&base_coords);
-        let n = grid.dim(dim).len();
-        let fits = |c: usize| cost_le(self.opt_cost(grid.with_coord(base, dim, c)), cc);
-        if !fits(0) {
-            return None;
-        }
-        let (mut lo, mut hi) = (0usize, n - 1);
-        while lo < hi {
-            let mid = (lo + hi).div_ceil(2);
-            if fits(mid) {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        // PCM-with-epsilon insurance: the binary search assumes the
-        // fitting range is a prefix of the fiber. Verify, and fall back
-        // to a linear scan if floating-point noise broke monotonicity.
-        if !(fits(lo) && (lo + 1 == n || !fits(lo + 1))) {
-            lo = (0..n).rfind(|&c| fits(c))?;
-        }
-        Some(grid.with_coord(base, dim, lo))
-    }
 }
 
 impl SurfaceAccess for EssSurface {
@@ -150,10 +113,6 @@ impl SurfaceAccess for EssSurface {
 
     fn pool_len(&self) -> usize {
         self.pool().len()
-    }
-
-    fn pool_snapshot(&self) -> PlanPool {
-        self.pool().clone()
     }
 
     fn cmin(&self) -> Cost {
@@ -216,67 +175,6 @@ impl<'a> LazySurface<'a> {
         s.opt_cost(s.grid.origin());
         s.opt_cost(s.grid.terminus());
         s
-    }
-
-    /// Restores a lazy surface from persisted cells (a sparse artifact):
-    /// `cells[k] = (idx, cost, plan_id)` with plan ids indexing `pool`.
-    /// Seeded cells count as materialized but not as optimizer calls.
-    /// Corner cells are materialized if the seed lacks them.
-    pub fn from_parts(
-        opt: &'a Optimizer<'a>,
-        grid: MultiGrid,
-        cells: &[(GridIdx, Cost, PlanId)],
-        mut pool: PlanPool,
-    ) -> Result<Self> {
-        if grid.ndims() != opt.query().ndims() {
-            return Err(RqpError::Config(format!(
-                "sparse surface grid has {} dims but query has {} epps",
-                grid.ndims(),
-                opt.query().ndims()
-            )));
-        }
-        pool.rebuild_index();
-        let nplans = pool.len();
-        let mut state = LazyState {
-            pool,
-            ..LazyState::default()
-        };
-        for &(idx, cost, pid) in cells {
-            if idx >= grid.len() {
-                return Err(RqpError::Config(format!(
-                    "sparse cell index {idx} outside grid of {} locations",
-                    grid.len()
-                )));
-            }
-            if pid >= nplans {
-                return Err(RqpError::Config(format!(
-                    "sparse cell references plan id {pid} but pool holds only {nplans} plans"
-                )));
-            }
-            state.cost.insert(idx, cost);
-            state.plan.insert(idx, pid);
-        }
-        let s = Self {
-            opt,
-            grid,
-            state: Mutex::new(state),
-        };
-        s.opt_cost(s.grid.origin());
-        s.opt_cost(s.grid.terminus());
-        Ok(s)
-    }
-
-    /// All materialized cells as `(idx, cost, plan_id)`, ascending by flat
-    /// index — the payload a sparse artifact persists.
-    pub fn cells(&self) -> Vec<(GridIdx, Cost, PlanId)> {
-        let st = self.state.lock().expect("lazy surface lock");
-        let mut out: Vec<(GridIdx, Cost, PlanId)> = st
-            .cost
-            .iter()
-            .map(|(&idx, &cost)| (idx, cost, st.plan[&idx]))
-            .collect();
-        out.sort_unstable_by_key(|&(idx, _, _)| idx);
-        out
     }
 
     /// Cost and plan id at `idx`, optimizing the cell on first access.
@@ -406,10 +304,6 @@ impl SurfaceAccess for LazySurface<'_> {
 
     fn pool_len(&self) -> usize {
         self.state.lock().expect("lazy surface lock").pool.len()
-    }
-
-    fn pool_snapshot(&self) -> PlanPool {
-        self.state.lock().expect("lazy surface lock").pool.clone()
     }
 
     fn cmin(&self) -> Cost {
@@ -543,83 +437,5 @@ mod tests {
         );
         assert!(lazy.optimizer_calls() > 0);
         assert!(lazy.optimizer_calls() <= lazy.cells_materialized() as u64);
-    }
-
-    #[test]
-    fn axis_extreme_matches_exhaustive_scan() {
-        let (cat, q) = fixture();
-        let opt =
-            Optimizer::new(&cat, &q, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
-        let dense = EssSurface::build(&opt, grid(12));
-        let lazy = LazySurface::new(&opt, grid(12));
-        let contours = ContourSet::build(&dense, 2.0);
-        let view = EssView::full(2);
-        for i in 0..contours.len() {
-            let cc = contours.cost(i);
-            for dim in 0..2 {
-                // Truth: max dim-coordinate over the whole level set.
-                let truth = view
-                    .locations(dense.grid())
-                    .into_iter()
-                    .filter(|&q| cost_le(dense.opt_cost(q), cc))
-                    .map(|q| dense.grid().coord(q, dim))
-                    .max();
-                let got = lazy
-                    .axis_extreme(&view, cc, dim)
-                    .map(|q| lazy.grid().coord(q, dim));
-                assert_eq!(got, truth, "contour {i} dim {dim}");
-                let got_dense = dense
-                    .axis_extreme(&view, cc, dim)
-                    .map(|q| dense.grid().coord(q, dim));
-                assert_eq!(got_dense, truth, "dense: contour {i} dim {dim}");
-            }
-        }
-    }
-
-    #[test]
-    fn from_parts_seeds_cells_without_optimizer_calls() {
-        let (cat, q) = fixture();
-        let opt =
-            Optimizer::new(&cat, &q, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
-        let first = LazySurface::new(&opt, grid(10));
-        let contours = ContourSet::build(&first, 2.0);
-        let view = EssView::full(2);
-        for i in 0..contours.len() {
-            first.skyline(&view, contours.cost(i));
-        }
-        let cells = first.cells();
-        let pool = first.pool_snapshot();
-        let seeded = LazySurface::from_parts(&opt, grid(10), &cells, pool).unwrap();
-        assert_eq!(seeded.cells_materialized(), cells.len());
-        assert_eq!(seeded.optimizer_calls(), 0, "seed must not re-optimize");
-        for &(idx, cost, pid) in &cells {
-            assert_eq!(
-                SurfaceAccess::opt_cost(&seeded, idx).to_bits(),
-                cost.to_bits()
-            );
-            assert_eq!(SurfaceAccess::plan_id(&seeded, idx), pid);
-        }
-        assert_eq!(seeded.optimizer_calls(), 0);
-        // New cells still materialize on demand.
-        let fresh = seeded
-            .grid()
-            .iter()
-            .find(|&i| !cells.iter().any(|&(c, _, _)| c == i))
-            .expect("some unmaterialized cell");
-        let _ = SurfaceAccess::opt_cost(&seeded, fresh);
-        assert_eq!(seeded.optimizer_calls(), 1);
-    }
-
-    #[test]
-    fn from_parts_rejects_bad_seed() {
-        let (cat, q) = fixture();
-        let opt =
-            Optimizer::new(&cat, &q, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
-        let first = LazySurface::new(&opt, grid(8));
-        let pool = first.pool_snapshot();
-        let oob_cell = [(usize::MAX, 1.0, 0)];
-        assert!(LazySurface::from_parts(&opt, grid(8), &oob_cell, pool.clone()).is_err());
-        let oob_plan = [(0, 1.0, pool.len() + 7)];
-        assert!(LazySurface::from_parts(&opt, grid(8), &oob_plan, pool).is_err());
     }
 }

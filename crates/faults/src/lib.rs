@@ -149,7 +149,6 @@ pub struct FaultPlan {
     sites: [SiteConfig; 11],
     calls: [AtomicU64; 11],
     injected: [AtomicU64; 11],
-    slow_load: Duration,
     perturb_delta: f64,
 }
 
@@ -161,7 +160,6 @@ impl FaultPlan {
             sites: [SiteConfig::default(); 11],
             calls: std::array::from_fn(|_| AtomicU64::new(0)),
             injected: std::array::from_fn(|_| AtomicU64::new(0)),
-            slow_load: Duration::ZERO,
             perturb_delta: 0.0,
         }
     }
@@ -188,12 +186,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a fixed delay to every artifact load (slow-I/O simulation).
-    pub fn with_slow_load(mut self, d: Duration) -> Self {
-        self.slow_load = d;
-        self
-    }
-
     /// Enables bounded cost perturbation `ε ∈ [1/(1+δ), 1+δ]` on oracle
     /// calls (applied by the core `FaultyOracle`; §7's cost-model-error
     /// regime, inflating guarantees by `(1+δ)²`).
@@ -206,11 +198,6 @@ impl FaultPlan {
     /// The seed this plan replays from.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The configured artifact-load delay.
-    pub fn slow_load(&self) -> Duration {
-        self.slow_load
     }
 
     /// The configured cost-perturbation bound δ.

@@ -34,9 +34,8 @@ pub struct CostMatrix {
 // what keeps `rqp-artifacts` warm starts an order of magnitude faster
 // than recompiling.
 /// Packs costs as 16 lowercase hex digits each of their IEEE-754 bit
-/// patterns. Public so other crates persisting cost vectors (the sparse
-/// artifact payload) reuse the exact codec the matrices use.
-pub fn encode_cells_hex(cells: &[Cost]) -> String {
+/// patterns.
+fn encode_cells_hex(cells: &[Cost]) -> String {
     let mut hex = vec![0u8; cells.len() * 16];
     write_cells_hex(cells, &mut hex);
     String::from_utf8(hex).expect("hex digits are ascii")
@@ -108,7 +107,7 @@ impl<'a> PackedJson<'a> {
 
 /// Inverse of [`encode_cells_hex`]; rejects non-hex digits and lengths
 /// that are not a multiple of 16.
-pub fn decode_cells_hex(hex: &[u8]) -> Result<Vec<Cost>, Error> {
+fn decode_cells_hex(hex: &[u8]) -> Result<Vec<Cost>, Error> {
     if !hex.len().is_multiple_of(16) {
         return Err(Error::msg("`cells_hex` length is not a multiple of 16"));
     }
@@ -146,13 +145,6 @@ pub fn decode_cells_hex(hex: &[u8]) -> Result<Vec<Cost>, Error> {
     Ok(cells)
 }
 
-fn cells_hex_field(v: &Value) -> Result<&[u8], Error> {
-    match v.get("cells_hex") {
-        Some(Value::String(s)) => Ok(s.as_bytes()),
-        _ => Err(Error::msg("missing `cells_hex` string")),
-    }
-}
-
 impl Serialize for CostMatrix {
     fn to_value(&self) -> Value {
         Value::Object(vec![
@@ -183,7 +175,10 @@ impl Deserialize for CostMatrix {
             .ok_or_else(|| Error::msg("expected object for CostMatrix"))?;
         let nplans: usize = serde::field(obj, "nplans")?;
         let grid_len: usize = serde::field(obj, "grid_len")?;
-        let cells = decode_cells_hex(cells_hex_field(v)?)?;
+        let cells = match v.get("cells_hex") {
+            Some(Value::String(s)) => decode_cells_hex(s.as_bytes())?,
+            _ => return Err(Error::msg("missing `cells_hex` string")),
+        };
         Ok(Self {
             nplans,
             grid_len,
@@ -275,141 +270,6 @@ impl CostMatrix {
     /// checked against before use.
     pub fn shape_matches(&self, nplans: usize, grid_len: usize) -> bool {
         self.nplans == nplans && self.grid_len == grid_len && self.cells.len() == nplans * grid_len
-    }
-}
-
-/// Sparse companion of [`CostMatrix`] for lazily-built surfaces: recosts
-/// every pool plan at a *chosen* list of grid cells (e.g. the
-/// materialized cells of a lazy ESS surface) instead of the whole grid.
-///
-/// Row-major over the sorted cell list: `cells[pid * ncells + k]`, where
-/// `k` is the rank of the flat grid index in `cell_idx`. Lookups by grid
-/// index binary-search the cell list.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SparseCostMatrix {
-    nplans: usize,
-    cell_idx: Vec<GridIdx>,
-    cells: Vec<Cost>,
-}
-
-impl Serialize for SparseCostMatrix {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("nplans".to_string(), self.nplans.to_value()),
-            ("cell_idx".to_string(), self.cell_idx.to_value()),
-            (
-                "cells_hex".to_string(),
-                Value::String(encode_cells_hex(&self.cells)),
-            ),
-        ])
-    }
-}
-
-impl SparseCostMatrix {
-    /// Appends exactly what [`Serialize`] renders, cells as a hole.
-    pub fn write_packed<'a>(&'a self, json: &mut PackedJson<'a>) {
-        let idx: Vec<String> = self.cell_idx.iter().map(|q| q.to_string()).collect();
-        json.raw(&format!(
-            "{{\"nplans\":{},\"cell_idx\":[{}],\"cells_hex\":",
-            self.nplans,
-            idx.join(",")
-        ));
-        json.cells(&self.cells);
-        json.raw("}");
-    }
-}
-
-impl Deserialize for SparseCostMatrix {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| Error::msg("expected object for SparseCostMatrix"))?;
-        let nplans: usize = serde::field(obj, "nplans")?;
-        let cell_idx: Vec<usize> = serde::field(obj, "cell_idx")?;
-        let cells = decode_cells_hex(cells_hex_field(v)?)?;
-        Ok(Self {
-            nplans,
-            cell_idx,
-            cells,
-        })
-    }
-}
-
-impl SparseCostMatrix {
-    /// Recosts every pool plan at each of the given grid cells. The cell
-    /// list is sorted and deduplicated and swept as the dense builder
-    /// sweeps its block, so a sparse cell is bit-equal to its dense
-    /// counterpart.
-    pub fn build(
-        opt: &Optimizer<'_>,
-        pool: &PlanPool,
-        grid: &MultiGrid,
-        cell_idx: &[GridIdx],
-    ) -> Self {
-        rqp_obs::span!("optimizer.cost_matrix.build_sparse");
-        let mut cell_idx = cell_idx.to_vec();
-        cell_idx.sort_unstable();
-        cell_idx.dedup();
-        debug_assert!(cell_idx.last().is_none_or(|&q| q < grid.len()));
-        let nplans = pool.len();
-        let mut cells = vec![0.0; nplans * cell_idx.len()];
-        let mut rows: Vec<&mut [Cost]> = cells.chunks_mut(cell_idx.len().max(1)).collect();
-        RecostSweep::new(opt.query(), pool.iter().map(|(_, plan)| plan)).fill_block(
-            opt,
-            grid,
-            cell_idx.iter().copied(),
-            &mut rows,
-        );
-        Self {
-            nplans,
-            cell_idx,
-            cells,
-        }
-    }
-
-    /// Cost of plan `pid` at flat grid location `qa`, or `None` when the
-    /// cell is not part of the matrix.
-    #[inline]
-    pub fn cost(&self, pid: PlanId, qa: GridIdx) -> Option<Cost> {
-        debug_assert!(pid < self.nplans);
-        let k = self.cell_idx.binary_search(&qa).ok()?;
-        Some(self.cells[pid * self.cell_idx.len() + k])
-    }
-
-    /// The covered flat grid indices, ascending.
-    pub fn cell_indices(&self) -> &[GridIdx] {
-        &self.cell_idx
-    }
-
-    /// Number of plans (rows).
-    pub fn nplans(&self) -> usize {
-        self.nplans
-    }
-
-    /// Number of covered grid cells (columns).
-    pub fn ncells(&self) -> usize {
-        self.cell_idx.len()
-    }
-
-    /// Total number of cached recosts (`|POSP| × |cells|`).
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True if the matrix has no recosts.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// True if the declared shape matches cell storage for the given pool
-    /// size, the cell list is strictly ascending, and every index fits the
-    /// given grid — the invariant a deserialized matrix must be checked
-    /// against before use.
-    pub fn shape_matches(&self, nplans: usize, grid_len: usize) -> bool {
-        self.nplans == nplans
-            && self.cells.len() == nplans * self.cell_idx.len()
-            && self.cell_idx.windows(2).all(|w| w[0] < w[1])
-            && self.cell_idx.last().is_none_or(|&q| q < grid_len)
     }
 }
 
@@ -529,112 +389,6 @@ impl<'p> RecostSweep<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dp::EnumerationMode;
-    use crate::query::{Predicate, PredicateKind, QuerySpec};
-    use crate::CostParams;
-    use rqp_catalog::{Catalog, Column, ColumnStats, DataType, Table};
-
-    fn fixture() -> (Catalog, QuerySpec) {
-        let mut cat = Catalog::new();
-        cat.add_table(Table::new(
-            "fact",
-            500_000,
-            vec![
-                Column::new("f1", DataType::Int, ColumnStats::uniform(10_000)).with_index(),
-                Column::new("f2", DataType::Int, ColumnStats::uniform(1_000)).with_index(),
-            ],
-        ))
-        .unwrap();
-        for (name, rows) in [("d1", 10_000u64), ("d2", 1_000)] {
-            cat.add_table(Table::new(
-                name,
-                rows,
-                vec![Column::new("k", DataType::Int, ColumnStats::uniform(rows)).with_index()],
-            ))
-            .unwrap();
-        }
-        let query = QuerySpec {
-            name: "star2".into(),
-            relations: vec![0, 1, 2],
-            predicates: vec![
-                Predicate {
-                    label: "f-d1".into(),
-                    kind: PredicateKind::Join {
-                        left: 0,
-                        left_col: 0,
-                        right: 1,
-                        right_col: 0,
-                    },
-                },
-                Predicate {
-                    label: "f-d2".into(),
-                    kind: PredicateKind::Join {
-                        left: 0,
-                        left_col: 1,
-                        right: 2,
-                        right_col: 0,
-                    },
-                },
-            ],
-            epps: vec![0, 1],
-        };
-        (cat, query)
-    }
-
-    fn pool_and_grid(opt: &Optimizer<'_>, grid: &MultiGrid) -> PlanPool {
-        let mut pool = PlanPool::new();
-        for qa in grid.iter() {
-            let (plan, _) = opt.optimize_at(&grid.sels(qa));
-            pool.intern(plan);
-        }
-        pool
-    }
-
-    #[test]
-    fn sparse_cells_bit_equal_to_dense() {
-        let (cat, query) = fixture();
-        let opt = Optimizer::new(
-            &cat,
-            &query,
-            CostParams::default(),
-            EnumerationMode::LeftDeep,
-        )
-        .unwrap();
-        let grid = MultiGrid::uniform(2, 1e-5, 8);
-        let pool = pool_and_grid(&opt, &grid);
-        let dense = CostMatrix::build(&opt, &pool, &grid);
-        let picks: Vec<GridIdx> = vec![0, 3, 17, 17, 63, 40, 3];
-        let sparse = SparseCostMatrix::build(&opt, &pool, &grid, &picks);
-        assert_eq!(sparse.cell_indices(), &[0, 3, 17, 40, 63]);
-        assert_eq!(sparse.nplans(), pool.len());
-        assert!(sparse.shape_matches(pool.len(), grid.len()));
-        for pid in 0..pool.len() {
-            for &qa in sparse.cell_indices() {
-                let s = sparse.cost(pid, qa).expect("covered cell");
-                assert_eq!(s.to_bits(), dense.cost(pid, qa).to_bits());
-            }
-            assert!(sparse.cost(pid, 1).is_none(), "uncovered cell is None");
-        }
-    }
-
-    #[test]
-    fn sparse_serde_round_trip_is_bit_exact() {
-        let (cat, query) = fixture();
-        let opt = Optimizer::new(
-            &cat,
-            &query,
-            CostParams::default(),
-            EnumerationMode::LeftDeep,
-        )
-        .unwrap();
-        let grid = MultiGrid::uniform(2, 1e-5, 6);
-        let pool = pool_and_grid(&opt, &grid);
-        let sparse = SparseCostMatrix::build(&opt, &pool, &grid, &[2, 5, 11, 35]);
-        let v = sparse.to_value();
-        let back = SparseCostMatrix::from_value(&v).unwrap();
-        assert_eq!(back, sparse);
-        assert!(back.shape_matches(pool.len(), grid.len()));
-    }
 
     /// The table-driven writer against the digit-by-digit definition of
     /// the codec, and a buffer with two holes against plain concatenation.
@@ -668,27 +422,5 @@ mod tests {
         let mut out = vec![0u8; json.rendered_len()];
         json.write_into(&mut out);
         assert_eq!(String::from_utf8(out).unwrap(), expect);
-    }
-
-    #[test]
-    fn sparse_shape_rejects_malformed() {
-        let m = SparseCostMatrix {
-            nplans: 2,
-            cell_idx: vec![3, 3],
-            cells: vec![1.0; 4],
-        };
-        assert!(!m.shape_matches(2, 100), "duplicate cell indices");
-        let m = SparseCostMatrix {
-            nplans: 2,
-            cell_idx: vec![3, 7],
-            cells: vec![1.0; 3],
-        };
-        assert!(!m.shape_matches(2, 100), "cell storage mismatch");
-        let m = SparseCostMatrix {
-            nplans: 1,
-            cell_idx: vec![3, 200],
-            cells: vec![1.0; 2],
-        };
-        assert!(!m.shape_matches(1, 100), "index beyond grid");
     }
 }

@@ -505,20 +505,6 @@ impl<'o, 'a> DpSweep<'o, 'a> {
     }
 }
 
-/// Convenience: validate-and-build an optimizer or panic with the error.
-///
-/// Intended for examples and benches where configuration is static.
-pub fn build_optimizer<'a>(
-    catalog: &'a Catalog,
-    query: &'a QuerySpec,
-    mode: EnumerationMode,
-) -> Optimizer<'a> {
-    match Optimizer::new(catalog, query, CostParams::default(), mode) {
-        Ok(o) => o,
-        Err(e) => panic!("optimizer construction failed: {e}"),
-    }
-}
-
 impl std::fmt::Display for EnumerationMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

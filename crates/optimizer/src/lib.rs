@@ -60,7 +60,7 @@ pub mod plan;
 pub mod query;
 
 pub use cost::{CostModel, CostParams};
-pub use cost_matrix::{CostMatrix, RecostSweep, SparseCostMatrix};
+pub use cost_matrix::{CostMatrix, RecostSweep};
 pub use dp::{DpSweep, EnumerationMode, Optimizer, PlanKey};
 pub use parser::parse_sql;
 pub use plan::{JoinMethod, PlanId, PlanNode, PlanPool, ScanMethod};

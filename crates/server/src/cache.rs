@@ -21,7 +21,7 @@
 //! cache integration tests.
 
 use crate::service::ServedQuery;
-use rqp_artifacts::{ArtifactKind, ArtifactStore};
+use rqp_artifacts::ArtifactStore;
 use rqp_catalog::Catalog;
 use rqp_faults::{BreakerConfig, FaultPlan, RetryPolicy};
 use serde::Value;
@@ -124,16 +124,9 @@ impl ArtifactCache {
         self
     }
 
-    /// Query names the backing store can serve (sparse/lazy artifacts
-    /// are excluded — only dense v1 artifacts rehydrate into served
-    /// queries).
+    /// Query names the backing store holds an artifact file for.
     pub fn known_names(&self) -> Vec<String> {
-        self.store
-            .list()
-            .unwrap_or_default()
-            .into_iter()
-            .filter(|n| !n.ends_with(".lazy"))
-            .collect()
+        self.store.list().unwrap_or_default()
     }
 
     /// True when `name` is resident right now (no load needed).
@@ -272,22 +265,10 @@ impl ArtifactCache {
                 ),
             ));
         }
-        let kind = self
+        let artifact = self
             .store
-            .load_any_named(name)
+            .load_named(name)
             .map_err(|e| ("internal".to_string(), format!("artifact `{name}`: {e}")))?;
-        let artifact = match kind {
-            ArtifactKind::Dense(a) => *a,
-            ArtifactKind::Sparse(_) => {
-                return Err((
-                    "internal".to_string(),
-                    format!(
-                        "artifact `{name}` is sparse (v2); only dense artifacts are servable — \
-                         recompile without --lazy"
-                    ),
-                ))
-            }
-        };
         let mut served = ServedQuery::from_artifact(artifact, self.catalog)
             .map_err(|e| ("internal".to_string(), e))?;
         if let Some((plan, retry)) = &self.faults {

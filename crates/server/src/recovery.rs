@@ -182,7 +182,7 @@ fn quarantine_corrupt_artifacts(dir: &Path, report: &mut RecoveryReport) {
         .collect();
     paths.sort();
     for path in paths {
-        let verdict = std::panic::catch_unwind(|| rqp_artifacts::load_any_path(&path));
+        let verdict = std::panic::catch_unwind(|| rqp_artifacts::CompiledArtifact::load(&path));
         let corrupt = !matches!(verdict, Ok(Ok(_)));
         if corrupt {
             report.quarantined += 1;

@@ -525,8 +525,7 @@ fn explain_value(
         ("posp_size", num(surface.posp_size() as f64)),
         // Surface accounting via the dense/lazy-unifying trait: a
         // dense artifact serves every cell, so `cells_materialized`
-        // equals `grid_len`; a lazy warm start would report only the
-        // contour cells its sparse artifact persisted.
+        // equals `grid_len`.
         (
             "surface",
             obj(vec![

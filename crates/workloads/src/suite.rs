@@ -29,7 +29,7 @@ impl BenchQuery {
     }
 
     /// The same configuration at an overridden per-dimension resolution —
-    /// how lazy compiles lift a suite query to the high-resolution grids
+    /// how a lazy surface lifts a suite query to the high-resolution grids
     /// dense sweeps cannot afford.
     pub fn with_grid_points(mut self, points: usize) -> Self {
         assert!(points >= 2, "a grid needs at least 2 points per dimension");
@@ -49,20 +49,6 @@ pub fn default_grid_points(d: usize) -> usize {
         4 => 8,
         5 => 6,
         _ => 5,
-    }
-}
-
-/// Grid resolution per dimensionality for **lazy** compiles: contour
-/// discovery materializes cells on demand instead of sweeping the grid,
-/// so high-D queries afford far finer axes than
-/// [`default_grid_points`] — at least 16 points per dimension even at
-/// 5D/6D, where a dense sweep of `16^6 ≈ 16.7M` optimizer calls is out of
-/// the question.
-pub fn lazy_grid_points(d: usize) -> usize {
-    match d {
-        0 | 1 => 64,
-        2 => 24,
-        _ => 16,
     }
 }
 
@@ -257,19 +243,6 @@ mod tests {
             assert_eq!(g.ndims(), b.query.ndims());
             assert_eq!(g.dim(0).len(), b.grid_points);
         }
-    }
-
-    #[test]
-    fn lazy_resolution_is_at_least_16_for_high_dims() {
-        for d in 2..=6 {
-            assert!(lazy_grid_points(d) >= 16);
-            assert!(lazy_grid_points(d) >= default_grid_points(d));
-        }
-        let cat = tpcds::catalog_sf100();
-        let b = q91_with_dims(&cat, 6).with_grid_points(lazy_grid_points(6));
-        assert_eq!(b.grid_points, 16);
-        assert_eq!(b.grid().len(), 16usize.pow(6));
-        assert_eq!(b.name(), "6D_Q91");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! rqp figures [id]                  the paper's evaluation: every table of
 //!                                   EXPERIMENTS.md, each checked against its claim
 //! rqp compile <query>               compile + persist the query's artifact
-//!                                   (--lazy: contour-only sparse artifact)
 //! rqp serve                         serve compiled artifacts over TCP
 //!                                   (--recover: journal replay + quarantine + cache pre-warm)
 //! rqp client <addr> <method> ...    issue one request to a server
@@ -23,17 +22,17 @@
 //! `qa` is one selectivity per error-prone predicate (defaults to the
 //! middle of the space).
 //!
-//! A malformed flag or selectivity ends the process with exit code 1,
-//! naming what was wrong; nothing falls back to a default silently.
+//! A malformed flag or selectivity, or a flag `compile` does not read,
+//! ends the process with exit code 1, naming what was wrong; nothing
+//! falls back to a default silently.
 
-use rqp::artifacts::{ArtifactStore, CompiledArtifact, Provenance, SparseArtifact};
+use rqp::artifacts::{ArtifactStore, CompiledArtifact, Provenance};
 use rqp::catalog::tpcds;
 use rqp::core::report::ExecMode;
 use rqp::core::{
-    lazy_warm_up, CostOracle, CostSource, Outcome, Params, PenaltySelection, PopReoptimizer,
-    RunReport, SpillBound, Strategy,
+    CostOracle, CostSource, Outcome, Params, PenaltySelection, PopReoptimizer, RunReport,
+    SpillBound, Strategy,
 };
-use rqp::ess::{ContourSet, LazySurface, SurfaceAccess};
 use rqp::experiments::{compare, env_threads, Experiment};
 use rqp::faults::{FaultPlan, RetryPolicy};
 use rqp::figures::{Cell, Lab, Table, FIGURES};
@@ -41,7 +40,7 @@ use rqp::obs::{
     prof, JsonlSink, MetricValue, MetricsRegistry, RingSink, TeeSink, TraceEvent, TraceRecord,
     TraceSink, Tracer,
 };
-use rqp::optimizer::{CostParams, EnumerationMode, Optimizer, SparseCostMatrix};
+use rqp::optimizer::{CostParams, EnumerationMode, Optimizer};
 use rqp::server::{serve, ArtifactCache, Client, Registry, ServedQuery, ServerConfig};
 use rqp::workloads::{paper_suite, q91_with_dims};
 use std::fmt::Display;
@@ -55,7 +54,7 @@ fn usage() -> ExitCode {
     let ids: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
     let ids = ids.join(" ");
     eprintln!(
-        "usage:\n  rqp list\n  rqp explore <query>\n  rqp run <query> <{algos}|pop> [qa...]\n  rqp run <query> <{algos}> --paged [--pool-frames N]\n           (executor-backed out-of-core run over the slotted-page store;\n            env: RQP_PAGE_SIZE / RQP_POOL_FRAMES)\n  rqp run-sql <sql> [qa...]    (mark epps with `-- epp` comments)\n  rqp compare <query>\n  rqp figures [id]   (ids: {ids})\n  rqp compile <query> [--dir DIR] [--threads N] [--force] [--lazy [--points N]]\n  rqp serve [--addr HOST:PORT] [--dir DIR] [--queries q1,q2] [--workers N] [--queue N] [--threads N]\n           [--shards N] [--max-conns N] [--cache-mb MB] [--tenant-quota N] [--pool-frames N] [--recover]\n           (every artifact in --dir is servable via the LRU cache; --queries are pinned)\n           (--recover: replay the intent journal, quarantine corrupt artifacts,\n            and pre-warm the LRU cache from the persisted hot-set manifest)\n           (env: RQP_FAULT_RATE=R RQP_FAULT_SEED=N enable fault injection)\n  rqp bench-serve [--queries q1,q2] [--clients N] [--secs S] [--pipeline D] [--dir DIR]\n           [--workers N] [--shards N] [--queue N] [--threads N] [--min-rps R]\n           (closed-loop throughput/latency bench over precompiled explains)\n  rqp client <addr> <method> [query] [qa...] [--deadline-ms N]\n  rqp trace <query> [{algos}] [qa...] [--jsonl FILE] [--flame FILE]\n           (env: RQP_TRACE=jsonl:FILE mirrors the event stream to FILE)\n  rqp trace --check <file>   validate a JSONL trace file"
+        "usage:\n  rqp list\n  rqp explore <query>\n  rqp run <query> <{algos}|pop> [qa...]\n  rqp run <query> <{algos}> --paged [--pool-frames N]\n           (executor-backed out-of-core run over the slotted-page store;\n            env: RQP_PAGE_SIZE / RQP_POOL_FRAMES)\n  rqp run-sql <sql> [qa...]    (mark epps with `-- epp` comments)\n  rqp compare <query>\n  rqp figures [id]   (ids: {ids})\n  rqp compile <query> [--dir DIR] [--threads N] [--force]\n  rqp serve [--addr HOST:PORT] [--dir DIR] [--queries q1,q2] [--workers N] [--queue N] [--threads N]\n           [--shards N] [--max-conns N] [--cache-mb MB] [--tenant-quota N] [--pool-frames N] [--recover]\n           (every artifact in --dir is servable via the LRU cache; --queries are pinned)\n           (--recover: replay the intent journal, quarantine corrupt artifacts,\n            and pre-warm the LRU cache from the persisted hot-set manifest)\n           (env: RQP_FAULT_RATE=R RQP_FAULT_SEED=N enable fault injection)\n  rqp bench-serve [--queries q1,q2] [--clients N] [--secs S] [--pipeline D] [--dir DIR]\n           [--workers N] [--shards N] [--queue N] [--threads N] [--min-rps R]\n           (closed-loop throughput/latency bench over precompiled explains)\n  rqp client <addr> <method> [query] [qa...] [--deadline-ms N]\n  rqp trace <query> [{algos}] [qa...] [--jsonl FILE] [--flame FILE]\n           (env: RQP_TRACE=jsonl:FILE mirrors the event stream to FILE)\n  rqp trace --check <file>   validate a JSONL trace file"
     );
     ExitCode::FAILURE
 }
@@ -174,6 +173,20 @@ where
     T::Err: Display,
 {
     (value.parse()).unwrap_or_else(|e| fail(&format!("{what}: invalid value {value:?} ({e})")))
+}
+
+/// Exits 1 naming the first of `args` that is neither one of `valued`
+/// (each followed by its value) nor one of `switches`.
+fn expect_flags(args: &[String], valued: &[&str], switches: &[&str]) {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if valued.contains(&arg.as_str()) {
+            args.next();
+        } else if !switches.contains(&arg.as_str()) {
+            let known = [valued, switches].concat().join(", ");
+            fail(&format!("unknown argument {arg:?} (expected: {known})"));
+        }
+    }
 }
 
 /// Prints `msg` and exits 1.
@@ -398,131 +411,6 @@ fn pinned(
         registry.insert(q);
     }
     Ok(registry)
-}
-
-/// `rqp compile <query> --lazy [--points N]`: discover the contour
-/// skylines on a [`LazySurface`] (cells optimized on demand), run
-/// [`lazy_warm_up`]'s axis-probe discovery at its fixed qa sample, and
-/// persist only the materialized cells as a sparse (version-2) artifact.
-///
-/// High-D suite queries default to `lazy_grid_points` (≥ 16 points/dim)
-/// instead of the dense defaults, since only contour cells are optimized.
-fn compile_lazy(args: &[String], name: &str) -> ExitCode {
-    let Some(bench) = find_query(name) else {
-        eprintln!("unknown query {name}; try `rqp list`");
-        return ExitCode::FAILURE;
-    };
-    let d = bench.query.ndims();
-    let points =
-        flag(args, "--points").unwrap_or_else(|| rqp::workloads::suite::lazy_grid_points(d));
-    if points < 2 {
-        eprintln!("--points must be >= 2 (got {points})");
-        return ExitCode::FAILURE;
-    }
-    let bench = bench.with_grid_points(points);
-    let catalog = tpcds::catalog_sf100();
-    let opt = match Optimizer::new(
-        &catalog,
-        &bench.query,
-        CostParams::default(),
-        EnumerationMode::LeftDeep,
-    ) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let grid_len = bench.grid().len();
-    println!("{name}: lazy compile over a {points}^{d} grid ({grid_len} locations)");
-
-    let t_discover = std::time::Instant::now();
-    let lazy = LazySurface::new(&opt, bench.grid());
-    let contours = ContourSet::build(&lazy, 2.0);
-    // Warm up the cells discovery reaches: one axis-probe run per sample
-    // location.
-    if let Err(e) = lazy_warm_up(&lazy, &opt, 2.0) {
-        eprintln!("lazy warm-up failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    let discover_secs = t_discover.elapsed().as_secs_f64();
-    let cells = lazy.cells_materialized();
-    let calls = lazy.optimizer_calls();
-
-    let t_matrix = std::time::Instant::now();
-    let pool = lazy.pool_snapshot();
-    let cell_idx: Vec<usize> = lazy.cells().iter().map(|&(q, _, _)| q).collect();
-    let matrix = SparseCostMatrix::build(&opt, &pool, lazy.grid(), &cell_idx);
-    let matrix_secs = t_matrix.elapsed().as_secs_f64();
-
-    let store = ArtifactStore::new(artifact_dir(args));
-    let artifact = SparseArtifact::from_lazy(&opt, &lazy, &contours, matrix, 2.0);
-    let t_save = std::time::Instant::now();
-    let path = match store.save_sparse(&artifact) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("save sparse artifact: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let save_secs = t_save.elapsed().as_secs_f64();
-
-    // Warm verification: reload, re-seed a fresh lazy surface, and serve
-    // every persisted cost — bit-equal, with zero optimizer calls.
-    let t_load = std::time::Instant::now();
-    let reseeded = store
-        .load_sparse(name)
-        .map_err(|e| e.to_string())
-        .and_then(|loaded| loaded.to_lazy(&opt).map_err(|e| e.to_string()));
-    let warm = match reseeded {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("warm-load verification failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for &(q, cost, _) in &lazy.cells() {
-        if warm.opt_cost(q).to_bits() != cost.to_bits() {
-            eprintln!("warm-load verification failed: cell {q} cost drifted");
-            return ExitCode::FAILURE;
-        }
-    }
-    if warm.optimizer_calls() != 0 {
-        eprintln!(
-            "warm-load verification failed: {} optimizer calls to serve persisted cells",
-            warm.optimizer_calls()
-        );
-        return ExitCode::FAILURE;
-    }
-    let load_secs = t_load.elapsed().as_secs_f64();
-
-    println!(
-        "{name}: {} contours, {} pool plans; materialized {cells}/{grid_len} cells \
-         ({:.2}%) with {calls} optimizer calls",
-        contours.len(),
-        pool.len(),
-        100.0 * cells as f64 / grid_len as f64
-    );
-    println!(
-        "{name}: discovery {discover_secs:.3}s + sparse matrix {matrix_secs:.3}s + save \
-         {save_secs:.3}s to {}",
-        path.display()
-    );
-    println!(
-        "{name}: warm re-seed (load + serve {} persisted costs) {load_secs:.3}s, \
-         0 optimizer calls",
-        cell_idx.len()
-    );
-    let metrics = MetricsRegistry::new();
-    metrics.counter("ess.cells_materialized").add(cells as u64);
-    metrics.counter("ess.grid_len").add(grid_len as u64);
-    metrics.counter("ess.optimizer_calls").add(calls);
-    for (metric, value) in metrics.snapshot() {
-        if let MetricValue::Counter(v) = value {
-            println!("metric {metric} = {v}");
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 /// FNV-1a over a byte slice — for bit-exact artifact fingerprints in the
@@ -1072,9 +960,7 @@ fn main() -> ExitCode {
             let Some(name) = args.get(1).filter(|n| !n.starts_with("--")) else {
                 return usage();
             };
-            if args.iter().any(|a| a == "--lazy") {
-                return compile_lazy(&args, name);
-            }
+            expect_flags(&args[2..], &["--dir", "--threads"], &["--force"]);
             let threads = thread_count(&args, 4);
             let store = ArtifactStore::new(artifact_dir(&args));
             let force = args.iter().any(|a| a == "--force");

@@ -1,18 +1,20 @@
 //! Property-based round-trip tests for the artifact store (rqp-artifacts):
 //! compile → save → load must evaluate bit-equal to the in-memory build
 //! for every strategy of the table across random grids, and
-//! arbitrary single-byte corruption must surface as a typed error, never
-//! a panic.
+//! arbitrary single-byte corruption — or a file of a format version this
+//! build does not read — must surface as a typed error, never a panic.
 
 use proptest::prelude::*;
 use rqp::artifacts::{
-    compile_or_load_with, ArtifactError, ColdReason, CompiledArtifact, Provenance,
+    checksum64, compile_or_load_with, ArtifactError, ArtifactStore, ColdReason, CompiledArtifact,
+    Provenance, MAGIC,
 };
 use rqp::catalog::{tpcds, Catalog};
 use rqp::core::{evaluate_strategy, CostSource, EvalContext, Params, Strategy, SubOptStats};
 use rqp::faults::{FaultPlan, FaultSite};
+use rqp::obs::Tracer;
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer, QuerySpec};
-use rqp::server::ServedQuery;
+use rqp::server::{recover_dir, ArtifactCache, ServedQuery};
 use rqp_common::MultiGrid;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -281,4 +283,46 @@ fn persistent_load_faults_degrade_to_recompile() {
     assert_eq!(artifact.surface.len(), 25);
 
     std::fs::remove_file(&path).ok();
+}
+
+/// A contour-only version-2 file, as older builds wrote next to the dense
+/// artifacts (`<name>.lazy.rqpa`): a well-formed envelope whose payload
+/// this build has no decoder for. The decoder refuses it with a typed
+/// error, the serving cache answers a request for it with one instead of
+/// panicking, and recovery moves it to quarantine.
+#[test]
+fn a_leftover_version_2_file_is_refused_and_quarantined() {
+    let dir = scratch("v2").with_extension("");
+    std::fs::create_dir_all(&dir).unwrap();
+    let payload = r#"{"cell_idx":[0,3],"cell_costs":"3ff0000000000000","matrix":{}}"#;
+    let header = format!(
+        r#"{{"magic":"{MAGIC}","version":2,"checksum":"{:016x}","payload_len":{}}}"#,
+        checksum64(payload.as_bytes()),
+        payload.len()
+    );
+    let path = dir.join("x.lazy.rqpa");
+    std::fs::write(&path, format!("{header}\n{payload}")).unwrap();
+
+    match CompiledArtifact::load(&path) {
+        Err(ArtifactError::UnsupportedVersion {
+            found: 2,
+            supported: 1,
+        }) => {}
+        other => panic!("expected UnsupportedVersion {{ found: 2 }}, got {other:?}"),
+    }
+
+    let cache = ArtifactCache::new(ArtifactStore::new(&dir), &fx().catalog, 1 << 20);
+    match cache.get("x.lazy") {
+        Err((kind, msg)) => {
+            assert_eq!(kind, "internal", "{msg}");
+            assert!(msg.contains("unsupported format version 2"), "{msg}");
+        }
+        Ok(_) => panic!("a version-2 file was served"),
+    }
+
+    let report = recover_dir(&dir, &Tracer::disabled());
+    assert_eq!(report.quarantined_files, vec!["x.lazy.rqpa".to_string()]);
+    assert!(!path.exists(), "the version-2 file stayed in the store");
+    assert!(dir.join("quarantine").join("x.lazy.rqpa").exists());
+    std::fs::remove_dir_all(&dir).ok();
 }

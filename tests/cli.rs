@@ -1,6 +1,6 @@
 //! The `rqp` binary refuses malformed input loudly: a bad flag value or
-//! selectivity exits non-zero and names the value, instead of falling
-//! back to a default or dropping it.
+//! selectivity, or a flag the command does not read, exits non-zero and
+//! names it, instead of falling back to a default or dropping it.
 
 use std::process::{Command, Output};
 
@@ -53,4 +53,20 @@ fn a_malformed_selectivity_is_refused_before_connecting() {
         "zero",
     ]);
     assert_refused(&out, "zero");
+}
+
+#[test]
+fn compile_refuses_a_flag_it_does_not_read() {
+    let dir = std::env::temp_dir().join(format!("rqp-cli-flags-{}", std::process::id()));
+    let out = rqp(&[
+        "compile",
+        "2D_Q91",
+        "--lazy",
+        "--dir",
+        dir.to_str().unwrap(),
+    ]);
+    let compiled = dir.exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_refused(&out, "--lazy");
+    assert!(!compiled, "compiled before refusing the flag");
 }

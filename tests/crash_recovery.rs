@@ -62,7 +62,7 @@ fn assert_clean_dir(dir: &Path, label: &str) {
         match path.extension().and_then(|e| e.to_str()) {
             Some("tmp") => panic!("{label}: stray temp file survived recovery: {path:?}"),
             Some("rqpa") => {
-                rqp::artifacts::load_any_path(&path)
+                rqp::artifacts::CompiledArtifact::load(&path)
                     .unwrap_or_else(|e| panic!("{label}: torn artifact {path:?}: {e}"));
             }
             _ => {}

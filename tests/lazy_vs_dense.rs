@@ -3,12 +3,11 @@
 //! defined — identical contour location sets, identical anorexic-reduced
 //! bouquets (compared by plan fingerprint; raw plan ids differ because
 //! the lazy pool interns in materialization order), and bit-equal
-//! SB/AB/PB MSOe sweeps — while materializing only a fraction of the
-//! grid in its discovery-only mode.
+//! SB/AB/PB MSOe sweeps.
 
 use proptest::prelude::*;
 use rqp::catalog::tpcds;
-use rqp::core::{evaluate_strategy, lazy_warm_up, CostSource, Params, Strategy, SubOptStats};
+use rqp::core::{evaluate_strategy, CostSource, Params, Strategy, SubOptStats};
 use rqp::ess::anorexic::reduce_all;
 use rqp::ess::{ContourSet, EssSurface, EssView, LazySurface, SurfaceAccess};
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer};
@@ -165,79 +164,6 @@ fn lazy_msoe_reports_bit_equal_to_dense() {
             );
             assert_eq!(d_pen, l_pen, "{}: {} penalty", bench.name(), s.name());
         }
-    }
-}
-
-/// The hard call bound on the discovery path 2D/3D queries actually
-/// compile with: contour schedule plus the full lazy warm-up, at
-/// the lazy (high) resolutions, stays well under the grid size. (Note
-/// the *identity* tests above deliberately materialize everything — the
-/// union of all contour skylines covers most of the grid on real cost
-/// surfaces, which is exactly why the compile path probes fibers instead
-/// of enumerating skylines.)
-#[test]
-fn lazy_discovery_call_budget_on_low_dims() {
-    let catalog = tpcds::catalog_sf100();
-    for d in [2usize, 3] {
-        let bench =
-            q91_with_dims(&catalog, d).with_grid_points(rqp::workloads::suite::lazy_grid_points(d));
-        let opt = optimizer_for(&catalog, &bench);
-        let lazy = LazySurface::new(&opt, bench.grid());
-        let _contours = ContourSet::build(&lazy, 2.0);
-        lazy_warm_up(&lazy, &opt, 2.0).unwrap();
-        let grid_len = lazy.grid().len();
-        let calls = lazy.optimizer_calls();
-        assert!(
-            calls as f64 <= 0.2 * grid_len as f64,
-            "{}: {calls} optimizer calls exceed 20% of the {grid_len}-cell grid",
-            bench.name()
-        );
-        assert_eq!(lazy.cells_materialized() as u64, calls);
-    }
-}
-
-/// The acceptance bound, test-asserted: on every 4D+ suite query at its
-/// default resolution, the lazy warm-up (contour schedule plus a full
-/// axis-probe sweep) spends at most 20% of the dense optimizer-call
-/// budget — and each sampled run is sound: it completes and never
-/// overshoots the truth. (Axis-probe pruning is weaker than SpillBound's
-/// skyline selections, so the D²+3D bound is *not* asserted here — it
-/// belongs to SpillBound, which the bit-equality tests above cover.)
-#[test]
-fn lazy_axis_probe_call_budget_on_high_dims() {
-    let catalog = tpcds::catalog_sf100();
-    for bench in paper_suite(&catalog)
-        .into_iter()
-        .filter(|b| b.query.ndims() >= 4)
-    {
-        let opt = optimizer_for(&catalog, &bench);
-        let lazy = LazySurface::new(&opt, bench.grid());
-        let _contours = ContourSet::build(&lazy, 2.0);
-        for (qa, report) in lazy_warm_up(&lazy, &opt, 2.0).unwrap() {
-            let coords = lazy.grid().coords(qa);
-            assert!(
-                report.completed,
-                "{}: run at {coords:?} did not complete",
-                bench.name()
-            );
-            for (j, learnt) in report.learnt.iter().enumerate() {
-                if let Some(s) = learnt {
-                    let truth = lazy.grid().sel_at(qa, j);
-                    assert!(
-                        *s <= truth * (1.0 + 1e-9),
-                        "{}: learnt e{j} = {s} overshoots truth {truth}",
-                        bench.name()
-                    );
-                }
-            }
-        }
-        let grid_len = lazy.grid().len();
-        let calls = lazy.optimizer_calls();
-        assert!(
-            calls as f64 <= 0.2 * grid_len as f64,
-            "{}: {calls} optimizer calls exceed 20% of the {grid_len}-cell grid",
-            bench.name()
-        );
     }
 }
 

@@ -278,8 +278,8 @@ proptest! {
     }
 
     /// `optimize_at` cost is non-decreasing along every axis fiber — the
-    /// PCM corollary the lazy surface's per-fiber binary search (both the
-    /// skyline enumeration and `axis_extreme`) is sound under.
+    /// PCM corollary the lazy surface's per-fiber binary search (the
+    /// skyline enumeration) is sound under.
     #[test]
     fn optimize_at_monotone_along_axis_fibers(
         n in 5usize..10,
