@@ -12,39 +12,52 @@
 //!
 //! # File format
 //!
-//! An artifact file is two lines of UTF-8 text:
+//! An artifact file is a header line followed by a binary payload:
 //!
 //! ```text
-//! {"magic":"rqp-artifact","version":1,"checksum":"<16-hex-digit 8-lane FNV-1a>","payload_len":N}
-//! <payload: compact JSON of CompiledArtifact, exactly N bytes>
+//! {"magic":"rqp-artifact","version":3,"checksum":"<16-hex-digit 8-lane FNV-1a>","payload_len":N}
+//! <payload: exactly N bytes>
 //! ```
 //!
-//! The header is a single JSON line; the payload is everything after the
-//! first newline. The checksum is [`checksum64`] (8-lane FNV-1a 64) over
-//! the raw payload bytes, hex-encoded — a string, not a JSON number,
-//! because the vendored `serde` shim carries numbers as `f64` and u64
-//! checksums exceed 2^53.
+//! The header is a single JSON line. Its checksum is [`checksum64`]
+//! (8-lane FNV-1a 64) over the raw payload bytes, hex-encoded — a string,
+//! not a JSON number, because the vendored `serde` shim carries numbers
+//! as `f64` and u64 checksums exceed 2^53. The payload is, all integers
+//! and floats little-endian:
+//!
+//! | section | bytes |
+//! |---|---|
+//! | `meta_len` | `u64` |
+//! | meta: compact JSON of query, ratio, lambda, grid, plan pool, contours, bouquet, ρ_red, penalty | `meta_len` |
+//! | `surface.opt_cost` | `f64` × cells |
+//! | `surface.opt_plan` | `u32` × cells |
+//! | matrix, plan-major | `f64` × plans × cells |
+//!
+//! where cells is the grid's size and plans the pool's, both from meta.
 //! This is the only format: the store writes one kind of file and
 //! [`CompiledArtifact::from_bytes`] is its one decoder. Loading validates
-//! magic → version → length → checksum → decode → structural invariants,
-//! and every failure surfaces as a typed [`ArtifactError`]; nothing in
-//! the load path panics on bad input. A file of any other version — such
-//! as a contour-only version-2 file an older build wrote — is an
-//! [`ArtifactError::UnsupportedVersion`].
+//! magic → version → length → checksum → meta → section lengths →
+//! structural invariants, and every failure surfaces as a typed
+//! [`ArtifactError`]; nothing in the load path panics on bad input. A
+//! file of any other version — an older build's JSON-payload version-1
+//! file or its contour-only version-2 file — is an
+//! [`ArtifactError::UnsupportedVersion`]: `compile_or_load` recompiles
+//! over it (`Cold { Corrupt }`) and `rqp serve --recover` quarantines it.
 //!
-//! Float fields round-trip bit-exactly: the `serde_json` shim renders
-//! floats with Rust's shortest-round-trip `Display`, so a loaded artifact
-//! evaluates bit-identically to the freshly compiled one (property-tested
-//! in `tests/artifact_roundtrip.rs` at the workspace root).
+//! Floats round-trip bit-exactly: the sections hold their IEEE-754 bits
+//! and the `serde_json` shim renders meta's floats with Rust's
+//! shortest-round-trip `Display`, so a loaded artifact evaluates
+//! bit-identically to the freshly compiled one (property-tested in
+//! `tests/artifact_roundtrip.rs` at the workspace root).
 
 use rqp_common::MultiGrid;
 use rqp_ess::anorexic::{reduce_all_with, ReducedContour};
 use rqp_ess::{ContourSet, EssSurface};
 use rqp_faults::{crash, FaultPlan, FaultSite};
 use rqp_obs::{TraceEvent, Tracer};
-use rqp_optimizer::cost_matrix::PackedJson;
-use rqp_optimizer::{CostMatrix, Optimizer, QuerySpec};
-use serde::{Deserialize, Serialize};
+use rqp_optimizer::{CostMatrix, Optimizer, PlanPool, QuerySpec};
+use serde::{Deserialize, Serialize, Value};
+use std::io::{BufRead, BufReader, Read as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,7 +67,7 @@ pub const MAGIC: &str = "rqp-artifact";
 
 /// On-disk format version of [`CompiledArtifact`] payloads. Bump on any
 /// incompatible change to its serialized shape.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Typed artifact-store failure. Every load-path failure maps to one of
 /// these; the load path never panics on malformed input.
@@ -163,49 +176,11 @@ struct Header {
     payload_len: usize,
 }
 
-/// Wraps a payload in the on-disk envelope, header line + raw payload, in
-/// one buffer of the final size: the payload is rendered behind the room
-/// the header needs, checksummed in place, and the header written last.
-fn seal(payload: &PackedJson<'_>) -> Vec<u8> {
-    let payload_len = payload.rendered_len();
-    let header_line = |checksum: u64| {
-        let header = Header {
-            magic: MAGIC.into(),
-            version: FORMAT_VERSION,
-            checksum: format!("{checksum:016x}"),
-            payload_len,
-        };
-        serde_json::to_string(&header).expect("header serializes") + "\n"
-    };
-    let start = header_line(0).len();
-    let mut out = vec![0u8; start + payload_len];
-    payload.write_into(&mut out[start..]);
-    let header = header_line(checksum64(&out[start..]));
-    out[..start].copy_from_slice(header.as_bytes());
-    out
-}
-
-/// Appends the member `"name":<compact JSON of value>`.
-fn member<T: Serialize>(json: &mut PackedJson<'_>, name: &str, value: &T) {
-    json.key(name);
-    json.raw(&serde_json::to_string(value).expect("artifact field serializes"));
-}
-
-/// Validates the envelope — header shape, magic, format version, payload
-/// length, checksum — and returns the payload text. Never panics
-/// on malformed input.
-fn open_envelope(bytes: &[u8]) -> Result<&str, ArtifactError> {
-    let nl = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or(ArtifactError::Truncated {
-            expected: 1,
-            found: 0,
-        })?;
-    let header_text =
-        std::str::from_utf8(&bytes[..nl]).map_err(|e| ArtifactError::BadHeader(e.to_string()))?;
+/// Parses a header line and checks its magic and format version.
+fn parse_header(line: &[u8]) -> Result<Header, ArtifactError> {
+    let text = std::str::from_utf8(line).map_err(|e| ArtifactError::BadHeader(e.to_string()))?;
     let header: Header =
-        serde_json::from_str(header_text).map_err(|e| ArtifactError::BadHeader(e.to_string()))?;
+        serde_json::from_str(text).map_err(|e| ArtifactError::BadHeader(e.to_string()))?;
     if header.magic != MAGIC {
         return Err(ArtifactError::BadMagic(header.magic));
     }
@@ -215,6 +190,21 @@ fn open_envelope(bytes: &[u8]) -> Result<&str, ArtifactError> {
             supported: FORMAT_VERSION,
         });
     }
+    Ok(header)
+}
+
+/// Validates the envelope — header shape, magic, format version, payload
+/// length, checksum — and returns the payload. Never panics on malformed
+/// input.
+fn open_envelope(bytes: &[u8]) -> Result<&[u8], ArtifactError> {
+    let nl = bytes
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or(ArtifactError::Truncated {
+            expected: 1,
+            found: 0,
+        })?;
+    let header = parse_header(&bytes[..nl])?;
     let payload = &bytes[nl + 1..];
     if payload.len() < header.payload_len {
         return Err(ArtifactError::Truncated {
@@ -235,7 +225,39 @@ fn open_envelope(bytes: &[u8]) -> Result<&str, ArtifactError> {
             found,
         });
     }
-    std::str::from_utf8(payload).map_err(|e| ArtifactError::Decode(e.to_string()))
+    Ok(payload)
+}
+
+/// The payload's JSON section: everything but the three cell arrays.
+#[derive(Deserialize)]
+struct Meta {
+    query: QuerySpec,
+    ratio: f64,
+    lambda: f64,
+    grid: MultiGrid,
+    pool: PlanPool,
+    contours: ContourSet,
+    bouquet: Vec<ReducedContour>,
+    rho_red: usize,
+    penalty: Option<PenaltySummary>,
+}
+
+/// Splits `len` bytes off the front of `rest`.
+fn take<'a>(rest: &mut &'a [u8], len: usize) -> Result<&'a [u8], ArtifactError> {
+    if rest.len() < len {
+        return Err(ArtifactError::Decode(format!(
+            "section of {len} bytes overruns the payload ({} left)",
+            rest.len()
+        )));
+    }
+    let (head, tail) = rest.split_at(len);
+    *rest = tail;
+    Ok(head)
+}
+
+/// Little-endian `N`-byte words of `bytes`, in order.
+fn words<const N: usize>(bytes: &[u8]) -> impl Iterator<Item = [u8; N]> + '_ {
+    (bytes.chunks_exact(N)).map(|w| w.try_into().expect("chunks_exact yields N bytes"))
 }
 
 /// The persisted outcome of a penalty-aware selection: which plan the
@@ -288,7 +310,7 @@ impl PenaltySummary {
 /// the compiled POSP surface, its contour schedule, the anorexic-reduced
 /// bouquet, and the dense plan×location recost matrix, together with the
 /// compilation parameters that produced them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CompiledArtifact {
     /// The query template this artifact was compiled for.
     pub query: QuerySpec,
@@ -308,9 +330,7 @@ pub struct CompiledArtifact {
     /// Dense plan×location recost matrix over the surface's pool/grid.
     pub matrix: CostMatrix,
     /// Outcome of the offline penalty-aware selection, when one was run
-    /// at compile time. `None` in artifacts written before the field
-    /// existed — old files load unchanged (`#[serde(default)]`).
-    #[serde(default)]
+    /// at compile time.
     pub penalty: Option<PenaltySummary>,
 }
 
@@ -351,44 +371,100 @@ impl CompiledArtifact {
         self
     }
 
-    /// Serializes to the on-disk byte format (header line + payload): the
-    /// derived `Serialize`'s members, the matrix cells written in place.
+    /// Serializes to the on-disk byte format (header line + payload) in
+    /// one buffer of the final size: the payload is written behind the
+    /// room the header needs, checksummed in place, and the header
+    /// written last.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut json = PackedJson::default();
-        json.raw("{");
-        member(&mut json, "query", &self.query);
-        member(&mut json, "ratio", &self.ratio);
-        member(&mut json, "lambda", &self.lambda);
-        member(&mut json, "surface", &self.surface);
-        member(&mut json, "contours", &self.contours);
-        member(&mut json, "bouquet", &self.bouquet);
-        member(&mut json, "rho_red", &self.rho_red);
-        json.key("matrix");
-        self.matrix.write_packed(&mut json);
-        member(&mut json, "penalty", &self.penalty);
-        json.raw("}");
-        seal(&json)
+        let members = [
+            ("query", self.query.to_value()),
+            ("ratio", self.ratio.to_value()),
+            ("lambda", self.lambda.to_value()),
+            ("grid", self.surface.grid().to_value()),
+            ("pool", self.surface.pool().to_value()),
+            ("contours", self.contours.to_value()),
+            ("bouquet", self.bouquet.to_value()),
+            ("rho_red", self.rho_red.to_value()),
+            ("penalty", self.penalty.to_value()),
+        ];
+        let meta = Value::Object(members.map(|(k, v)| (k.to_string(), v)).into());
+        let meta = serde_json::to_string(&meta).expect("artifact meta serializes");
+        let (costs, plans) = (self.surface.opt_costs(), self.surface.opt_plans());
+        let payload_len = 8 + meta.len() + 12 * costs.len() + 8 * self.matrix.len();
+        let header_line = |checksum: u64| {
+            let header = Header {
+                magic: MAGIC.into(),
+                version: FORMAT_VERSION,
+                checksum: format!("{checksum:016x}"),
+                payload_len,
+            };
+            serde_json::to_string(&header).expect("header serializes") + "\n"
+        };
+        let start = header_line(0).len();
+        let mut out = Vec::with_capacity(start + payload_len);
+        out.resize(start, 0);
+        out.extend((meta.len() as u64).to_le_bytes());
+        out.extend(meta.as_bytes());
+        out.extend(costs.iter().flat_map(|c| c.to_le_bytes()));
+        let plan_id = |&p: &usize| u32::try_from(p).expect("a pool holds fewer than 2^32 plans");
+        out.extend(plans.iter().flat_map(|p| plan_id(p).to_le_bytes()));
+        out.extend(self.matrix.cells().iter().flat_map(|c| c.to_le_bytes()));
+        let header = header_line(checksum64(&out[start..]));
+        out[..start].copy_from_slice(header.as_bytes());
+        out
     }
 
     /// Parses and validates the on-disk byte format. Checks, in order:
     /// header shape, magic, format version, payload length, checksum,
-    /// payload decode, and structural invariants. Never panics on
-    /// malformed input; a file of any other format version is an
-    /// [`ArtifactError::UnsupportedVersion`].
+    /// meta decode, section lengths against meta, and structural
+    /// invariants. Never panics on malformed input; a file of any other
+    /// format version is an [`ArtifactError::UnsupportedVersion`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactError> {
-        let payload_text = open_envelope(bytes)?;
-        let mut artifact: CompiledArtifact =
-            serde_json::from_str(payload_text).map_err(|e| ArtifactError::Decode(e.to_string()))?;
-        artifact.rehydrate()?;
+        let mut rest = open_envelope(bytes)?;
+        let meta_len = u64::from_le_bytes(take(&mut rest, 8)?.try_into().expect("8 bytes"));
+        let meta = take(&mut rest, usize::try_from(meta_len).unwrap_or(usize::MAX))?;
+        let meta: Meta = std::str::from_utf8(meta)
+            .map_err(|e| e.to_string())
+            .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
+            .map_err(ArtifactError::Decode)?;
+        let (cells, nplans) = (meta.grid.len(), meta.pool.len());
+        let sections = (cells.checked_mul(12))
+            .zip(nplans.checked_mul(cells).and_then(|n| n.checked_mul(8)))
+            .and_then(|(surface, matrix)| surface.checked_add(matrix));
+        if sections != Some(rest.len()) {
+            return Err(ArtifactError::Decode(format!(
+                "{} section bytes for {cells} cells and {nplans} plans",
+                rest.len()
+            )));
+        }
+        let opt_cost = words(take(&mut rest, 8 * cells)?).map(f64::from_le_bytes);
+        let opt_plan = words(take(&mut rest, 4 * cells)?).map(|w| u32::from_le_bytes(w) as usize);
+        let surface =
+            EssSurface::from_parts(meta.grid, opt_cost.collect(), opt_plan.collect(), meta.pool)
+                .map_err(|e| ArtifactError::Invalid(e.to_string()))?;
+        let matrix =
+            CostMatrix::from_cells(nplans, cells, words(rest).map(f64::from_le_bytes).collect())
+                .ok_or_else(|| {
+                    ArtifactError::Decode("matrix section does not fit its shape".into())
+                })?;
+        let artifact = CompiledArtifact {
+            query: meta.query,
+            ratio: meta.ratio,
+            lambda: meta.lambda,
+            surface,
+            contours: meta.contours,
+            bouquet: meta.bouquet,
+            rho_red: meta.rho_red,
+            matrix,
+            penalty: meta.penalty,
+        };
+        artifact.check()?;
         Ok(artifact)
     }
 
-    /// Rebuilds non-serialized state (the pool's fingerprint index) and
-    /// validates cross-component invariants.
-    fn rehydrate(&mut self) -> Result<(), ArtifactError> {
-        self.surface
-            .rehydrate()
-            .map_err(|e| ArtifactError::Invalid(e.to_string()))?;
+    /// Validates cross-component invariants (the surface's own are
+    /// checked as it is assembled, by [`EssSurface::from_parts`]).
+    fn check(&self) -> Result<(), ArtifactError> {
         if self.query.ndims() != self.surface.grid().ndims() {
             return Err(ArtifactError::Invalid(format!(
                 "query has {} error-prone predicates but the grid has {} dimensions",
@@ -736,8 +812,9 @@ impl ArtifactStore {
         result
     }
 
-    /// Names of the artifacts present in the store (files ending in
-    /// `.rqpa`), sorted.
+    /// Names of the artifacts this build can load, sorted: the files
+    /// ending in `.rqpa` whose first line is a header with [`MAGIC`] and
+    /// [`FORMAT_VERSION`]. Only that line of each file is read.
     pub fn list(&self) -> Result<Vec<String>, ArtifactError> {
         let mut names = Vec::new();
         let entries = match std::fs::read_dir(&self.root) {
@@ -747,7 +824,7 @@ impl ArtifactStore {
         };
         for entry in entries {
             let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) == Some("rqpa") {
+            if path.extension().and_then(|e| e.to_str()) == Some("rqpa") && has_header(&path) {
                 if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
                     names.push(stem.to_string());
                 }
@@ -756,6 +833,15 @@ impl ArtifactStore {
         names.sort();
         Ok(names)
     }
+}
+
+/// True if the file at `path` starts with a header line of this build's
+/// format. Reads at most the first KiB.
+fn has_header(path: &Path) -> bool {
+    let mut line = Vec::new();
+    std::fs::File::open(path)
+        .and_then(|f| BufReader::new(f.take(1024)).read_until(b'\n', &mut line))
+        .is_ok_and(|_| line.pop() == Some(b'\n') && parse_header(&line).is_ok())
 }
 
 #[cfg(test)]
@@ -817,21 +903,21 @@ mod tests {
         (cat, query)
     }
 
-    /// The envelope over a generically encoded payload, as `to_bytes`
-    /// built it before the in-place writer: the oracle `seal` must
-    /// reproduce byte for byte.
-    fn seal_envelope(version: u32, payload: String) -> Vec<u8> {
+    /// `payload` in a well-formed envelope of format `version`: what a
+    /// build of that version wrote, or a doctored payload that still
+    /// passes the checksum.
+    fn seal_envelope(version: u32, payload: &[u8]) -> Vec<u8> {
         let header = Header {
             magic: MAGIC.into(),
             version,
-            checksum: format!("{:016x}", checksum64(payload.as_bytes())),
+            checksum: format!("{:016x}", checksum64(payload)),
             payload_len: payload.len(),
         };
         let mut out = serde_json::to_string(&header)
             .expect("header serializes")
             .into_bytes();
         out.push(b'\n');
-        out.extend_from_slice(payload.as_bytes());
+        out.extend_from_slice(payload);
         out
     }
 
@@ -869,19 +955,15 @@ mod tests {
         assert_eq!(loaded.contours, art.contours);
     }
 
-    /// The in-place writer against the generic encoder it replaced, with
-    /// and without a penalty summary.
+    /// A reload re-encodes to the same bytes, with and without a penalty
+    /// summary (whose strings need escaping in meta).
     #[test]
-    fn to_bytes_equals_the_generic_encoding() {
+    fn reload_reencodes_byte_equal() {
         let (cat, q, grid) = compile_fixture();
         let opt =
             Optimizer::new(&cat, &q, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
-        let dense = CompiledArtifact::compile(&opt, grid, 2.0, 0.2, 1);
-        assert_eq!(
-            dense.to_bytes(),
-            seal_envelope(FORMAT_VERSION, serde_json::to_string(&dense).unwrap())
-        );
-        let dense = dense.with_penalty(PenaltySummary {
+        let plain = CompiledArtifact::compile(&opt, grid, 2.0, 0.2, 1);
+        let with_penalty = plain.clone().with_penalty(PenaltySummary {
             prior_seed: 7,
             prior_sigma: 0.75,
             prior_jitter: 0.1,
@@ -893,10 +975,66 @@ mod tests {
             cvar: 2.25,
             native_expected: 1e300,
         });
-        assert_eq!(
-            dense.to_bytes(),
-            seal_envelope(FORMAT_VERSION, serde_json::to_string(&dense).unwrap())
-        );
+        for art in [plain, with_penalty] {
+            let bytes = art.to_bytes();
+            let back = CompiledArtifact::from_bytes(&bytes).unwrap();
+            assert_eq!(back.penalty, art.penalty);
+            assert_eq!(back.matrix, art.matrix);
+            assert_eq!(back.to_bytes(), bytes);
+        }
+    }
+
+    /// Payloads doctored behind a valid checksum: every length is checked
+    /// exactly against meta, and a plan id outside the pool is refused.
+    #[test]
+    fn hostile_payloads_yield_typed_errors() {
+        let (cat, q, grid) = compile_fixture();
+        let opt =
+            Optimizer::new(&cat, &q, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
+        let art = CompiledArtifact::compile(&opt, grid, 2.0, 0.2, 1);
+        let bytes = art.to_bytes();
+        let payload = &bytes[bytes.iter().position(|&b| b == b'\n').unwrap() + 1..];
+        let decode =
+            |payload: &[u8]| CompiledArtifact::from_bytes(&seal_envelope(FORMAT_VERSION, payload));
+
+        let short = &payload[..payload.len() - 8];
+        assert!(matches!(decode(short), Err(ArtifactError::Decode(_))));
+
+        let mut overlong_meta = payload.to_vec();
+        overlong_meta[..8].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        assert!(matches!(
+            decode(&overlong_meta),
+            Err(ArtifactError::Decode(_))
+        ));
+        overlong_meta[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            decode(&overlong_meta),
+            Err(ArtifactError::Decode(_))
+        ));
+
+        let mut trailing = payload.to_vec();
+        trailing.extend_from_slice(&[0; 3]);
+        assert!(matches!(decode(&trailing), Err(ArtifactError::Decode(_))));
+
+        let meta_len = u64::from_le_bytes(payload[..8].try_into().unwrap()) as usize;
+        let plans_at = 8 + meta_len + 8 * art.surface.len();
+        let mut bad_plan = payload.to_vec();
+        let nplans = art.surface.posp_size() as u32;
+        bad_plan[plans_at..plans_at + 4].copy_from_slice(&nplans.to_le_bytes());
+        match decode(&bad_plan) {
+            Err(ArtifactError::Invalid(msg)) => assert!(msg.contains("plan id"), "{msg}"),
+            other => panic!("expected Invalid for an out-of-pool plan id, got {other:?}"),
+        }
+
+        // A version-1 file: its payload was the artifact as one JSON object.
+        let v1 = seal_envelope(1, br#"{"query":{},"ratio":2,"matrix":{"cells_hex":""}}"#);
+        assert!(matches!(
+            CompiledArtifact::from_bytes(&v1),
+            Err(ArtifactError::UnsupportedVersion {
+                found: 1,
+                supported: 3
+            })
+        ));
     }
 
     #[test]
@@ -977,7 +1115,7 @@ mod tests {
 
         // Wrong version.
         let header_text = std::str::from_utf8(&bytes[..nl]).unwrap();
-        let bumped = header_text.replace("\"version\":1", "\"version\":99");
+        let bumped = header_text.replace("\"version\":3", "\"version\":99");
         let mut wrong_version = bumped.into_bytes();
         wrong_version.extend_from_slice(&bytes[nl..]);
         assert!(matches!(
@@ -1006,11 +1144,11 @@ mod tests {
     #[test]
     fn dense_reader_rejects_sparse_files_with_typed_error() {
         let payload = r#"{"cell_idx":[0,3],"cell_costs":"3ff0000000000000","matrix":{}}"#;
-        let bytes = seal_envelope(2, payload.into());
+        let bytes = seal_envelope(2, payload.as_bytes());
         let refused = |r: Result<CompiledArtifact, ArtifactError>| match r {
             Err(ArtifactError::UnsupportedVersion {
                 found: 2,
-                supported: 1,
+                supported: 3,
             }) => {}
             other => panic!("expected UnsupportedVersion {{ found: 2 }}, got {other:?}"),
         };
@@ -1038,6 +1176,10 @@ mod tests {
             Optimizer::new(&cat, &q, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
         let (_, prov) = store.compile_or_load(&opt, &grid, 2.0, 0.2, 1).unwrap();
         assert!(!prov.is_warm());
+        assert_eq!(store.list().unwrap(), vec!["star2".to_string()]);
+        // Files this build cannot load are not listed.
+        std::fs::write(store.path_for("old"), seal_envelope(1, b"{}")).unwrap();
+        std::fs::write(store.path_for("junk"), b"no header line").unwrap();
         assert_eq!(store.list().unwrap(), vec!["star2".to_string()]);
         let (_, prov) = store.compile_or_load(&opt, &grid, 2.0, 0.2, 1).unwrap();
         assert!(prov.is_warm());

@@ -170,6 +170,34 @@ impl EssSurface {
         Ok(s)
     }
 
+    /// Assembles a surface from persisted parts, checked as
+    /// [`rehydrate`](Self::rehydrate) checks a deserialized one.
+    pub fn from_parts(
+        grid: MultiGrid,
+        opt_cost: Vec<Cost>,
+        opt_plan: Vec<PlanId>,
+        pool: PlanPool,
+    ) -> Result<Self> {
+        let mut s = Self {
+            grid,
+            opt_cost,
+            opt_plan,
+            pool,
+        };
+        s.rehydrate()?;
+        Ok(s)
+    }
+
+    /// Every location's optimal cost, in flat-index order.
+    pub fn opt_costs(&self) -> &[Cost] {
+        &self.opt_cost
+    }
+
+    /// Every location's optimal plan id, in flat-index order.
+    pub fn opt_plans(&self) -> &[PlanId] {
+        &self.opt_plan
+    }
+
     /// Rebuilds the (non-serialized) pool fingerprint index and validates
     /// every structural invariant of a freshly deserialized surface: array
     /// lengths match the grid, and every recorded plan id resolves inside

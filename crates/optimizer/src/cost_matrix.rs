@@ -15,7 +15,6 @@ use crate::cost::NodeEstimate;
 use crate::pipeline::DimMask;
 use crate::{JoinMethod, Optimizer, PlanId, PlanNode, PlanPool, QuerySpec};
 use rqp_common::{chunk_bounds, Cost, GridIdx, MultiGrid};
-use serde::{Deserialize, Error, Serialize, Value};
 use std::collections::HashMap;
 
 /// Dense matrix of `cost(plan, location)` over a plan pool and an ESS
@@ -25,166 +24,6 @@ pub struct CostMatrix {
     nplans: usize,
     grid_len: usize,
     cells: Vec<Cost>,
-}
-
-// The cells are serialized as ONE packed string — 16 lowercase hex digits
-// of each cost's IEEE-754 bit pattern — instead of a JSON number array.
-// Equally bit-exact, but a warm artifact load scans a single string token
-// rather than allocating hundreds of thousands of parsed floats, which is
-// what keeps `rqp-artifacts` warm starts an order of magnitude faster
-// than recompiling.
-/// Packs costs as 16 lowercase hex digits each of their IEEE-754 bit
-/// patterns.
-fn encode_cells_hex(cells: &[Cost]) -> String {
-    let mut hex = vec![0u8; cells.len() * 16];
-    write_cells_hex(cells, &mut hex);
-    String::from_utf8(hex).expect("hex digits are ascii")
-}
-
-/// The codec itself: fills `out`, exactly 16 bytes per cost.
-fn write_cells_hex(cells: &[Cost], out: &mut [u8]) {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    assert_eq!(out.len(), cells.len() * 16);
-    for (chunk, &c) in out.chunks_exact_mut(16).zip(cells) {
-        for (pair, b) in chunk.chunks_exact_mut(2).zip(c.to_bits().to_be_bytes()) {
-            pair[0] = DIGITS[usize::from(b >> 4)];
-            pair[1] = DIGITS[usize::from(b & 0xf)];
-        }
-    }
-}
-
-/// JSON text with holes for packed cost vectors: the text around them is
-/// buffered, each vector's hex digits are rendered once, straight into
-/// the caller's output buffer ([`write_into`](Self::write_into)).
-#[derive(Debug, Default)]
-pub struct PackedJson<'a> {
-    text: Vec<u8>,
-    /// `(offset, cells)`: the hex of `cells` precedes `text[offset]`.
-    holes: Vec<(usize, &'a [Cost])>,
-}
-
-impl<'a> PackedJson<'a> {
-    /// Appends `s` verbatim.
-    pub fn raw(&mut self, s: &str) {
-        self.text.extend_from_slice(s.as_bytes());
-    }
-
-    /// Starts an object member, `"name":`, with the comma any previous
-    /// member needs. `name` must need no escaping.
-    pub fn key(&mut self, name: &str) {
-        if self.text.last() != Some(&b'{') {
-            self.raw(",");
-        }
-        self.raw(&format!("\"{name}\":"));
-    }
-
-    /// Appends `cells` as one packed hex string value.
-    pub fn cells(&mut self, cells: &'a [Cost]) {
-        self.raw("\"");
-        self.holes.push((self.text.len(), cells));
-        self.raw("\"");
-    }
-
-    /// Length in bytes of the rendered JSON.
-    pub fn rendered_len(&self) -> usize {
-        let cells: usize = self.holes.iter().map(|(_, c)| c.len()).sum();
-        self.text.len() + 16 * cells
-    }
-
-    /// Renders into `out`: [`rendered_len`](Self::rendered_len) bytes.
-    pub fn write_into(&self, mut out: &mut [u8]) {
-        let mut done = 0;
-        for &(at, cells) in &self.holes {
-            let (text, rest) = out.split_at_mut(at - done);
-            text.copy_from_slice(&self.text[done..at]);
-            let (hex, rest) = rest.split_at_mut(16 * cells.len());
-            write_cells_hex(cells, hex);
-            (out, done) = (rest, at);
-        }
-        out.copy_from_slice(&self.text[done..]);
-    }
-}
-
-/// Inverse of [`encode_cells_hex`]; rejects non-hex digits and lengths
-/// that are not a multiple of 16.
-fn decode_cells_hex(hex: &[u8]) -> Result<Vec<Cost>, Error> {
-    if !hex.len().is_multiple_of(16) {
-        return Err(Error::msg("`cells_hex` length is not a multiple of 16"));
-    }
-    // Table-driven nibble decode: this loop walks millions of bytes
-    // on every warm artifact load, so it must not branch per byte.
-    // Invalid characters map to 0xff and are detected once per chunk.
-    const NIBBLE: [u8; 256] = {
-        let mut t = [0xffu8; 256];
-        let mut i = 0;
-        while i < 10 {
-            t[b'0' as usize + i] = i as u8;
-            i += 1;
-        }
-        let mut i = 0;
-        while i < 6 {
-            t[b'a' as usize + i] = 10 + i as u8;
-            i += 1;
-        }
-        t
-    };
-    let mut cells = Vec::with_capacity(hex.len() / 16);
-    for chunk in hex.chunks_exact(16) {
-        let mut bits = 0u64;
-        let mut bad = 0u8;
-        for &b in chunk {
-            let nibble = NIBBLE[b as usize];
-            bad |= nibble;
-            bits = (bits << 4) | u64::from(nibble & 0xf);
-        }
-        if bad & 0xf0 != 0 {
-            return Err(Error::msg("non-hex digit in `cells_hex`"));
-        }
-        cells.push(Cost::from_bits(bits));
-    }
-    Ok(cells)
-}
-
-impl Serialize for CostMatrix {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("nplans".to_string(), self.nplans.to_value()),
-            ("grid_len".to_string(), self.grid_len.to_value()),
-            (
-                "cells_hex".to_string(),
-                Value::String(encode_cells_hex(&self.cells)),
-            ),
-        ])
-    }
-}
-
-impl CostMatrix {
-    /// Appends exactly what [`Serialize`] renders, cells as a hole.
-    pub fn write_packed<'a>(&'a self, json: &mut PackedJson<'a>) {
-        let (n, g) = (self.nplans, self.grid_len);
-        json.raw(&format!("{{\"nplans\":{n},\"grid_len\":{g},\"cells_hex\":"));
-        json.cells(&self.cells);
-        json.raw("}");
-    }
-}
-
-impl Deserialize for CostMatrix {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| Error::msg("expected object for CostMatrix"))?;
-        let nplans: usize = serde::field(obj, "nplans")?;
-        let grid_len: usize = serde::field(obj, "grid_len")?;
-        let cells = match v.get("cells_hex") {
-            Some(Value::String(s)) => decode_cells_hex(s.as_bytes())?,
-            _ => return Err(Error::msg("missing `cells_hex` string")),
-        };
-        Ok(Self {
-            nplans,
-            grid_len,
-            cells,
-        })
-    }
 }
 
 impl CostMatrix {
@@ -232,6 +71,22 @@ impl CostMatrix {
         }
     }
 
+    /// A matrix over cells laid out as [`build`](Self::build) lays them
+    /// out, plan-major; `None` unless there are `nplans × grid_len`.
+    pub fn from_cells(nplans: usize, grid_len: usize, cells: Vec<Cost>) -> Option<Self> {
+        let matrix = Self {
+            nplans,
+            grid_len,
+            cells,
+        };
+        matrix.shape_matches(nplans, grid_len).then_some(matrix)
+    }
+
+    /// Every cell, plan-major: [`row`](Self::row) after row.
+    pub fn cells(&self) -> &[Cost] {
+        &self.cells
+    }
+
     /// Cost of plan `pid` at flat grid location `qa`.
     #[inline]
     pub fn cost(&self, pid: PlanId, qa: GridIdx) -> Cost {
@@ -266,7 +121,7 @@ impl CostMatrix {
     }
 
     /// True if the matrix's declared shape matches its cell storage and the
-    /// given pool/grid sizes — the invariant a deserialized matrix must be
+    /// given pool/grid sizes — the invariant a decoded matrix must be
     /// checked against before use.
     pub fn shape_matches(&self, nplans: usize, grid_len: usize) -> bool {
         self.nplans == nplans && self.grid_len == grid_len && self.cells.len() == nplans * grid_len
@@ -383,44 +238,5 @@ impl<'p> RecostSweep<'p> {
                 row[k] = cost;
             }
         });
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The table-driven writer against the digit-by-digit definition of
-    /// the codec, and a buffer with two holes against plain concatenation.
-    #[test]
-    fn packed_json_renders_text_and_hex_in_order() {
-        let cells = [0.0, -0.0, 1.5, f64::MAX, f64::MIN_POSITIVE, 1e-300];
-        let naive: String = cells
-            .iter()
-            .map(|c| format!("{:016x}", c.to_bits()))
-            .collect();
-        assert_eq!(encode_cells_hex(&cells), naive);
-        assert_eq!(decode_cells_hex(naive.as_bytes()).unwrap(), cells);
-
-        let mut json = PackedJson::default();
-        json.raw("{");
-        json.key("a");
-        json.cells(&cells[..2]);
-        json.key("b");
-        json.raw("[1,2]");
-        json.key("c");
-        json.cells(&cells[2..]);
-        json.key("d");
-        json.cells(&[]);
-        json.raw("}");
-        let expect = format!(
-            "{{\"a\":\"{}\",\"b\":[1,2],\"c\":\"{}\",\"d\":\"\"}}",
-            &naive[..32],
-            &naive[32..]
-        );
-        assert_eq!(json.rendered_len(), expect.len());
-        let mut out = vec![0u8; json.rendered_len()];
-        json.write_into(&mut out);
-        assert_eq!(String::from_utf8(out).unwrap(), expect);
     }
 }

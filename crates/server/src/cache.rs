@@ -124,7 +124,8 @@ impl ArtifactCache {
         self
     }
 
-    /// Query names the backing store holds an artifact file for.
+    /// Query names the backing store holds a file of this build's format
+    /// for (a corrupt payload is found when the name is loaded).
     pub fn known_names(&self) -> Vec<String> {
         self.store.list().unwrap_or_default()
     }

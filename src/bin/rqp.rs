@@ -22,9 +22,9 @@
 //! `qa` is one selectivity per error-prone predicate (defaults to the
 //! middle of the space).
 //!
-//! A malformed flag or selectivity, or a flag `compile` does not read,
-//! ends the process with exit code 1, naming what was wrong; nothing
-//! falls back to a default silently.
+//! A malformed flag or selectivity, or an argument the subcommand does
+//! not read, ends the process with exit code 1, naming what was wrong;
+//! nothing falls back to a default silently.
 
 use rqp::artifacts::{ArtifactStore, CompiledArtifact, Provenance};
 use rqp::catalog::tpcds;
@@ -175,13 +175,45 @@ where
     (value.parse()).unwrap_or_else(|e| fail(&format!("{what}: invalid value {value:?} ({e})")))
 }
 
-/// Exits 1 naming the first of `args` that is neither one of `valued`
-/// (each followed by its value) nor one of `switches`.
-fn expect_flags(args: &[String], valued: &[&str], switches: &[&str]) {
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
+/// What each subcommand reads after its name: at most how many
+/// positional arguments, its flags that take a value, and its switches.
+#[rustfmt::skip]
+const ARGS: &[(&str, usize, &[&str], &[&str])] = &[
+    ("list", 0, &[], &[]),
+    ("explore", 1, &[], &[]),
+    ("run", usize::MAX, &["--pool-frames"], &["--paged"]),
+    ("run-sql", usize::MAX, &[], &[]),
+    ("compare", 1, &[], &[]),
+    ("figures", 1, &[], &[]),
+    ("compile", 1, &["--dir", "--threads"], &["--force"]),
+    ("serve", 0, &["--addr", "--dir", "--queries", "--workers", "--queue", "--threads", "--shards",
+                   "--max-conns", "--cache-mb", "--tenant-quota", "--pool-frames"], &["--recover"]),
+    ("bench-serve", 0, &["--queries", "--clients", "--secs", "--pipeline", "--dir", "--workers",
+                         "--shards", "--queue", "--threads", "--min-rps"], &[]),
+    ("client", usize::MAX, &["--deadline-ms"], &[]),
+    ("crash-victim", 0, &["--dir"], &["--recover"]),
+    ("trace", usize::MAX, &["--check", "--jsonl", "--flame"], &[]),
+];
+
+/// Exits 1 naming the first argument of `args` (a command line, the
+/// subcommand first) that its subcommand does not read: a `--flag` that
+/// is neither one of its valued flags (each followed by its value) nor
+/// one of its switches, or a positional argument past its count.
+fn expect_args(args: &[String]) {
+    let Some(&(_, positionals, valued, switches)) =
+        (ARGS.iter()).find(|a| Some(a.0) == args.first().map(String::as_str))
+    else {
+        return;
+    };
+    let (mut rest, mut seen) = (args[1..].iter(), 0);
+    while let Some(arg) = rest.next() {
         if valued.contains(&arg.as_str()) {
-            args.next();
+            rest.next();
+        } else if !arg.starts_with("--") {
+            seen += 1;
+            if seen > positionals {
+                fail(&format!("unexpected argument {arg:?}"));
+            }
         } else if !switches.contains(&arg.as_str()) {
             let known = [valued, switches].concat().join(", ");
             fail(&format!("unknown argument {arg:?} (expected: {known})"));
@@ -351,9 +383,9 @@ fn compile_one(
         .compile_or_load(&opt, &bench.grid(), 2.0, 0.2, threads)
         .map_err(|e| e.to_string())?;
     // Penalty-aware selection rides along in the artifact: attach it to
-    // cold compiles and upgrade warm-loaded pre-penalty (v1) files in
-    // place, so every served artifact carries the chosen plan + prior
-    // hash for the server's load-time verification.
+    // cold compiles and to a warm-loaded file saved without one, so
+    // every served artifact carries the chosen plan + prior hash for
+    // the server's load-time verification.
     if artifact.penalty.is_none() {
         use rqp::core::{PenaltyConfig, PriorConfig};
         let (summary, sel) = rqp::experiments::penalty_summary(
@@ -793,6 +825,7 @@ fn figures(id: Option<&str>) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    expect_args(&args);
     match args.first().map(String::as_str) {
         Some("list") => {
             let catalog = tpcds::catalog_sf100();
@@ -960,7 +993,6 @@ fn main() -> ExitCode {
             let Some(name) = args.get(1).filter(|n| !n.starts_with("--")) else {
                 return usage();
             };
-            expect_flags(&args[2..], &["--dir", "--threads"], &["--force"]);
             let threads = thread_count(&args, 4);
             let store = ArtifactStore::new(artifact_dir(&args));
             let force = args.iter().any(|a| a == "--force");

@@ -14,7 +14,7 @@ use rqp::core::{evaluate_strategy, CostSource, EvalContext, Params, Strategy, Su
 use rqp::faults::{FaultPlan, FaultSite};
 use rqp::obs::Tracer;
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer, QuerySpec};
-use rqp::server::{recover_dir, ArtifactCache, ServedQuery};
+use rqp::server::{parse_request, recover_dir, ArtifactCache, Registry, ServedQuery};
 use rqp_common::MultiGrid;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -306,7 +306,7 @@ fn a_leftover_version_2_file_is_refused_and_quarantined() {
     match CompiledArtifact::load(&path) {
         Err(ArtifactError::UnsupportedVersion {
             found: 2,
-            supported: 1,
+            supported: 3,
         }) => {}
         other => panic!("expected UnsupportedVersion {{ found: 2 }}, got {other:?}"),
     }
@@ -324,5 +324,44 @@ fn a_leftover_version_2_file_is_refused_and_quarantined() {
     assert_eq!(report.quarantined_files, vec!["x.lazy.rqpa".to_string()]);
     assert!(!path.exists(), "the version-2 file stayed in the store");
     assert!(dir.join("quarantine").join("x.lazy.rqpa").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A store holding one loadable artifact next to a version-1 and a
+/// version-2 file, as older builds wrote them: `list_queries` and the
+/// `unknown_query` error advertise only the name that loads.
+#[test]
+fn only_loadable_artifacts_are_listed() {
+    let dir = scratch("listed").with_extension("");
+    std::fs::create_dir_all(&dir).unwrap();
+    small_artifact().save(&dir.join("q.rqpa")).unwrap();
+    for (name, version) in [("old", 1), ("x.lazy", 2)] {
+        let payload = r#"{"query":{}}"#;
+        let header = format!(
+            r#"{{"magic":"{MAGIC}","version":{version},"checksum":"{:016x}","payload_len":{}}}"#,
+            checksum64(payload.as_bytes()),
+            payload.len()
+        );
+        std::fs::write(
+            dir.join(format!("{name}.rqpa")),
+            format!("{header}\n{payload}"),
+        )
+        .unwrap();
+    }
+
+    let cache = ArtifactCache::new(ArtifactStore::new(&dir), &fx().catalog, 1 << 20);
+    let registry = Registry::new().with_cache(cache);
+    let call = |line: &str| registry.dispatch(&parse_request(line).unwrap()).0;
+    let listed = call(r#"{"id":0,"method":"list_queries"}"#)
+        .unwrap()
+        .render();
+    assert_eq!(listed, r#"["q"]"#);
+    match call(r#"{"id":1,"method":"explain","query":"nope"}"#) {
+        Err((kind, msg)) => {
+            assert_eq!(kind, "unknown_query", "{msg}");
+            assert!(msg.ends_with("(available: q)"), "{msg}");
+        }
+        Ok(_) => panic!("an unknown query was served"),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

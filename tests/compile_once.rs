@@ -2,7 +2,8 @@
 //! of work once: the incremental surface and recost sweeps against one
 //! optimizer call per cell, the matrix-backed anorexic cover against the
 //! recosting one, the one-pass skylines against the per-contour scans,
-//! and the in-place artifact encoder against pinned file checksums.
+//! and the artifact encoder against pinned file checksums and pinned,
+//! format-independent content digests.
 
 #[path = "support/per_cell.rs"]
 mod per_cell;
@@ -107,9 +108,9 @@ fn compiled_artifact_bytes_are_pinned() {
     let catalog = tpcds::catalog_sf100();
     let suite = paper_suite(&catalog);
     for (name, pinned) in [
-        ("3D_Q15", 0x0cc3_1961_34f3_9145u64),
-        ("4D_Q91", 0x16fd_2006_7d06_6951),
-        ("5D_Q29", 0x8dfa_2805_4bbc_a676),
+        ("3D_Q15", 0xf308_9c41_e097_1981u64),
+        ("4D_Q91", 0xa50c_c093_6089_bfac),
+        ("5D_Q29", 0xaf8a_9950_5b65_43fc),
     ] {
         let bench = suite
             .iter()
@@ -126,5 +127,62 @@ fn compiled_artifact_bytes_are_pinned() {
         );
         let back = CompiledArtifact::from_bytes(&bytes).expect("own bytes load");
         assert_eq!(back.to_bytes(), bytes, "{name}: re-encode of the reload");
+    }
+}
+
+/// What a compiled artifact holds, whatever the file format: every
+/// matrix cell's little-endian bytes (plan-major), every cell's optimal
+/// cost bits and plan id, then the compact JSON of the query, plan pool,
+/// contours, bouquet and penalty summary, through [`checksum64`].
+fn content_digest(a: &CompiledArtifact) -> u64 {
+    let mut bytes = Vec::new();
+    for pid in 0..a.matrix.nplans() {
+        bytes.extend(a.matrix.row(pid).iter().flat_map(|c| c.to_le_bytes()));
+    }
+    let cells = 0..a.surface.len();
+    bytes.extend(
+        cells
+            .clone()
+            .flat_map(|q| a.surface.opt_cost(q).to_bits().to_le_bytes()),
+    );
+    bytes.extend(cells.flat_map(|q| (a.surface.plan_id(q) as u64).to_le_bytes()));
+    for json in [
+        serde_json::to_string(&a.query),
+        serde_json::to_string(a.surface.pool()),
+        serde_json::to_string(&a.contours),
+        serde_json::to_string(&a.bouquet),
+        serde_json::to_string(&a.penalty),
+    ] {
+        bytes.extend(json.expect("artifact part serializes").into_bytes());
+    }
+    checksum64(&bytes)
+}
+
+/// The content of the files `rqp compile` writes, pinned independently of
+/// their encoding: a format change must leave every digest where it is,
+/// freshly compiled and after a round trip through the file bytes.
+#[test]
+fn compiled_artifact_content_is_pinned() {
+    let catalog = tpcds::catalog_sf100();
+    let suite = paper_suite(&catalog);
+    for (name, pinned) in [
+        ("3D_Q15", 0xab75_ad76_cb03_bd06u64),
+        ("4D_Q91", 0x471b_836e_6b6d_5e8b),
+        ("5D_Q29", 0xffa7_4ac4_8bf4_08fa),
+    ] {
+        let bench = suite
+            .iter()
+            .find(|b| b.name() == name)
+            .expect("suite query");
+        let opt = optimizer_for(&catalog, bench);
+        let artifact = CompiledArtifact::compile(&opt, bench.grid(), 2.0, 0.2, 2);
+        let back = CompiledArtifact::from_bytes(&artifact.to_bytes()).expect("own bytes load");
+        for (what, a) in [("compiled", &artifact), ("reloaded", &back)] {
+            let digest = content_digest(a);
+            assert_eq!(
+                digest, pinned,
+                "{name} ({what}): content digest {digest:016x}"
+            );
+        }
     }
 }

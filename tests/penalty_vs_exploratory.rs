@@ -331,8 +331,8 @@ fn default_selection_risks_are_pinned() {
     }
 }
 
-/// Artifacts written before the penalty field existed (v1 files with no
-/// `penalty` key) still load, as `penalty: None`.
+/// An artifact compiled without a penalty-aware selection saves and
+/// loads with `penalty: None`.
 #[test]
 fn pre_penalty_artifacts_still_load() {
     let f = fx();
