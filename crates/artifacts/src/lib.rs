@@ -54,7 +54,6 @@ use rqp_common::MultiGrid;
 use rqp_ess::anorexic::{reduce_all_with, ReducedContour};
 use rqp_ess::{ContourSet, EssSurface};
 use rqp_faults::{crash, FaultPlan, FaultSite};
-use rqp_obs::{TraceEvent, Tracer};
 use rqp_optimizer::{CostMatrix, Optimizer, PlanPool, QuerySpec};
 use serde::{Deserialize, Serialize, Value};
 use std::io::{BufRead, BufReader, Read as _};
@@ -658,20 +657,8 @@ impl Provenance {
 /// (possibly transient: NFS hiccup, interrupted read, injected fault) is
 /// retried once; a second failure degrades to recompilation instead of
 /// failing the request — the artifact cache is an accelerator, never a
-/// point of failure.
-pub fn compile_or_load(
-    path: &Path,
-    opt: &Optimizer<'_>,
-    grid: &MultiGrid,
-    ratio: f64,
-    lambda: f64,
-    threads: usize,
-) -> Result<(CompiledArtifact, Provenance), ArtifactError> {
-    compile_or_load_with(path, opt, grid, ratio, lambda, threads, None)
-}
-
-/// [`compile_or_load`] under an optional fault plan (threaded into the
-/// underlying load/save; see [`CompiledArtifact::load_with`] /
+/// point of failure. `faults` is threaded into the underlying load and
+/// save (see [`CompiledArtifact::load_with`] /
 /// [`CompiledArtifact::save_with`]).
 #[allow(clippy::too_many_arguments)]
 pub fn compile_or_load_with(
@@ -722,7 +709,6 @@ pub fn compile_or_load_with(
 pub struct ArtifactStore {
     root: PathBuf,
     faults: Option<Arc<FaultPlan>>,
-    tracer: Tracer,
 }
 
 impl ArtifactStore {
@@ -731,21 +717,12 @@ impl ArtifactStore {
         Self {
             root: root.into(),
             faults: None,
-            tracer: Tracer::disabled(),
         }
     }
 
     /// Attaches a fault plan to every load/save this store performs.
     pub fn with_faults(mut self, faults: Arc<FaultPlan>) -> Self {
         self.faults = Some(faults);
-        self
-    }
-
-    /// Attaches a structured tracer: warm loads emit `cache_hit`, cold
-    /// compiles emit `cache_miss` (cache `"artifact_store"`, keyed by the
-    /// checksum of the query name).
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
         self
     }
 
@@ -759,7 +736,8 @@ impl ArtifactStore {
         self.root.join(format!("{name}.rqpa"))
     }
 
-    /// [`compile_or_load`] keyed by the optimizer's query name.
+    /// [`compile_or_load_with`] keyed by the optimizer's query name,
+    /// under the store's fault plan.
     pub fn compile_or_load(
         &self,
         opt: &Optimizer<'_>,
@@ -769,7 +747,7 @@ impl ArtifactStore {
         threads: usize,
     ) -> Result<(CompiledArtifact, Provenance), ArtifactError> {
         rqp_obs::span!("artifacts.compile_or_load");
-        let result = compile_or_load_with(
+        compile_or_load_with(
             &self.path_for(&opt.query().name),
             opt,
             grid,
@@ -777,39 +755,16 @@ impl ArtifactStore {
             lambda,
             threads,
             self.faults.as_deref(),
-        );
-        if let Ok((_, provenance)) = &result {
-            let key = checksum64(opt.query().name.as_bytes());
-            if provenance.is_warm() {
-                self.tracer.emit(|| TraceEvent::CacheHit {
-                    cache: "artifact_store",
-                    key,
-                });
-            } else {
-                self.tracer.emit(|| TraceEvent::CacheMiss {
-                    cache: "artifact_store",
-                    key,
-                });
-            }
-        }
-        result
+        )
     }
 
     /// Loads the artifact for query `name` — the cache-fill path the
     /// serving LRU uses on a miss. Honors the store's fault plan
     /// (injected `store.load` errors) so cold loads participate in fault
-    /// injection, and emits the same `artifact_store` cache-miss trace
-    /// event as [`compile_or_load`](Self::compile_or_load).
+    /// injection.
     pub fn load_named(&self, name: &str) -> Result<CompiledArtifact, ArtifactError> {
         rqp_obs::span!("artifacts.load_named");
-        let result = CompiledArtifact::load_with(&self.path_for(name), self.faults.as_deref());
-        if result.is_ok() {
-            self.tracer.emit(|| TraceEvent::CacheMiss {
-                cache: "artifact_store",
-                key: checksum64(name.as_bytes()),
-            });
-        }
-        result
+        CompiledArtifact::load_with(&self.path_for(name), self.faults.as_deref())
     }
 
     /// Names of the artifacts this build can load, sorted: the files
@@ -1070,14 +1025,14 @@ mod tests {
         let path = tmp_path("warm");
         let _ = std::fs::remove_file(&path);
 
-        let (_, prov) = compile_or_load(&path, &opt, &grid, 2.0, 0.2, 1).unwrap();
+        let (_, prov) = compile_or_load_with(&path, &opt, &grid, 2.0, 0.2, 1, None).unwrap();
         assert!(!prov.is_warm(), "first call must compile");
-        let (art, prov) = compile_or_load(&path, &opt, &grid, 2.0, 0.2, 1).unwrap();
+        let (art, prov) = compile_or_load_with(&path, &opt, &grid, 2.0, 0.2, 1, None).unwrap();
         assert!(prov.is_warm(), "second call must load");
         assert!(art.matches(&opt, &grid, 2.0, 0.2));
 
         // A different lambda is stale: recompiles rather than trusting.
-        let (_, prov) = compile_or_load(&path, &opt, &grid, 2.0, 0.3, 1).unwrap();
+        let (_, prov) = compile_or_load_with(&path, &opt, &grid, 2.0, 0.3, 1, None).unwrap();
         match prov {
             Provenance::Cold {
                 reason: ColdReason::Stale,

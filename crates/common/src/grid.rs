@@ -7,7 +7,7 @@
 //! of `[0,1]^D`" (§2.1); log spacing matches the axes of its Fig. 7.
 
 use crate::sel::{clamp, geo_lerp, Selectivity};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Flat index of a location in a [`MultiGrid`].
 pub type GridIdx = usize;
@@ -15,8 +15,9 @@ pub type GridIdx = usize;
 /// A log-scale grid over one selectivity dimension.
 ///
 /// Points are strictly increasing, with `points[0] = min_sel` and
-/// `points[n-1] = 1.0`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// `points[n-1] = 1.0`. A decoded grid is checked: at least two finite,
+/// strictly increasing points in `(0, 1]`.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SelGrid {
     points: Vec<Selectivity>,
 }
@@ -39,6 +40,26 @@ impl SelGrid {
             })
             .collect();
         Self { points }
+    }
+
+    /// A grid over `points`, if there are at least two and they are
+    /// strictly increasing in `(0, 1]` (which also rules out NaN and ∞).
+    fn checked(points: Vec<Selectivity>) -> Result<Self, String> {
+        if points.len() < 2 {
+            return Err(format!(
+                "a grid needs at least 2 points, got {}",
+                points.len()
+            ));
+        }
+        if !points.iter().all(|&p| p > 0.0 && p <= 1.0) {
+            return Err(format!("grid points must lie in (0, 1], got {points:?}"));
+        }
+        if !points.windows(2).all(|w| w[0] < w[1]) {
+            return Err(format!(
+                "grid points must strictly increase, got {points:?}"
+            ));
+        }
+        Ok(Self { points })
     }
 
     /// Number of grid points.
@@ -110,8 +131,10 @@ impl SelGrid {
 
 /// Mixed-radix addressing of the `D`-dimensional ESS grid.
 ///
-/// Dimension 0 is the fastest-varying (innermost) coordinate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Dimension 0 is the fastest-varying (innermost) coordinate. A decoded
+/// grid is checked: its dimensions as [`SelGrid`]s are, and its persisted
+/// strides and size must be the ones its dimensions derive.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MultiGrid {
     dims: Vec<SelGrid>,
     /// Stride of each dimension in the flat index.
@@ -121,19 +144,30 @@ pub struct MultiGrid {
 
 impl MultiGrid {
     /// Builds a multi-grid from per-dimension grids.
+    ///
+    /// # Panics
+    /// Panics if `dims` is empty or the grid has more than `usize::MAX`
+    /// locations.
     pub fn new(dims: Vec<SelGrid>) -> Self {
-        assert!(!dims.is_empty(), "MultiGrid needs at least one dimension");
+        Self::checked(dims).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](Self::new), with an error instead of a panic.
+    fn checked(dims: Vec<SelGrid>) -> Result<Self, String> {
+        if dims.is_empty() {
+            return Err("a grid needs at least one dimension".into());
+        }
         let mut strides = Vec::with_capacity(dims.len());
         let mut acc = 1usize;
         for g in &dims {
             strides.push(acc);
-            acc = acc.checked_mul(g.len()).expect("grid too large");
+            acc = (acc.checked_mul(g.len())).ok_or("grid too large")?;
         }
-        Self {
+        Ok(Self {
             dims,
             strides,
             total: acc,
-        }
+        })
     }
 
     /// Builds a uniform multi-grid: `d` dimensions, each log-scale with `n`
@@ -277,6 +311,34 @@ impl MultiGrid {
     pub fn with_coord(&self, idx: GridIdx, j: usize, coord: usize) -> GridIdx {
         debug_assert!(coord < self.dims[j].len());
         idx - self.coord(idx, j) * self.strides[j] + coord * self.strides[j]
+    }
+}
+
+impl Deserialize for SelGrid {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::Error::msg("expected a grid object"))?;
+        Self::checked(serde::field(obj, "points")?).map_err(serde::Error::msg)
+    }
+}
+
+impl Deserialize for MultiGrid {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::Error::msg("expected a grid object"))?;
+        let grid = Self::checked(serde::field(obj, "dims")?).map_err(serde::Error::msg)?;
+        let strides: Vec<usize> = serde::field(obj, "strides")?;
+        let total: usize = serde::field(obj, "total")?;
+        if strides != grid.strides || total != grid.total {
+            return Err(serde::Error::msg(format!(
+                "grid strides {strides:?} and total {total} disagree with its dims \
+                 ({:?}, {})",
+                grid.strides, grid.total
+            )));
+        }
+        Ok(grid)
     }
 }
 

@@ -66,12 +66,6 @@ impl SubOptStats {
             .collect()
     }
 
-    /// Percentage of locations with sub-optimality at most `cap`.
-    pub fn percent_within(&self, cap: f64) -> f64 {
-        let n = self.subopts.iter().filter(|&&s| s <= cap).count();
-        100.0 * n as f64 / self.subopts.len() as f64
-    }
-
     /// The `p`-th percentile of the sub-optimality distribution
     /// (`p ∈ [0, 100]`, nearest-rank definition). `percentile(100.0)` is
     /// the MSO; median and tail percentiles characterize how concentrated
@@ -184,7 +178,6 @@ mod tests {
         assert_eq!(s.mso, 8.0);
         assert_eq!(s.worst_qa, 3);
         assert!((s.aso - 3.5).abs() < 1e-12);
-        assert!((s.percent_within(3.0) - 75.0).abs() < 1e-12);
         let hist = s.histogram(5.0);
         assert_eq!(hist.len(), 2);
         assert!((hist[0].1 - 75.0).abs() < 1e-12);

@@ -16,9 +16,10 @@
 //!
 //! When the plan also carries a perturbation bound δ > 0, every call's
 //! completion decision wobbles by a deterministic plan-keyed factor
-//! `ε ∈ [1/(1+δ), 1+δ]` — the same §7 bounded-cost-error regime as
-//! [`NoisyCostOracle`](crate::NoisyCostOracle), under which the
-//! guarantees hold inflated by `(1+δ)²`.
+//! `ε ∈ [1/(1+δ), 1+δ]`: §7's bounded cost-model error, under which the
+//! guarantees hold inflated by `(1+δ)²`. A plan with no fault sites and
+//! only a perturbation is how a cost-error run is made:
+//! `FaultyOracle::new(inner, &FaultPlan::new(seed).with_perturb(δ))`.
 
 use crate::oracle::{ExecutionOracle, FullOutcome, SpillOutcome};
 use rqp_common::{Cost, Result, RqpError};

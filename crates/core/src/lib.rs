@@ -24,6 +24,10 @@
 //!   simulation used for all MSO experiments (as in the paper, §6), with
 //!   an executor-backed implementation living in the workspace root for
 //!   wall-clock runs;
+//! * [`faulty`] — the oracle decorator that injects transient faults
+//!   and retries them; a [`FaultPlan`](rqp_faults::FaultPlan)
+//!   perturbation δ makes it §7's bounded cost-model error, under which
+//!   the guarantees inflate by `(1+δ)²`;
 //! * `discovery` — the one interpreter of the §6.1 protocol: every
 //!   strategy above is a contour schedule plus a pure per-contour
 //!   decision, a list of spill-mode or regular budgeted steps, and one
@@ -92,7 +96,7 @@ pub use discovery::MemoStats;
 pub use eval::{evaluate, evaluate_parallel, evaluate_strategy, SubOptStats};
 pub use faulty::{FaultStats, FaultyOracle};
 pub use native::NativeChoice;
-pub use oracle::{CostOracle, ExecutionOracle, FullOutcome, NoisyCostOracle, SpillOutcome};
+pub use oracle::{CostOracle, ExecutionOracle, FullOutcome, SpillOutcome};
 pub use penalty::{
     Objective, PenaltyConfig, PenaltySelection, PlanRisk, PriorConfig, SelectivityPrior,
 };

@@ -31,8 +31,7 @@ impl NativeChoice {
     /// their statistics-derived base values (NDV formulas / uniformity), as
     /// a real engine would estimate them.
     pub fn compute(surface: &dyn SurfaceAccess, opt: &Optimizer<'_>) -> Self {
-        let query = opt.query();
-        let qe_sels: Vec<f64> = query.epps.iter().map(|&p| opt.base_sels().get(p)).collect();
+        let qe_sels = estimate(opt);
         let grid = surface.grid();
         let coords: Vec<usize> = qe_sels
             .iter()
@@ -51,6 +50,12 @@ impl NativeChoice {
             est_cost,
         }
     }
+}
+
+/// The statistics-derived estimate `qe` of every epp's selectivity.
+pub(crate) fn estimate(opt: &Optimizer<'_>) -> Vec<f64> {
+    let base = opt.base_sels();
+    opt.query().epps.iter().map(|&p| base.get(p)).collect()
 }
 
 /// The native optimizer's worst-case MSO over *all* `(qe, qa)` pairs

@@ -10,7 +10,6 @@
 //! the workspace root crate.
 
 use rqp_common::{cost_le, Cost, MultiGrid, Result, SelGrid, Selectivity};
-use rqp_faults::FaultPlan;
 use rqp_optimizer::{Optimizer, PlanId, PlanNode, Sels};
 
 /// Result of a spill-mode budgeted execution (Lemma 3.1): either the exact
@@ -218,62 +217,6 @@ impl ExecutionOracle for CostOracle<'_> {
     }
 }
 
-/// A cost oracle with **bounded cost-model error** (§7 deployment
-/// discussion): the "real" cost of any (sub)plan execution deviates from
-/// the model by a deterministic plan-and-location-dependent factor
-/// `ε ∈ [1/(1+δ), 1+δ]`. The paper argues the MSO guarantees then carry
-/// through inflated by `(1+δ)²`; [`crate::eval`]'s robustness tests verify
-/// this empirically.
-///
-/// Note that *learning* stays exact — selectivities are observed from
-/// tuple counts, not from costs — so only completion decisions and spent
-/// accounting wobble.
-#[derive(Debug)]
-pub struct NoisyCostOracle<'a> {
-    inner: CostOracle<'a>,
-    /// The deterministic plan-keyed factor: log-uniform over
-    /// `[1/(1+δ), 1+δ]`, as a fault plan's perturbation draws it.
-    noise: FaultPlan,
-}
-
-impl<'a> NoisyCostOracle<'a> {
-    /// Wraps a [`CostOracle`] with error bound `delta ≥ 0` and a noise
-    /// `seed`.
-    pub fn new(inner: CostOracle<'a>, delta: f64, seed: u64) -> Self {
-        let noise = FaultPlan::new(seed).with_perturb(delta);
-        Self { inner, noise }
-    }
-}
-
-impl ExecutionOracle for NoisyCostOracle<'_> {
-    fn try_spill_execute_id(
-        &mut self,
-        pid: Option<PlanId>,
-        plan: &PlanNode,
-        dim: usize,
-        budget: Cost,
-    ) -> Result<SpillOutcome> {
-        // A real cost of model·eps against `budget` is equivalent to the
-        // model against budget/eps — with spends scaled back by eps.
-        let eps = self.noise.perturb_eps(plan.fingerprint() ^ dim as u64);
-        let out = self
-            .inner
-            .try_spill_execute_id(pid, plan, dim, budget / eps)?;
-        Ok(out.scaled(eps, budget))
-    }
-
-    fn try_full_execute_id(
-        &mut self,
-        pid: Option<PlanId>,
-        plan: &PlanNode,
-        budget: Cost,
-    ) -> Result<FullOutcome> {
-        let eps = self.noise.perturb_eps(plan.fingerprint());
-        let out = self.inner.try_full_execute_id(pid, plan, budget / eps)?;
-        Ok(out.scaled(eps, budget))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,23 +368,27 @@ mod tests {
     }
 }
 
+/// §7's bounded cost-model error: every real cost deviates from the
+/// model's by a deterministic plan-keyed factor `ε ∈ [1/(1+δ), 1+δ]`, a
+/// [`FaultPlan`] perturbation over the exact oracle. The guarantees then
+/// hold inflated by `(1+δ)²`, and learning stays exact: selectivities
+/// are observed from tuple counts, not from costs.
 #[cfg(test)]
 mod noisy_tests {
     use super::*;
+    use crate::faulty::FaultyOracle;
     use crate::spillbound::SpillBound;
     use crate::test_fixtures::star2_surface;
+    use rqp_faults::FaultPlan;
 
     #[test]
     fn eps_is_bounded_and_deterministic() {
-        let fx = star2_surface(8);
-        let qa = [1e-3, 1e-2];
-        let mk = || NoisyCostOracle::new(CostOracle::new(&fx.opt, fx.surface.grid(), &qa), 0.3, 42);
-        let o1 = mk();
-        let o2 = mk();
+        let o1 = FaultPlan::new(42).with_perturb(0.3);
+        let o2 = FaultPlan::new(42).with_perturb(0.3);
         for fp in [1u64, 99, 12345, u64::MAX] {
-            let e = o1.noise.perturb_eps(fp);
+            let e = o1.perturb_eps(fp);
             assert!((1.0 / 1.3..=1.3).contains(&e), "eps {e} out of range");
-            assert_eq!(e, o2.noise.perturb_eps(fp), "eps must be deterministic");
+            assert_eq!(e, o2.perturb_eps(fp), "eps must be deterministic");
         }
     }
 
@@ -453,10 +400,11 @@ mod noisy_tests {
         let inflated = crate::spillbound_guarantee(2) * (1.0 + delta) * (1.0 + delta);
         let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
         for seed in [1u64, 7, 99] {
+            let noise = FaultPlan::new(seed).with_perturb(delta);
             for qa in fx.surface.grid().iter() {
                 let sels = fx.surface.grid().sels(qa);
                 let inner = CostOracle::new(&fx.opt, fx.surface.grid(), &sels);
-                let mut oracle = NoisyCostOracle::new(inner, delta, seed);
+                let mut oracle = FaultyOracle::new(inner, &noise);
                 let report = sb.run(&mut oracle).expect("completes despite noise");
                 assert!(report.completed);
                 let sub = report.sub_optimality(fx.surface.opt_cost(qa));
@@ -475,7 +423,8 @@ mod noisy_tests {
         let qa_idx = fx.surface.grid().flat(&[6, 4]);
         let sels = fx.surface.grid().sels(qa_idx);
         let inner = CostOracle::new(&fx.opt, fx.surface.grid(), &sels);
-        let mut oracle = NoisyCostOracle::new(inner, 0.5, 11);
+        let noise = FaultPlan::new(11).with_perturb(0.5);
+        let mut oracle = FaultyOracle::new(inner, &noise);
         let sb = SpillBound::new(&fx.surface, &fx.opt, 2.0);
         let report = sb.run(&mut oracle).unwrap();
         for (j, learnt) in report.learnt.iter().enumerate() {
@@ -493,8 +442,10 @@ mod noisy_tests {
 mod noisy_ab_pb_tests {
     use super::*;
     use crate::alignedbound::AlignedBound;
+    use crate::faulty::FaultyOracle;
     use crate::planbouquet::PlanBouquet;
     use crate::test_fixtures::star2_surface;
+    use rqp_faults::FaultPlan;
 
     #[test]
     fn alignedbound_survives_cost_error_within_inflated_bound() {
@@ -502,10 +453,11 @@ mod noisy_ab_pb_tests {
         let delta = 0.3;
         let inflated = crate::spillbound_guarantee(2) * (1.0 + delta) * (1.0 + delta);
         let ab = AlignedBound::new(&fx.surface, &fx.opt, 2.0);
+        let noise = FaultPlan::new(5).with_perturb(delta);
         for qa in fx.surface.grid().iter() {
             let sels = fx.surface.grid().sels(qa);
             let inner = CostOracle::new(&fx.opt, fx.surface.grid(), &sels);
-            let mut oracle = NoisyCostOracle::new(inner, delta, 5);
+            let mut oracle = FaultyOracle::new(inner, &noise);
             let report = ab.run(&mut oracle).expect("AB completes despite noise");
             let sub = report.sub_optimality(fx.surface.opt_cost(qa));
             assert!(
@@ -522,10 +474,11 @@ mod noisy_ab_pb_tests {
         let delta = 0.25;
         let pb = PlanBouquet::new(&fx.surface, &fx.opt, 2.0, 0.2);
         let inflated = pb.mso_guarantee() * (1.0 + delta) * (1.0 + delta);
+        let noise = FaultPlan::new(17).with_perturb(delta);
         for qa in fx.surface.grid().iter() {
             let sels = fx.surface.grid().sels(qa);
             let inner = CostOracle::new(&fx.opt, fx.surface.grid(), &sels);
-            let mut oracle = NoisyCostOracle::new(inner, delta, 17);
+            let mut oracle = FaultyOracle::new(inner, &noise);
             let report = pb.run(&mut oracle).expect("PB completes despite noise");
             let sub = report.sub_optimality(fx.surface.opt_cost(qa));
             assert!(
@@ -545,7 +498,8 @@ mod noisy_ab_pb_tests {
         let mut plain = CostOracle::new(&fx.opt, fx.surface.grid(), &sels);
         let a = sb1.run(&mut plain).unwrap();
         let inner = CostOracle::new(&fx.opt, fx.surface.grid(), &sels);
-        let mut noiseless = NoisyCostOracle::new(inner, 0.0, 123);
+        let noise = FaultPlan::new(123).with_perturb(0.0);
+        let mut noiseless = FaultyOracle::new(inner, &noise);
         let b = sb1.run(&mut noiseless).unwrap();
         assert_eq!(a.total_cost, b.total_cost);
         assert_eq!(a.executions(), b.executions());

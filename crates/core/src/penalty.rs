@@ -15,11 +15,10 @@
 //!   (Neumaier) summation;
 //! * [`PenaltyConfig`] — the risk objective: expected sub-optimality,
 //!   or CVaR tail risk at a configurable `alpha`;
-//! * [`select`] / [`select_on`] — evaluate every candidate POSP plan
-//!   (plus the native choice) against the prior and pick the risk
-//!   minimizer, reading the cost matrix or recosting. Per-plan risk is a
-//!   pure function of the plan, so every thread count and both cost
-//!   sources are bit-identical.
+//! * [`select`] — evaluate every candidate POSP plan (plus the native
+//!   choice) against the prior and pick the risk minimizer, reading the
+//!   cost matrix or recosting. Per-plan risk is a pure function of the
+//!   plan, so both cost sources are bit-identical.
 //!
 //! Because the candidate set always contains the native plan, the
 //! chosen plan's expected sub-optimality under the prior is ≤ the
@@ -39,12 +38,10 @@
 //!   float operations on the same values in the same order;
 //! * a NaN or negative penalty panics.
 
-use crate::cached::EvalContext;
 use crate::native::NativeChoice;
 use crate::strategy::CostSource;
-use rqp_common::{chunk_bounds, Cost, GridIdx, MultiGrid, Result, RqpError};
-use rqp_ess::SurfaceAccess;
-use rqp_optimizer::{Optimizer, PlanId, PlanNode, RecostSweep};
+use rqp_common::{Cost, GridIdx, MultiGrid, Result, RqpError};
+use rqp_optimizer::{PlanId, PlanNode, RecostSweep};
 
 /// Shape of the selectivity-error prior.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -518,25 +515,6 @@ fn pick(risks: &[PlanRisk], objective: Objective) -> usize {
     best
 }
 
-fn assemble(
-    mut cands: Candidates,
-    native_idx: usize,
-    risks: Vec<PlanRisk>,
-    prior: &SelectivityPrior,
-    cfg: &PenaltyConfig,
-) -> PenaltySelection {
-    let winner = pick(&risks, cfg.objective);
-    PenaltySelection {
-        chosen: risks[winner].clone(),
-        chosen_plan: cands.swap_remove(winner).1,
-        native: risks[native_idx].clone(),
-        risks,
-        prior_hash: prior.hash(),
-        alpha: cfg.alpha,
-        objective: cfg.objective,
-    }
-}
-
 fn validate(prior: &SelectivityPrior, grid: &MultiGrid, cfg: &PenaltyConfig) -> Result<()> {
     if !(0.0..=1.0).contains(&cfg.alpha) {
         return Err(RqpError::Config(format!(
@@ -554,62 +532,31 @@ fn validate(prior: &SelectivityPrior, grid: &MultiGrid, cfg: &PenaltyConfig) -> 
     Ok(())
 }
 
-/// Penalty-aware selection over any [`SurfaceAccess`] (dense or lazy),
-/// recosting candidates directly through the optimizer. Bit-identical
-/// to the matrix-backed [`select`] because matrix cells are computed by
-/// the same `cost_plan` calls.
-pub fn select_on(
-    surface: &dyn SurfaceAccess,
-    opt: &Optimizer<'_>,
-    prior: &SelectivityPrior,
-    cfg: &PenaltyConfig,
-) -> Result<PenaltySelection> {
-    let native = NativeChoice::compute(surface, opt);
-    selection(CostSource::Recost(surface, opt), native, prior, cfg, 1)
-}
-
-/// Matrix-backed penalty-aware selection: pool candidates read their
-/// recosts straight out of the [`EvalContext`] matrix; only a
-/// non-interned native plan recosts directly (the same arithmetic).
-/// Bit-equal at any number of `threads`.
+/// Penalty-aware selection over either cost source: every pool plan and
+/// the native choice, computed from `source`, are scored against
+/// `prior`, and the minimizer of `cfg`'s objective wins. Over a matrix,
+/// pool candidates read their rows in place and only a non-interned
+/// native plan recosts; over [`CostSource::Recost`] (dense or lazy) every
+/// candidate recosts. Matrix cells are computed by the same `cost_plan`
+/// calls, so both sources are bit-identical.
 pub fn select(
-    ctx: &EvalContext<'_>,
-    prior: &SelectivityPrior,
-    cfg: &PenaltyConfig,
-    threads: usize,
-) -> Result<PenaltySelection> {
-    let native = NativeChoice::compute(ctx.surface(), ctx.opt());
-    selection(CostSource::Matrix(ctx), native, prior, cfg, threads)
-}
-
-/// The selection [`select`], [`select_on`] and the strategy table run,
-/// given the native choice. Candidates are partitioned across `threads`
-/// scoped workers with [`chunk_bounds`] (none are spawned at one
-/// thread), each with its own scratch; per-candidate risks are pure, so
-/// the selection is bit-equal at any thread count.
-pub(crate) fn selection(
     source: CostSource<'_>,
-    native: NativeChoice,
     prior: &SelectivityPrior,
     cfg: &PenaltyConfig,
-    threads: usize,
 ) -> Result<PenaltySelection> {
-    let (cands, native_idx, support) = candidates(source, native, prior, cfg)?;
-    let chunk_risks = |(lo, hi): (usize, usize)| risks(source, &support, cfg.alpha, &cands[lo..hi]);
-    let bounds = chunk_bounds(cands.len(), threads);
-    let risks = if bounds.len() <= 1 {
-        chunk_risks((0, cands.len()))
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (bounds.iter())
-                .map(|&b| s.spawn(move || chunk_risks(b)))
-                .collect();
-            (handles.into_iter())
-                .flat_map(|h| h.join().expect("risk worker panicked"))
-                .collect()
-        })
-    };
-    Ok(assemble(cands, native_idx, risks, prior, cfg))
+    let native = NativeChoice::compute(source.surface(), source.opt());
+    let (mut cands, native_idx, support) = candidates(source, native, prior, cfg)?;
+    let risks = risks(source, &support, cfg.alpha, &cands);
+    let winner = pick(&risks, cfg.objective);
+    Ok(PenaltySelection {
+        chosen: risks[winner].clone(),
+        chosen_plan: cands.swap_remove(winner).1,
+        native: risks[native_idx].clone(),
+        risks,
+        prior_hash: prior.hash(),
+        alpha: cfg.alpha,
+        objective: cfg.objective,
+    })
 }
 
 #[cfg(test)]
@@ -748,7 +695,7 @@ mod tests {
         let fx = star2_surface(10);
         let ctx = EvalContext::new(&fx.surface, &fx.opt);
         let prior = prior_for(&fx);
-        let sel = select(&ctx, &prior, &PenaltyConfig::default(), 1).unwrap();
+        let sel = select(CostSource::Matrix(&ctx), &prior, &PenaltyConfig::default()).unwrap();
         assert!(
             sel.chosen.expected <= sel.native.expected,
             "chosen {} vs native {}",
@@ -764,29 +711,9 @@ mod tests {
         let ctx = EvalContext::new(&fx.surface, &fx.opt);
         let qa = fx.surface.grid().flat(&[7, 2]);
         let prior = SelectivityPrior::delta(fx.surface.grid(), qa);
-        let sel = select(&ctx, &prior, &PenaltyConfig::default(), 1).unwrap();
+        let sel = select(CostSource::Matrix(&ctx), &prior, &PenaltyConfig::default()).unwrap();
         assert_eq!(sel.chosen.expected.to_bits(), 1.0f64.to_bits());
         assert_eq!(sel.chosen.cvar.to_bits(), sel.chosen.expected.to_bits());
-    }
-
-    #[test]
-    fn parallel_selection_bit_equal() {
-        let fx = star2_surface(10);
-        let ctx = EvalContext::new(&fx.surface, &fx.opt);
-        let prior = prior_for(&fx);
-        let cfg = PenaltyConfig::default();
-        let seq = select(&ctx, &prior, &cfg, 1).unwrap();
-        for threads in [1usize, 2, 3, 7] {
-            let par = select(&ctx, &prior, &cfg, threads).unwrap();
-            assert_eq!(par.chosen.fingerprint, seq.chosen.fingerprint);
-            assert_eq!(par.chosen.expected.to_bits(), seq.chosen.expected.to_bits());
-            assert_eq!(par.chosen.cvar.to_bits(), seq.chosen.cvar.to_bits());
-            assert_eq!(par.risks.len(), seq.risks.len());
-            for (a, b) in par.risks.iter().zip(&seq.risks) {
-                assert_eq!(a.expected.to_bits(), b.expected.to_bits());
-                assert_eq!(a.cvar.to_bits(), b.cvar.to_bits());
-            }
-        }
     }
 
     #[test]
@@ -795,8 +722,8 @@ mod tests {
         let ctx = EvalContext::new(&fx.surface, &fx.opt);
         let prior = prior_for(&fx);
         let cfg = PenaltyConfig::default();
-        let direct = select_on(&fx.surface, &fx.opt, &prior, &cfg).unwrap();
-        let cached = select(&ctx, &prior, &cfg, 1).unwrap();
+        let direct = select(CostSource::Recost(&fx.surface, &fx.opt), &prior, &cfg).unwrap();
+        let cached = select(CostSource::Matrix(&ctx), &prior, &cfg).unwrap();
         assert_eq!(direct.chosen.fingerprint, cached.chosen.fingerprint);
         assert_eq!(
             direct.chosen.expected.to_bits(),
@@ -816,7 +743,7 @@ mod tests {
                 alpha,
                 objective: Objective::Expected,
             };
-            let sel = select(&ctx, &prior, &cfg, 1).unwrap();
+            let sel = select(CostSource::Matrix(&ctx), &prior, &cfg).unwrap();
             let native_cvar = sel.native.cvar;
             assert!(
                 native_cvar >= last - 1e-9 * last.abs().max(1.0),

@@ -13,7 +13,7 @@
 use crate::alignedbound::AlignedBound;
 use crate::cached::EvalContext;
 use crate::discovery::{self, Exec, MemoStats, Protocol, Step};
-use crate::native::NativeChoice;
+use crate::native::{self, NativeChoice};
 use crate::oracle::ExecutionOracle;
 use crate::penalty::{self, PenaltyConfig, PenaltySelection, PriorConfig, SelectivityPrior};
 use crate::planbouquet::PlanBouquet;
@@ -103,11 +103,9 @@ impl Strategy {
             Strategy::SpillBound => Form::SpillBound(SpillBound::new(surface, opt, ratio)),
             Strategy::AlignedBound => Form::AlignedBound(AlignedBound::new(surface, opt, ratio)),
             Strategy::PenaltyAware => {
-                let native = NativeChoice::compute(surface, opt);
-                let prior =
-                    SelectivityPrior::lognormal(surface.grid(), &native.qe_sels, params.prior)?;
-                let sel = penalty::selection(source, native, &prior, &params.penalty, 1)?;
-                Form::PenaltyAware(sel)
+                let qe = native::estimate(opt);
+                let prior = SelectivityPrior::lognormal(surface.grid(), &qe, params.prior)?;
+                Form::PenaltyAware(penalty::select(source, &prior, &params.penalty)?)
             }
         };
         let mut compiled = Compiled::new(self, source, form);

@@ -78,18 +78,6 @@ impl ContourSet {
         self.ratio
     }
 
-    /// The smallest contour index whose cost is `>= c` (the contour a
-    /// discovered cost belongs to), clamped to the last contour.
-    pub fn contour_of(&self, c: Cost) -> usize {
-        match self
-            .costs
-            .binary_search_by(|x| x.partial_cmp(&c).expect("no NaN costs"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.costs.len() - 1),
-        }
-    }
-
     /// The skyline locations of contour `i` within `view`, ascending by
     /// flat index: inside the cost level set, with every free-dimension
     /// successor outside it. Delegates to [`SurfaceAccess::skyline`]: the
@@ -177,15 +165,6 @@ mod tests {
             assert!(w[1] > w[0]);
             assert!(w[1] <= w[0] * 2.0 * (1.0 + 1e-12));
         }
-    }
-
-    #[test]
-    fn contour_of_boundaries() {
-        let s = surface();
-        let cs = ContourSet::build(&s, 2.0);
-        assert_eq!(cs.contour_of(s.cmin()), 0);
-        assert_eq!(cs.contour_of(s.cmin() * 1.5), 1);
-        assert_eq!(cs.contour_of(s.cmax() * 10.0), cs.len() - 1);
     }
 
     #[test]

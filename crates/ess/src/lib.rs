@@ -5,7 +5,7 @@
 //! sweeping the optimizer over the grid ([`surface::EssSurface`]), views of
 //! the space with learnt dimensions pinned ([`view::EssView`]), the
 //! cost-doubling **iso-cost contours** and their frontier locations
-//! ([`contours`]), plan-diagram statistics ([`diagram`]), the **anorexic reduction** used by the PlanBouquet
+//! ([`contours`]), the **anorexic reduction** used by the PlanBouquet
 //! baseline ([`anorexic`]), the **contour / predicate-set alignment**
 //! analysis that powers AlignedBound and reproduces Table 2
 //! ([`alignment`]), and the **lazy sparse surface** that materializes
@@ -44,7 +44,6 @@
 pub mod alignment;
 pub mod anorexic;
 pub mod contours;
-pub mod diagram;
 pub mod lazy;
 pub mod surface;
 pub mod view;

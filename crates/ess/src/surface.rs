@@ -2,7 +2,6 @@
 
 use rqp_common::{Cost, GridIdx, MultiGrid, Result, RqpError};
 use rqp_optimizer::{DpSweep, Optimizer, PlanId, PlanKey, PlanNode, PlanPool};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The parametric-optimal-set-of-plans (POSP) surface: for every grid
@@ -11,11 +10,12 @@ use std::collections::HashMap;
 /// Built by exhaustively invoking the optimizer with injected
 /// selectivities — exactly the preprocessing the paper performs on its
 /// modified PostgreSQL (§6.1 "selectivity injection"). Since this is the
-/// expensive part of deployment, surfaces are serializable — "for canned
-/// queries, it may be feasible to carry out an offline enumeration" (§7)
-/// — and can be built in parallel across threads, "the contour
-/// constructions can be carried out in parallel" (§7).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// expensive part of deployment, surfaces persist inside compiled
+/// artifacts — "for canned queries, it may be feasible to carry out an
+/// offline enumeration" (§7) — and can be built in parallel across
+/// threads, "the contour constructions can be carried out in parallel"
+/// (§7).
+#[derive(Debug, Clone)]
 pub struct EssSurface {
     grid: MultiGrid,
     opt_cost: Vec<Cost>,
@@ -156,36 +156,35 @@ impl EssSurface {
         }
     }
 
-    /// Serializes the surface to JSON (offline preprocessing for canned
-    /// queries, §7).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("surface serializes")
-    }
-
-    /// Restores a surface from [`to_json`](Self::to_json) output.
-    pub fn from_json(text: &str) -> Result<Self> {
-        let mut s: Self = serde_json::from_str(text)
-            .map_err(|e| RqpError::Config(format!("surface deserialization: {e}")))?;
-        s.rehydrate()?;
-        Ok(s)
-    }
-
-    /// Assembles a surface from persisted parts, checked as
-    /// [`rehydrate`](Self::rehydrate) checks a deserialized one.
+    /// Assembles a surface from persisted parts: rebuilds the pool's
+    /// fingerprint index and checks that both arrays match the grid and
+    /// every plan id resolves inside the pool. The interning order is
+    /// itself persisted (`pool.plans` in id order), so the assembled
+    /// surface is bit-identical to the one that was saved.
     pub fn from_parts(
         grid: MultiGrid,
         opt_cost: Vec<Cost>,
         opt_plan: Vec<PlanId>,
-        pool: PlanPool,
+        mut pool: PlanPool,
     ) -> Result<Self> {
-        let mut s = Self {
+        pool.rebuild_index();
+        if opt_cost.len() != grid.len() || opt_plan.len() != grid.len() {
+            return Err(RqpError::Config(
+                "surface arrays inconsistent with grid".into(),
+            ));
+        }
+        let nplans = pool.len();
+        if let Some(&bad) = opt_plan.iter().find(|&&pid| pid >= nplans) {
+            return Err(RqpError::Config(format!(
+                "surface references plan id {bad} but pool holds only {nplans} plans"
+            )));
+        }
+        Ok(Self {
             grid,
             opt_cost,
             opt_plan,
             pool,
-        };
-        s.rehydrate()?;
-        Ok(s)
+        })
     }
 
     /// Every location's optimal cost, in flat-index order.
@@ -196,31 +195,6 @@ impl EssSurface {
     /// Every location's optimal plan id, in flat-index order.
     pub fn opt_plans(&self) -> &[PlanId] {
         &self.opt_plan
-    }
-
-    /// Rebuilds the (non-serialized) pool fingerprint index and validates
-    /// every structural invariant of a freshly deserialized surface: array
-    /// lengths match the grid, and every recorded plan id resolves inside
-    /// the pool. The plan interning order is itself part of the serialized
-    /// state (`pool.plans` in id order), so a rehydrated surface is
-    /// bit-identical to the one that was saved.
-    ///
-    /// Must be called on any surface obtained through `Deserialize` before
-    /// use; [`from_json`](Self::from_json) does so automatically.
-    pub fn rehydrate(&mut self) -> Result<()> {
-        self.pool.rebuild_index();
-        if self.opt_cost.len() != self.grid.len() || self.opt_plan.len() != self.grid.len() {
-            return Err(RqpError::Config(
-                "surface arrays inconsistent with grid".into(),
-            ));
-        }
-        let nplans = self.pool.len();
-        if let Some(&bad) = self.opt_plan.iter().find(|&&pid| pid >= nplans) {
-            return Err(RqpError::Config(format!(
-                "surface references plan id {bad} but pool holds only {nplans} plans"
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -414,8 +388,14 @@ mod persistence_tests {
             }
 
             // Save → load must also be bit-identical: the interning order
-            // is serialized state, and float text is shortest-round-trip.
-            let loaded = EssSurface::from_json(&par.to_json()).unwrap();
+            // is persisted state, and costs are stored as raw bits.
+            let loaded = EssSurface::from_parts(
+                par.grid().clone(),
+                par.opt_costs().to_vec(),
+                par.opt_plans().to_vec(),
+                par.pool().clone(),
+            )
+            .unwrap();
             assert_eq!(loaded.posp_size(), seq.posp_size());
             for pid in 0..seq.posp_size() {
                 assert_eq!(
@@ -443,43 +423,14 @@ mod persistence_tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_everything() {
-        let (cat, q) = star2();
-        let opt =
-            Optimizer::new(&cat, &q, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
-        let s = EssSurface::build(&opt, MultiGrid::uniform(2, 1e-5, 8));
-        let restored = EssSurface::from_json(&s.to_json()).unwrap();
-        assert_eq!(restored.len(), s.len());
-        assert_eq!(restored.posp_size(), s.posp_size());
-        for idx in s.grid().iter() {
-            // JSON may lose the last ulp of a float
-            let (a, b) = (restored.opt_cost(idx), s.opt_cost(idx));
-            assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0), "{a} vs {b}");
-            assert_eq!(restored.plan(idx), s.plan(idx));
-        }
-        // The rebuilt index must dedup correctly.
-        let mut pool = restored.pool().clone();
-        let existing = pool.get(0).clone();
-        let n = pool.len();
-        pool.rebuild_index();
-        assert_eq!(pool.intern(existing), 0);
-        assert_eq!(pool.len(), n);
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(EssSurface::from_json("not json").is_err());
-        assert!(EssSurface::from_json("{}").is_err());
-    }
-
-    #[test]
     fn rehydrate_rejects_out_of_range_plan_ids() {
         let (cat, q) = star2();
         let opt =
             Optimizer::new(&cat, &q, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
-        let mut s = EssSurface::build(&opt, MultiGrid::uniform(2, 1e-5, 6));
-        s.opt_plan[0] = s.pool.len(); // dangling reference
-        let err = EssSurface::from_json(&s.to_json()).unwrap_err();
+        let s = EssSurface::build(&opt, MultiGrid::uniform(2, 1e-5, 6));
+        let mut opt_plan = s.opt_plan.clone();
+        opt_plan[0] = s.pool.len(); // dangling reference
+        let err = EssSurface::from_parts(s.grid, s.opt_cost, opt_plan, s.pool).unwrap_err();
         assert!(err.to_string().contains("plan id"), "{err}");
     }
 }

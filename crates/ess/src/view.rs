@@ -60,11 +60,6 @@ impl EssView {
             .fold(0, |m, (j, _)| m | (1 << j))
     }
 
-    /// Number of free dimensions.
-    pub fn nfree(&self) -> usize {
-        self.pins.iter().filter(|p| p.is_none()).count()
-    }
-
     /// True if `idx` lies inside the view.
     pub fn contains(&self, grid: &MultiGrid, idx: GridIdx) -> bool {
         self.pins.iter().enumerate().all(|(j, p)| match p {
@@ -133,7 +128,7 @@ mod tests {
         let g = grid();
         let v = EssView::full(2);
         assert_eq!(v.locations(&g).len(), 64);
-        assert_eq!(v.nfree(), 2);
+        assert_eq!(v.free_dims().len(), 2);
         assert_eq!(v.free_mask(), 0b11);
         assert_eq!(v.terminus(&g), g.terminus());
     }

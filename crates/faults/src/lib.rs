@@ -102,7 +102,7 @@ impl FaultSite {
 
 // ---- deterministic randomness --------------------------------------------
 
-/// SplitMix64 finalizer — the same mixer `NoisyCostOracle` uses, so the
+/// SplitMix64 finalizer — the same mixer the penalty prior uses, so the
 /// whole workspace shares one notion of seeded determinism.
 fn splitmix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

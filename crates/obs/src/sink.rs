@@ -4,7 +4,6 @@ use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::event::TraceRecord;
@@ -21,7 +20,6 @@ pub trait TraceSink: Send + Sync {
 pub struct RingSink {
     cap: usize,
     buf: Mutex<VecDeque<TraceRecord>>,
-    total: AtomicU64,
 }
 
 impl RingSink {
@@ -29,7 +27,6 @@ impl RingSink {
         RingSink {
             cap: cap.max(1),
             buf: Mutex::new(VecDeque::with_capacity(cap.clamp(1, 4096))),
-            total: AtomicU64::new(0),
         }
     }
 
@@ -45,16 +42,10 @@ impl RingSink {
             .map(TraceRecord::to_json_line)
             .collect()
     }
-
-    /// Total records ever offered, including any evicted by the ring.
-    pub fn total_recorded(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
 }
 
 impl TraceSink for RingSink {
     fn record(&self, rec: &TraceRecord) {
-        self.total.fetch_add(1, Ordering::Relaxed);
         let mut buf = self.buf.lock().unwrap();
         if buf.len() == self.cap {
             buf.pop_front();
@@ -140,14 +131,13 @@ mod tests {
     }
 
     #[test]
-    fn ring_evicts_oldest_but_counts_everything() {
+    fn ring_evicts_oldest() {
         let ring = RingSink::new(2);
         for i in 0..5 {
             ring.record(&rec(i));
         }
         let kept: Vec<u64> = ring.snapshot().iter().map(|r| r.step).collect();
         assert_eq!(kept, vec![3, 4]);
-        assert_eq!(ring.total_recorded(), 5);
     }
 
     #[test]

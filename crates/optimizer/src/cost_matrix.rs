@@ -27,11 +27,6 @@ pub struct CostMatrix {
 }
 
 impl CostMatrix {
-    /// Recosts every pool plan at every grid location, sequentially.
-    pub fn build(opt: &Optimizer<'_>, pool: &PlanPool, grid: &MultiGrid) -> Self {
-        Self::build_parallel(opt, pool, grid, 1)
-    }
-
     /// Recosts every pool plan at every grid location across `threads`
     /// scoped worker threads.
     ///
@@ -71,8 +66,9 @@ impl CostMatrix {
         }
     }
 
-    /// A matrix over cells laid out as [`build`](Self::build) lays them
-    /// out, plan-major; `None` unless there are `nplans × grid_len`.
+    /// A matrix over cells laid out as
+    /// [`build_parallel`](Self::build_parallel) lays them out, plan-major;
+    /// `None` unless there are `nplans × grid_len`.
     pub fn from_cells(nplans: usize, grid_len: usize, cells: Vec<Cost>) -> Option<Self> {
         let matrix = Self {
             nplans,

@@ -97,15 +97,6 @@ impl QuerySpec {
         self.epps.iter().position(|&e| e == p)
     }
 
-    /// All join predicates' ids.
-    pub fn join_preds(&self) -> impl Iterator<Item = PredId> + '_ {
-        self.predicates
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.kind.is_join())
-            .map(|(i, _)| i)
-    }
-
     /// Filter predicates local to relation `rel`.
     pub fn filters_of(&self, rel: RelIdx) -> impl Iterator<Item = PredId> + '_ {
         self.predicates

@@ -184,10 +184,10 @@ impl ServedQuery {
         let ctx_ref: &'static EvalContext<'static> =
             unsafe { &*(ctx.as_ref() as *const EvalContext<'static>) };
         let source = CostSource::Matrix(ctx_ref);
-        // Select under the prior the artifact records (defaults when the
-        // artifact predates the field): cheap — a pure scan of the
-        // already-loaded matrix — and verifiable against the persisted
-        // summary.
+        // Select under the prior the artifact records (defaults when it
+        // was saved before a penalty summary was attached): cheap — a pure
+        // scan of the already-loaded matrix — and verifiable against the
+        // persisted summary.
         let summary = penalty_summary.as_ref();
         let mut params = Params {
             ratio,

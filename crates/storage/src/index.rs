@@ -29,11 +29,6 @@ impl ColumnIndex {
             .range(..=v)
             .flat_map(|(_, ids)| ids.iter().copied())
     }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.tree.len()
-    }
 }
 
 #[cfg(test)]
@@ -47,6 +42,5 @@ mod tests {
         assert_eq!(idx.eq(7), &[] as &[u32]);
         let le: Vec<u32> = idx.le(5).collect();
         assert_eq!(le, vec![3, 1, 0, 2]); // value order: 1, 3, 5
-        assert_eq!(idx.distinct_keys(), 4);
     }
 }

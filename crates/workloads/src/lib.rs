@@ -21,14 +21,12 @@
 //! ```
 
 pub mod builder;
-pub mod epps;
 pub mod example;
 pub mod job;
 pub mod suite;
 pub mod tpcds_queries;
 
 pub use builder::QueryBuilder;
-pub use epps::{identify_epps, with_identified_epps, EppPolicy};
 pub use example::example_query_eq;
 pub use suite::{
     executable_genspec, executable_genspec_with_errors, paper_suite, q91_with_dims,

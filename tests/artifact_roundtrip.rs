@@ -2,12 +2,13 @@
 //! compile → save → load must evaluate bit-equal to the in-memory build
 //! for every strategy of the table across random grids, and
 //! arbitrary single-byte corruption — or a file of a format version this
-//! build does not read — must surface as a typed error, never a panic.
+//! build does not read, or a checksummed file whose grid is inconsistent —
+//! must surface as a typed error, never a panic.
 
 use proptest::prelude::*;
 use rqp::artifacts::{
     checksum64, compile_or_load_with, ArtifactError, ArtifactStore, ColdReason, CompiledArtifact,
-    Provenance, MAGIC,
+    Provenance, FORMAT_VERSION, MAGIC,
 };
 use rqp::catalog::{tpcds, Catalog};
 use rqp::core::{evaluate_strategy, CostSource, EvalContext, Params, Strategy, SubOptStats};
@@ -364,4 +365,80 @@ fn only_loadable_artifacts_are_listed() {
         Ok(_) => panic!("an unknown query was served"),
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `art`'s bytes with its meta rewritten by `doctor` and its sections cut
+/// to their first `cells` cells (each matrix row to its first `cells`),
+/// resealed under a fresh header and checksum: a well-formed file that
+/// only the meta checks can refuse.
+fn reseal(art: &CompiledArtifact, cells: usize, doctor: impl Fn(&str) -> String) -> Vec<u8> {
+    let bytes = art.to_bytes();
+    let payload = &bytes[bytes.iter().position(|&b| b == b'\n').unwrap() + 1..];
+    let meta_len = u64::from_le_bytes(payload[..8].try_into().unwrap()) as usize;
+    let meta = doctor(std::str::from_utf8(&payload[8..8 + meta_len]).unwrap());
+    let (n, sections) = (art.surface.grid().len(), &payload[8 + meta_len..]);
+    let mut out = (meta.len() as u64).to_le_bytes().to_vec();
+    out.extend(meta.as_bytes());
+    out.extend(&sections[..8 * cells]);
+    out.extend(&sections[8 * n..8 * n + 4 * cells]);
+    for row in sections[12 * n..].chunks(8 * n) {
+        out.extend(&row[..8 * cells]);
+    }
+    let header = format!(
+        r#"{{"magic":"{MAGIC}","version":{FORMAT_VERSION},"checksum":"{:016x}","payload_len":{}}}"#,
+        checksum64(&out),
+        out.len()
+    );
+    [header.as_bytes(), b"\n", &out].concat()
+}
+
+/// A checksummed artifact whose grid disagrees with itself is refused
+/// at decode with a typed error: a `total` below its dims' product (with
+/// sections sized for that total), no dimensions, a one-point and a
+/// descending selectivity grid.
+#[test]
+fn doctored_grids_are_refused_with_typed_errors() {
+    let art = small_artifact();
+    let bytes = art.to_bytes();
+    let text = String::from_utf8_lossy(&bytes);
+    let shape = r#""strides":[1,5],"total":25"#;
+    assert!(text.contains(shape), "a 5x5 grid");
+    let first = text.find(r#"{"points":["#).unwrap() + r#"{"points":["#.len();
+    let points = &text[first..first + text[first..].find(']').unwrap()];
+    let dims_at = text.find(r#""dims":["#).unwrap();
+    let dims = &text[dims_at..text.find(shape).unwrap() + shape.len()];
+
+    let descending = points.split(',').rev().collect::<Vec<_>>().join(",");
+    let cases = [
+        ("a wrong total", 4, shape.replace("25", "4")),
+        (
+            "no dimensions",
+            1,
+            r#""dims":[],"strides":[],"total":1"#.to_string(),
+        ),
+        (
+            "a one-point grid",
+            5,
+            (dims.replacen(points, "1", 1)).replace(shape, r#""strides":[1,1],"total":5"#),
+        ),
+        (
+            "a descending grid",
+            25,
+            dims.replacen(points, &descending, 1),
+        ),
+    ];
+    for (what, cells, doctored) in cases {
+        let from = if doctored.starts_with(r#""dims""#) {
+            dims
+        } else {
+            shape
+        };
+        let bytes = reseal(&art, cells, |meta| meta.replacen(from, &doctored, 1));
+        match CompiledArtifact::from_bytes(&bytes) {
+            Err(ArtifactError::Decode(msg)) => assert!(msg.contains("grid"), "{what}: {msg}"),
+            other => panic!("{what}: expected a typed Decode error, got {other:?}"),
+        }
+    }
+    // The resealing itself is sound: the undoctored file loads.
+    CompiledArtifact::from_bytes(&reseal(&art, 25, str::to_string)).unwrap();
 }

@@ -5,9 +5,9 @@
 //!   expected sub-optimality never exceeds the native plan's (the native
 //!   plan is always a candidate);
 //! * CVaR of the selection is monotone non-decreasing in alpha;
-//! * the selection is bit-identical at any thread count and across the
-//!   dense matrix-backed, dense direct-recost, and lazy-surface paths
-//!   (compared by fingerprint — pool ids are an ordering artifact);
+//! * the selection is bit-identical across the dense matrix-backed,
+//!   dense direct-recost, and lazy-surface paths (compared by
+//!   fingerprint — pool ids are an ordering artifact);
 //! * artifact save → load → re-select reproduces the persisted
 //!   [`PenaltySummary`] bit-for-bit;
 //! * every risk of the default selection on 3D_Q15 and 4D_Q91 matches
@@ -105,7 +105,7 @@ proptest! {
         ).unwrap();
         let ctx = EvalContext::new(&surface, &opt);
         let cfg = PenaltyConfig { alpha: 0.9, objective: Objective::Expected };
-        let sel = penalty::select(&ctx, &prior, &cfg, 1).unwrap();
+        let sel = penalty::select(CostSource::Matrix(&ctx), &prior, &cfg).unwrap();
         prop_assert!(
             sel.chosen.expected <= sel.native.expected,
             "chosen expected {} > native {}",
@@ -140,7 +140,7 @@ proptest! {
         let mut prev: Option<f64> = None;
         for alpha in [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
             let cfg = PenaltyConfig { alpha, objective: Objective::Cvar };
-            let sel = penalty::select(&ctx, &prior, &cfg, 1).unwrap();
+            let sel = penalty::select(CostSource::Matrix(&ctx), &prior, &cfg).unwrap();
             prop_assert!(
                 sel.chosen.cvar >= sel.chosen.expected * (1.0 - 1e-12),
                 "CVaR {} below expectation {} at alpha {alpha}",
@@ -157,17 +157,16 @@ proptest! {
         }
     }
 
-    /// One selection, five paths: sequential matrix-backed, parallel at
-    /// 2..8 threads, direct dense recost, and the lazy surface must all
-    /// produce the same winner with bit-equal risks.
+    /// One selection, three paths: matrix-backed, direct dense recost,
+    /// and the lazy surface must all produce the same winner with
+    /// bit-equal risks.
     #[test]
-    fn selection_bit_identical_across_threads_and_surfaces(
+    fn selection_bit_identical_across_cost_sources_and_surfaces(
         n in 5usize..9,
         e0 in -6.0f64..=0.0,
         e1 in -6.0f64..=0.0,
         sigma in 0.3f64..2.5,
         seed in 0u64..1_000_000,
-        threads in 2usize..8,
         alpha_pct in 0u32..=100,
     ) {
         let f = fx();
@@ -182,17 +181,8 @@ proptest! {
         let cfg = PenaltyConfig { alpha: alpha_pct as f64 / 100.0, objective: Objective::Expected };
         let ctx = EvalContext::new(&surface, &opt);
 
-        let seq = penalty::select(&ctx, &prior, &cfg, 1).unwrap();
-        let par = penalty::select(&ctx, &prior, &cfg, threads).unwrap();
-        assert_selections_equivalent(&format!("seq vs {threads} threads"), &seq, &par);
-        // Same pool order on the same context: the full risk vectors,
-        // not just the multiset, are bit-equal.
-        prop_assert_eq!(seq.risks.len(), par.risks.len());
-        for (a, b) in seq.risks.iter().zip(&par.risks) {
-            prop_assert_eq!(risk_bits(a), risk_bits(b));
-        }
-
-        let direct = penalty::select_on(&surface, &opt, &prior, &cfg).unwrap();
+        let seq = penalty::select(CostSource::Matrix(&ctx), &prior, &cfg).unwrap();
+        let direct = penalty::select(CostSource::Recost(&surface, &opt), &prior, &cfg).unwrap();
         assert_selections_equivalent("matrix vs direct recost", &seq, &direct);
 
         // Fully materialize the lazy surface in a scrambled order so its
@@ -212,7 +202,7 @@ proptest! {
             let _ = lazy.plan_id(qa);
         }
         prop_assert_eq!(lazy.pool_len(), surface.pool_len(), "pools intern different plan sets");
-        let on_lazy = penalty::select_on(&lazy, &opt, &prior, &cfg).unwrap();
+        let on_lazy = penalty::select(CostSource::Recost(&lazy, &opt), &prior, &cfg).unwrap();
         assert_selections_equivalent("dense vs lazy", &seq, &on_lazy);
     }
 }

@@ -331,7 +331,7 @@ proptest! {
         let prior = SelectivityPrior::delta(surface.grid(), qa);
         let cfg = PenaltyConfig { alpha: alpha_pct as f64 / 100.0, objective: Objective::Expected };
         let ctx = EvalContext::new(&surface, &opt);
-        let sel = penalty::select(&ctx, &prior, &cfg, 1).unwrap();
+        let sel = penalty::select(CostSource::Matrix(&ctx), &prior, &cfg).unwrap();
         prop_assert_eq!(
             sel.chosen.expected.to_bits(),
             1.0f64.to_bits(),
@@ -401,7 +401,7 @@ proptest! {
         let mut prev: Option<Vec<f64>> = None;
         for alpha in [0.0, 0.5, 0.9, 0.99, 1.0] {
             let cfg = PenaltyConfig { alpha, objective: Objective::Cvar };
-            let sel = penalty::select(&ctx, &prior, &cfg, 1).unwrap();
+            let sel = penalty::select(CostSource::Matrix(&ctx), &prior, &cfg).unwrap();
             let cvars: Vec<f64> = sel.risks.iter().map(|r| r.cvar).collect();
             for (r, c) in sel.risks.iter().zip(&cvars) {
                 prop_assert!(

@@ -179,7 +179,7 @@ proptest! {
         let opt = Optimizer::new(&rq.catalog, &rq.query, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
         let surface = EssSurface::build(&opt, MultiGrid::uniform(2, 1e-6, 7));
         let contours = ContourSet::build(&surface, 2.0);
-        let matrix = CostMatrix::build(&opt, surface.pool(), surface.grid());
+        let matrix = CostMatrix::build_parallel(&opt, surface.pool(), surface.grid(), 1);
         let lambda = lambda_tenths as f64 / 10.0;
         let recosted = reduce_all(&surface, &opt, &contours, lambda);
         let looked_up = reduce_all_with(&surface, &contours, lambda, |pid, q| matrix.cost(pid, q));

@@ -9,8 +9,8 @@ use rqp::common::{Cost, Result, RqpError};
 use rqp::core::report::ExecMode;
 use rqp::core::{
     evaluate_strategy, CachedOracle, CostOracle, CostSource, EvalContext, ExecutionOracle,
-    FaultyOracle, FullOutcome, NoisyCostOracle, Outcome, Params, RunReport, SpillMemo,
-    SpillOutcome, Strategy, SubOptStats,
+    FaultyOracle, FullOutcome, Outcome, Params, RunReport, SpillMemo, SpillOutcome, Strategy,
+    SubOptStats,
 };
 use rqp::ess::{ContourSet, EssSurface};
 use rqp::faults::{FaultPlan, FaultSite};
@@ -140,8 +140,9 @@ fn report_digest(h: &mut u64, report: &Result<RunReport>) {
 }
 
 /// Every report of every strategy at every location, through the matrix
-/// oracle, the recosting oracle, a δ = 0.3 noisy oracle and a transient
-/// fault rate of 0.2, pinned bit for bit. The digests were computed
+/// oracle, the recosting oracle, the recosting oracle under a δ = 0.3
+/// cost perturbation and the matrix oracle under a transient fault rate
+/// of 0.2, pinned bit for bit. The digests were computed
 /// before the strategies moved onto the one step interpreter, so any
 /// change to what a run executes, charges, learns or records moves them.
 #[test]
@@ -177,6 +178,7 @@ fn every_report_is_pinned() {
             let recost = recost.unwrap();
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             let mut memo = SpillMemo::new();
+            let noise = FaultPlan::new(7).with_perturb(0.3);
             for qa in surface.grid().iter() {
                 let cost = || CostOracle::at_grid(opt, surface.grid(), qa);
                 let faults = FaultPlan::new(0x5eed ^ qa as u64)
@@ -185,7 +187,7 @@ fn every_report_is_pinned() {
                 let reports = [
                     matrix.run(&mut CachedOracle::at_grid(ctx, qa, &mut memo)),
                     recost.run(&mut cost()),
-                    recost.run(&mut NoisyCostOracle::new(cost(), 0.3, 7)),
+                    recost.run(&mut FaultyOracle::new(cost(), &noise)),
                     matrix.run(&mut FaultyOracle::new(
                         CachedOracle::at_grid(ctx, qa, &mut memo),
                         &faults,
