@@ -118,12 +118,6 @@ pub fn aligned_guarantee_lower(d: usize) -> f64 {
     (2 * d + 2) as f64
 }
 
-/// The PlanBouquet guarantee `4(1+λ)ρ_red` (a behavioral bound: `ρ_red`
-/// is the post-reduction maximum contour density on this platform).
-pub fn planbouquet_guarantee(lambda: f64, rho_red: usize) -> f64 {
-    planbouquet_guarantee_ratio(lambda, rho_red, 2.0)
-}
-
 /// PlanBouquet's guarantee generalized to an arbitrary inter-contour cost
 /// ratio `r > 1`: `(1+λ)·ρ_red·r²/(r−1)` (the geometric-sum constant
 /// `r²/(r−1)` is minimized at `r = 2`, which is why the paper doubles —
@@ -141,24 +135,6 @@ pub fn spillbound_guarantee_ratio(d: usize, r: f64) -> f64 {
     assert!(r > 1.0, "contour ratio must exceed 1");
     let d = d as f64;
     d * r * r / (r - 1.0) + d * (d - 1.0) * r / 2.0
-}
-
-/// The inter-contour cost ratio minimizing
-/// [`spillbound_guarantee_ratio`] for a `D`-epp query — "cost doubling is
-/// not the ideal choice for SpillBound" (§4.2 remark). Solved by ternary
-/// search (the guarantee is unimodal in `r` on `(1, ∞)`).
-pub fn optimal_contour_ratio(d: usize) -> f64 {
-    let (mut lo, mut hi) = (1.01f64, 4.0f64);
-    for _ in 0..200 {
-        let m1 = lo + (hi - lo) / 3.0;
-        let m2 = hi - (hi - lo) / 3.0;
-        if spillbound_guarantee_ratio(d, m1) < spillbound_guarantee_ratio(d, m2) {
-            hi = m2;
-        } else {
-            lo = m1;
-        }
-    }
-    0.5 * (lo + hi)
 }
 
 #[cfg(test)]
@@ -256,6 +232,24 @@ pub(crate) mod test_fixtures {
 
 #[cfg(test)]
 mod tests {
+    /// The inter-contour cost ratio minimizing
+    /// `spillbound_guarantee_ratio` for a `D`-epp query — "cost doubling is
+    /// not the ideal choice for SpillBound" (§4.2 remark). Solved by ternary
+    /// search (the guarantee is unimodal in `r` on `(1, ∞)`).
+    fn optimal_contour_ratio(d: usize) -> f64 {
+        let (mut lo, mut hi) = (1.01f64, 4.0f64);
+        for _ in 0..200 {
+            let m1 = lo + (hi - lo) / 3.0;
+            let m2 = hi - (hi - lo) / 3.0;
+            if super::spillbound_guarantee_ratio(d, m1) < super::spillbound_guarantee_ratio(d, m2) {
+                hi = m2;
+            } else {
+                lo = m1;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
     #[test]
     fn guarantee_formulas() {
         assert_eq!(super::spillbound_guarantee(2), 10.0);
@@ -269,10 +263,10 @@ mod tests {
         assert!((super::spillbound_guarantee_ratio(2, 1.8) - 9.9).abs() < 1e-12);
         // the ideal 2-epp ratio is near 1.8 (§4.2); higher D pushes the
         // optimum lower, and the improvement over doubling stays marginal
-        let r2 = super::optimal_contour_ratio(2);
+        let r2 = optimal_contour_ratio(2);
         assert!((1.7..1.9).contains(&r2), "ideal 2D ratio {r2}");
         for d in 2..=6 {
-            let r = super::optimal_contour_ratio(d);
+            let r = optimal_contour_ratio(d);
             let best = super::spillbound_guarantee_ratio(d, r);
             let doubling = super::spillbound_guarantee(d);
             assert!(best <= doubling);
@@ -280,6 +274,6 @@ mod tests {
         }
         assert_eq!(super::spillbound_guarantee(6), 54.0);
         assert_eq!(super::aligned_guarantee_lower(4), 10.0);
-        assert_eq!(super::planbouquet_guarantee(0.2, 5), 24.0);
+        assert_eq!(super::planbouquet_guarantee_ratio(0.2, 5, 2.0), 24.0);
     }
 }

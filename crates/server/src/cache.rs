@@ -13,7 +13,10 @@
 //! that deduplicates concurrent cold loads — the first requester loads
 //! while the rest wait, so a thundering herd on a cold query costs one
 //! disk read and one rehydration, not N. The lock is never held across
-//! the load itself.
+//! the load itself, nor across the manifest's durable rewrite: a load
+//! renders the manifest and takes a sequence number under the lock, then
+//! writes under a separate writer mutex that skips any snapshot older
+//! than the last one written.
 //!
 //! Determinism: a reloaded artifact rebuilds byte-identical service
 //! state (loading is a pure function of the on-disk bytes), so
@@ -51,6 +54,8 @@ struct CacheState {
     tick: u64,
     /// Sum of resident `Entry::bytes`.
     bytes: usize,
+    /// Sequence number of the last manifest snapshot taken.
+    manifest_seq: u64,
 }
 
 /// `tmp` + fsync + rename + directory fsync — the same atomic-save
@@ -84,6 +89,9 @@ pub struct ArtifactCache {
     breaker: Option<BreakerConfig>,
     state: Mutex<CacheState>,
     loaded: Condvar,
+    /// Serializes manifest writes; holds the sequence number of the
+    /// snapshot last written.
+    manifest_written: Mutex<u64>,
     warm_hits: AtomicU64,
     cold_loads: AtomicU64,
     evictions: AtomicU64,
@@ -104,6 +112,7 @@ impl ArtifactCache {
             breaker: None,
             state: Mutex::new(CacheState::default()),
             loaded: Condvar::new(),
+            manifest_written: Mutex::new(0),
             warm_hits: AtomicU64::new(0),
             cold_loads: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -135,10 +144,12 @@ impl ArtifactCache {
         self.state.lock().unwrap().entries.contains_key(name)
     }
 
-    /// Currently-resident served queries (for health reporting).
+    /// Currently-resident served queries, least recently used first.
     pub fn resident(&self) -> Vec<Arc<ServedQuery>> {
         let state = self.state.lock().unwrap();
-        state.entries.values().map(|e| e.served.clone()).collect()
+        let mut entries: Vec<&Entry> = state.entries.values().collect();
+        entries.sort_by_key(|e| e.last_used);
+        entries.iter().map(|e| e.served.clone()).collect()
     }
 
     /// Resolves `name`, loading from the store on a miss. Returns the
@@ -184,8 +195,10 @@ impl ArtifactCache {
                 );
                 state.bytes += bytes;
                 self.evict_lru(&mut state, name);
-                self.persist_manifest(&state);
+                let manifest = Self::manifest_snapshot(&mut state);
                 self.loaded.notify_all();
+                drop(state);
+                self.persist_manifest(manifest);
                 Ok(served)
             }
             Err(e) => {
@@ -223,10 +236,9 @@ impl ArtifactCache {
         self.store.root().join(MANIFEST_FILE)
     }
 
-    /// Durably rewrites the manifest to the current resident set in
-    /// LRU→MRU order. Best-effort: serving must not fail because hot-set
-    /// bookkeeping could not be written.
-    fn persist_manifest(&self, state: &CacheState) {
+    /// The manifest body for the current resident set in LRU→MRU order,
+    /// with the sequence number that orders it among snapshots.
+    fn manifest_snapshot(state: &mut CacheState) -> (u64, String) {
         let mut names: Vec<(&String, u64)> = state
             .entries
             .iter()
@@ -234,7 +246,18 @@ impl ArtifactCache {
             .collect();
         names.sort_by_key(|(_, used)| *used);
         let body: String = names.iter().map(|(n, _)| format!("{n}\n")).collect();
-        let _ = durable_write(&self.manifest_path(), body.as_bytes());
+        state.manifest_seq += 1;
+        (state.manifest_seq, body)
+    }
+
+    /// Durably rewrites the manifest to `body`, unless a newer snapshot
+    /// has been written already. Best-effort: serving must not fail
+    /// because hot-set bookkeeping could not be written.
+    fn persist_manifest(&self, (seq, body): (u64, String)) {
+        let mut written = self.manifest_written.lock().unwrap();
+        if seq > *written && durable_write(&self.manifest_path(), body.as_bytes()).is_ok() {
+            *written = seq;
+        }
     }
 
     /// Reloads every name in the persisted manifest (oldest first, so
@@ -310,5 +333,27 @@ impl ArtifactCache {
             ("resident_bytes".into(), Value::Num(bytes as f64)),
             ("max_bytes".into(), Value::Num(self.max_bytes as f64)),
         ])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two loads that race to the writer in the opposite order of their
+    /// snapshots leave the newer manifest on disk.
+    #[test]
+    fn an_older_manifest_snapshot_never_overwrites_a_newer_one() {
+        let root = std::env::temp_dir().join(format!("rqp-manifest-seq-{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        let catalog: &'static Catalog = Box::leak(Box::new(Catalog::new()));
+        let cache = ArtifactCache::new(ArtifactStore::new(root.clone()), catalog, 0);
+        let manifest = || std::fs::read_to_string(cache.manifest_path()).unwrap();
+        cache.persist_manifest((2, "b\n".to_string()));
+        cache.persist_manifest((1, "a\n".to_string()));
+        assert_eq!(manifest(), "b\n");
+        cache.persist_manifest((3, "c\n".to_string()));
+        assert_eq!(manifest(), "c\n");
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -110,11 +110,6 @@ impl Metrics {
         self.registry.counter("faults.injected").inc();
     }
 
-    /// Total degraded responses served so far.
-    pub fn total_degraded(&self) -> u64 {
-        self.registry.counter("faults.degraded_responses").value()
-    }
-
     /// Budget burnt by fault-aborted oracle attempts, service-wide.
     pub fn total_wasted_cost(&self) -> f64 {
         self.registry.gauge("faults.wasted_cost").value()
@@ -281,7 +276,6 @@ mod tests {
             wasted_cost: 12.5,
         });
         m.record_injected();
-        assert_eq!(m.total_degraded(), 1);
         let v = m.to_value(1, 1);
         let f = v.get("faults").unwrap();
         assert_eq!(f.get("faults_injected").unwrap().as_f64(), Some(4.0));

@@ -4,13 +4,16 @@
 //! A served query is constructed from a [`CompiledArtifact`] without
 //! re-running any offline work: the surface, contour schedule, reduced
 //! bouquet and recost matrix all come straight off disk. Construction
-//! rebuilds the optimizer and compiles every [`Strategy`] of the table:
-//! the native choice, the penalty-aware selection, the loaded bouquet,
-//! and for SpillBound and AlignedBound a contour schedule and an empty
-//! memo.
-//! Requests construct nothing: each strategy's per-(contour, pins)
-//! analysis is done by the first request that reaches that state and
-//! kept for all later ones. A served query *owns* its artifact state
+//! rebuilds the optimizer and compiles the strategies that are cheap to
+//! compile: the native choice, the loaded bouquet (its ρ_red and contour
+//! costs checked), and for SpillBound and AlignedBound a contour schedule
+//! and an empty memo. PenaltyAware's selection, a risk integral over the
+//! whole plan × cell matrix, is derived by the first request that reads
+//! it (`run_penaltyaware` or `explain`) and checked then against the
+//! artifact's persisted summary; a discovery request never pays for it.
+//! Requests otherwise construct nothing: each strategy's per-(contour,
+//! pins) analysis is done by the first request that reaches that state
+//! and kept for all later ones. A served query *owns* its artifact state
 //! (boxed, with internally self-referential borrows — see the safety
 //! notes on [`ServedQuery::from_artifact`]), so dropping one — e.g. on
 //! LRU eviction from the [`crate::cache::ArtifactCache`] — actually
@@ -18,15 +21,15 @@
 //! grounding which pinned every loaded artifact for the process
 //! lifetime.
 //!
-//! The immutable `explain` response body is rendered to JSON once at
-//! construction and served as a shared pre-serialized string
+//! The immutable `explain` response body is rendered to JSON by its first
+//! request and then served as a shared pre-serialized string
 //! ([`Body::Raw`]) — the fast path the bench-serve throughput target
 //! rides on. [`crate::protocol::ok_response_raw`] keeps the framing
 //! byte-identical to the per-request serialization it replaces.
 
 use crate::cache::ArtifactCache;
 use crate::protocol::{num, num_arr, obj, string, Request};
-use rqp_artifacts::CompiledArtifact;
+use rqp_artifacts::{CompiledArtifact, PenaltySummary};
 use rqp_catalog::Catalog;
 use rqp_common::{GridIdx, RqpError};
 use rqp_core::{
@@ -39,7 +42,7 @@ use rqp_optimizer::{CostParams, EnumerationMode, Optimizer, QuerySpec};
 use serde::Value;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The strategies whose compiled form keeps a per-(contour, pins) memo,
 /// in the order `stats` reports them.
@@ -64,8 +67,8 @@ pub struct CallStats {
 
 /// A response body: either a per-request JSON [`Value`] or a shared
 /// pre-serialized string (the cached `explain` fast path). The raw form
-/// is byte-identical to serializing the equivalent `Value` — asserted
-/// at construction and relied on by the determinism tests.
+/// is byte-identical to serializing the equivalent `Value`, which the
+/// determinism tests rely on.
 #[derive(Clone)]
 pub enum Body {
     /// Built per request; the server serializes it into the response.
@@ -90,8 +93,9 @@ impl Body {
 /// One query template, warm-started from its artifact and ready to serve
 /// concurrent requests. A request's state (oracle, spill memo, pins,
 /// report) is per-call; the compiled strategies are shared, and the only
-/// thing a request can leave behind in them is a memo entry that any
-/// other request would have computed identically.
+/// things a request can leave behind in them are a memo entry and the
+/// first-use PenaltyAware derivation, each of which any other request
+/// would have computed identically.
 ///
 /// Field order is load-bearing: Rust drops fields in declaration order,
 /// and the strategies borrow from the boxed `ctx`/`opt`/`surface`/`query`
@@ -99,13 +103,21 @@ impl Body {
 /// their referents.
 pub struct ServedQuery {
     name: String,
-    /// Every strategy of the table, compiled over `ctx`, in
-    /// [`Strategy::ALL`] order. PenaltyAware's selection is recomputed at
-    /// load time from the artifact's matrix (and verified against the
-    /// persisted summary).
+    /// Native, PlanBouquet, SpillBound and AlignedBound, compiled over
+    /// `ctx` at construction, in [`Strategy::ALL`] order.
     strategies: Vec<Compiled<'static>>,
-    /// `explain` response body, rendered once at construction.
-    explain_raw: Arc<str>,
+    /// PenaltyAware, compiled over `source` by its first reader and
+    /// checked against `summary`; a failed check is kept and returned to
+    /// every later reader.
+    penalty: OnceLock<Result<Compiled<'static>, String>>,
+    /// `explain` response body, rendered by its first request.
+    explain: OnceLock<Result<Arc<str>, String>>,
+    /// The matrix of `ctx`, which every strategy reads costs from.
+    source: CostSource<'static>,
+    /// Ratio, λ, and the prior and CVaR level the artifact records.
+    params: Params,
+    /// The artifact's persisted penalty selection, if it has one.
+    summary: Option<PenaltySummary>,
     /// Resident-footprint estimate, for the LRU cache's byte accounting.
     approx_bytes: usize,
     faults: Option<Arc<FaultPlan>>,
@@ -125,13 +137,16 @@ impl ServedQuery {
     /// Builds self-owned service state from the artifact. Fails (with a
     /// human-readable message) if the artifact's query does not validate
     /// against `catalog` or its components disagree with each other.
+    /// PenaltyAware's selection is not derived here, so a persisted
+    /// selection that disagrees with the matrix is reported by
+    /// `run_penaltyaware` and `explain`, not by construction.
     ///
     /// # Safety notes
     ///
-    /// The `'static` lifetimes on `ctx` and the strategies are a lie told to the
-    /// borrow checker: they actually borrow the `Box<QuerySpec>` /
-    /// `Box<EssSurface>` / `Box<Optimizer>` / `Box<EvalContext>` fields of
-    /// the same struct.
+    /// The `'static` lifetimes on `ctx`, `source` and the strategies are a
+    /// lie told to the borrow checker: they actually borrow the
+    /// `Box<QuerySpec>` / `Box<EssSurface>` / `Box<Optimizer>` /
+    /// `Box<EvalContext>` fields of the same struct.
     /// This is sound because (a) the boxes heap-allocate, so the
     /// referents never move even when the `ServedQuery` itself does,
     /// (b) the borrowing fields are declared before the owning boxes,
@@ -155,7 +170,7 @@ impl ServedQuery {
             bouquet,
             rho_red,
             matrix,
-            penalty: penalty_summary,
+            penalty: summary,
         } = artifact;
         let name = query.name.clone();
         let query = Box::new(query);
@@ -184,17 +199,15 @@ impl ServedQuery {
         let ctx_ref: &'static EvalContext<'static> =
             unsafe { &*(ctx.as_ref() as *const EvalContext<'static>) };
         let source = CostSource::Matrix(ctx_ref);
-        // Select under the prior the artifact records (defaults when it
-        // was saved before a penalty summary was attached): cheap — a pure
-        // scan of the already-loaded matrix — and verifiable against the
-        // persisted summary.
-        let summary = penalty_summary.as_ref();
+        // PenaltyAware selects under the prior the artifact records
+        // (defaults when it was saved before a penalty summary was
+        // attached), so its selection is verifiable against the summary.
         let mut params = Params {
             ratio,
             lambda,
             ..Params::default()
         };
-        if let Some(s) = summary {
+        if let Some(s) = &summary {
             params.prior = PriorConfig {
                 seed: s.prior_seed,
                 sigma: s.prior_sigma,
@@ -211,7 +224,10 @@ impl ServedQuery {
             ));
         }
         let mut loaded = Some(Compiled::planbouquet(source, loaded));
+        // PenaltyAware is last in `Strategy::ALL`, so the rest keep their
+        // `s as usize` indices.
         let strategies = (Strategy::ALL.into_iter())
+            .filter(|&s| s != Strategy::PenaltyAware)
             .map(|s| match s {
                 // The bouquet's reduction comes off disk, not recomputed.
                 Strategy::PlanBouquet => Ok(loaded.take().expect("one bouquet")),
@@ -221,26 +237,14 @@ impl ServedQuery {
             .collect::<Result<Vec<_>, String>>()?;
         // The memos may fill up to their cap while the query is resident.
         let memo_bytes: usize = strategies.iter().map(Compiled::memo_bytes_bound).sum();
-        let penalty =
-            (strategies[Strategy::PenaltyAware as usize].penalty_selection()).expect("PA");
-        if let Some(s) = summary {
-            let fp = format!("{:016x}", penalty.chosen.fingerprint);
-            let hash = format!("{:016x}", penalty.prior_hash);
-            if s.chosen_fingerprint != fp || s.prior_hash != hash {
-                return Err(format!(
-                    "artifact `{name}`: persisted penalty selection (plan {}, prior {}) \
-                     disagrees with the recomputed one (plan {fp}, prior {hash})",
-                    s.chosen_fingerprint, s.prior_hash
-                ));
-            }
-        }
-        let explain_value = explain_value(&name, ratio, lambda, surface_ref, &strategies);
-        let explain_raw: Arc<str> =
-            Arc::from(serde_json::to_string(&explain_value).expect("explain serializes"));
         Ok(Self {
             name,
             strategies,
-            explain_raw,
+            penalty: OnceLock::new(),
+            explain: OnceLock::new(),
+            source,
+            params,
+            summary,
             approx_bytes: approx_bytes + memo_bytes,
             faults: None,
             retry: RetryPolicy::no_sleep(6),
@@ -277,13 +281,57 @@ impl ServedQuery {
         self.approx_bytes
     }
 
-    fn compiled(&self, s: Strategy) -> &Compiled<'static> {
-        &self.strategies[s as usize]
+    /// The compiled form of `s`. PenaltyAware's is derived by the first
+    /// call that asks for it; the error of a failed check is kept.
+    fn compiled(&self, s: Strategy) -> Result<&Compiled<'static>, String> {
+        match s {
+            Strategy::PenaltyAware => self.penalty_aware().as_ref().map_err(Clone::clone),
+            _ => Ok(&self.strategies[s as usize]),
+        }
     }
 
-    /// The cached, pre-serialized `explain` response body.
-    pub fn explain_body(&self) -> Body {
-        Body::Raw(self.explain_raw.clone())
+    /// PenaltyAware compiled over the artifact's matrix, its selection
+    /// checked against the persisted summary when there is one.
+    fn penalty_aware(&self) -> &Result<Compiled<'static>, String> {
+        self.penalty.get_or_init(|| {
+            let name = &self.name;
+            let s = Strategy::PenaltyAware;
+            let compiled = (s.compile(self.source, &self.params))
+                .map_err(|e| format!("artifact `{name}`: {}: {e}", s.name()))?;
+            let penalty = compiled.penalty_selection().expect("PA");
+            if let Some(s) = &self.summary {
+                let fp = format!("{:016x}", penalty.chosen.fingerprint);
+                let hash = format!("{:016x}", penalty.prior_hash);
+                if s.chosen_fingerprint != fp || s.prior_hash != hash {
+                    return Err(format!(
+                        "artifact `{name}`: persisted penalty selection (plan {}, prior {}) \
+                         disagrees with the recomputed one (plan {fp}, prior {hash})",
+                        s.chosen_fingerprint, s.prior_hash
+                    ));
+                }
+            }
+            Ok(compiled)
+        })
+    }
+
+    /// The pre-serialized `explain` response body, rendered by the first
+    /// call. Fails, on every call, when PenaltyAware's selection
+    /// disagrees with the artifact's persisted one.
+    pub fn explain_body(&self) -> Result<Body, String> {
+        let raw = self.explain.get_or_init(|| {
+            let penalty = self.penalty_aware().as_ref().map_err(Clone::clone)?;
+            let value = explain_value(
+                &self.name,
+                &self.params,
+                &self.surface,
+                &self.strategies,
+                penalty,
+            );
+            Ok(Arc::from(
+                serde_json::to_string(&value).expect("explain serializes"),
+            ))
+        });
+        raw.clone().map(Body::Raw)
     }
 
     /// Per-query health snapshot: breaker state and failure counters.
@@ -350,20 +398,19 @@ impl ServedQuery {
         ]
     }
 
-    /// The response of fixed-plan strategy `s` at `qa`: the fields that
-    /// justify its plan, then what its one execution spends. Given a
+    /// The response of fixed-plan strategy `compiled` at `qa`: the fields
+    /// that justify its plan, then what its one execution spends. Given a
     /// `(reason, requested)` pair, the body is the native fallback for
     /// strategy `requested`, labelled `degraded: true`.
     fn fixed_response(
         &self,
-        s: Strategy,
+        compiled: &Compiled<'static>,
         qa_idx: GridIdx,
         coords: &[usize],
         degraded: Option<(&str, &str)>,
     ) -> Value {
-        let mut fields = self.run_common(s.name(), qa_idx, coords);
-        let compiled = self.compiled(s);
-        let report = self.run(s, qa_idx, &mut CallStats::default());
+        let mut fields = self.run_common(compiled.strategy().name(), qa_idx, coords);
+        let report = self.run(compiled, qa_idx, &mut CallStats::default());
         let cost = report.expect("an unbudgeted run completes").total_cost;
         let opt_cost = self.surface.opt_cost(qa_idx);
         // Native has always reported its total through its sub-optimality.
@@ -398,16 +445,15 @@ impl ServedQuery {
         obj(fields)
     }
 
-    /// Runs strategy `s` at `qa_idx` against a fresh per-call oracle. A
+    /// Runs `compiled` at `qa_idx` against a fresh per-call oracle. A
     /// discovery run's oracle is wrapped in the fault plan when one is
     /// attached; a fixed plan was chosen offline and runs outside it.
     fn run(
         &self,
-        s: Strategy,
+        compiled: &Compiled<'static>,
         qa_idx: GridIdx,
         stats: &mut CallStats,
     ) -> rqp_common::Result<RunReport> {
-        let compiled = self.compiled(s);
         let mut memo = SpillMemo::new();
         let mut cached = CachedOracle::at_grid(&self.ctx, qa_idx, &mut memo);
         let fixed = compiled.fixed_plan().is_some();
@@ -430,26 +476,23 @@ impl ServedQuery {
     /// via its half-open probe.
     fn run_guarded(
         &self,
-        s: Strategy,
+        compiled: &Compiled<'static>,
         qa_idx: GridIdx,
         coords: &[usize],
         stats: &mut CallStats,
     ) -> Result<Value, (String, String)> {
+        let s = compiled.strategy();
+        let native = &self.strategies[Strategy::Native as usize];
         if matches!(self.breaker.allow_attempt(), Attempt::Degrade) {
             stats.degraded = true;
             let reason = "circuit breaker open; serving native fallback";
-            return Ok(self.fixed_response(
-                Strategy::Native,
-                qa_idx,
-                coords,
-                Some((reason, s.name())),
-            ));
+            return Ok(self.fixed_response(native, qa_idx, coords, Some((reason, s.name()))));
         }
-        match self.run(s, qa_idx, stats) {
+        match self.run(compiled, qa_idx, stats) {
             Ok(report) => {
                 self.breaker.record_success();
                 let mut fields = self.run_common(s.name(), qa_idx, coords);
-                let guarantee = self.compiled(s).mso_guarantee();
+                let guarantee = compiled.mso_guarantee();
                 fields.extend(self.report_fields(&report, qa_idx, guarantee));
                 fields.push(("degraded", Value::Bool(false)));
                 Ok(obj(fields))
@@ -459,12 +502,7 @@ impl ServedQuery {
                 if self.breaker.is_open() {
                     stats.degraded = true;
                     let reason = "execution faults tripped the circuit breaker";
-                    Ok(self.fixed_response(
-                        Strategy::Native,
-                        qa_idx,
-                        coords,
-                        Some((reason, s.name())),
-                    ))
+                    Ok(self.fixed_response(native, qa_idx, coords, Some((reason, s.name()))))
                 } else {
                     Err((e.kind().into(), e.to_string()))
                 }
@@ -476,11 +514,14 @@ impl ServedQuery {
     /// Dispatches `explain` or a `run_<name>` method of the strategy
     /// table. Returns `Err((kind, message))` for protocol-level failures,
     /// plus the call's fault accounting. `explain` is answered from the
-    /// cached pre-serialized body without touching the surface.
+    /// cached pre-serialized body without touching the surface. A
+    /// PenaltyAware selection that disagrees with the artifact's persisted
+    /// one fails `explain` and `run_penaltyaware` as `internal`.
     pub fn handle(&self, method: &str, qa: &[f64]) -> (Result<Body, (String, String)>, CallStats) {
         let mut stats = CallStats::default();
+        let internal = |m| ("internal".to_string(), m);
         if method == "explain" {
-            return (Ok(self.explain_body()), stats);
+            return (self.explain_body().map_err(internal), stats);
         }
         let Some(s) = Strategy::from_method(method) else {
             let message = format!("unknown method `{method}`");
@@ -488,29 +529,32 @@ impl ServedQuery {
         };
         let result = match self.snap(qa) {
             Err(m) => Err(("bad_request".to_string(), m)),
-            Ok((qa_idx, coords)) => match self.compiled(s).fixed_plan() {
-                Some(_) => Ok(self.fixed_response(s, qa_idx, &coords, None)),
-                None => self.run_guarded(s, qa_idx, &coords, &mut stats),
+            Ok((qa_idx, coords)) => match self.compiled(s) {
+                Err(m) => Err(internal(m)),
+                Ok(c) if c.fixed_plan().is_some() => {
+                    Ok(self.fixed_response(c, qa_idx, &coords, None))
+                }
+                Ok(c) => self.run_guarded(c, qa_idx, &coords, &mut stats),
             },
         };
         (result.map(Body::Value), stats)
     }
 }
 
-/// The `explain` response body for one compiled template. A free
-/// function over the already-validated parts so the constructor can
-/// render and cache it before `ServedQuery` exists.
+/// The `explain` response body for one compiled template: the eagerly
+/// compiled `strategies` in [`Strategy::ALL`] order, and PenaltyAware.
 fn explain_value(
     name: &str,
-    ratio: f64,
-    lambda: f64,
+    params: &Params,
     surface: &EssSurface,
     strategies: &[Compiled<'_>],
+    penalty_aware: &Compiled<'_>,
 ) -> Value {
     let get = |s: Strategy| &strategies[s as usize];
     let bouquet = get(Strategy::PlanBouquet).bouquet().expect("the bouquet");
     let native = get(Strategy::Native).native_choice().expect("native");
-    let penalty = get(Strategy::PenaltyAware).penalty_selection().expect("PA");
+    let penalty = penalty_aware.penalty_selection().expect("PA");
+    let (ratio, lambda) = (params.ratio, params.lambda);
     let grid = surface.grid();
     let d = grid.ndims();
     let contours = bouquet.contours();
@@ -699,7 +743,7 @@ impl Registry {
         let mut sums = [MemoStats::default(); 2];
         for q in self.resident().values() {
             for (sum, s) in sums.iter_mut().zip(MEMOIZED) {
-                let stats = q.compiled(s).memo_stats().unwrap_or_default();
+                let stats = q.strategies[s as usize].memo_stats().unwrap_or_default();
                 sum.hits += stats.hits;
                 sum.misses += stats.misses;
                 sum.entries += stats.entries;

@@ -68,16 +68,21 @@ const SUITE: [&str; 3] = ["suite_a", "suite_b", "suite_c"];
 /// Compiles one artifact per suite query into a store under `root` and
 /// returns the per-query resident size estimate.
 fn build_store(root: &PathBuf, cat: &'static Catalog) -> usize {
+    build_store_of(root, cat, &SUITE)
+}
+
+/// [`build_store`] over the queries `names`.
+fn build_store_of(root: &PathBuf, cat: &'static Catalog, names: &[&str]) -> usize {
     std::fs::create_dir_all(root).unwrap();
     let store = ArtifactStore::new(root.clone());
     let mut bytes = 0usize;
-    for name in SUITE {
+    for &name in names {
         let (_, q) = star2_named(name);
         let opt =
             Optimizer::new(cat, &q, CostParams::default(), EnumerationMode::LeftDeep).unwrap();
         let artifact = CompiledArtifact::compile(&opt, MultiGrid::uniform(2, 1e-5, 8), 2.0, 0.2, 2);
         artifact.save(&store.path_for(name)).unwrap();
-        // All three artifacts share a shape, so one measurement covers
+        // All the artifacts share a shape, so one measurement covers
         // the suite.
         let reloaded = CompiledArtifact::load(&store.path_for(name)).unwrap();
         bytes = ServedQuery::from_artifact(reloaded, cat)
@@ -286,5 +291,46 @@ fn thundering_herd_on_cold_query_loads_once() {
     assert!(count("warm_hits") >= 7.0, "{cache:?}");
 
     handle.stop();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Concurrent cold loads rewrite the hot-set manifest outside the cache
+/// lock, and an older snapshot never overwrites a newer one: once twelve
+/// cold loads from four threads are done, the manifest is the resident
+/// set in LRU order.
+#[test]
+fn concurrent_cold_loads_leave_the_latest_manifest() {
+    let (cat, _) = star2_named("suite_a");
+    let cat: &'static Catalog = Box::leak(Box::new(cat));
+    let root = std::env::temp_dir().join(format!("rqp-cache-manifest-{}", std::process::id()));
+    let names: Vec<String> = (0..12).map(|i| format!("m{i:02}")).collect();
+    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+    let per_query = build_store_of(&root, cat, &refs);
+
+    // Room for three resident queries; every name is asked for once, so
+    // every `get` is a cold load and none is a warm hit.
+    let store = ArtifactStore::new(root.clone());
+    let cache = ArtifactCache::new(store, cat, per_query * 3 + per_query / 2);
+    std::thread::scope(|s| {
+        for chunk in refs.chunks(3) {
+            let cache = &cache;
+            s.spawn(move || {
+                for name in chunk {
+                    cache.get(name).unwrap();
+                }
+            });
+        }
+    });
+
+    let stats = cache.stats_value();
+    assert_eq!(stats.get("cold_loads").unwrap().as_f64(), Some(12.0));
+    assert_eq!(stats.get("warm_hits").unwrap().as_f64(), Some(0.0));
+    let resident: Vec<String> = (cache.resident().iter())
+        .map(|q| format!("{}\n", q.name()))
+        .collect();
+    assert_eq!(resident.len(), 3);
+    let manifest = std::fs::read_to_string(cache.manifest_path()).unwrap();
+    assert_eq!(manifest, resident.concat());
+
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -11,7 +11,10 @@ use rqp::artifacts::{
     Provenance, FORMAT_VERSION, MAGIC,
 };
 use rqp::catalog::{tpcds, Catalog};
-use rqp::core::{evaluate_strategy, CostSource, EvalContext, Params, Strategy, SubOptStats};
+use rqp::core::{
+    evaluate_strategy, CostSource, EvalContext, Params, PenaltyConfig, PriorConfig, Strategy,
+    SubOptStats,
+};
 use rqp::faults::{FaultPlan, FaultSite};
 use rqp::obs::Tracer;
 use rqp::optimizer::{CostParams, EnumerationMode, Optimizer, QuerySpec};
@@ -188,7 +191,7 @@ fn hydration_derives_rho_red_instead_of_trusting_it() {
     let good = small_artifact();
     let rho_red = good.rho_red;
     let served = ServedQuery::from_artifact(good.clone(), catalog).unwrap();
-    let explain = served.explain_body().render();
+    let explain = served.explain_body().unwrap().render();
     assert!(
         explain.contains(&format!("\"rho_red\":{rho_red},")),
         "{explain}"
@@ -207,6 +210,98 @@ fn hydration_derives_rho_red_instead_of_trusting_it() {
         .err()
         .expect("refused");
     assert!(err.contains("reduced contour 0"), "{err}");
+}
+
+/// A small artifact carrying its offline penalty selection.
+fn small_artifact_with_penalty() -> CompiledArtifact {
+    let art = small_artifact();
+    let prior = PriorConfig::default();
+    let cfg = PenaltyConfig::default();
+    let (summary, _) =
+        rqp::experiments::penalty_summary(&art, &optimizer(fx()), prior, &cfg).unwrap();
+    art.with_penalty(summary)
+}
+
+/// The body of `method` at `qa`, or its `(kind, message)` error.
+fn answer(served: &ServedQuery, method: &str) -> Result<String, (String, String)> {
+    served.handle(method, &[0.01, 0.001]).0.map(|b| b.render())
+}
+
+/// PenaltyAware's selection is derived by its first reader, not by the
+/// load, and checked then: an artifact whose persisted choice was
+/// doctored (under a valid checksum) still loads and serves discovery
+/// byte-equal to the good one, while `run_penaltyaware` and `explain`
+/// fail with a typed error naming the disagreement, on every call.
+#[test]
+fn penalty_selection_is_derived_and_checked_on_first_use() {
+    let catalog: &'static Catalog = &fx().catalog;
+    let good = small_artifact_with_penalty();
+    let fp = good.penalty.as_ref().unwrap().chosen_fingerprint.clone();
+    let bad_fp = if fp == "0000000000000000" {
+        "0000000000000001".to_string()
+    } else {
+        "0000000000000000".to_string()
+    };
+    let field = |fp: &str| format!(r#""chosen_fingerprint":"{fp}""#);
+    let cells = good.surface.grid().len();
+    let bytes = reseal(&good, cells, |meta| {
+        assert!(meta.contains(&field(&fp)), "{meta}");
+        meta.replacen(&field(&fp), &field(&bad_fp), 1)
+    });
+    let doctored = CompiledArtifact::from_bytes(&bytes).unwrap();
+    assert_eq!(
+        doctored.penalty.as_ref().unwrap().chosen_fingerprint,
+        bad_fp
+    );
+
+    let good = ServedQuery::from_artifact(good, catalog).unwrap();
+    let bad = ServedQuery::from_artifact(doctored, catalog).expect("the load checks no selection");
+    let sb = answer(&good, "run_spillbound").unwrap();
+    assert_eq!(answer(&bad, "run_spillbound").unwrap(), sb);
+    assert!(answer(&good, "run_penaltyaware").unwrap().contains(&fp));
+    assert!(answer(&good, "explain").unwrap().contains(&fp));
+    for method in ["run_penaltyaware", "explain", "run_penaltyaware", "explain"] {
+        let (kind, msg) = answer(&bad, method).expect_err(method);
+        assert_eq!(kind, "internal", "{method}: {msg}");
+        assert!(
+            msg.contains("persisted penalty selection"),
+            "{method}: {msg}"
+        );
+        assert!(
+            msg.contains(&bad_fp) && msg.contains(&fp),
+            "{method}: {msg}"
+        );
+    }
+    assert!(bad.explain_body().is_err());
+    assert_eq!(answer(&bad, "run_spillbound").unwrap(), sb);
+}
+
+/// The first-use derivation is order- and race-free: explain → PA → SB,
+/// SB → PA → explain, and eight threads calling `explain` at once on
+/// fresh queries all give byte-identical bodies.
+#[test]
+fn first_use_derivation_is_independent_of_call_order() {
+    let catalog: &'static Catalog = &fx().catalog;
+    let art = small_artifact_with_penalty();
+    let fresh = || ServedQuery::from_artifact(art.clone(), catalog).unwrap();
+    let methods = ["explain", "run_penaltyaware", "run_spillbound"];
+    let forward = fresh();
+    let expected: Vec<String> = methods
+        .iter()
+        .map(|m| answer(&forward, m).unwrap())
+        .collect();
+    let backward = fresh();
+    for (m, want) in methods.iter().zip(&expected).rev() {
+        assert_eq!(&answer(&backward, m).unwrap(), want, "{m}");
+    }
+    let shared = fresh();
+    let bodies: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| scope.spawn(|| answer(&shared, "explain").unwrap()))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(bodies.iter().all(|b| b == &expected[0]));
 }
 
 /// A torn (injected short) write must error out before the atomic
