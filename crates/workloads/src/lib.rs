@@ -29,7 +29,7 @@ pub mod tpcds_queries;
 pub use builder::QueryBuilder;
 pub use example::example_query_eq;
 pub use suite::{
-    executable_genspec, executable_genspec_with_errors, paper_suite, q91_with_dims,
+    executable_genspec, executable_genspec_with_errors, find, paper_suite, q91_with_dims,
     zipf_exponent_for, BenchQuery,
 };
 

@@ -83,6 +83,13 @@ pub fn q91_with_dims(catalog: &Catalog, d: usize) -> BenchQuery {
     bench(q::q91(catalog, d))
 }
 
+/// The configuration named `name`: a suite query, or Q91 at any
+/// dimensionality 2–6 (`"2D_Q91"` … `"6D_Q91"`, Fig. 9).
+pub fn find(catalog: &Catalog, name: &str) -> Option<BenchQuery> {
+    let q91 = (2..=6).map(|d| q91_with_dims(catalog, d));
+    (paper_suite(catalog).into_iter().chain(q91)).find(|b| b.name() == name)
+}
+
 /// Builds a dataset recipe materializing exactly the tables of `query`,
 /// with surrogate keys serial and every other column uniform over its
 /// catalog NDV — so foreign-key join selectivities land near the cost

@@ -340,7 +340,7 @@ impl Lab {
     /// A suite query (or `2D_Q91`) over the SF100 catalog.
     fn query(&self, name: &str) -> Experiment {
         let catalog = tpcds::catalog_sf100();
-        let bench = suite_query(&catalog, name);
+        let bench = rqp_workloads::find(&catalog, name).expect("a suite query");
         self.experiment(catalog, bench)
     }
 
@@ -371,14 +371,6 @@ impl Lab {
             })
             .collect()
     }
-}
-
-fn suite_query(catalog: &Catalog, name: &str) -> BenchQuery {
-    if name == "2D_Q91" {
-        return q91_with_dims(catalog, 2);
-    }
-    let mut suite = paper_suite(catalog).into_iter();
-    suite.find(|b| b.name() == name).expect("a suite query")
 }
 
 /// What [`Lab::sweep`] keeps of one strategy's sweep.
@@ -1234,7 +1226,8 @@ fn abl3(lab: &Lab) -> Table {
     let base = lab.points(3);
     for n in [3, 4, 5, 6, 8].map(|k| base * k / 6) {
         let catalog = tpcds::catalog_sf100();
-        let bench = suite_query(&catalog, "3D_Q96").with_grid_points(n);
+        let bench = rqp_workloads::find(&catalog, "3D_Q96").expect("a suite query");
+        let bench = bench.with_grid_points(n);
         let exp = Experiment::build(catalog, bench, EnumerationMode::LeftDeep);
         let all = [Strategy::SpillBound, Strategy::PlanBouquet];
         let stats = lab.sweep(&exp, &Params::default(), &all);
