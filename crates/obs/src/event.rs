@@ -41,14 +41,6 @@ pub enum TraceEvent {
     },
     /// A spill probe resolved the selectivity of dimension `dim`.
     SelectivityLearnt { dim: usize, sel: f64 },
-    /// A memo/artifact lookup was served from cache.
-    CacheHit { cache: &'static str, key: u64 },
-    /// A memo/artifact lookup missed and had to be computed.
-    CacheMiss { cache: &'static str, key: u64 },
-    /// The fault plan injected a failure at `site` (deterministic `seq`).
-    FaultInjected { site: &'static str, seq: u64 },
-    /// The retry loop is about to re-attempt after an injected fault.
-    FaultRetried { site: &'static str, attempt: u32 },
     /// A discovery algorithm finished.
     RunFinished {
         total_cost: f64,
@@ -81,10 +73,6 @@ impl TraceEvent {
             TraceEvent::PlanExecuted { .. } => "plan_executed",
             TraceEvent::BudgetCharged { .. } => "budget_charged",
             TraceEvent::SelectivityLearnt { .. } => "selectivity_learnt",
-            TraceEvent::CacheHit { .. } => "cache_hit",
-            TraceEvent::CacheMiss { .. } => "cache_miss",
-            TraceEvent::FaultInjected { .. } => "fault_injected",
-            TraceEvent::FaultRetried { .. } => "fault_retried",
             TraceEvent::RunFinished { .. } => "run_finished",
             TraceEvent::RecoveryStep { .. } => "recovery_step",
             TraceEvent::RiskEvaluated { .. } => "risk_evaluated",
@@ -98,10 +86,6 @@ impl TraceEvent {
         "plan_executed",
         "budget_charged",
         "selectivity_learnt",
-        "cache_hit",
-        "cache_miss",
-        "fault_injected",
-        "fault_retried",
         "run_finished",
         "recovery_step",
         "risk_evaluated",
@@ -200,15 +184,6 @@ impl TraceRecord {
             TraceEvent::SelectivityLearnt { dim, sel } => {
                 let _ = write!(s, ",\"dim\":{dim},\"sel\":");
                 push_f64(&mut s, *sel);
-            }
-            TraceEvent::CacheHit { cache, key } | TraceEvent::CacheMiss { cache, key } => {
-                let _ = write!(s, ",\"cache\":\"{cache}\",\"key\":{key}");
-            }
-            TraceEvent::FaultInjected { site, seq } => {
-                let _ = write!(s, ",\"site\":\"{site}\",\"seq\":{seq}");
-            }
-            TraceEvent::FaultRetried { site, attempt } => {
-                let _ = write!(s, ",\"site\":\"{site}\",\"attempt\":{attempt}");
             }
             TraceEvent::RunFinished {
                 total_cost,

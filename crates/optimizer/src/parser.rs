@@ -18,7 +18,13 @@
 //!   and `col = const` (filters);
 //! * a predicate followed by an `-- epp` comment is marked error-prone;
 //!   ESS dimensions follow predicate order. (Alternatively leave the SQL
-//!   clean and re-dimension with an epp-identification policy.)
+//!   clean and re-dimension with an epp-identification policy.) Other
+//!   line comments are ignored, but one whose text opens with `epp` is a
+//!   marker wherever it stands, so a header comment must not start so;
+//! * predicate labels name tables for joins (`store_sales⋈date_dim`) and
+//!   the column for filters (`i_current_price<=42`, `d_moy=11`), so the
+//!   aliases a query is written with never reach its [`QuerySpec`]: the
+//!   SQL that [`QuerySpec::to_sql`] renders parses back byte-equal.
 
 use crate::query::{Predicate, PredicateKind, QuerySpec};
 use rqp_catalog::Catalog;
@@ -352,16 +358,12 @@ fn parse_predicate(
             catalog.table(relations[right]).name
         ),
         PredicateKind::FilterLe { rel, col, value } => format!(
-            "{}.{}<={}",
-            aliases[rel],
-            catalog.table(relations[rel]).columns[col].name,
-            value
+            "{}<={value}",
+            catalog.table(relations[rel]).columns[col].name
         ),
         PredicateKind::FilterEq { rel, col, value } => format!(
-            "{}.{}={}",
-            aliases[rel],
-            catalog.table(relations[rel]).columns[col].name,
-            value
+            "{}={value}",
+            catalog.table(relations[rel]).columns[col].name
         ),
     };
     Ok((Predicate { label, kind }, is_epp))

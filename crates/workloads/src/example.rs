@@ -1,32 +1,15 @@
-//! The paper's introductory example query `EQ` (Fig. 1).
-//!
-//! ```sql
-//! SELECT * FROM part, lineitem, orders
-//! WHERE p_partkey = l_partkey          -- epp (dim 0)
-//!   AND o_orderkey = l_orderkey        -- epp (dim 1)
-//!   AND p_retailprice < 1000
-//! ```
-//!
-//! The two join predicates are error-prone; the price filter is assumed
-//! reliably estimated — exactly the configuration whose 2D ESS, iso-cost
-//! contours and bouquet/SpillBound execution sequences Fig. 2 walks
-//! through.
+//! The paper's introductory example query `EQ` (Fig. 1), written in
+//! `sql/eq.sql`: `part ⋈ lineitem ⋈ orders` with both joins error-prone
+//! and the price filter reliably estimated — the configuration whose 2D
+//! ESS, iso-cost contours and bouquet/SpillBound execution sequences
+//! Fig. 2 walks through.
 
-use crate::builder::QueryBuilder;
 use rqp_catalog::Catalog;
 use rqp_optimizer::QuerySpec;
 
-/// Builds `EQ` over a [`rqp_catalog::tpch`] catalog.
+/// `EQ` over a [`rqp_catalog::tpch`] catalog.
 pub fn example_query_eq(catalog: &Catalog) -> QuerySpec {
-    let mut qb = QueryBuilder::new(catalog);
-    let part = qb.rel("part");
-    let lineitem = qb.rel("lineitem");
-    let orders = qb.rel("orders");
-    qb.join(part, "p_partkey", lineitem, "l_partkey", true);
-    qb.join(orders, "o_orderkey", lineitem, "l_orderkey", true);
-    qb.filter_le(part, "p_retailprice", 999, false);
-    qb.build("EQ")
-        .unwrap_or_else(|e| panic!("EQ definition invalid: {e}"))
+    crate::parse(catalog, "EQ", include_str!("../sql/eq.sql"))
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Join Order Benchmark Query 1a (§6.5).
+//! Join Order Benchmark Query 1a (§6.5), written in `sql/job_q1a.sql`.
 //!
 //! JOB runs over IMDB and is designed to be hostile to native optimizers:
 //! correlated predicates make its join selectivities badly mis-estimated.
@@ -6,29 +6,12 @@
 //! selectivity-independence assumption holds, and mark the two
 //! fact-to-title joins error-prone.
 
-use crate::builder::QueryBuilder;
 use rqp_catalog::Catalog;
 use rqp_optimizer::QuerySpec;
 
-/// JOB Q1a core: `company_type ⋈ movie_companies ⋈ title ⋈
-/// movie_info_idx ⋈ info_type`, with the `mc⋈t` and `mii⋈t` joins
-/// error-prone (2 epps).
+/// JOB Q1a core over a [`rqp_catalog::imdb`] catalog (2 epps).
 pub fn q1a(catalog: &Catalog) -> QuerySpec {
-    let mut qb = QueryBuilder::new(catalog);
-    let ct = qb.rel("company_type");
-    let mc = qb.rel("movie_companies");
-    let t = qb.rel("title");
-    let mii = qb.rel("movie_info_idx");
-    let it = qb.rel("info_type");
-    qb.join(mc, "mc_movie_id", t, "t_id", true);
-    qb.join(mii, "mii_movie_id", t, "t_id", true);
-    qb.join(mc, "mc_company_type_id", ct, "ct_id", false);
-    qb.join(mii, "mii_info_type_id", it, "it_id", false);
-    qb.filter_eq(ct, "ct_kind", 1, false);
-    qb.filter_eq(it, "it_info", 50, false);
-    qb.filter_le(t, "t_production_year", 110, false);
-    qb.build("JOB_Q1a")
-        .unwrap_or_else(|e| panic!("JOB Q1a definition invalid: {e}"))
+    crate::parse(catalog, "JOB_Q1a", include_str!("../sql/job_q1a.sql"))
 }
 
 #[cfg(test)]

@@ -353,91 +353,3 @@ mod tests {
         );
     }
 }
-
-/// Restricts a query to its first `d` error-prone predicates — the
-/// `xD_Qz` convention applied uniformly (Fig. 9 does exactly this for
-/// Q91). The join graph is untouched; only the ESS dimensionality drops.
-///
-/// # Panics
-/// Panics if `d` is zero or exceeds the query's epp count.
-pub fn with_first_epps(query: &QuerySpec, d: usize) -> QuerySpec {
-    assert!(d >= 1 && d <= query.ndims(), "d must be in 1..=D");
-    let mut q = query.clone();
-    q.epps.truncate(d);
-    q.name = format!(
-        "{}D_{}",
-        d,
-        q.name.split('_').next_back().unwrap_or(&q.name)
-    );
-    q
-}
-
-/// The full dimensionality matrix: every suite query at every
-/// dimensionality from 2 to its native D. Useful for scaling studies
-/// beyond the paper's Fig. 9 (which sweeps only Q91).
-pub fn dimensionality_matrix(catalog: &Catalog) -> Vec<BenchQuery> {
-    let mut out = Vec::new();
-    for b in paper_suite(catalog) {
-        for d in 2..=b.query.ndims() {
-            let query = with_first_epps(&b.query, d);
-            out.push(BenchQuery {
-                grid_points: default_grid_points(d),
-                min_sel: b.min_sel,
-                query,
-            });
-        }
-    }
-    // distinct names only (e.g. 4D_Q91 appears both natively and as a
-    // restriction of 6D_Q91)
-    out.sort_by(|a, b| a.query.name.cmp(&b.query.name));
-    out.dedup_by(|a, b| a.query.name == b.query.name);
-    out
-}
-
-#[cfg(test)]
-mod matrix_tests {
-    use super::*;
-    use rqp_catalog::tpcds;
-
-    #[test]
-    fn with_first_epps_restricts_dimensions() {
-        let cat = tpcds::catalog_sf100();
-        let q6 = crate::tpcds_queries::q91(&cat, 6);
-        for d in 2..=6 {
-            let q = with_first_epps(&q6, d);
-            assert_eq!(q.ndims(), d);
-            assert_eq!(q.name, format!("{d}D_Q91"));
-            q.validate(&cat).unwrap();
-            // restricted epps are a prefix of the original
-            assert_eq!(&q.epps[..], &q6.epps[..d]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "d must be in 1..=D")]
-    fn with_first_epps_rejects_zero() {
-        let cat = tpcds::catalog_sf100();
-        let q = crate::tpcds_queries::q96(&cat);
-        let _ = with_first_epps(&q, 0);
-    }
-
-    #[test]
-    fn dimensionality_matrix_is_deduped_and_valid() {
-        let cat = tpcds::catalog_sf100();
-        let matrix = dimensionality_matrix(&cat);
-        // names unique
-        let mut names: Vec<&str> = matrix.iter().map(|b| b.name()).collect();
-        let total = names.len();
-        names.dedup();
-        assert_eq!(names.len(), total);
-        assert!(total > 11, "matrix strictly larger than the native suite");
-        for b in &matrix {
-            b.query.validate(&cat).unwrap();
-            assert_eq!(b.grid_points, default_grid_points(b.query.ndims()));
-        }
-        // the 2..6 Q91 ladder is present
-        for d in 2..=6 {
-            assert!(names.contains(&format!("{d}D_Q91").as_str()));
-        }
-    }
-}

@@ -1,215 +1,72 @@
-//! SPJ cores of the paper's TPC-DS queries.
+//! SPJ cores of the paper's TPC-DS queries, one `sql/qN.sql` file each.
 //!
-//! Each function reproduces the join-graph geometry (chain / star /
-//! branch) and the error-prone join predicates of the corresponding
-//! `xD_Qz` configuration in the paper's evaluation. The epp *order*
-//! defines the ESS dimensions. Filters model the queries' constant
-//! predicates — these are assumed accurately estimated (non-epp), per the
-//! paper's framework.
+//! Each file reproduces the join-graph geometry (chain / star / branch)
+//! and the error-prone join predicates of the corresponding `xD_Qz`
+//! configuration in the paper's evaluation; its header comment describes
+//! that geometry. The epp *order* defines the ESS dimensions. Filters
+//! model the queries' constant predicates — these are assumed accurately
+//! estimated (non-epp), per the paper's framework.
 
-use crate::builder::QueryBuilder;
+use crate::parse;
 use rqp_catalog::Catalog;
 use rqp_optimizer::QuerySpec;
 
-fn must(q: rqp_common::Result<QuerySpec>) -> QuerySpec {
-    q.unwrap_or_else(|e| panic!("workload definition invalid: {e}"))
-}
-
-/// TPC-DS Q91 core: catalog_returns joined to call_center, date_dim and
-/// customer, with the customer's address / demographics dimensions.
-/// `dims ∈ 2..=6` selects how many join predicates are error-prone
-/// (Fig. 9 sweeps exactly this).
+/// TPC-DS Q91 core with its first `dims ∈ 2..=6` join predicates
+/// error-prone (Fig. 9 sweeps exactly this), named `{dims}D_Q91`.
 pub fn q91(catalog: &Catalog, dims: usize) -> QuerySpec {
     assert!((2..=6).contains(&dims), "Q91 supports 2..=6 epps");
-    let mut qb = QueryBuilder::new(catalog);
-    let cr = qb.rel("catalog_returns");
-    let cc = qb.rel("call_center");
-    let d = qb.rel("date_dim");
-    let c = qb.rel("customer");
-    let ca = qb.rel("customer_address");
-    let cd = qb.rel("customer_demographics");
-    let hd = qb.rel("household_demographics");
-    // epp order mirrors the paper's 2D example: catalog side first, then
-    // the customer-address join, then deeper customer dimensions.
-    qb.join(cr, "cr_returned_date_sk", d, "d_date_sk", dims >= 1);
-    qb.join(c, "c_current_addr_sk", ca, "ca_address_sk", dims >= 2);
-    qb.join(
-        cr,
-        "cr_returning_customer_sk",
-        c,
-        "c_customer_sk",
-        dims >= 3,
+    let mut q = parse(
+        catalog,
+        &format!("{dims}D_Q91"),
+        include_str!("../sql/q91.sql"),
     );
-    qb.join(c, "c_current_hdemo_sk", hd, "hd_demo_sk", dims >= 4);
-    qb.join(c, "c_current_cdemo_sk", cd, "cd_demo_sk", dims >= 5);
-    qb.join(cr, "cr_call_center_sk", cc, "cc_call_center_sk", dims >= 6);
-    qb.filter_eq(d, "d_year", 100, false);
-    qb.filter_le(ca, "ca_gmt_offset", 6, false);
-    must(qb.build(format!("{dims}D_Q91")))
+    q.epps.truncate(dims);
+    q
 }
 
-/// TPC-DS Q7 core: store_sales star over customer_demographics, date_dim,
-/// item and promotion (4 epps).
+/// TPC-DS Q7 core, `4D_Q7`.
 pub fn q7(catalog: &Catalog) -> QuerySpec {
-    let mut qb = QueryBuilder::new(catalog);
-    let ss = qb.rel("store_sales");
-    let cd = qb.rel("customer_demographics");
-    let d = qb.rel("date_dim");
-    let i = qb.rel("item");
-    let p = qb.rel("promotion");
-    qb.join(ss, "ss_cdemo_sk", cd, "cd_demo_sk", true);
-    qb.join(ss, "ss_sold_date_sk", d, "d_date_sk", true);
-    qb.join(ss, "ss_item_sk", i, "i_item_sk", true);
-    qb.join(ss, "ss_promo_sk", p, "p_promo_sk", true);
-    qb.filter_eq(cd, "cd_gender", 1, false);
-    qb.filter_eq(d, "d_year", 100, false);
-    must(qb.build("4D_Q7"))
+    parse(catalog, "4D_Q7", include_str!("../sql/q7.sql"))
 }
 
-/// TPC-DS Q15 core: catalog_sales chained through customer to
-/// customer_address, plus date_dim (3 epps).
+/// TPC-DS Q15 core, `3D_Q15`.
 pub fn q15(catalog: &Catalog) -> QuerySpec {
-    let mut qb = QueryBuilder::new(catalog);
-    let cs = qb.rel("catalog_sales");
-    let c = qb.rel("customer");
-    let ca = qb.rel("customer_address");
-    let d = qb.rel("date_dim");
-    qb.join(cs, "cs_bill_customer_sk", c, "c_customer_sk", true);
-    qb.join(c, "c_current_addr_sk", ca, "ca_address_sk", true);
-    qb.join(cs, "cs_sold_date_sk", d, "d_date_sk", true);
-    qb.filter_eq(d, "d_qoy", 1, false);
-    must(qb.build("3D_Q15"))
+    parse(catalog, "3D_Q15", include_str!("../sql/q15.sql"))
 }
 
-/// TPC-DS Q18 core: catalog_sales with bill-customer demographics, the
-/// customer's own demographics, address, date and item (6 epps; the
-/// customer_demographics table appears twice).
+/// TPC-DS Q18 core, `6D_Q18`.
 pub fn q18(catalog: &Catalog) -> QuerySpec {
-    let mut qb = QueryBuilder::new(catalog);
-    let cs = qb.rel("catalog_sales");
-    let cd1 = qb.rel("customer_demographics");
-    let c = qb.rel("customer");
-    let cd2 = qb.rel("customer_demographics");
-    let ca = qb.rel("customer_address");
-    let d = qb.rel("date_dim");
-    let i = qb.rel("item");
-    qb.join(cs, "cs_bill_cdemo_sk", cd1, "cd_demo_sk", true);
-    qb.join(cs, "cs_bill_customer_sk", c, "c_customer_sk", true);
-    qb.join(c, "c_current_cdemo_sk", cd2, "cd_demo_sk", true);
-    qb.join(c, "c_current_addr_sk", ca, "ca_address_sk", true);
-    qb.join(cs, "cs_sold_date_sk", d, "d_date_sk", true);
-    qb.join(cs, "cs_item_sk", i, "i_item_sk", true);
-    qb.filter_eq(cd1, "cd_education_status", 3, false);
-    qb.filter_eq(d, "d_year", 100, false);
-    must(qb.build("6D_Q18"))
+    parse(catalog, "6D_Q18", include_str!("../sql/q18.sql"))
 }
 
-/// TPC-DS Q19 core: store_sales with date, item, customer (chained to
-/// address) and store (5 epps).
+/// TPC-DS Q19 core, `5D_Q19`.
 pub fn q19(catalog: &Catalog) -> QuerySpec {
-    let mut qb = QueryBuilder::new(catalog);
-    let ss = qb.rel("store_sales");
-    let d = qb.rel("date_dim");
-    let i = qb.rel("item");
-    let c = qb.rel("customer");
-    let ca = qb.rel("customer_address");
-    let s = qb.rel("store");
-    qb.join(ss, "ss_sold_date_sk", d, "d_date_sk", true);
-    qb.join(ss, "ss_item_sk", i, "i_item_sk", true);
-    qb.join(ss, "ss_customer_sk", c, "c_customer_sk", true);
-    qb.join(c, "c_current_addr_sk", ca, "ca_address_sk", true);
-    qb.join(ss, "ss_store_sk", s, "s_store_sk", true);
-    qb.filter_eq(i, "i_manufact_id", 7, false);
-    qb.filter_eq(d, "d_moy", 11, false);
-    must(qb.build("5D_Q19"))
+    parse(catalog, "5D_Q19", include_str!("../sql/q19.sql"))
 }
 
-/// TPC-DS Q26 core: catalog_sales star over customer_demographics,
-/// date_dim, item and promotion (4 epps).
+/// TPC-DS Q26 core, `4D_Q26`.
 pub fn q26(catalog: &Catalog) -> QuerySpec {
-    let mut qb = QueryBuilder::new(catalog);
-    let cs = qb.rel("catalog_sales");
-    let cd = qb.rel("customer_demographics");
-    let d = qb.rel("date_dim");
-    let i = qb.rel("item");
-    let p = qb.rel("promotion");
-    qb.join(cs, "cs_bill_cdemo_sk", cd, "cd_demo_sk", true);
-    qb.join(cs, "cs_sold_date_sk", d, "d_date_sk", true);
-    qb.join(cs, "cs_item_sk", i, "i_item_sk", true);
-    qb.join(cs, "cs_promo_sk", p, "p_promo_sk", true);
-    qb.filter_eq(cd, "cd_marital_status", 2, false);
-    must(qb.build("4D_Q26"))
+    parse(catalog, "4D_Q26", include_str!("../sql/q26.sql"))
 }
 
-/// TPC-DS Q27 core: store_sales star over customer_demographics,
-/// date_dim, store and item (4 epps).
+/// TPC-DS Q27 core, `4D_Q27`.
 pub fn q27(catalog: &Catalog) -> QuerySpec {
-    let mut qb = QueryBuilder::new(catalog);
-    let ss = qb.rel("store_sales");
-    let cd = qb.rel("customer_demographics");
-    let d = qb.rel("date_dim");
-    let s = qb.rel("store");
-    let i = qb.rel("item");
-    qb.join(ss, "ss_cdemo_sk", cd, "cd_demo_sk", true);
-    qb.join(ss, "ss_sold_date_sk", d, "d_date_sk", true);
-    qb.join(ss, "ss_store_sk", s, "s_store_sk", true);
-    qb.join(ss, "ss_item_sk", i, "i_item_sk", true);
-    qb.filter_eq(s, "s_state", 5, false);
-    must(qb.build("4D_Q27"))
+    parse(catalog, "4D_Q27", include_str!("../sql/q27.sql"))
 }
 
-/// TPC-DS Q29 core: store_sales / store_returns / catalog_sales branch
-/// with date, item and store (5 epps).
+/// TPC-DS Q29 core, `5D_Q29`.
 pub fn q29(catalog: &Catalog) -> QuerySpec {
-    let mut qb = QueryBuilder::new(catalog);
-    let ss = qb.rel("store_sales");
-    let sr = qb.rel("store_returns");
-    let cs = qb.rel("catalog_sales");
-    let d = qb.rel("date_dim");
-    let i = qb.rel("item");
-    let s = qb.rel("store");
-    qb.join(ss, "ss_ticket_number", sr, "sr_ticket_number", true);
-    qb.join(sr, "sr_customer_sk", cs, "cs_bill_customer_sk", true);
-    qb.join(ss, "ss_sold_date_sk", d, "d_date_sk", true);
-    qb.join(ss, "ss_item_sk", i, "i_item_sk", true);
-    qb.join(ss, "ss_store_sk", s, "s_store_sk", true);
-    qb.filter_le(i, "i_current_price", 49, false);
-    must(qb.build("5D_Q29"))
+    parse(catalog, "5D_Q29", include_str!("../sql/q29.sql"))
 }
 
-/// TPC-DS Q84 core: customer chained to address, demographics, household
-/// demographics (to income_band) and store_returns (5 epps).
+/// TPC-DS Q84 core, `5D_Q84`.
 pub fn q84(catalog: &Catalog) -> QuerySpec {
-    let mut qb = QueryBuilder::new(catalog);
-    let c = qb.rel("customer");
-    let ca = qb.rel("customer_address");
-    let cd = qb.rel("customer_demographics");
-    let hd = qb.rel("household_demographics");
-    let ib = qb.rel("income_band");
-    let sr = qb.rel("store_returns");
-    qb.join(c, "c_current_addr_sk", ca, "ca_address_sk", true);
-    qb.join(c, "c_current_cdemo_sk", cd, "cd_demo_sk", true);
-    qb.join(c, "c_current_hdemo_sk", hd, "hd_demo_sk", true);
-    qb.join(hd, "hd_income_band_sk", ib, "ib_income_band_sk", true);
-    qb.join(sr, "sr_customer_sk", c, "c_customer_sk", true);
-    qb.filter_eq(ca, "ca_city", 19, false);
-    must(qb.build("5D_Q84"))
+    parse(catalog, "5D_Q84", include_str!("../sql/q84.sql"))
 }
 
-/// TPC-DS Q96 core: store_sales star over household_demographics,
-/// time_dim and store (3 epps).
+/// TPC-DS Q96 core, `3D_Q96`.
 pub fn q96(catalog: &Catalog) -> QuerySpec {
-    let mut qb = QueryBuilder::new(catalog);
-    let ss = qb.rel("store_sales");
-    let hd = qb.rel("household_demographics");
-    let t = qb.rel("time_dim");
-    let s = qb.rel("store");
-    qb.join(ss, "ss_hdemo_sk", hd, "hd_demo_sk", true);
-    qb.join(ss, "ss_sold_time_sk", t, "t_time_sk", true);
-    qb.join(ss, "ss_store_sk", s, "s_store_sk", true);
-    qb.filter_eq(hd, "hd_dep_count", 5, false);
-    qb.filter_eq(t, "t_hour", 8, false);
-    must(qb.build("3D_Q96"))
+    parse(catalog, "3D_Q96", include_str!("../sql/q96.sql"))
 }
 
 #[cfg(test)]

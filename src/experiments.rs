@@ -77,32 +77,9 @@ pub struct ComparisonRow {
     pub d: usize,
     /// Post-anorexic-reduction maximum contour density.
     pub rho_red: usize,
-    /// PlanBouquet guarantee `4(1+λ)ρ_red` (behavioral).
-    pub msog_pb: f64,
-    /// SpillBound guarantee `D²+3D` (structural).
-    pub msog_sb: f64,
-    /// AlignedBound guarantee lower end `2D+2`.
-    pub msog_ab_lower: f64,
-    /// Empirical MSO of PlanBouquet.
-    pub msoe_pb: f64,
-    /// Empirical MSO of SpillBound.
-    pub msoe_sb: f64,
-    /// Empirical MSO of AlignedBound.
-    pub msoe_ab: f64,
-    /// Average sub-optimality of PlanBouquet.
-    pub aso_pb: f64,
-    /// Average sub-optimality of SpillBound.
-    pub aso_sb: f64,
-    /// Average sub-optimality of AlignedBound.
-    pub aso_ab: f64,
-    /// Empirical MSO of the native optimizer (fixed estimate).
-    pub msoe_native: f64,
-    /// Average sub-optimality of the native optimizer (uniform prior).
-    pub aso_native: f64,
-    /// Empirical MSO of the penalty-aware single-plan strategy.
-    pub msoe_pa: f64,
-    /// Average sub-optimality of the penalty-aware strategy (uniform).
-    pub aso_pa: f64,
+    /// `(MSOg, MSOe, ASO)` per strategy, in [`Strategy::ALL`] order; read
+    /// through [`stats`](Self::stats).
+    pub strategies: [(f64, f64, f64); 5],
     /// Prior-weighted ASO (expected penalty) of the penalty-aware
     /// choice under the seeded selectivity-error prior.
     pub aso_prior_pa: f64,
@@ -120,13 +97,7 @@ impl ComparisonRow {
     /// `(MSOg, MSOe, ASO)` of strategy `s`. MSOg is infinite for the
     /// fixed-plan strategies, which have no MSO guarantee.
     pub fn stats(&self, s: Strategy) -> (f64, f64, f64) {
-        match s {
-            Strategy::Native => (f64::INFINITY, self.msoe_native, self.aso_native),
-            Strategy::PlanBouquet => (self.msog_pb, self.msoe_pb, self.aso_pb),
-            Strategy::SpillBound => (self.msog_sb, self.msoe_sb, self.aso_sb),
-            Strategy::AlignedBound => (self.msog_sb, self.msoe_ab, self.aso_ab),
-            Strategy::PenaltyAware => (f64::INFINITY, self.msoe_pa, self.aso_pa),
-        }
+        self.strategies[s as usize]
     }
 }
 
@@ -170,26 +141,16 @@ pub fn compare_with_threads(
         lambda,
         ..Params::default()
     };
-    let [(native, _), (pb, pb_c), (sb, _), (ab, ab_c), (pa, pa_c)] =
-        Strategy::ALL.map(|s| sweep(s, CostSource::Matrix(&ctx), &params, threads));
+    let swept = Strategy::ALL.map(|s| sweep(s, CostSource::Matrix(&ctx), &params, threads));
+    let [_, (_, pb_c), _, (_, ab_c), (_, pa_c)] = &swept;
     let pa_sel = pa_c.penalty_selection().expect("a penalty-aware selection");
     ComparisonRow {
         name: exp.bench.query.name.clone(),
         d,
         rho_red: pb_c.bouquet().expect("a bouquet").rho_red(),
-        msog_pb: pb_c.mso_guarantee(),
-        msog_sb: rqp_core::spillbound_guarantee(d),
-        msog_ab_lower: rqp_core::aligned_guarantee_lower(d),
-        msoe_pb: pb.mso,
-        msoe_sb: sb.mso,
-        msoe_ab: ab.mso,
-        aso_pb: pb.aso,
-        aso_sb: sb.aso,
-        aso_ab: ab.aso,
-        msoe_native: native.mso,
-        aso_native: native.aso,
-        msoe_pa: pa.mso,
-        aso_pa: pa.aso,
+        strategies: swept
+            .each_ref()
+            .map(|(s, c)| (c.mso_guarantee(), s.mso, s.aso)),
         aso_prior_pa: pa_sel.chosen.expected,
         aso_prior_native: pa_sel.native.expected,
         pa_cvar: pa_sel.chosen.cvar,

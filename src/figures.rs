@@ -589,8 +589,8 @@ fn fig8(lab: &Lab) -> Table {
             r.name.as_str().into(),
             r.d.into(),
             r.rho_red.into(),
-            Cell::Num(r.msog_pb, 1),
-            Cell::Num(r.msog_sb, 0),
+            Cell::Num(r.stats(Strategy::PlanBouquet).0, 1),
+            Cell::Num(r.stats(Strategy::SpillBound).0, 0),
         ]
     })
 }
@@ -640,13 +640,17 @@ fn fig9_claim(t: &Table) -> Result<(), String> {
 fn fig10(lab: &Lab) -> Table {
     let headers = ["query", "D", "PB MSOg", "PB MSOe", "SB MSOg", "SB MSOe"];
     suite_table(lab, &headers, |r| {
+        let (pb, sb) = (
+            r.stats(Strategy::PlanBouquet),
+            r.stats(Strategy::SpillBound),
+        );
         vec![
             r.name.as_str().into(),
             r.d.into(),
-            Cell::Num(r.msog_pb, 1),
-            Cell::Num(r.msoe_pb, 1),
-            Cell::Num(r.msog_sb, 0),
-            Cell::Num(r.msoe_sb, 1),
+            Cell::Num(pb.0, 1),
+            Cell::Num(pb.1, 1),
+            Cell::Num(sb.0, 0),
+            Cell::Num(sb.1, 1),
         ]
     })
 }
@@ -670,12 +674,16 @@ fn fig10_claim(t: &Table) -> Result<(), String> {
 
 fn fig11(lab: &Lab) -> Table {
     suite_table(lab, &["query", "D", "PB ASO", "SB ASO", "PB/SB"], |r| {
+        let (pb, sb) = (
+            r.stats(Strategy::PlanBouquet).2,
+            r.stats(Strategy::SpillBound).2,
+        );
         vec![
             r.name.as_str().into(),
             r.d.into(),
-            Cell::Num(r.aso_pb, 2),
-            Cell::Num(r.aso_sb, 2),
-            Cell::Num(r.aso_pb / r.aso_sb, 2),
+            Cell::Num(pb, 2),
+            Cell::Num(sb, 2),
+            Cell::Num(pb / sb, 2),
         ]
     })
 }
@@ -734,14 +742,15 @@ fn fig13(lab: &Lab) -> Table {
         "native MSOe",
     ];
     suite_table(lab, &headers, |r| {
+        let sb = r.stats(Strategy::SpillBound);
         vec![
             r.name.as_str().into(),
             r.d.into(),
-            Cell::Num(r.msoe_sb, 1),
-            Cell::Num(r.msoe_ab, 1),
-            Cell::Num(r.msog_ab_lower, 0),
-            Cell::Num(r.msog_sb, 0),
-            Cell::Num(r.msoe_native, 1),
+            Cell::Num(sb.1, 1),
+            Cell::Num(r.stats(Strategy::AlignedBound).1, 1),
+            Cell::Num(aligned_guarantee_lower(r.d), 0),
+            Cell::Num(sb.0, 0),
+            Cell::Num(r.stats(Strategy::Native).1, 1),
         ]
     })
 }
@@ -786,14 +795,15 @@ fn fig14(lab: &Lab) -> Table {
         "PA CVaR",
     ];
     suite_table(lab, &headers, |r| {
+        let (native, pa) = (r.stats(Strategy::Native), r.stats(Strategy::PenaltyAware));
         vec![
             r.name.as_str().into(),
             r.d.into(),
-            Cell::Num(r.msoe_native, 1),
-            Cell::Num(r.aso_native, 2),
-            Cell::Num(r.msoe_pa, 1),
-            Cell::Num(r.aso_pa, 2),
-            Cell::Num(r.aso_sb, 2),
+            Cell::Num(native.1, 1),
+            Cell::Num(native.2, 2),
+            Cell::Num(pa.1, 1),
+            Cell::Num(pa.2, 2),
+            Cell::Num(r.stats(Strategy::SpillBound).2, 2),
             Cell::Num(r.aso_prior_pa, 3),
             Cell::Num(r.aso_prior_native, 3),
             Cell::Num(r.pa_cvar, 2),

@@ -30,9 +30,6 @@ pub struct ExecOracle<'a, E = Engine<'a>> {
     /// residual predicates out of combined node observations and to invert
     /// subtree costs on timeouts.
     known: Sels,
-    /// Retry policy for transient (injected) executor faults on the
-    /// fallible `try_*` path.
-    retry: RetryPolicy,
     /// Transient faults absorbed by retries.
     pub retries: u64,
     /// Wall-clock duration of each oracle call, in call order (aligned
@@ -48,16 +45,9 @@ impl<'a, E: PlanEngine> ExecOracle<'a, E> {
             opt,
             grid,
             known: opt.base_sels().clone(),
-            retry: RetryPolicy::default(),
             retries: 0,
             timings: Vec::new(),
         }
-    }
-
-    /// Replaces the transient-fault retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// Total wall-clock time across all oracle calls.
@@ -65,10 +55,11 @@ impl<'a, E: PlanEngine> ExecOracle<'a, E> {
         self.timings.iter().sum()
     }
 
-    /// Runs `call` retrying injected-fault errors with capped exponential
-    /// backoff; other errors and final exhaustion propagate.
+    /// Runs `call` retrying injected-fault errors with the default capped
+    /// exponential backoff; other errors and final exhaustion propagate.
     fn retry_faults<T>(&mut self, mut call: impl FnMut(&mut E) -> Result<T>) -> Result<T> {
-        let attempts = self.retry.max_attempts.max(1);
+        let retry = RetryPolicy::default();
+        let attempts = retry.max_attempts.max(1);
         let mut last = None;
         for attempt in 0..attempts {
             match call(&mut self.executor) {
@@ -77,7 +68,7 @@ impl<'a, E: PlanEngine> ExecOracle<'a, E> {
                     last = Some(e);
                     if attempt + 1 < attempts {
                         self.retries += 1;
-                        self.retry.pause(attempt);
+                        retry.pause(attempt);
                     }
                 }
                 Err(e) => return Err(e),

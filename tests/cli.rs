@@ -261,6 +261,46 @@ fn run_sql_runs_a_strategy_over_parsed_sql() {
     assert!(stdout.contains("run finished"), "{stdout}");
 }
 
+/// The SQL `rqp explore` prints for a suite query is that query: run
+/// through `run-sql`, it prints the same timeline and total as `rqp run`
+/// under the query's name.
+#[test]
+fn explored_sql_runs_like_the_named_query() {
+    let explored = rqp(&["explore", "2D_Q91"]);
+    let explored = String::from_utf8_lossy(&explored.stdout);
+    let sql: Vec<&str> = (explored.lines())
+        .skip_while(|l| *l != "SQL:")
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .collect();
+    assert!(!sql.is_empty(), "explore printed no SQL:\n{explored}");
+    let sql = sql.join("\n");
+    let qa = ["sb", "0.01", "0.001"];
+    let after_header = |out: Output| -> Vec<String> {
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "{stdout}");
+        let lines = stdout.lines().skip_while(|l| !l.contains(" at qa "));
+        lines.skip(1).map(str::to_string).collect()
+    };
+    let named = after_header(rqp(&[&["run", "2D_Q91"][..], &qa].concat()));
+    let parsed = after_header(rqp(&[&["run-sql", &sql][..], &qa].concat()));
+    assert!(named.iter().any(|l| l.starts_with("total ")), "{named:?}");
+    assert_eq!(parsed, named);
+}
+
+/// `trace --check` accepts only the kinds an event can carry: a line of
+/// any other kind fails the check, naming the kind.
+#[test]
+fn trace_check_refuses_a_kind_no_event_has() {
+    let path = scratch("cache-hit.jsonl");
+    std::fs::write(&path, "{\"step\":0,\"kind\":\"cache_hit\"}\n").unwrap();
+    let out = rqp(&["trace", "--check", path.to_str().unwrap()]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("\"cache_hit\""), "{stderr}");
+}
+
 /// `trace` has no run form: `trace <query> <algo>` is refused like any
 /// argument the subcommand does not read.
 #[test]
